@@ -56,7 +56,7 @@ SETUP_SAMPLES = 5
 #: VM, Python 3.11).  Timed metrics are scaled by this over the run's own
 #: probe median: that VM's speed drifts by a third between minutes, and the
 #: scaling keeps runs at different times comparable.
-HOST_PROBE_REFERENCE_S = 0.01
+HOST_PROBE_REFERENCE_S = 0.0145
 
 #: end-to-end metrics (name, unit); must match BENCHMARK.json.
 END_TO_END = (
@@ -174,7 +174,7 @@ def host_probe() -> float:
     for _ in range(5):
         start = time.perf_counter()
         total, table = Fraction(0), {}
-        for i in range(1, 1500):
+        for i in range(1, 6000):
             total += Fraction(i % 7 + 1, i % 5 + 1)
             key = (i % 97, i % 13)
             table[key] = table.get(key, 0) + i
@@ -478,6 +478,8 @@ def measure_and_report(args, workload, golden: dict, scratch: str, host_start: t
         "op_seconds": [round(value, 3) for value in untraced.op_seconds],
         "round_wall_s": [round(value, 3) for value in untraced.round_wall],
         "round_cpu_s": [round(value, 3) for value in untraced.round_cpu],
+        "host_probe_s": [round(value, 5) for value in untraced.host_probes],
+        "host_factor": host_factor(untraced),
     }
     if len(untraced.op_seconds) >= 100:
         # Only with at least ten samples beyond it.
