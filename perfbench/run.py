@@ -28,7 +28,6 @@ import time
 import traceback
 from collections import defaultdict
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(BENCH_DIR)
@@ -51,12 +50,6 @@ def process_edge() -> None:
 
 #: set-up is timed in this many fresh processes; the median is reported.
 SETUP_SAMPLES = 5
-
-#: ``host_probe()`` on the host the benchmark was defined on (2-vCPU x86_64
-#: VM, Python 3.11).  Timed metrics are scaled by this over the run's own
-#: probe median: that VM's speed drifts by a third between minutes, and the
-#: scaling keeps runs at different times comparable.
-HOST_PROBE_REFERENCE_S = 0.0145
 
 #: end-to-end metrics (name, unit); must match BENCHMARK.json.
 END_TO_END = (
@@ -127,7 +120,6 @@ class Measurement:
     verified: list[bool] = field(default_factory=list)
     round_wall: list[float] = field(default_factory=list)
     round_cpu: list[float] = field(default_factory=list)
-    host_probes: list[float] = field(default_factory=list)
     layer_counts: dict[str, float] = field(default_factory=lambda: defaultdict(float))
 
     @property
@@ -163,29 +155,9 @@ def run_op(workload, golden: dict, key: str, measurement: Measurement, op_runner
     measurement.verified.append(ok)
 
 
-def host_probe() -> float:
-    """Median seconds of a fixed pure-Python task: how fast the host runs now.
-
-    The task mixes what the program spends its time on (Fraction arithmetic,
-    hashing, small containers) and uses nothing from the program, so a
-    change to the repo cannot move it.
-    """
-    samples = []
-    for _ in range(5):
-        start = time.perf_counter()
-        total, table = Fraction(0), {}
-        for i in range(1, 6000):
-            total += Fraction(i % 7 + 1, i % 5 + 1)
-            key = (i % 97, i % 13)
-            table[key] = table.get(key, 0) + i
-        sorted(table.items())
-        samples.append(time.perf_counter() - start)
-    return statistics.median(samples)
-
-
 def measure(workload, golden: dict, seconds: float) -> Measurement:
     """Run whole rounds of the seeded schedule until ``seconds`` have passed."""
-    measurement = Measurement(host_probes=[host_probe()])
+    measurement = Measurement()
     start = time.perf_counter()
     for keys in workload.rounds():
         round_start, cpu_start = time.perf_counter(), cpu_seconds()
@@ -193,7 +165,6 @@ def measure(workload, golden: dict, seconds: float) -> Measurement:
             run_op(workload, golden, key, measurement)
         measurement.round_wall.append(time.perf_counter() - round_start)
         measurement.round_cpu.append(cpu_seconds() - cpu_start)
-        measurement.host_probes.append(host_probe())
         if time.perf_counter() - start >= seconds:
             return measurement
     raise AssertionError("unreachable: schedules are endless")
@@ -315,20 +286,14 @@ def host_block(load_start: tuple, ticks_start: list[int] | None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def host_factor(measurement: Measurement) -> float:
-    """Reference-host seconds per second measured during this run."""
-    return HOST_PROBE_REFERENCE_S / statistics.median(measurement.host_probes)
-
-
 def end_to_end(measurement: Measurement, setups: list[float]) -> dict[str, float]:
     attempted = len(measurement.keys)
-    factor = host_factor(measurement)
     return {
         "setup_s": statistics.median(setups),
-        "wall_s": statistics.median(measurement.round_wall) * factor,
-        "ops_per_s": attempted / sum(measurement.round_wall) / factor,
-        "op_p50_s": statistics.median(measurement.op_seconds) * factor,
-        "cpu_s": statistics.median(measurement.round_cpu) * factor,
+        "wall_s": statistics.median(measurement.round_wall),
+        "ops_per_s": attempted / sum(measurement.round_wall),
+        "op_p50_s": statistics.median(measurement.op_seconds),
+        "cpu_s": statistics.median(measurement.round_cpu),
         "peak_rss_mb": peak_rss_mb(),
         "verified_ratio": (attempted - measurement.failed) / attempted,
     }
@@ -478,8 +443,6 @@ def measure_and_report(args, workload, golden: dict, scratch: str, host_start: t
         "op_seconds": [round(value, 3) for value in untraced.op_seconds],
         "round_wall_s": [round(value, 3) for value in untraced.round_wall],
         "round_cpu_s": [round(value, 3) for value in untraced.round_cpu],
-        "host_probe_s": [round(value, 5) for value in untraced.host_probes],
-        "host_factor": host_factor(untraced),
     }
     if len(untraced.op_seconds) >= 100:
         # Only with at least ten samples beyond it.
