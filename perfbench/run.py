@@ -4,8 +4,9 @@ Usage, from the root of a source checkout::
 
     python3 perfbench/run.py --workload cost-sweep --seed 1 --seconds 20 --trace 0
 
-``--trace 0`` measures the end-to-end metrics with no shims installed.
-``--trace 1`` measures the same op sequence twice, untraced and then traced
+``--trace 0`` measures the end-to-end metrics with no shims installed, in
+seconds at a reference host speed sampled during each op (see
+``hostspeed.py``).  ``--trace 1`` measures the same op sequence twice, untraced and then traced
 from cold caches, and reports the per-layer metrics derived from the spans
 (see ``layertrace.py``).  The last line of standard output is the JSON result;
 the lines before it give the resolved config, the host and a readable table.
@@ -28,6 +29,8 @@ import time
 import traceback
 from collections import defaultdict
 from dataclasses import dataclass, field
+
+import hostspeed
 
 BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(BENCH_DIR)
@@ -116,7 +119,13 @@ class Measurement:
     """What one closed-loop pass over the schedule observed."""
 
     keys: list[str] = field(default_factory=list)
+    #: op wall and CPU seconds at the reference host speed (raw when unsampled).
     op_seconds: list[float] = field(default_factory=list)
+    op_cpu: list[float] = field(default_factory=list)
+    #: op wall seconds as the clock read them, less the parent's kernel samples.
+    op_raw: list[float] = field(default_factory=list)
+    #: per op: reference host speed / the speed sampled during the op.
+    op_scale: list[float] = field(default_factory=list)
     verified: list[bool] = field(default_factory=list)
     round_wall: list[float] = field(default_factory=list)
     round_cpu: list[float] = field(default_factory=list)
@@ -133,8 +142,14 @@ def cpu_seconds() -> float:
     return times.user + times.system + times.children_user + times.children_system
 
 
-def run_op(workload, golden: dict, key: str, measurement: Measurement, op_runner=None) -> None:
-    start = time.perf_counter()
+def run_op(workload, golden: dict, key: str, measurement: Measurement, op_runner=None, sampler=None) -> None:
+    """Run one op, check it against the golden and record its times.
+
+    With a running ``sampler`` the op's times are scaled to the reference
+    host speed by the kernel samples taken during the op, and the parent's
+    own sampling time is taken out of them.
+    """
+    start, cpu_start = time.perf_counter(), cpu_seconds()
     result = None
     try:
         result = op_runner(key) if op_runner is not None else workload.run(key)
@@ -142,7 +157,11 @@ def run_op(workload, golden: dict, key: str, measurement: Measurement, op_runner
     except Exception:
         traceback.print_exc(file=sys.stderr)
         ok = False
-    seconds = time.perf_counter() - start
+    end, cpu = time.perf_counter(), cpu_seconds() - cpu_start
+    probe, scale = 0.0, 1.0
+    if sampler is not None:
+        sampler.absorb_worker_spills()
+        probe, scale = sampler.probe_seconds(start, end), sampler.scale(start, end)
     if ok:
         expected = golden.get(key)
         ok = expected is not None and workload.matches(workload.output(result), expected)
@@ -151,20 +170,26 @@ def run_op(workload, golden: dict, key: str, measurement: Measurement, op_runner
         for name, value in workload.layer_counts(result).items():
             measurement.layer_counts[name] += value
     measurement.keys.append(key)
-    measurement.op_seconds.append(seconds)
+    measurement.op_raw.append(end - start - probe)
+    measurement.op_scale.append(scale)
+    measurement.op_seconds.append((end - start - probe) * scale)
+    measurement.op_cpu.append((cpu - probe) * scale)
     measurement.verified.append(ok)
 
 
-def measure(workload, golden: dict, seconds: float) -> Measurement:
-    """Run whole rounds of the seeded schedule until ``seconds`` have passed."""
+def measure(workload, golden: dict, seconds: float, sampler) -> Measurement:
+    """Run whole rounds of the seeded schedule until ``seconds`` have passed.
+
+    A round's wall and CPU time are the sums over its ops.
+    """
     measurement = Measurement()
     start = time.perf_counter()
     for keys in workload.rounds():
-        round_start, cpu_start = time.perf_counter(), cpu_seconds()
+        first = len(measurement.op_seconds)
         for key in keys:
-            run_op(workload, golden, key, measurement)
-        measurement.round_wall.append(time.perf_counter() - round_start)
-        measurement.round_cpu.append(cpu_seconds() - cpu_start)
+            run_op(workload, golden, key, measurement, sampler=sampler)
+        measurement.round_wall.append(sum(measurement.op_seconds[first:]))
+        measurement.round_cpu.append(sum(measurement.op_cpu[first:]))
         if time.perf_counter() - start >= seconds:
             return measurement
     raise AssertionError("unreachable: schedules are endless")
@@ -190,8 +215,12 @@ def peak_rss_mb() -> float:
     return max(own, children) / 1024.0
 
 
-def setup_seconds(args) -> list[float]:
-    """Wall time of fresh processes that import, derive and set up, then exit."""
+def setup_seconds(args) -> list[tuple[float, float]]:
+    """(raw, scaled) wall time of fresh processes that import, derive and set up.
+
+    Each process samples the host speed itself and prints its sampling time
+    and scale as its last line (``--setup-only``).
+    """
     command = [
         sys.executable, os.path.abspath(__file__), "--workload", args.workload,
         "--seed", str(args.seed), "--setup-only",
@@ -199,8 +228,12 @@ def setup_seconds(args) -> list[float]:
     samples = []
     for _ in range(SETUP_SAMPLES):
         start = time.perf_counter()
-        subprocess.run(command, check=True, timeout=120, cwd=ROOT, stdout=subprocess.DEVNULL)
-        samples.append(time.perf_counter() - start)
+        completed = subprocess.run(
+            command, check=True, timeout=120, cwd=ROOT, stdout=subprocess.PIPE, text=True
+        )
+        raw = time.perf_counter() - start
+        probe = json.loads(completed.stdout.strip().splitlines()[-1])
+        samples.append((raw, (raw - probe["probe_s"]) * probe["scale"]))
     return samples
 
 
@@ -287,6 +320,7 @@ def host_block(load_start: tuple, ticks_start: list[int] | None) -> dict:
 
 
 def end_to_end(measurement: Measurement, setups: list[float]) -> dict[str, float]:
+    """The end-to-end metrics; every time is at the reference host speed."""
     attempted = len(measurement.keys)
     return {
         "setup_s": statistics.median(setups),
@@ -379,7 +413,7 @@ def per_layer(tracer, traced: Measurement, untraced: Measurement, caches) -> dic
             "runtime.cache.compile.hit_ratio": hit_ratio("compile"),
             "runtime.cache.plan.hit_ratio": hit_ratio("plan"),
             "runtime.cache.entries": sum(caches.sizes().values()),
-            "trace.overhead_ratio": sum(traced.op_seconds) / sum(untraced.op_seconds) - 1.0,
+            "trace.overhead_ratio": sum(traced.op_raw) / sum(untraced.op_raw) - 1.0,
         }
     )
     return values
@@ -413,6 +447,18 @@ def parse_args(argv=None):
 def main(argv=None) -> int:
     args = parse_args(argv)
     host_start = os.getloadavg(), cpu_ticks()
+    if args.setup_only:
+        # Sampled from the start: set-up time is scaled like op time.
+        with hostspeed.Sampler() as sampler:
+            code = set_up(args)
+        everything = (float("-inf"), float("inf"))
+        print(json.dumps({"probe_s": sampler.probe_seconds(*everything), "scale": sampler.scale(*everything)}))
+        return code
+    return set_up(args, host_start)
+
+
+def set_up(args, host_start: tuple | None = None) -> int:
+    """Build the workload; unless ``--setup-only``, measure and report it."""
     process_edge()
     from workloads import WORKLOADS
 
@@ -434,7 +480,10 @@ def main(argv=None) -> int:
 
 
 def measure_and_report(args, workload, golden: dict, scratch: str, host_start: tuple) -> int:
-    untraced = measure(workload, golden, args.seconds)
+    sampler = hostspeed.Sampler(spill_dir=os.path.join(scratch, "probes"))
+    os.makedirs(sampler.spill_dir)
+    with sampler:
+        untraced = measure(workload, golden, args.seconds, sampler)
     summary = {
         "ops": len(untraced.keys),
         "rounds": len(untraced.round_wall),
@@ -443,6 +492,9 @@ def measure_and_report(args, workload, golden: dict, scratch: str, host_start: t
         "op_seconds": [round(value, 3) for value in untraced.op_seconds],
         "round_wall_s": [round(value, 3) for value in untraced.round_wall],
         "round_cpu_s": [round(value, 3) for value in untraced.round_cpu],
+        "raw_op_seconds": [round(value, 3) for value in untraced.op_raw],
+        "host_scale_p50": statistics.median(untraced.op_scale),
+        "host_samples": len(sampler.samples) + len(sampler.worker_samples),
     }
     if len(untraced.op_seconds) >= 100:
         # Only with at least ten samples beyond it.
@@ -473,7 +525,10 @@ def measure_and_report(args, workload, golden: dict, scratch: str, host_start: t
         summary["self_s_all_ops"] = {name: round(value, 4) for name, value in layer_table(tracer.spans)}
         summary["self_s_first_op"] = {name: round(value, 4) for name, value in layer_table(tracer.spans, op=0)}
     else:
-        metrics = end_to_end(untraced, setup_seconds(args))
+        setups = setup_seconds(args)
+        summary["setup_raw_s"] = [round(raw, 3) for raw, _ in setups]
+        summary["setup_s"] = [round(scaled, 3) for _, scaled in setups]
+        metrics = end_to_end(untraced, [scaled for _, scaled in setups])
         units = dict(END_TO_END)
     config = workload.context.config
     print("config: " + json.dumps({"resolved": config.describe(), "provenance": config.provenance_map()}, sort_keys=True))

@@ -5,7 +5,8 @@
 * every workload runs in tiny mode, untraced and traced, and reports exactly
   the metric names and units ``BENCHMARK.json`` declares;
 * a corrupted golden value makes the run report failed ops;
-* after a traced run every patched attribute is the original object again.
+* after a traced run every patched attribute is the original object again;
+* the host-speed sampler takes samples and restores the alarm it borrowed.
 """
 
 from __future__ import annotations
@@ -126,6 +127,26 @@ class ShimRestore(unittest.TestCase):
         # Forked shard workers wrote their own spans.
         self.assertGreater(worker_files, 0)
         self.assertIn("core.enumerate", {span.name for span in tracer.spans})
+
+
+class HostSpeed(unittest.TestCase):
+    def test_sampler_samples_and_restores_the_alarm(self):
+        import signal
+        import time
+
+        import hostspeed
+
+        before = signal.getsignal(signal.SIGALRM)
+        with hostspeed.Sampler() as sampler:
+            start = time.perf_counter()
+            while time.perf_counter() - start < 0.3:
+                sum(range(1000))
+            end = time.perf_counter()
+        self.assertGreaterEqual(len(sampler.samples), 3)
+        self.assertGreater(sampler.probe_seconds(start, end), 0.0)
+        self.assertGreater(sampler.scale(start, end), 0.0)
+        self.assertIs(signal.getsignal(signal.SIGALRM), before)
+        self.assertEqual(signal.getitimer(signal.ITIMER_REAL), (0.0, 0.0))
 
 
 if __name__ == "__main__":
