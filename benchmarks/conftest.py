@@ -9,78 +9,20 @@ because the quantity of interest is the experiment's *output*, not the
 harness's wall-clock time; the timing is still recorded by pytest-benchmark
 for regression tracking.
 
-Budget knobs (fields of :class:`repro.runtime.RuntimeConfig`; setting the
-``REPRO_*`` environment variables here is the supported process-edge
-fallback, re-read by the ambient default context):
+Budget knobs are fields of :class:`repro.runtime.RuntimeConfig`.  The
+``REPRO_*`` environment variables are read once, when the root
+``conftest.py`` builds the process-default context; that edge defaults
+``REPRO_SMOKE`` to ``1`` so the suite finishes in minutes (export
+``REPRO_SMOKE=0`` for a full-fidelity run).  ``REPRO_TRAIN_STEPS``
+overrides the proxy-training step budget everywhere.
 
-* ``REPRO_SMOKE`` — defaults to ``1`` here so ``python -m pytest -x -q`` at
-  the repo root finishes in minutes (fewer models/layers/samples, smaller
-  tuning budgets, short proxy training).  Export ``REPRO_SMOKE=0`` for a
-  full-fidelity run.
-* ``REPRO_TRAIN_STEPS`` — overrides the proxy-training step budget.  It is
-  read by ``EvaluationSettings`` and every experiment's ``run()`` default,
-  so setting it genuinely raises (or lowers) the training budget everywhere.
-* ``REPRO_EVAL_PROCESSES`` — opt-in worker-process count for parallel
-  candidate evaluation.
-
-Every benchmark is also guarded by a ``timeout`` marker.  When the
-``pytest-timeout`` plugin is installed it enforces the marker; otherwise the
-SIGALRM fallback below does, so a hung experiment fails instead of wedging
-the suite.
+Every benchmark also carries a ``timeout`` marker, which the root
+``conftest.py`` registers and enforces.
 """
 
 import os
-import signal
 import sys
-
-import pytest
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
-
-os.environ.setdefault("REPRO_SMOKE", "1")
-
-#: default per-test guard (seconds) when a benchmark carries no timeout marker.
-DEFAULT_TIMEOUT = int(os.environ.get("REPRO_BENCH_TIMEOUT", "900"))
-
-
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "timeout(seconds): fail the test if it runs longer than this"
-    )
-
-
-def _timeout_seconds(item) -> int:
-    marker = item.get_closest_marker("timeout")
-    if marker and marker.args:
-        return int(marker.args[0])
-    return DEFAULT_TIMEOUT
-
-
-@pytest.hookimpl(wrapper=True)
-def pytest_runtest_call(item):
-    """SIGALRM-based stand-in for pytest-timeout when the plugin is absent."""
-    seconds = _timeout_seconds(item)
-    if (
-        item.config.pluginmanager.hasplugin("timeout")  # real plugin handles it
-        or not hasattr(signal, "SIGALRM")
-        or seconds <= 0
-    ):
-        return (yield)
-
-    def _on_alarm(signum, frame):
-        raise TimeoutError(f"{item.nodeid} exceeded the {seconds}s timeout guard")
-
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.alarm(seconds)
-    try:
-        return (yield)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Run an experiment exactly once under pytest-benchmark."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)

@@ -101,7 +101,8 @@ python -m repro.cli chaos figure5 --smoke --shards 2 \
 echo "OK: fingerprint parity held under a killed shard worker"
 
 echo "== timing sanity: smoke benches must not regress =="
-# figure5 is compiler-tuning-bound: guard its absolute smoke wall-clock.
+# figure5 is loop-nest-lowering-bound (perfbench/README.md): guard its
+# absolute smoke wall-clock.
 # (The threshold is generous — about 5x the current ~18 s — so only a real
 # regression trips it, not machine noise.)
 python -m repro.cli bench figure5 --smoke --no-compare --max-seconds 90

@@ -463,7 +463,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(f"cache snapshot not written ({status.summary()})")
 
     try:
-        with runtime.activate(adopt=False):
+        with runtime.activate():
             outcome = run_experiment(args.experiment, config, store=store)
     except KeyboardInterrupt:
         # The partial record (status=interrupted) was already stored by the
@@ -624,7 +624,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     exit_code = 0
     try:
-        with runtime.activate(adopt=False):
+        with runtime.activate():
             run_server(
                 server,
                 host=args.host,
@@ -684,7 +684,7 @@ def _bench_leg(
     times: list[float] = []
     cache_activity: list[dict] = []
     runtime = current().derive(**overrides) if overrides else current()
-    with runtime.activate(adopt=False):
+    with runtime.activate():
         for _ in range(repeats):
             runtime.caches.clear()
             start = time.perf_counter()
@@ -969,7 +969,7 @@ def _bench_library(
 
     # Leg 3: cold search, export rewards, warm-started search.
     cold = runtime.isolated(warm_start=False)
-    with cold.activate(adopt=False):
+    with cold.activate():
         start = time.perf_counter()
         cold_outcome = run_experiment("search", config, store=None)
         cold_seconds = round(time.perf_counter() - start, 3)
@@ -992,7 +992,7 @@ def _bench_library(
     )
 
     warm = runtime.isolated(warm_start=True)
-    with warm.activate(adopt=False):
+    with warm.activate():
         # Planning ahead of the run seeds the reward cache now and tells us
         # how many entries were seeds; the run's own plan then seeds nothing,
         # so trainings = entries afterwards - seeded.
@@ -1128,9 +1128,7 @@ def _record_shards(record: ResultRecord) -> str:
     runtime = record.environment.get("runtime")
     if isinstance(runtime, dict) and runtime.get("shards") is not None:
         return str(runtime["shards"])
-    # Records written before the runtime API captured raw REPRO_* values.
-    shards = record.environment.get("REPRO_SEARCH_SHARDS")
-    return str(shards) if shards is not None else "1"
+    return "1"
 
 
 def render_markdown_report(records: list[ResultRecord]) -> str:
@@ -1716,7 +1714,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         f"under plan {plan.spec!r}"
     )
     chaos_runtime = current().derive(**overrides)
-    with chaos_runtime.activate(adopt=False):
+    with chaos_runtime.activate():
         chaos_record = run_experiment(args.experiment, config, store=None).record
     failures = chaos_record.environment.get("shard_failures") or []
     _print_shard_failures(chaos_record)
@@ -1727,7 +1725,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     # REPRO_FAULT_PLAN cannot fault both legs and vacuously "agree".
     print(f"clean leg: {args.experiment} serial, no faults")
     clean_runtime = current().derive(shards=1, fault_plan="")
-    with clean_runtime.activate(adopt=False):
+    with clean_runtime.activate():
         clean_record = run_experiment(args.experiment, config, store=None).record
 
     chaos_fingerprint = chaos_record.fingerprint()
@@ -1863,7 +1861,7 @@ def main(argv: list[str] | None = None) -> int:
     # inherit the warm caches through fork (config-only shipping) instead of
     # pickling the whole set into every shard payload.
     edge = RuntimeContext(RuntimeConfig.from_env(), caches=default_context().caches)
-    with edge.activate(adopt=False):
+    with edge.activate():
         return handlers[args.command](args)
 
 

@@ -16,10 +16,10 @@ training step pays neither tape construction nor topological sorting — the
 whole operator becomes a single autograd node with one shared backward pass.
 
 Adjacent transpose/reshape steps are fused and identity steps dropped at plan
-build time.  Plans are memoized per :class:`EagerOperator` instance and
-process-wide in :func:`repro.search.cache.plan_cache`, keyed by the graph's
-canonical signature plus the concrete binding, so structurally identical
-candidates across a search session share one compiled plan.
+build time.  Plans are memoized per :class:`EagerOperator` instance and in
+the runtime context's plan cache (``current().caches.plan``), keyed by the
+graph's canonical signature plus the concrete binding, so structurally
+identical candidates across a search session share one compiled plan.
 
 ``REPRO_COMPILED_FORWARD=0`` keeps the original eager interpreter for A/B
 timing; the two paths agree to numerical tolerance (see

@@ -26,8 +26,9 @@ round-trips.  ``batch_size=1`` (the default) reproduces the classic
 one-sample-at-a-time UCT loop exactly.
 
 Rewards are memoized twice: per instance (``_local_rewards``, which also
-deduplicates the recorded samples) and process-wide through
-:func:`repro.search.cache.cached_reward` under ``MCTSConfig.cache_context`` —
+deduplicates the recorded samples) and context-wide through
+:meth:`repro.runtime.RuntimeContext.cached_reward` under
+``MCTSConfig.cache_context`` —
 searches sharing a context (same backbone, same evaluation settings) reuse
 each other's proxy-training results, including results reloaded from a
 persisted cache snapshot.

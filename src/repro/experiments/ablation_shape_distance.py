@@ -19,7 +19,7 @@ from repro.core.pgraph import PGraph
 from repro.core.shape_distance import shape_distance
 from repro.experiments.runner import make_run_record
 from repro.ir.size import Size
-from repro.search.cache import smoke_value
+from repro.runtime import current
 
 
 @dataclass
@@ -91,7 +91,7 @@ def _rollout(options: EnumerationOptions, rng: random.Random, use_distance: bool
 
 def run(trials: int | None = None, max_depth: int = 4, seed: int = 0) -> AblationResult:
     if trials is None:
-        trials = smoke_value(300, 120)
+        trials = current().config.smoke_value(300, 120)
     options = default_options_for(
         _ROLLING_SPEC, coefficients=[Size.of(K1), Size.of(GROUPS)], max_depth=max_depth
     )

@@ -18,7 +18,7 @@ from repro.compiler.targets import A100
 from repro.experiments.common import syno_candidates
 from repro.experiments.runner import make_run_record
 from repro.nn.models.profiles import MODEL_PROFILES
-from repro.search.cache import tuning_trials
+from repro.runtime import current
 from repro.search.evaluator import LatencyEvaluator
 
 
@@ -48,7 +48,7 @@ class AlphaNASComparisonResult:
 
 
 def run(models: tuple[str, ...] = ("resnet34", "efficientnet_v2_s")) -> AlphaNASComparisonResult:
-    backend = TVMBackend(trials=tuning_trials(48))
+    backend = TVMBackend(trials=current().config.tuning_trials(48))
     result = AlphaNASComparisonResult()
     for model in models:
         slots = MODEL_PROFILES[model]

@@ -23,9 +23,8 @@ from repro.core.operator import SynthesizedOperator
 from repro.ir.variables import Variable
 from repro.nn.models.common import ConvSlot
 from repro.runtime import RuntimeContext, current
-from repro.search.cache import parallel_map, tuning_trials
 from repro.search.evaluator import LatencyEvaluator
-from repro.search.parallel import sharded_map, warn_processes_ignored
+from repro.search.parallel import parallel_map, sharded_map, warn_processes_ignored
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,7 @@ def nas_pte_candidates() -> list[Candidate]:
 
 #: (backend name, factory) pairs for the two compilers of the evaluation.
 def both_backends() -> list[CompilerBackend]:
-    return [TVMBackend(trials=tuning_trials(48)), InductorBackend()]
+    return [TVMBackend(trials=current().config.tuning_trials(48)), InductorBackend()]
 
 
 ALL_TARGETS: tuple[HardwareTarget, ...] = (MOBILE_CPU, MOBILE_GPU, A100)

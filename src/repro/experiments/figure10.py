@@ -24,7 +24,7 @@ from repro.nn.data import SyntheticLanguageDataset
 from repro.nn.models.gpt2 import GPT2, default_projection_factory, gpt2_tiny
 from repro.nn.module import Module
 from repro.nn.trainer import Trainer, TrainingConfig
-from repro.search.cache import default_train_steps, tuning_trials
+from repro.runtime import current
 from repro.search.substitution import SynthesizedLinear
 
 
@@ -72,7 +72,7 @@ def estimated_training_speedup(embed_dim: int = 768, seq_tokens: int = 1024, gro
     grouped projection cuts them by the group count.  The estimate compiles
     both versions for the A100 and assumes the rest of the step is unchanged.
     """
-    backend = TVMBackend(trials=tuning_trials(32))
+    backend = TVMBackend(trials=current().config.tuning_trials(32))
     baseline_program = linear_loopnest("qkv", seq_tokens, embed_dim, embed_dim)
     baseline = backend.compile(baseline_program, A100).latency_seconds * 3  # Q, K and V
     operator = build_grouped_projection()
@@ -88,7 +88,11 @@ def estimated_training_speedup(embed_dim: int = 768, seq_tokens: int = 1024, gro
 
 
 def run(train_steps: int | None = None, seed: int = 0, groups: int = 2) -> Figure10Result:
-    steps = train_steps if train_steps is not None else default_train_steps(full=30)
+    steps = (
+        train_steps
+        if train_steps is not None
+        else current().config.resolve_train_steps(full=30)
+    )
     dataset = SyntheticLanguageDataset(vocab_size=64, sequence_length=16, num_sequences=192, seed=seed)
     config = TrainingConfig(max_steps=steps, batch_size=8, learning_rate=3e-3, optimizer="adam")
 

@@ -26,7 +26,7 @@ from repro.experiments.common import (
 )
 from repro.experiments.runner import make_run_record
 from repro.nn.models.profiles import MODEL_PROFILES
-from repro.search.cache import smoke_value
+from repro.runtime import current
 
 #: Under REPRO_SMOKE=1 only the models the headline claims need are costed
 #: (the deep DenseNet/ResNeXt profiles dominate the full run's wall clock).
@@ -79,7 +79,7 @@ def run(
     models = (
         list(models)
         if models is not None
-        else smoke_value(list(MODEL_PROFILES), list(SMOKE_MODELS))
+        else current().config.smoke_value(list(MODEL_PROFILES), list(SMOKE_MODELS))
     )
     candidates = list(candidates) if candidates is not None else syno_candidates()
     targets = list(targets) if targets is not None else list(ALL_TARGETS)

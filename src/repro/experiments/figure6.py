@@ -31,13 +31,7 @@ from repro.nn.models import MODEL_BUILDERS
 from repro.nn.models.common import default_conv_factory
 from repro.nn.models.profiles import MODEL_PROFILES
 from repro.nn.trainer import Trainer, TrainingConfig
-from repro.search.cache import (
-    cached_baseline,
-    cached_reward,
-    compute_dtype_name,
-    default_train_steps,
-    tuning_trials,
-)
+from repro.runtime import current
 from repro.search.evaluator import LatencyEvaluator
 from repro.search.extraction import DEFAULT_COEFFICIENT_VALUES
 from repro.search.parallel import sharded_map
@@ -45,7 +39,7 @@ from repro.search.substitution import synthesized_conv_factory
 
 
 def _train_steps(default: int = 40) -> int:
-    return default_train_steps(full=default)
+    return current().config.resolve_train_steps(full=default)
 
 
 @dataclass
@@ -95,7 +89,7 @@ def _train_accuracy_task(
     merge back into the parent.
     """
     model, candidate = task
-    context = ("figure6", model, steps, seed, compute_dtype_name())
+    context = ("figure6", model, steps, seed, current().config.dtype_name())
 
     def train() -> float:
         # Reseed so the accuracy is a pure function of this task — not of
@@ -115,8 +109,8 @@ def _train_accuracy_task(
         return Trainer(instance, config).fit_classifier(train_set, val_set).best_accuracy
 
     if candidate is None:
-        return cached_baseline((context, "baseline"), train)
-    return cached_reward(context, candidate.operator.graph.signature(), train)
+        return current().cached_baseline((context, "baseline"), train)
+    return current().cached_reward(context, candidate.operator.graph.signature(), train)
 
 
 def run(
@@ -135,7 +129,7 @@ def run(
     models = list(models) if models is not None else ["resnet18", "resnet34"]
     candidates = list(candidates) if candidates is not None else syno_candidates()[:2] + syno_candidates()[3:4]
     steps = train_steps if train_steps is not None else _train_steps()
-    backend = TVMBackend(trials=tuning_trials(48))
+    backend = TVMBackend(trials=current().config.tuning_trials(48))
 
     # One task per distinct reward-cache key: candidates wrapping the same
     # operator (e.g. operator1 at two coefficient settings) train once even

@@ -34,13 +34,7 @@ from repro.nn.models.profiles import RESNET18_PROFILE
 from repro.nn.models.resnet import resnet18
 from repro.nn.module import Module
 from repro.nn.trainer import Trainer, TrainingConfig
-from repro.search.cache import (
-    cached_baseline,
-    cached_reward,
-    compute_dtype_name,
-    default_train_steps,
-    tuning_trials,
-)
+from repro.runtime import current
 from repro.search.evaluator import LatencyEvaluator
 from repro.search.extraction import DEFAULT_COEFFICIENT_VALUES, slot_is_substitutable
 from repro.search.parallel import sharded_map
@@ -112,9 +106,9 @@ def _variant_points(
     budget, so serial and sharded runs — and repeated runs — agree exactly;
     latencies dedupe per program through the compile cache.
     """
-    backend = TVMBackend(trials=tuning_trials(48))
+    backend = TVMBackend(trials=current().config.tuning_trials(48))
     config = TrainingConfig(max_steps=steps, eval_every=max(steps // 2, 1))
-    context = ("figure8", steps, seed, compute_dtype_name())
+    context = ("figure8", steps, seed, current().config.dtype_name())
 
     if variant == "original":
 
@@ -127,7 +121,7 @@ def _variant_points(
             quantized_acc = Trainer(quantized, config).evaluate_classifier(val_set)
             return accuracy, quantized_acc
 
-        baseline_acc, quantized_acc = cached_baseline(
+        baseline_acc, quantized_acc = current().cached_baseline(
             (context, "original"), train_original_and_quantize
         )
         baseline_latency = LatencyEvaluator(
@@ -147,7 +141,7 @@ def _variant_points(
             model = resnet18(conv_factory=_stacked_conv_factory())
             return Trainer(model, config).fit_classifier(train_set, val_set).best_accuracy
 
-        stacked_acc = cached_baseline((context, "stacked_convolution"), train_stacked)
+        stacked_acc = current().cached_baseline((context, "stacked_convolution"), train_stacked)
         return [
             CaseStudyPoint(
                 "stacked_convolution", stacked_acc, _stacked_latency(backend, target) * 1e3
@@ -166,7 +160,7 @@ def _variant_points(
         model = resnet18(conv_factory=factory)
         return Trainer(model, config).fit_classifier(train_set, val_set).best_accuracy
 
-    op1_acc = cached_reward(context, operator1.graph.signature(), train_operator1)
+    op1_acc = current().cached_reward(context, operator1.graph.signature(), train_operator1)
     op1_latency = LatencyEvaluator(
         slots=RESNET18_PROFILE, backend=backend, target=target,
         coefficients={K1: 3, GROUPS: 4, SHRINK: 4},
@@ -181,7 +175,11 @@ def run(
     shards: int | None = None,
 ) -> Figure8Result:
     """Regenerate the case study (``shards=None`` inherits ``REPRO_SEARCH_SHARDS``)."""
-    steps = train_steps if train_steps is not None else default_train_steps(full=40)
+    steps = (
+        train_steps
+        if train_steps is not None
+        else current().config.resolve_train_steps(full=40)
+    )
     worker = functools.partial(_variant_points, steps, seed, target)
     groups = sharded_map(worker, _VARIANTS, shards=shards)
     return Figure8Result(

@@ -31,10 +31,8 @@ from __future__ import annotations
 
 import inspect
 import logging
-import os
 import time
 import uuid
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Any, Callable, Mapping
@@ -64,17 +62,18 @@ CONTEXT_STORE = "context-store"
 class ExperimentConfig:
     """Run configuration shared by the CLI and the benchmark harness.
 
-    ``None`` always means "inherit the environment" — an empty config runs
-    the experiment exactly as the bare module-level ``run()`` would.
+    ``None`` always means "inherit the ambient runtime config" — an empty
+    config runs the experiment exactly as the bare module-level ``run()``
+    would.
     """
 
-    #: True → ``REPRO_SMOKE=1``, False → ``REPRO_SMOKE=0``, None → inherit.
+    #: ``RuntimeConfig.smoke`` for the run; None → inherit.
     smoke: bool | None = None
-    #: proxy-training step budget (``REPRO_TRAIN_STEPS``); None → inherit.
+    #: proxy-training step budget (``RuntimeConfig.train_steps``); None → inherit.
     train_steps: int | None = None
-    #: worker processes for candidate evaluation (``REPRO_EVAL_PROCESSES``).
+    #: worker processes for candidate evaluation (``RuntimeConfig.eval_processes``).
     processes: int | None = None
-    #: worker shards for sharded search execution (``REPRO_SEARCH_SHARDS``).
+    #: worker shards for sharded search execution (``RuntimeConfig.shards``).
     #: Results are bit-identical at any shard count, so the runner excludes
     #: this field from the *fingerprinted* config — a sharded run and its
     #: serial sibling must agree on the fingerprint.  ``repro report`` reads
@@ -124,24 +123,6 @@ class ExperimentConfig:
             overrides["shards"] = self.shards
         if self.seed is not None:
             overrides["seed"] = self.seed
-        return overrides
-
-    def env_overrides(self) -> dict[str, str]:
-        """Legacy ``REPRO_*`` form of :meth:`runtime_overrides`.
-
-        Kept for external callers that still pin the environment (the
-        supported compatibility edge); the runner itself now derives an
-        explicit runtime context instead.
-        """
-        overrides: dict[str, str] = {}
-        if self.smoke is not None:
-            overrides["REPRO_SMOKE"] = "1" if self.smoke else "0"
-        if self.train_steps is not None:
-            overrides["REPRO_TRAIN_STEPS"] = str(self.train_steps)
-        if self.processes is not None:
-            overrides["REPRO_EVAL_PROCESSES"] = str(self.processes)
-        if self.shards is not None:
-            overrides["REPRO_SEARCH_SHARDS"] = str(self.shards)
         return overrides
 
 
@@ -393,27 +374,6 @@ def runtime_environment(config: RuntimeConfig) -> dict:
     return {"runtime": config.describe(), "provenance": config.provenance_map()}
 
 
-@contextmanager
-def applied_env(overrides: Mapping[str, str]):
-    """Temporarily pin environment variables, restoring the old values after.
-
-    This is the compatibility edge for callers that still steer through
-    ``REPRO_*`` variables (the ambient default context re-reads them); new
-    code should derive and activate a :class:`~repro.runtime.RuntimeContext`
-    instead.
-    """
-    saved = {name: os.environ.get(name) for name in overrides}
-    os.environ.update(overrides)
-    try:
-        yield
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-
-
 def _accepted_kwargs(fn: Callable[..., Any], kwargs: dict) -> dict:
     """The subset of ``kwargs`` that ``fn`` can actually receive."""
     parameters = inspect.signature(fn).parameters
@@ -478,7 +438,7 @@ def run_experiment(
     # The shard count never changes results (that's the sharded executor's
     # guarantee), so it must not change the fingerprint either — `repro run
     # --shards 4` and the serial run produce the same record identity.  The
-    # count itself is still recorded: REPRO_SEARCH_SHARDS lands in the
+    # count itself is still recorded: the resolved config lands in the
     # record's environment, which is where `repro report` reads it from.
     applied_config["shards"] = None
     applied_config["options"] = {
@@ -510,9 +470,7 @@ def run_experiment(
     stats_before = runtime.caches.stats()
     start = time.perf_counter()
     try:
-        # adopt=False: the runner activates on behalf of its caller, who may
-        # be a pure env-var user — this must not arm the env deprecation.
-        with runtime.activate(adopt=False):
+        with runtime.activate():
             result = spec.runner(**kwargs)
     except BaseException as exc:
         interrupted = isinstance(exc, KeyboardInterrupt)
@@ -564,7 +522,7 @@ def make_run_record(name: str):
         f"Run ``{name}`` through the shared runner and return its "
         "``ResultRecord``.\n\n"
         "``config`` is an :class:`~repro.experiments.runner.ExperimentConfig` "
-        "(None for environment defaults); ``store`` an optional "
+        "(None for the ambient runtime config); ``store`` an optional "
         ":class:`~repro.results.ArtifactStore` to save the record into."
     )
     return run_record

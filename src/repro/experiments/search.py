@@ -48,7 +48,6 @@ from repro.nn.models.gpt2 import default_projection_factory, gpt2_tiny
 from repro.nn.module import Module
 from repro.nn.trainer import Trainer, TrainingConfig
 from repro.runtime import current
-from repro.search.cache import compute_dtype_name, default_train_steps
 from repro.search.parallel import sharded_reward_evaluator
 from repro.search.substitution import SynthesizedLinear
 
@@ -84,7 +83,7 @@ class ProjectionEvaluator:
         self.train_steps = train_steps
         self.dataset_seed = dataset_seed
         self.coefficients = {GROUPS: 2}
-        dtype = dtype if dtype is not None else compute_dtype_name()
+        dtype = dtype if dtype is not None else current().config.dtype_name()
         #: process-wide reward-cache context: every knob that influences a
         #: reward, so concurrent serve requests with the same budget share
         #: rewards and different budgets never alias.
@@ -248,7 +247,7 @@ def run(
     config = current().config
     iterations = iterations if iterations is not None else config.smoke_value(24, 16)
     max_depth = max_depth if max_depth is not None else config.smoke_value(4, 3)
-    train_steps = default_train_steps(full=12, smoke=3)
+    train_steps = current().config.resolve_train_steps(full=12, smoke=3)
     evaluator = ProjectionEvaluator(train_steps=train_steps)
 
     rows = BATCH_SIZE * SEQUENCE_LENGTH

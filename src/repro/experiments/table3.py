@@ -18,7 +18,7 @@ from repro.core.library import C_IN, C_OUT, GROUPS, H, K1, N, SHRINK, W, conv2d_
 from repro.core.pgraph import PGraph
 from repro.experiments.runner import make_run_record
 from repro.ir.size import Size
-from repro.search.cache import smoke_value
+from repro.runtime import current
 
 
 @dataclass
@@ -91,7 +91,7 @@ def sample_random_graphs(
 
 def run(num_samples: int | None = None, seed: int = 0, max_depth: int = 8) -> Table3Result:
     if num_samples is None:
-        num_samples = smoke_value(400, 150)
+        num_samples = current().config.smoke_value(400, 150)
     spec = conv2d_spec(bindings=({N: 1, C_IN: 16, C_OUT: 16, H: 8, W: 8, K1: 3, GROUPS: 2, SHRINK: 2},))
     options = default_options_for(spec, coefficients=[Size.of(K1), Size.of(GROUPS)], max_depth=max_depth)
     options.canonicalizer = None  # sample WITHOUT canonicalization (the ablation)

@@ -11,8 +11,8 @@ Layout (rooted at ``REPRO_RESULTS_DIR``, default ``./results``)::
         evaluation-cache-v<N>.pkl   # persisted reward/compile/baseline caches
 
 Everything in the store is plain files: records are JSON, tables are text,
-and the cache snapshot is a versioned pickle written by
-:func:`repro.search.cache.save_caches`.  The store never deletes or rewrites
+and the cache snapshot is a framed, versioned log written by
+:meth:`repro.runtime.RuntimeContext.save_caches`.  The store never deletes or rewrites
 a run directory — each run gets a fresh id — so it doubles as an append-only
 experiment log that ``repro report`` renders into summary tables.
 """
@@ -38,9 +38,9 @@ DEFAULT_RESULTS_DIR = "results"
 def default_results_dir() -> Path:
     """The ambient context's store root (default ``./results``).
 
-    Resolved through :func:`repro.runtime.current`, so the
-    ``REPRO_RESULTS_DIR`` variable keeps working as the edge-of-process
-    fallback while explicit contexts carry their own ``results_dir``.
+    Resolved through :func:`repro.runtime.current`: ``REPRO_RESULTS_DIR``
+    is read once at the process edge, and explicit contexts carry their own
+    ``results_dir``.
     """
     from repro.runtime import current  # lazy: repro.runtime loads this module
 

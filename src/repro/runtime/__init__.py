@@ -7,8 +7,8 @@ and module-global caches with two objects:
   budgets, shard counts, cache policy, results dir, seed), each field
   tagged with its provenance (``default`` / ``env`` / ``explicit``).
   :meth:`RuntimeConfig.from_env` is the *only* place ``REPRO_*`` variables
-  are read, called once at each process edge (CLI entry, pytest bootstrap,
-  sharded-worker bootstrap).
+  are read, called once at each process edge (CLI entry, first build of the
+  process-default context).
 * :class:`RuntimeContext` — owns a :class:`CacheSet` (the reward / baseline
   / compile / plan caches plus snapshot persistence), the artifact store and
   the root RNG.  Thread it explicitly (``SearchSession(..., runtime=ctx)``),
@@ -16,9 +16,10 @@ and module-global caches with two objects:
   different configs run concurrently in one process with fully isolated
   caches.
 
-:func:`current` resolves the ambient context (innermost activation, falling
-back to the env-derived process default), which is what the deprecation
-shims in :mod:`repro.search.cache` delegate to.
+:func:`current` resolves the ambient context: the innermost activation,
+else the process default, whose config is parsed from the environment once.
+Changing a ``REPRO_*`` variable after that edge steers nothing; derive and
+activate a context instead (``with current().derive(smoke=True).activate():``).
 """
 
 from repro.runtime.caches import (
@@ -37,9 +38,6 @@ from repro.runtime.config import (
     RuntimeConfig,
     env_float,
     env_int,
-    explicit_context_seen,
-    note_explicit_context,
-    reset_deprecation_warnings,
 )
 from repro.runtime.context import RuntimeContext, current, default_context
 from repro.runtime.faults import (
@@ -78,9 +76,6 @@ __all__ = [
     "default_context",
     "env_float",
     "env_int",
-    "explicit_context_seen",
     "fault_sites",
     "inject",
-    "note_explicit_context",
-    "reset_deprecation_warnings",
 ]

@@ -1,16 +1,13 @@
 """Evaluation caches as an owned object (`CacheSet`) instead of module globals.
 
 A :class:`CacheSet` bundles the four evaluation caches — reward, compile,
-baseline and plan — that used to live as process-wide globals in
-``repro.search.cache``.  Each :class:`~repro.runtime.context.RuntimeContext`
-owns one, so two contexts in one process have fully isolated caches; the
-module-level default context owns the set that the legacy global API
-operates on.
+baseline and plan.  Each :class:`~repro.runtime.context.RuntimeContext`
+owns one, so two contexts in one process have fully isolated caches.
 
 Snapshot persistence (:meth:`CacheSet.save_snapshot` /
 :meth:`CacheSet.load_snapshot`) returns a structured :class:`SnapshotStatus`
 instead of silently discarding problems: a version mismatch or an unreadable
-pickle logs a warning naming the path and both versions, and the status is
+store logs a warning naming the path and both versions, and the status is
 surfaced by ``repro cache``.
 
 Everything here is stdlib-only and import-light so the compiler, the search
@@ -120,18 +117,13 @@ class KeyedCache:
             self._data[key] = value
 
     def get_or_compute(
-        self, key: Hashable, compute: Callable[[], T], enabled: bool | None = None
+        self, key: Hashable, compute: Callable[[], T], enabled: bool = True
     ) -> T:
         """Cached value for ``key``, computing (outside the lock) on a miss.
 
         ``enabled=False`` bypasses the cache entirely (the ``eval_cache``
-        knob); ``None`` resolves the ambient context's setting, which keeps
-        bare ``KeyedCache`` instances honouring the legacy global knob.
+        knob, which the owning context passes in).
         """
-        if enabled is None:
-            from repro.runtime.context import current
-
-            enabled = current().config.eval_cache
         if not enabled:
             return compute()
         found, value = self.lookup(key)
@@ -410,9 +402,8 @@ class CacheSet:
         A missing, corrupt or version-mismatched store loads nothing and
         is reported — never raised — through the returned status; corrupt
         and mismatched stores additionally log a warning naming the path
-        and the versions involved.  Legacy whole-pickle snapshots (the
-        pre-store format) still load, with their historical version checks;
-        a store locked past ``lock_timeout`` seconds reports ``locked``.
+        and the versions involved; a store locked past ``lock_timeout``
+        seconds reports ``locked``.
         """
         path = str(path)
         if not enabled:
@@ -425,8 +416,7 @@ class CacheSet:
         entries, status = store.load(lock_timeout=lock_timeout)
         if entries is not None:
             by_name = {cache.name: cache for cache in self.persisted()}
-            # Every persisted cache is reported (zero included), matching the
-            # historical whole-pickle load counts.
+            # Every persisted cache is reported, zero counts included.
             added: dict[str, int] = {name: 0 for name in by_name}
             for name, cache_entries in entries.items():
                 cache = by_name.get(name)

@@ -1,24 +1,20 @@
 """The typed runtime configuration (`RuntimeConfig`) and its env-var edge.
 
-Every knob that used to be a free-floating ``REPRO_*`` environment read
-(scattered across ``search/cache.py``, ``results/store.py``, the CLI, ...)
-is now a field of one frozen dataclass.  Each field carries a **provenance**
-tag recording where its value came from:
+Every runtime knob is a field of one frozen dataclass.  Each field carries a
+**provenance** tag recording where its value came from:
 
 * ``default`` — the field's built-in default (possibly derived, e.g. the
   compute dtype following the smoke flag);
 * ``env`` — parsed from the corresponding ``REPRO_*`` environment variable
   by :meth:`RuntimeConfig.from_env`, which is called once at each process
-  edge (CLI entry, pytest bootstrap, sharded-worker bootstrap);
+  edge (CLI entry, first build of the process-default context);
 * ``explicit`` — set through the API (:meth:`RuntimeConfig.with_overrides`,
   or a direct constructor call).
 
-Environment variables are deliberately demoted to an *edge-of-process
-fallback*: inside the process, configuration travels as a
-:class:`RuntimeConfig` on a :class:`~repro.runtime.context.RuntimeContext`.
-Once a process has used the explicit context API, steering behaviour through
-``REPRO_*`` variables is deprecated — reads through the fallback then emit a
-:class:`DeprecationWarning` (once per knob; see :func:`note_explicit_context`).
+Environment variables are read only at the process edge: inside the
+process, configuration travels as a :class:`RuntimeConfig` on a
+:class:`~repro.runtime.context.RuntimeContext`, and changing a ``REPRO_*``
+variable mid-process steers nothing.
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ from __future__ import annotations
 import dataclasses
 import logging
 import os
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -90,49 +85,6 @@ def env_float(name: str, default: float, environ: Mapping[str, str] | None = Non
     except ValueError:
         log.warning("ignoring malformed %s=%r (expected a number)", name, raw)
         return default
-
-
-# ---------------------------------------------------------------------------
-# Deprecation machinery for the env fallback
-# ---------------------------------------------------------------------------
-
-_EXPLICIT_CONTEXT_SEEN = False
-_WARNED_KNOBS: set[str] = set()
-
-
-def note_explicit_context() -> None:
-    """Record that this process has activated an explicit runtime context.
-
-    From this point on, ``REPRO_*`` variables read through the environment
-    fallback emit a :class:`DeprecationWarning` (once per knob): a process
-    that threads contexts explicitly should not also be steered by ambient
-    environment state.
-    """
-    global _EXPLICIT_CONTEXT_SEEN
-    _EXPLICIT_CONTEXT_SEEN = True
-
-
-def explicit_context_seen() -> bool:
-    return _EXPLICIT_CONTEXT_SEEN
-
-
-def reset_deprecation_warnings() -> None:
-    """Re-arm the once-per-knob deprecation warnings (used by tests)."""
-    _WARNED_KNOBS.clear()
-
-
-def _maybe_warn_env_fallback(variable: str) -> None:
-    if not _EXPLICIT_CONTEXT_SEEN or variable in _WARNED_KNOBS:
-        return
-    _WARNED_KNOBS.add(variable)
-    warnings.warn(
-        f"{variable} was read through the environment-variable fallback after an "
-        "explicit RuntimeContext was activated in this process; thread a "
-        "repro.runtime.RuntimeContext (RuntimeConfig.with_overrides) instead "
-        "of setting REPRO_* variables",
-        DeprecationWarning,
-        stacklevel=4,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -215,20 +167,12 @@ class RuntimeConfig:
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def from_env(
-        cls,
-        environ: Mapping[str, str] | None = None,
-        warn_on_fallback: bool = False,
-    ) -> "RuntimeConfig":
+    def from_env(cls, environ: Mapping[str, str] | None = None) -> "RuntimeConfig":
         """Parse a config from ``REPRO_*`` environment variables.
 
         This is the one place in the codebase where those variables are read.
-        It is called at process edges (CLI entry, the pytest bootstrap, the
-        sharded-worker bootstrap) and by the ambient default context's
-        refresh.  ``warn_on_fallback`` marks the latter: once an explicit
-        context has been activated in the process, every env-sourced knob
-        resolved through the fallback emits a ``DeprecationWarning`` (once
-        per knob).
+        It is called at process edges only: the CLI entry and the first build
+        of the process-default context (which the pytest bootstrap triggers).
         """
         environ = environ if environ is not None else os.environ
         values: dict[str, Any] = {}
@@ -328,10 +272,6 @@ class RuntimeConfig:
             values["library_dir"] = raw_library
             tags["library_dir"] = PROVENANCE_ENV
 
-        if warn_on_fallback:
-            for field_name, tag in tags.items():
-                if tag == PROVENANCE_ENV:
-                    _maybe_warn_env_fallback(ENV_KNOBS[field_name])
         return cls(provenance=tags, **values)
 
     def with_overrides(self, **overrides: Any) -> "RuntimeConfig":

@@ -16,12 +16,11 @@ Resolution rules:
 * **Ambient** — :func:`current` returns the innermost context activated via
   ``with ctx.activate():`` (a :mod:`contextvars` variable, so concurrent
   threads each see their own activation).
-* **Edge fallback** — with nothing active, :func:`current` returns the
-  process-default context, whose config is (re)parsed from the ``REPRO_*``
-  environment.  This is the compatibility edge for code and tests that still
-  steer through environment variables; after the process has activated an
-  explicit context, fallback env reads emit a ``DeprecationWarning`` once
-  per knob.
+* **Process default** — with nothing active, :func:`current` returns the
+  process-default context, whose config is parsed from the ``REPRO_*``
+  environment exactly once, when it is first built (the process edge).
+  Changing a ``REPRO_*`` variable afterwards does not steer the running
+  process; derive and activate a context instead.
 
 Contexts are picklable (config + caches; the store and RNG are recreated
 lazily), which is how the sharded executor boots a worker: the context is
@@ -34,11 +33,10 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import itertools
-import os
 from typing import TYPE_CHECKING, Any, Hashable, Callable, Iterator, TypeVar
 
 from repro.runtime.caches import CacheSet, SnapshotStatus
-from repro.runtime.config import ENV_KNOBS, RuntimeConfig, note_explicit_context
+from repro.runtime.config import RuntimeConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.results.store import ArtifactStore
@@ -170,21 +168,13 @@ class RuntimeContext:
     # -- scoping -------------------------------------------------------------
 
     @contextlib.contextmanager
-    def activate(self, adopt: bool = True) -> Iterator["RuntimeContext"]:
+    def activate(self) -> Iterator["RuntimeContext"]:
         """Make this context the ambient one within the ``with`` block.
 
         Activation is per-thread (a :mod:`contextvars` variable): two threads
         can each activate a different context and run concurrently with zero
-        cache cross-talk.  Activating a non-default context marks the process
-        as having adopted the explicit API, which arms the env-var
-        deprecation warnings — except with ``adopt=False``, used by the
-        machinery that activates contexts *on behalf of* possibly env-driven
-        callers (the experiment runner, the CLI edge, shard workers): those
-        activations must not turn a pure env-var user's steering into a
-        warning.
+        cache cross-talk.
         """
-        if adopt and self is not _DEFAULT:
-            note_explicit_context()
         token = _ACTIVE.set(self)
         try:
             yield self
@@ -305,52 +295,19 @@ class RuntimeContext:
 # ---------------------------------------------------------------------------
 
 _DEFAULT: RuntimeContext | None = None
-_DEFAULT_ENV_SNAPSHOT: tuple | None = None
-
-
-_ENV_VARIABLES = tuple(ENV_KNOBS.values())
-#: CPython's posix os.environ keeps encoded keys in ``_data``; going through
-#: that dict directly turns the per-call snapshot into plain dict lookups.
-#: This sits on the ambient hot path (every ``current()`` with no activation,
-#: i.e. every tensor allocation's dtype resolution), so the ~10x matters.
-_ENV_VARIABLES_RAW = tuple(os.environ.encodekey(v) for v in _ENV_VARIABLES) if hasattr(
-    os.environ, "encodekey"
-) else None
-
-
-def _env_snapshot() -> tuple:
-    data = getattr(os.environ, "_data", None)
-    if data is not None and _ENV_VARIABLES_RAW is not None:
-        return tuple(data.get(variable) for variable in _ENV_VARIABLES_RAW)
-    return tuple(os.environ.get(variable) for variable in _ENV_VARIABLES)
 
 
 def default_context() -> RuntimeContext:
-    """The process-default context (config parsed from the environment).
+    """The process-default context, its config parsed from the environment once.
 
-    The context object — and crucially its :class:`CacheSet` — is created
-    once per process; only the *config* is re-parsed when the relevant
-    ``REPRO_*`` variables change, so environment-driven code (the historical
-    API, still used by tests via ``monkeypatch.setenv``) sees knob changes
-    immediately without ever losing cache warmth.
+    The first call is the process edge: it reads ``REPRO_*`` through
+    :meth:`RuntimeConfig.from_env` and builds the context (and its
+    :class:`CacheSet`).  Every later call returns that same object; the
+    environment is never consulted again.
     """
-    global _DEFAULT, _DEFAULT_ENV_SNAPSHOT
-    snapshot = _env_snapshot()
+    global _DEFAULT
     if _DEFAULT is None:
-        # First build = the process edge; reading the environment here is the
-        # supported path and never warns.
         _DEFAULT = RuntimeContext(RuntimeConfig.from_env())
-        _DEFAULT_ENV_SNAPSHOT = snapshot
-    elif snapshot != _DEFAULT_ENV_SNAPSHOT:
-        # A REPRO_* variable changed *mid-process*.  That is the deprecated
-        # steering pattern once the process has adopted explicit contexts, so
-        # this refresh is the one place the fallback warning can fire.
-        _DEFAULT.config = RuntimeConfig.from_env(warn_on_fallback=True)
-        _DEFAULT._store = None  # results_dir may have changed
-        _DEFAULT._shared_store = None
-        _DEFAULT._rng = None  # seed may have changed
-        _DEFAULT._param_rng = None
-        _DEFAULT_ENV_SNAPSHOT = snapshot
     return _DEFAULT
 
 

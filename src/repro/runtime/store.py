@@ -26,11 +26,10 @@ box can share:
   fine) and the next publisher truncates the torn tail before appending —
   the store is self-repairing, and the dead writer's lock is reclaimed by
   the stale-holder check.
-* **Version migration.**  A store path holding an old-style whole-pickle
-  snapshot (the PR 2–5 format) is absorbed on first contact: loads merge it
-  with the historical version checking (mismatched or unreadable pickles
-  are reported, never raised), and the first publish rewrites it as a
-  framed log.
+* **Versioned frames.**  Frames carrying another format version are
+  skipped (a store holding only those reports ``version-mismatch``) and
+  garbage-collected by the next publish; a file that is not a framed log
+  at all reports ``unreadable``.  Neither is ever raised.
 
 The one exception to "everything is locked" is :meth:`read_new_entries`,
 the incremental refresh used by the sharded executor's live sync at wave
@@ -72,8 +71,7 @@ DEFAULT_LOCK_TIMEOUT = 10.0
 #: are probed by pid and broken immediately when dead.
 DEFAULT_STALE_TIMEOUT = 300.0
 
-#: Every frame starts with this magic; it is also how :class:`CacheSet`
-#: persistence tells a framed store from a legacy whole-pickle snapshot.
+#: Every frame starts with this magic.
 FRAME_MAGIC = b"RPCS"
 #: magic (4s) | payload length (u32 BE) | CRC32 of the payload (u32 BE).
 FRAME_HEADER = struct.Struct(">4sII")
@@ -208,9 +206,11 @@ class FileLock:
         start = time.monotonic()
         deadline = start + max(timeout, 0.0)
         delay = 0.001
+        # Outside the retry loop: a parent that cannot be created (e.g. a
+        # file in the way) is an I/O error, not a lock held by someone else.
+        os.makedirs(os.path.dirname(os.path.abspath(self.path)), exist_ok=True)
         while True:
             try:
-                os.makedirs(os.path.dirname(os.path.abspath(self.path)), exist_ok=True)
                 os.mkdir(self.path)
             except FileExistsError:
                 info = self.read_info()
@@ -359,16 +359,11 @@ class _DiskState:
     """The store file as one publish/load transaction sees it (under lock)."""
 
     contents: _StoreContents
-    #: the file needs a full compact rewrite (legacy format, missing, torn
-    #: head, or wrong-version frames worth garbage-collecting).
+    #: the file needs a full compact rewrite (missing, torn or foreign head,
+    #: or wrong-version frames worth garbage-collecting).
     needs_rewrite: bool
     #: file existed at all (distinguishes ``saved`` from ``merged``).
     existed: bool
-    #: legacy pickle outcome, when the file was not a framed store:
-    #: ``None`` (it was framed) | "loaded" | "version-mismatch" | "unreadable".
-    legacy_status: str | None = None
-    legacy_version: int | None = None
-    legacy_error: str = ""
 
 
 class SharedCacheStore:
@@ -401,36 +396,14 @@ class SharedCacheStore:
                 buffer = handle.read()
         except FileNotFoundError:
             return _DiskState(_StoreContents(), needs_rewrite=True, existed=False)
-        except OSError as exc:
-            raise exc
-        if buffer.startswith(FRAME_MAGIC):
-            contents = _parse_frames(buffer)
-            # A torn head (no complete frame at all) or dead wrong-version
-            # frames are repaired/garbage-collected by rewriting compactly.
-            rewrite = contents.skipped_frames > 0 or (
-                contents.frames == 0 and contents.tail_error is not None
-            )
-            return _DiskState(contents, needs_rewrite=rewrite, existed=True)
-        # Legacy whole-pickle snapshot (or garbage): absorb with the
-        # historical version checking, then rewrite framed.
-        state = _DiskState(_StoreContents(), needs_rewrite=True, existed=True)
-        try:
-            payload = pickle.loads(buffer)
-        except Exception as exc:
-            state.legacy_status = "unreadable"
-            state.legacy_error = str(exc)
-            return state
-        found = payload.get("version") if isinstance(payload, dict) else None
-        if not isinstance(payload, dict) or found != CACHE_FORMAT_VERSION:
-            state.legacy_status = "version-mismatch"
-            state.legacy_version = found
-            return state
-        state.legacy_status = "loaded"
-        for name, cache_entries in payload.get("caches", {}).items():
-            if isinstance(cache_entries, dict):
-                state.contents.entries[name] = dict(cache_entries)
-        state.contents.frames = 1
-        return state
+        contents = _parse_frames(buffer)
+        # A torn or foreign head (no complete frame at all) or dead
+        # wrong-version frames are repaired/garbage-collected by rewriting
+        # compactly.
+        rewrite = contents.skipped_frames > 0 or (
+            contents.frames == 0 and contents.tail_error is not None
+        )
+        return _DiskState(contents, needs_rewrite=rewrite, existed=True)
 
     # -- writing -------------------------------------------------------------
 
@@ -468,7 +441,7 @@ class SharedCacheStore:
         Under the lock: read what is on disk, append only the delta (keys the
         store lacks), and compact — one frame, ``max_entries`` most recent
         per cache — only when the cap is exceeded or the file needs repair
-        (legacy format, torn head, version-skipped frames).  Returns a
+        (torn or foreign head, version-skipped frames).  Returns a
         :class:`SnapshotStatus`: ``saved`` (store was absent or empty),
         ``merged`` (our delta joined existing entries), ``locked`` (timeout)
         or ``write-failed``; ``entries`` counts the delta actually appended
@@ -543,10 +516,9 @@ class SharedCacheStore:
     ) -> tuple[dict[str, dict] | None, SnapshotStatus]:
         """``(entries, status)`` — the full store contents under the lock.
 
-        ``entries`` is ``None`` unless the status is ``loaded``.  Statuses
-        mirror the historical snapshot loader: ``missing``, ``unreadable``,
-        ``version-mismatch`` (legacy pickles keep their exact warnings, so a
-        stale PR 2–5 snapshot is reported the same way it always was),
+        ``entries`` is ``None`` unless the status is ``loaded``.  Statuses:
+        ``missing``, ``unreadable`` (not a framed store, or no complete
+        frame), ``version-mismatch`` (only other-version frames),
         ``locked`` on lock timeout, plus ``loaded``.
         """
         if not os.path.exists(self.path):
@@ -570,25 +542,6 @@ class SharedCacheStore:
             )
             return None, SnapshotStatus("load", self.path, "unreadable", error=str(exc))
         wait = round(self.lock.last_wait, 3)
-        if state.legacy_status == "unreadable":
-            log.warning(
-                "ignoring unreadable cache snapshot %s (expected format v%d): %s",
-                self.path, CACHE_FORMAT_VERSION, state.legacy_error,
-            )
-            return None, SnapshotStatus(
-                "load", self.path, "unreadable",
-                error=state.legacy_error, lock_wait_seconds=wait,
-            )
-        if state.legacy_status == "version-mismatch":
-            log.warning(
-                "ignoring cache snapshot %s: format version %r != expected %d "
-                "(delete the file or rerun with the matching version to rebuild it)",
-                self.path, state.legacy_version, CACHE_FORMAT_VERSION,
-            )
-            return None, SnapshotStatus(
-                "load", self.path, "version-mismatch",
-                snapshot_version=state.legacy_version, lock_wait_seconds=wait,
-            )
         contents = state.contents
         if contents.frames == 0 and contents.skipped_frames > 0:
             log.warning(

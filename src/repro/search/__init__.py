@@ -7,17 +7,7 @@ the surviving candidates' end-to-end latency with the simulated tensor
 compiler on each hardware target.
 """
 
-from repro.search.cache import (
-    cache_stats,
-    cached_baseline,
-    cached_reward,
-    clear_caches,
-    compile_cache,
-    parallel_map,
-    reward_cache,
-    search_shards,
-)
-from repro.search.parallel import sharded_map, sharded_reward_evaluator
+from repro.search.parallel import parallel_map, sharded_map, sharded_reward_evaluator
 from repro.search.substitution import SynthesizedConv2d, SynthesizedLinear, synthesized_conv_factory
 from repro.search.extraction import extract_conv_slots, conv_spec_from_slots, VISION_COEFFICIENTS
 from repro.search.evaluator import AccuracyEvaluator, LatencyEvaluator, EvaluationSettings
@@ -36,14 +26,7 @@ __all__ = [
     "SearchSession",
     "SearchConfig",
     "CandidateResult",
-    "cache_stats",
-    "cached_baseline",
-    "cached_reward",
-    "clear_caches",
-    "compile_cache",
     "parallel_map",
-    "reward_cache",
-    "search_shards",
     "sharded_map",
     "sharded_reward_evaluator",
 ]

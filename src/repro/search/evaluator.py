@@ -23,13 +23,13 @@ from repro.codegen.loopnest import lower_to_loopnest
 from repro.compiler.backends import CompilerBackend, TuneResult, loopnest_for_slot
 from repro.compiler.targets import HardwareTarget
 from repro.core.operator import SynthesizedOperator
+from repro.ir.size import SizeError
 from repro.ir.variables import Variable
 from repro.nn.data import SyntheticImageDataset
 from repro.nn.layers import seed_all
 from repro.nn.models.common import ConvSlot
 from repro.nn.trainer import Trainer, TrainingConfig
 from repro.runtime import RuntimeContext, current
-from repro.search.cache import compute_dtype_name, default_train_steps
 from repro.search.extraction import (
     DEFAULT_COEFFICIENT_VALUES,
     binding_for_slot,
@@ -45,13 +45,13 @@ log = logging.getLogger(__name__)
 class EvaluationSettings:
     """Knobs shared by accuracy and latency evaluation.
 
-    ``train_steps`` defaults from the ``REPRO_TRAIN_STEPS`` environment
-    variable (the benchmark harness's budget knob); an explicit value always
-    wins over the environment.
+    ``train_steps`` defaults to the ambient runtime config's budget
+    (:meth:`~repro.runtime.RuntimeConfig.resolve_train_steps`); an explicit
+    value always wins.
     """
 
     batch_size: int = 16
-    train_steps: int = field(default_factory=default_train_steps)
+    train_steps: int = field(default_factory=lambda: current().config.resolve_train_steps())
     image_size: int = 8
     num_classes: int = 10
     dataset_size: int = 192
@@ -77,7 +77,7 @@ class EvaluationSettings:
             self.dataset_size,
             self.dataset_seed,
             tuple(sorted(self.coefficients.items())),
-            dtype if dtype is not None else compute_dtype_name(),
+            dtype if dtype is not None else current().config.dtype_name(),
         )
 
 
@@ -262,12 +262,13 @@ class LatencyEvaluator:
             binding = binding_for_slot(slot, self.batch, self.coefficients)
             try:
                 return lower_to_loopnest(operator, binding)
-            except Exception as exc:
-                # Lowering rejected the (operator, slot) pairing — e.g. a
+            except SizeError as exc:
+                # The (operator, slot) pairing has no integral sizes — e.g. a
                 # coefficient that does not divide this slot's channels.  The
                 # slot keeps its standard convolution, which is the paper's
                 # behavior for non-substitutable slots, but the skip is
                 # logged so a systematically failing operator is visible.
+                # Any other exception is a lowering bug and propagates.
                 log.debug(
                     "operator not lowerable at slot %s (%s); keeping the "
                     "standard convolution", slot, exc,
@@ -306,7 +307,7 @@ class LatencyEvaluator:
             binding = binding_for_slot(slot, self.batch, self.coefficients)
             try:
                 total += lower_to_loopnest(operator, binding).macs
-            except Exception:
+            except SizeError:
                 # Slots the coefficients do not divide keep their standard conv.
                 total += slot.macs(self.batch)
         return total

@@ -76,7 +76,6 @@ from repro.runtime.faults import (
     arm_worker,
     inject,
 )
-from repro.search.cache import evaluation_processes
 
 log = logging.getLogger(__name__)
 
@@ -115,10 +114,8 @@ def warn_processes_ignored(
     """
     if processes is not None:
         effective = processes
-    elif runtime is not None:
-        effective = max(runtime.config.eval_processes, 1)
     else:
-        effective = evaluation_processes()
+        effective = max((runtime or current()).config.eval_processes, 1)
     if effective > 1:
         log.warning(
             "sharded execution (shards=%d) takes precedence: ignoring processes=%d",
@@ -137,14 +134,10 @@ def shard_partition(count: int, shards: int) -> list[list[int]]:
 
 
 def _maybe_activate(runtime: RuntimeContext):
-    """Activate ``runtime`` unless it is already the ambient resolution.
-
-    Internal (``adopt=False``): the executor activates on behalf of callers
-    who may be pure env-var users.
-    """
+    """Activate ``runtime`` unless it is already the ambient resolution."""
     if runtime is current():
         return contextlib.nullcontext(runtime)
-    return runtime.activate(adopt=False)
+    return runtime.activate()
 
 
 def _ship_context(runtime: RuntimeContext) -> RuntimeContext | None:
@@ -645,6 +638,41 @@ def _live_publish(runtime: RuntimeContext, deltas: Sequence[dict]) -> None:
         log.warning("live cache publish skipped: %s", status.summary())
 
 
+def parallel_map(
+    fn: Callable[[T], R],
+    items: Iterable[T],
+    processes: int | None = None,
+) -> list[R]:
+    """``[fn(x) for x in items]``, fanned out over worker processes when asked.
+
+    The older, cache-discarding fan-out beside :func:`sharded_map`.
+    Parallelism is strictly opt-in: with ``processes`` (or the ambient
+    context's ``eval_processes``) at 1 the map runs serially in process,
+    which is also the only path that warms the context's caches.  Any failure
+    to fork or pickle falls back to the serial map so callers never have to
+    handle parallelism errors.
+    """
+    work: Sequence[T] = list(items)
+    count = processes if processes is not None else max(current().config.eval_processes, 1)
+    if count <= 1 or len(work) <= 1:
+        return [fn(item) for item in work]
+    try:
+        # Setup-only guard: prove the payload can cross the process boundary
+        # and that fork is available.  Failures here mean "parallelism is not
+        # possible", so falling back to serial is correct.  Errors raised by
+        # ``fn`` itself during the map are genuine work failures and
+        # propagate to the caller first-class.
+        pickle.dumps(fn)
+        pickle.dumps(work)
+        context = multiprocessing.get_context("fork")
+        pool = context.Pool(min(count, len(work)))
+    except Exception as exc:  # unpicklable payloads, missing fork, ...
+        log.warning("parallel evaluation unavailable (%s); falling back to serial", exc)
+        return [fn(item) for item in work]
+    with pool:
+        return pool.map(fn, work)
+
+
 def sharded_map(
     fn: Callable[[T], R],
     items: Iterable[T],
@@ -707,7 +735,7 @@ def sharded_map(
         (fn, [work[index] for index in partition], shipped) for partition in partitions
     ]
     try:
-        # Setup-only guard, like parallel_map: prove one full payload (work
+        # Setup-only guard, as in parallel_map: prove one full payload (work
         # items, fn and any shipped context) can cross the process boundary
         # and that fork exists.  Every payload shares fn and the shipped
         # context, and partition 0 holds work items, so one probe covers the

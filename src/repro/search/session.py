@@ -10,9 +10,9 @@ A :class:`SearchSession` ties everything together for one backbone model:
    (compiler, target) pair;
 4. report the Pareto-relevant candidates sorted by latency.
 
-Evaluation work is shared through the process-wide caches in
-:mod:`repro.search.cache`: rewards are keyed by the accuracy evaluator's
-context (passed to MCTS as ``cache_context``), compilations by the program's
+Evaluation work is shared through the runtime context's caches
+(:class:`repro.runtime.CacheSet`): rewards are keyed by the accuracy
+evaluator's context (passed to MCTS as ``cache_context``), compilations by the program's
 structural key, and one latency evaluator is hoisted per (backend, target)
 pair so each baseline compiles exactly once per session.
 
@@ -47,9 +47,13 @@ from repro.core.enumeration import EnumerationOptions, default_options_for
 from repro.core.mcts import MCTS, MCTSConfig, SampleRecord
 from repro.core.operator import OperatorSpec, SynthesizedOperator
 from repro.runtime import RuntimeContext, current
-from repro.search.cache import parallel_map
 from repro.search.evaluator import AccuracyEvaluator, EvaluationSettings, LatencyEvaluator
-from repro.search.parallel import sharded_map, sharded_reward_evaluator, warn_processes_ignored
+from repro.search.parallel import (
+    parallel_map,
+    sharded_map,
+    sharded_reward_evaluator,
+    warn_processes_ignored,
+)
 from repro.search.extraction import (
     VISION_COEFFICIENTS,
     conv_spec_from_slots,

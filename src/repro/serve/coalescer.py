@@ -60,7 +60,7 @@ def _coalesced_task(task: tuple) -> float:
     """
     reward_fn, cache_context, config, signature, operator = task
     scoped = RuntimeContext(config, caches=current().caches)
-    with scoped.activate(adopt=False):
+    with scoped.activate():
         return scoped.cached_reward(
             cache_context, signature, lambda: float(reward_fn(operator))
         )

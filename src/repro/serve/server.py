@@ -214,7 +214,7 @@ class SearchServer:
             )
 
         context.wave_evaluator = wave_evaluator
-        with context.activate(adopt=False):
+        with context.activate():
             with coalescer.search_scope():
                 outcome = run_experiment(
                     request.experiment, request.config, store=CONTEXT_STORE

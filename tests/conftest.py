@@ -1,4 +1,13 @@
-"""Shared fixtures: concrete bindings/specs plus fault-injection helpers.
+"""Shared fixtures: the float64 pin, concrete bindings/specs, fault injection.
+
+Every unit test runs with the process-default runtime context pinned to
+float64 (:func:`_full_precision_substrate`).  The root ``conftest.py`` parsed
+the ``REPRO_*`` environment once, with smoke on, which would make the
+compute dtype float32 and break the exact-numerics assertions here.  A test
+that exercises another config activates its own context
+(``with current().derive(...).activate():``); setting ``REPRO_*`` variables
+mid-process steers nothing, except in tests that drive a process edge
+themselves (``main([...])``, ``RuntimeConfig.from_env()``).
 
 The fault-injection fixtures (:func:`lock_holder`, :func:`crashed_writer`)
 drive the shared cache store's crash/contention paths with *real* child
@@ -20,21 +29,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-
-@pytest.fixture(autouse=True)
-def _full_precision_substrate(monkeypatch):
-    """Pin the unit tests to float64 regardless of the smoke default.
-
-    ``benchmarks/conftest.py`` exports ``REPRO_SMOKE=1`` for the whole
-    process, which would silently flip the compute dtype to float32 and break
-    the exact-numerics assertions here.  Tests that exercise the dtype knob
-    override this per-test with their own ``monkeypatch.setenv`` (the
-    environment is the supported process-edge fallback: the ambient default
-    ``RuntimeContext`` re-parses its config when ``REPRO_*`` values change)
-    or by activating an explicit context.
-    """
-    monkeypatch.setenv("REPRO_DTYPE", "float64")
-
 from repro.core.library import (
     BLOCK,
     C_IN,
@@ -52,6 +46,14 @@ from repro.core.library import (
     conv2d_spec,
     matmul_spec,
 )
+from repro.runtime import default_context
+
+
+@pytest.fixture(autouse=True)
+def _full_precision_substrate(monkeypatch):
+    """Pin the process-default context to float64 for the test's duration."""
+    context = default_context()
+    monkeypatch.setattr(context, "config", context.config.with_overrides(dtype="float64"))
 
 
 @pytest.fixture
@@ -158,6 +160,11 @@ def lock_holder():
 
     yield start
     for process, release in spawned:
+        # Only live holders: a SIGKILLed child may have died inside
+        # ``release.wait()``, and ``Event.set`` would then block forever in
+        # ``Condition.notify`` waiting for that dead sleeper to wake.
+        if not process.is_alive():
+            continue
         release.set()
         process.join(5.0)
         if process.is_alive():

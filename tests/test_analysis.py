@@ -596,7 +596,7 @@ class TestContextRngThreading:
 
     def test_default_rng_is_context_owned(self):
         context = RuntimeContext(current().config.with_overrides(seed=99))
-        with context.activate(adopt=False):
+        with context.activate():
             assert default_rng() is context.param_rng
             first = default_rng().normal(size=3)
         fresh = np.random.default_rng(99).normal(size=3)
@@ -605,9 +605,9 @@ class TestContextRngThreading:
     def test_contexts_have_independent_param_streams(self):
         one = RuntimeContext(current().config.with_overrides(seed=7))
         two = RuntimeContext(current().config.with_overrides(seed=7))
-        with one.activate(adopt=False):
+        with one.activate():
             draw_one = Tensor.randn((5,)).data
-        with two.activate(adopt=False):
+        with two.activate():
             draw_two = Tensor.randn((5,)).data
         np.testing.assert_array_equal(draw_one, draw_two)
 
@@ -615,7 +615,7 @@ class TestContextRngThreading:
         spec = matmul_spec(bindings=({M: 4, K: 6, OUT_FEATURES: 5},))
         options = default_options_for(spec, coefficients=[], max_depth=3)
         context = RuntimeContext(current().config.with_overrides(seed=41))
-        with context.activate(adopt=False):
+        with context.activate():
             inherited = MCTS(spec=spec, options=options, reward_fn=lambda op: 0.0,
                              config=MCTSConfig(seed=None))
         explicit = MCTS(spec=spec, options=options, reward_fn=lambda op: 0.0,
@@ -626,7 +626,7 @@ class TestContextRngThreading:
         spec = matmul_spec(bindings=({M: 4, K: 6, OUT_FEATURES: 5},))
         options = default_options_for(spec, coefficients=[], max_depth=3)
         context = RuntimeContext(current().config.with_overrides(seed=41))
-        with context.activate(adopt=False):
+        with context.activate():
             search = MCTS(spec=spec, options=options, reward_fn=lambda op: 0.0,
                           config=MCTSConfig(seed=5))
         assert search._rng.random() == random.Random(5).random()

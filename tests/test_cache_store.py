@@ -6,7 +6,7 @@ style of the Theano compile-lock test contract):
 * lock semantics — timeout, forced unlock, stale dead-pid recovery — against
   *real* holder processes (the ``lock_holder`` fixture in ``conftest.py``);
 * append/merge store format — deltas join, existing entries win, the LRU cap
-  compacts, legacy whole-pickle snapshots migrate in place;
+  compacts, wrong-version and non-framed files are reported, never loaded;
 * real multiprocess contention — N writer processes race one store and every
   writer's delta survives (the old whole-pickle snapshot kept only the last
   writer's);
@@ -197,20 +197,18 @@ class TestSharedCacheStore:
         assert status.status == "version-mismatch"
         assert status.snapshot_version == 999
 
-    def test_legacy_whole_pickle_snapshot_loads_and_migrates_in_place(self, tmp_path):
+    def test_non_framed_file_reports_unreadable_and_publish_rewrites_it(self, tmp_path):
         path = tmp_path / "store.pkl"
         path.write_bytes(
-            pickle.dumps(
-                {"version": CACHE_FORMAT_VERSION, "caches": {"reward": {"old": 1.0}}}
-            )
+            pickle.dumps({"version": CACHE_FORMAT_VERSION, "caches": {"reward": {"old": 1.0}}})
         )
         entries, status = SharedCacheStore(path).load()
-        assert status.status == "loaded" and entries["reward"] == {"old": 1.0}
-        # First publish rewrites the legacy pickle as a framed store.
+        assert entries is None and status.status == "unreadable"
+        # The next publish replaces the foreign file with a framed store.
         SharedCacheStore(path).publish({"reward": {"new": 2.0}})
         assert path.read_bytes().startswith(FRAME_MAGIC)
         entries, _ = SharedCacheStore(path).load()
-        assert entries["reward"] == {"old": 1.0, "new": 2.0}
+        assert entries["reward"] == {"new": 2.0}
 
     def test_read_new_entries_is_incremental(self, tmp_path):
         path = tmp_path / "store.pkl"

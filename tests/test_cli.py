@@ -15,17 +15,16 @@ from repro.cli.main import build_parser, config_from_args, main
 from repro.experiments import runner as runner_module
 from repro.experiments.runner import ExperimentConfig, ExperimentSpec, run_experiment
 from repro.results import ArtifactStore
-from repro.runtime import SharedCacheStore, SnapshotStatus
-from repro.search.cache import cached_reward, clear_caches
+from repro.runtime import SharedCacheStore, SnapshotStatus, current
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(autouse=True)
 def _fresh_caches():
-    clear_caches()
+    current().caches.clear()
     yield
-    clear_caches()
+    current().caches.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -55,22 +54,23 @@ def test_run_args_map_onto_experiment_config():
         seed=3,
         options={"models": ["resnet18"], "label": "quick"},
     )
-    assert config.env_overrides() == {
-        "REPRO_SMOKE": "1",
-        "REPRO_TRAIN_STEPS": "5",
-        "REPRO_EVAL_PROCESSES": "2",
-        "REPRO_SEARCH_SHARDS": "4",
+    assert config.runtime_overrides() == {
+        "smoke": True,
+        "train_steps": 5,
+        "eval_processes": 2,
+        "shards": 4,
+        "seed": 3,
     }
 
 
 def test_full_flag_and_defaults():
     args = build_parser().parse_args(["run", "figure5", "--full"])
     config = config_from_args(args)
-    assert config.smoke is False and config.env_overrides() == {"REPRO_SMOKE": "0"}
+    assert config.smoke is False and config.runtime_overrides() == {"smoke": False}
 
     bare = config_from_args(build_parser().parse_args(["run", "figure5"]))
     assert bare == ExperimentConfig()
-    assert bare.env_overrides() == {}
+    assert bare.runtime_overrides() == {}
 
 
 def test_unknown_experiment_is_rejected_at_parse_time(capsys):
@@ -111,10 +111,9 @@ def test_runner_context_store_sentinel_resolves_to_the_run_context(tmp_path):
     ArtifactStore object that would point all of them at one root.
     """
     from repro.experiments.runner import CONTEXT_STORE
-    from repro.runtime import current
 
     ctx = current().derive(results_dir=str(tmp_path / "mine"))
-    with ctx.activate(adopt=False):
+    with ctx.activate():
         outcome = run_experiment("ablation-materialization", store=CONTEXT_STORE)
     (record,) = ArtifactStore(tmp_path / "mine").list_runs()
     assert record.run_id == outcome.record.run_id
@@ -198,10 +197,16 @@ def test_cli_cache_shows_snapshot_stats(tmp_path, capsys):
 def test_cli_cache_surfaces_version_mismatch(tmp_path, capsys):
     """A stale snapshot is reported (path + versions), never silently dropped."""
     import pickle
+    import zlib
+
+    from repro.runtime.store import FRAME_HEADER, FRAME_MAGIC
 
     store = ArtifactStore(tmp_path)
     store.cache_path.parent.mkdir(parents=True, exist_ok=True)
-    store.cache_path.write_bytes(pickle.dumps({"version": 999, "caches": {}}))
+    payload = pickle.dumps({"version": 999, "caches": {}})
+    store.cache_path.write_bytes(
+        FRAME_HEADER.pack(FRAME_MAGIC, len(payload), zlib.crc32(payload)) + payload
+    )
     assert main(["cache", "--results-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "load status: ignored: snapshot version 999" in out
@@ -368,7 +373,9 @@ def fake_experiment(monkeypatch):
         values = []
         for item in ("a", "b"):
             values.append(
-                cached_reward(("resume-test",), item, lambda item=item: work_log.append(item) or 1.0)
+                current().cached_reward(
+                    ("resume-test",), item, lambda item=item: work_log.append(item) or 1.0
+                )
             )
             if item == interrupt_after:
                 raise KeyboardInterrupt
@@ -385,20 +392,18 @@ def fake_experiment(monkeypatch):
 def test_interrupted_run_records_status_and_rerun_skips_finished_work(
     tmp_path, fake_experiment
 ):
-    from repro.search.cache import load_caches, save_caches
-
     store = ArtifactStore(tmp_path)
     with pytest.raises(KeyboardInterrupt):
         run_experiment("fake", ExperimentConfig(options={"interrupt_after": "a"}), store=store)
-    save_caches(str(store.cache_path))  # what `repro run` does on Ctrl-C
+    current().save_caches(str(store.cache_path))  # what `repro run` does on Ctrl-C
 
     interrupted = store.list_runs()[0]
     assert interrupted.status == "interrupted"
     assert interrupted.error.startswith("KeyboardInterrupt")
     assert fake_experiment == ["a"]
 
-    clear_caches()  # fresh process
-    load_caches(str(store.cache_path))
+    current().caches.clear()  # fresh process
+    current().load_caches(str(store.cache_path))
     outcome = run_experiment("fake", ExperimentConfig(), store=store)
     assert outcome.record.status == "completed"
     # Item 'a' was reloaded from the snapshot, only 'b' was computed.

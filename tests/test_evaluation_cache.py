@@ -1,9 +1,9 @@
 """Tests for the evaluation-reuse subsystem (reward/compile/baseline caches).
 
-Covers the process-wide caches in :mod:`repro.search.cache`, their wiring
-into MCTS, the compiler backends and the search session, and the budget
-plumbing bugfixes (``REPRO_TRAIN_STEPS``, ``rollout_depth=0``, narrowed
-reward-suppression).
+Covers the runtime context's caches (:class:`repro.runtime.CacheSet`), their
+wiring into MCTS, the compiler backends and the search session, and the
+budget plumbing bugfixes (``REPRO_TRAIN_STEPS``, ``rollout_depth=0``,
+narrowed reward-suppression and lowering-skip handlers).
 """
 
 from __future__ import annotations
@@ -19,31 +19,19 @@ from repro.core.library import K, M, OUT_FEATURES, matmul_spec
 from repro.core.mcts import MCTS, MCTSConfig
 from repro.nn.models.common import ConvSlot
 from repro.nn.models.resnet import resnet18
+from repro.ir.size import SizeError
+from repro.runtime import KeyedCache, RuntimeConfig, RuntimeContext, current
 from repro.search import SearchConfig, SearchSession
-from repro.search.cache import (
-    KeyedCache,
-    cache_max_entries,
-    cache_stats,
-    cached_reward,
-    caches_enabled,
-    clear_caches,
-    compile_cache,
-    default_train_steps,
-    load_caches,
-    parallel_map,
-    reward_cache,
-    save_caches,
-    smoke_mode,
-)
-from repro.search.evaluator import AccuracyEvaluator, EvaluationSettings
+from repro.search.evaluator import AccuracyEvaluator, EvaluationSettings, LatencyEvaluator
+from repro.search.parallel import parallel_map
 
 
 @pytest.fixture(autouse=True)
 def _fresh_caches():
-    """Each test starts and ends with empty process-wide caches."""
-    clear_caches()
+    """Each test starts and ends with empty process-default caches."""
+    current().caches.clear()
     yield
-    clear_caches()
+    current().caches.clear()
 
 
 def _matmul_search(reward_fn, *, seed=1, iterations=40, cache_context=None, rollout_depth=None):
@@ -72,16 +60,18 @@ class TestKeyedCache:
         assert cache.stats.misses == 1 and cache.stats.hits == 1
         assert cache.stats.hit_rate == 0.5
 
-    def test_disable_knob_bypasses_the_cache(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EVAL_CACHE", "0")
-        assert not caches_enabled()
+    def test_disable_knob_bypasses_the_cache(self):
         cache = KeyedCache("t")
         calls = []
-        cache.get_or_compute("k", lambda: calls.append(1) or 1)
-        cache.get_or_compute("k", lambda: calls.append(1) or 1)
+        cache.get_or_compute("k", lambda: calls.append(1) or 1, enabled=False)
+        cache.get_or_compute("k", lambda: calls.append(1) or 1, enabled=False)
         assert len(calls) == 2
-        monkeypatch.delenv("REPRO_EVAL_CACHE")
-        assert caches_enabled()
+        with current().derive(eval_cache=False).activate():
+            assert not current().config.eval_cache
+            current().cached_reward("ctx", "k", lambda: calls.append(1) or 1)
+            current().cached_reward("ctx", "k", lambda: calls.append(1) or 1)
+        assert len(calls) == 4
+        assert current().config.eval_cache
 
     def test_clear_resets_contents_and_stats(self):
         cache = KeyedCache("t")
@@ -113,29 +103,30 @@ class TestSnapshotEviction:
         assert cache.export_entries(max_entries=0) == {"a": 1, "b": 2}
 
     def test_save_caches_applies_the_cap_and_load_restores_survivors(self, tmp_path):
+        runtime = current()
         for index in range(6):
-            cached_reward("evict-ctx", f"sig{index}", lambda index=index: float(index))
-        cached_reward("evict-ctx", "sig1", lambda: -1.0)  # hit: refreshes sig1
+            runtime.cached_reward("evict-ctx", f"sig{index}", lambda index=index: float(index))
+        runtime.cached_reward("evict-ctx", "sig1", lambda: -1.0)  # hit: refreshes sig1
         path = tmp_path / "snapshot.pkl"
-        saved = save_caches(str(path), max_entries=3)
-        assert saved["reward"] == 3
+        saved = runtime.save_caches(str(path), max_entries=3)
+        assert saved.entries["reward"] == 3
 
-        clear_caches()
-        loaded = load_caches(str(path))
-        assert loaded["reward"] == 3
+        runtime.caches.clear()
+        loaded = runtime.load_caches(str(path))
+        assert loaded.entries["reward"] == 3
         survivors = {
             signature
             for signature in (f"sig{index}" for index in range(6))
-            if ("evict-ctx", signature) in reward_cache()
+            if ("evict-ctx", signature) in runtime.caches.reward
         }
         assert survivors == {"sig1", "sig4", "sig5"}
 
-    def test_cap_knob_reads_environment(self, monkeypatch):
-        assert cache_max_entries() == 4096
-        monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "7")
-        assert cache_max_entries() == 7
-        monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "0")
-        assert cache_max_entries() == 0  # <= 0 disables the cap
+    def test_cap_knob_reads_environment(self):
+        assert current().config.cache_max_entries == 4096
+        edge = RuntimeConfig.from_env({"REPRO_CACHE_MAX_ENTRIES": "7"})
+        assert edge.cache_max_entries == 7
+        edge = RuntimeConfig.from_env({"REPRO_CACHE_MAX_ENTRIES": "0"})
+        assert edge.cache_max_entries == 0  # <= 0 disables the cap
 
 
 class TestRewardCacheAcrossRuns:
@@ -156,22 +147,22 @@ class TestRewardCacheAcrossRuns:
         # Identical seed and spec: every rollout's reward is already cached,
         # so the reward function is never invoked again...
         assert len(calls) == first_calls
-        assert reward_cache().stats.hits > 0
+        assert current().caches.reward.stats.hits > 0
         # ...but the second run still records its own samples.
         assert [s.operator.graph.signature() for s in second_samples] == [
             s.operator.graph.signature() for s in first_samples
         ]
 
-    def test_within_run_memoization_survives_cache_disable(self, monkeypatch):
+    def test_within_run_memoization_survives_cache_disable(self):
         """MCTS never re-evaluates a signature in one run, even with caches off."""
-        monkeypatch.setenv("REPRO_EVAL_CACHE", "0")
         calls = []
 
         def reward(operator):
             calls.append(operator.graph.signature())
             return 0.5
 
-        _matmul_search(reward, iterations=50).run()
+        with current().derive(eval_cache=False).activate():
+            _matmul_search(reward, iterations=50).run()
         assert len(calls) == len(set(calls))
 
     def test_private_contexts_do_not_share_rewards(self):
@@ -210,14 +201,14 @@ class TestCompileCache:
         first = backend.compile(program, MOBILE_CPU)
         second = backend.compile(program, MOBILE_CPU)
         assert second is first
-        stats = cache_stats()["compile"]
+        stats = current().caches.stats()["compile"]
         assert stats.hits == 1 and stats.misses == 1
 
     def test_different_backend_config_is_a_different_key(self):
         program = loopnest_for_slot(ConvSlot("c", 16, 16, 8, 3, 1))
         TVMBackend(trials=8).compile(program, MOBILE_CPU)
         TVMBackend(trials=16).compile(program, MOBILE_CPU)
-        assert cache_stats()["compile"].misses == 2
+        assert current().caches.stats()["compile"].misses == 2
 
     def test_second_suite_run_has_positive_hit_rate(self):
         """Re-running an evaluation hits the caches instead of re-tuning."""
@@ -226,7 +217,7 @@ class TestCompileCache:
         for _ in range(2):
             for slot in slots:
                 backend.compile(loopnest_for_slot(slot), MOBILE_CPU)
-        stats = cache_stats()["compile"]
+        stats = current().caches.stats()["compile"]
         assert stats.hit_rate > 0.0
         # The three slots share one shape, so even the first sweep reuses it.
         assert stats.misses == 1
@@ -287,28 +278,31 @@ class TestSessionBaselineHoisting:
         assert len(calls) == 1
 
 
+def _edge(**environ) -> RuntimeContext:
+    """A context parsed from ``environ`` the way a process edge parses REPRO_*."""
+    return RuntimeContext(RuntimeConfig.from_env(environ))
+
+
 class TestBudgetPlumbing:
-    def test_train_steps_reads_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRAIN_STEPS", "7")
-        assert EvaluationSettings().train_steps == 7
+    def test_train_steps_reads_environment(self):
+        with _edge(REPRO_TRAIN_STEPS="7").activate():
+            assert EvaluationSettings().train_steps == 7
 
-    def test_explicit_train_steps_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRAIN_STEPS", "7")
-        assert EvaluationSettings(train_steps=3).train_steps == 3
+    def test_explicit_train_steps_beats_environment(self):
+        with _edge(REPRO_TRAIN_STEPS="7").activate():
+            assert EvaluationSettings(train_steps=3).train_steps == 3
 
-    def test_malformed_env_falls_back_to_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRAIN_STEPS", "not-a-number")
-        monkeypatch.delenv("REPRO_SMOKE", raising=False)
-        assert EvaluationSettings().train_steps == 40
+    def test_malformed_env_falls_back_to_default(self):
+        with _edge(REPRO_TRAIN_STEPS="not-a-number").activate():
+            assert EvaluationSettings().train_steps == 40
 
-    def test_smoke_mode_shrinks_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRAIN_STEPS", raising=False)
-        monkeypatch.setenv("REPRO_SMOKE", "1")
-        assert smoke_mode()
-        assert default_train_steps(full=40, smoke=8) == 8
-        monkeypatch.setenv("REPRO_SMOKE", "0")
-        assert not smoke_mode()
-        assert default_train_steps(full=40, smoke=8) == 40
+    def test_smoke_mode_shrinks_default(self):
+        with current().derive(smoke=True, train_steps=None).activate():
+            assert current().config.smoke
+            assert current().config.resolve_train_steps(full=40, smoke=8) == 8
+        with current().derive(smoke=False, train_steps=None).activate():
+            assert not current().config.smoke
+            assert current().config.resolve_train_steps(full=40, smoke=8) == 40
 
 
 class TestRewardSuppressionNarrowing:
@@ -331,6 +325,43 @@ class TestRewardSuppressionNarrowing:
         evaluator._train = lambda factory: (_ for _ in ()).throw(RuntimeError("genuine bug"))
         with pytest.raises(RuntimeError, match="genuine bug"):
             evaluator.evaluate(build_operator2())
+
+
+class TestLatencyLoweringNarrowing:
+    """Only SizeError keeps a slot's standard conv; other lowering errors surface."""
+
+    SLOTS = (ConvSlot("c1", 16, 16, 8, 3, 1), ConvSlot("c2", 16, 32, 8, 3, 1))
+
+    def _evaluator(self):
+        return LatencyEvaluator(slots=self.SLOTS, backend=TVMBackend(trials=8), target=MOBILE_CPU)
+
+    def _lowering_raises(self, monkeypatch, exc):
+        def lower(operator, binding):
+            raise exc
+
+        monkeypatch.setattr("repro.search.evaluator.lower_to_loopnest", lower)
+
+    def test_size_error_keeps_the_standard_convolution(self, monkeypatch, caplog):
+        from repro.core.library import build_operator1
+
+        evaluator = self._evaluator()
+        baseline = evaluator.baseline_latency()
+        standard_macs = evaluator.macs()
+        self._lowering_raises(monkeypatch, SizeError("size evaluates to non-integer 1/2"))
+        with caplog.at_level("DEBUG", logger="repro.search.evaluator"):
+            assert evaluator.substituted_latency(build_operator1()) == baseline
+        assert "operator not lowerable at slot" in caplog.text
+        assert evaluator.macs(build_operator1()) == standard_macs
+
+    def test_other_lowering_errors_propagate(self, monkeypatch):
+        from repro.core.library import build_operator1
+
+        evaluator = self._evaluator()
+        self._lowering_raises(monkeypatch, RuntimeError("lowering bug"))
+        with pytest.raises(RuntimeError, match="lowering bug"):
+            evaluator.substituted_latency(build_operator1())
+        with pytest.raises(RuntimeError, match="lowering bug"):
+            evaluator.macs(build_operator1())
 
 
 class TestParallelMap:
@@ -357,10 +388,10 @@ class TestCachedRewardHelper:
             calls.append(1)
             return 0.25
 
-        assert cached_reward("ctx", "sig", compute) == 0.25
-        assert cached_reward("ctx", "sig", compute) == 0.25
+        assert current().cached_reward("ctx", "sig", compute) == 0.25
+        assert current().cached_reward("ctx", "sig", compute) == 0.25
         assert len(calls) == 1
 
     def test_contexts_are_isolated(self):
-        cached_reward("ctx-a", "sig", lambda: 0.1)
-        assert cached_reward("ctx-b", "sig", lambda: 0.9) == 0.9
+        current().cached_reward("ctx-a", "sig", lambda: 0.1)
+        assert current().cached_reward("ctx-b", "sig", lambda: 0.9) == 0.9

@@ -38,16 +38,15 @@ from repro.runtime.faults import (
     fault_sites,
     inject,
 )
-from repro.search.cache import clear_caches
 from repro.search.parallel import sharded_map
 
 
 @pytest.fixture(autouse=True)
 def _fresh_state():
-    clear_caches()
+    current().caches.clear()
     disarm_worker()
     yield
-    clear_caches()
+    current().caches.clear()
     disarm_worker()
 
 
@@ -270,14 +269,14 @@ class TestChaosParity:
     def test_figure8_fingerprint_survives_a_killed_shard(self):
         config = ExperimentConfig(smoke=True, train_steps=2, seed=0)
         clean_ctx = current().derive(shards=1, fault_plan="")
-        with clean_ctx.activate(adopt=False):
+        with clean_ctx.activate():
             clean = run_experiment("figure8", config)
 
-        clear_caches()
+        current().caches.clear()
         chaos_ctx = current().derive(
             shards=4, fault_plan="kill:shard-entry:shard=1,attempt=1"
         )
-        with chaos_ctx.activate(adopt=False):
+        with chaos_ctx.activate():
             chaos = run_experiment("figure8", config)
 
         assert clean.record.fingerprint() == chaos.record.fingerprint()
@@ -304,18 +303,18 @@ class TestStoreFaults:
 
     def test_injected_publish_fault_becomes_write_failed(self, tmp_path):
         ctx = self._warm_context(tmp_path, fault_plan="raise:store-publish")
-        with ctx.activate(adopt=False):
+        with ctx.activate():
             status = ctx.save_caches(str(tmp_path / "snap.pkl"))
         assert status.status == "write-failed"
 
     def test_injected_load_fault_becomes_unreadable(self, tmp_path):
         snapshot = tmp_path / "snap.pkl"
         writer = self._warm_context(tmp_path)
-        with writer.activate(adopt=False):
+        with writer.activate():
             assert writer.save_caches(str(snapshot)).ok
 
         reader = self._warm_context(tmp_path, fault_plan="raise:snapshot-load")
-        with reader.activate(adopt=False):
+        with reader.activate():
             status = reader.load_caches(str(snapshot))
         assert status.status == "unreadable"
 
@@ -323,7 +322,7 @@ class TestStoreFaults:
         # `kill:store-publish` in the parent process: confinement downgrades
         # it to a warning and the save completes normally.
         ctx = self._warm_context(tmp_path, fault_plan="kill:store-publish")
-        with ctx.activate(adopt=False):
+        with ctx.activate():
             status = ctx.save_caches(str(tmp_path / "snap.pkl"))
         assert status.status in ("saved", "merged")
 

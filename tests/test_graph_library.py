@@ -448,7 +448,7 @@ class TestWarmStart:
         config = ExperimentConfig(smoke=True)
 
         cold_rt = _runtime(tmp_path, warm_start=False)
-        with cold_rt.activate(adopt=False):
+        with cold_rt.activate():
             cold = run_experiment("search", config, store=None)
         cold_entries = cold_rt.caches.reward.export_entries()
         assert cold_entries, "the cold search must proxy-train candidates"
@@ -463,7 +463,7 @@ class TestWarmStart:
         _build_gpt2(cold_rt)  # the artifact the warm run auto-discovers
 
         warm_rt = _runtime(tmp_path, warm_start=True)
-        with warm_rt.activate(adopt=False):
+        with warm_rt.activate():
             plan = plan_warm_start(
                 _gpt2_space().spec, cache_context=context, runtime=warm_rt
             )

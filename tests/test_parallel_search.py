@@ -3,8 +3,8 @@
 Covers :mod:`repro.search.parallel` (deterministic partition, order-preserving
 merge, worker-cache merge-back), the batched MCTS frontier API
 (``propose_batch`` / ``pending_evaluations`` / ``apply_results``), and the
-headline guarantee: for a fixed seed, ``REPRO_SEARCH_SHARDS=1`` and ``=4``
-produce bit-identical candidate sets, rewards and record fingerprints.
+headline guarantee: for a fixed seed, ``shards=1`` and ``shards=4`` produce
+bit-identical candidate sets, rewards and record fingerprints.
 """
 
 from __future__ import annotations
@@ -18,16 +18,8 @@ import pytest
 from repro.core.enumeration import default_options_for
 from repro.core.library import K, M, OUT_FEATURES, matmul_spec
 from repro.core.mcts import MCTS, MCTSConfig
-from repro.experiments.runner import ExperimentConfig, applied_env, run_experiment
+from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.runtime import RuntimeConfig, RuntimeContext, SharedCacheStore, current
-from repro.search.cache import (
-    cache_sizes,
-    clear_caches,
-    load_caches,
-    reward_cache,
-    save_caches,
-    search_shards,
-)
 from repro.search.parallel import (
     shard_partition,
     sharded_map,
@@ -37,9 +29,9 @@ from repro.search.parallel import (
 
 @pytest.fixture(autouse=True)
 def _fresh_caches():
-    clear_caches()
+    current().caches.clear()
     yield
-    clear_caches()
+    current().caches.clear()
 
 
 def _sample_key(record):
@@ -106,16 +98,15 @@ class TestShardedMap:
         worker = functools.partial(_cached_square, "merge-test")
         assert sharded_map(worker, [1, 2, 3, 4], shards=2, max_workers=2) == [1, 4, 9, 16]
         # The workers computed the rewards, yet the parent cache is warm.
-        assert len(reward_cache()) == 4
+        assert len(current().caches.reward) == 4
         calls = []
         assert _cached_square("merge-test", 3, calls) == 9
         assert calls == []  # parent hit, no recompute
 
-    def test_shards_env_knob_is_the_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SEARCH_SHARDS", "5")
-        assert search_shards() == 5
-        monkeypatch.delenv("REPRO_SEARCH_SHARDS")
-        assert search_shards() == 1
+    def test_shards_env_knob_is_the_default(self):
+        edge = RuntimeConfig.from_env({"REPRO_SEARCH_SHARDS": "5"})
+        assert edge.shards == 5
+        assert RuntimeConfig.from_env({}).shards == 1
 
 
 def _make_closure(value):
@@ -124,14 +115,12 @@ def _make_closure(value):
 
 
 def _cached_square(context, value, calls=None):
-    from repro.search.cache import cached_reward
-
     def compute():
         if calls is not None:
             calls.append(value)
         return float(value * value)
 
-    return cached_reward(context, str(value), compute)
+    return current().cached_reward(context, str(value), compute)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +133,7 @@ class TestBatchedFrontier:
         """Driving the frontier API by hand reproduces run() exactly."""
         reference = _matmul_search(_signature_reward).run()
 
-        clear_caches()
+        current().caches.clear()
         search = _matmul_search(_signature_reward)
         done = 0
         while done < search.config.iterations:
@@ -185,7 +174,7 @@ class TestBatchedFrontier:
             rewards = {sig: _signature_reward(op) for sig, op in classic.pending_evaluations(wave)}
             classic.apply_results(wave, rewards)
 
-        clear_caches()
+        current().caches.clear()
         batched = _matmul_search(_signature_reward, batch_size=1).run()
         assert [_sample_key(s) for s in batched] == [
             _sample_key(s) for s in classic.best_samples()
@@ -210,10 +199,10 @@ class TestMCTSDeterminism:
         first = _matmul_search(counting_reward, cache_context="round-trip").run()
         assert calls, "first run must actually evaluate"
         snapshot = tmp_path / "caches.pkl"
-        save_caches(str(snapshot))
+        current().save_caches(str(snapshot))
 
-        clear_caches()
-        load_caches(str(snapshot))
+        current().caches.clear()
+        current().load_caches(str(snapshot))
         calls.clear()
         second = _matmul_search(counting_reward, cache_context="round-trip").run()
         assert calls == []  # every reward came from the reloaded snapshot
@@ -222,7 +211,7 @@ class TestMCTSDeterminism:
     def test_serial_vs_sharded_waves_are_bit_identical(self):
         serial = _matmul_search(_signature_reward, cache_context="parity-serial").run()
 
-        clear_caches()
+        current().caches.clear()
         evaluator = sharded_reward_evaluator(
             _signature_reward, "parity-sharded", shards=4, max_workers=4
         )
@@ -231,11 +220,13 @@ class TestMCTSDeterminism:
         )
         assert [_sample_key(s) for s in serial] == [_sample_key(s) for s in sharded]
         # The sharded run left the parent's reward cache exactly as warm.
-        assert len(reward_cache()) >= len({s.operator.graph.signature() for s in sharded})
+        assert len(current().caches.reward) >= len(
+            {s.operator.graph.signature() for s in sharded}
+        )
 
 
 # ---------------------------------------------------------------------------
-# Experiment-level parity: REPRO_SEARCH_SHARDS=1 vs =4
+# Experiment-level parity: shards=1 vs shards=4
 # ---------------------------------------------------------------------------
 
 
@@ -243,10 +234,10 @@ class TestExperimentParity:
     def test_figure8_record_is_identical_serial_vs_sharded(self):
         """The acceptance scenario: fixed seed, shards=1 vs =4, same record."""
         config = ExperimentConfig(smoke=True, train_steps=2, seed=0)
-        with applied_env({"REPRO_SEARCH_SHARDS": "1"}):
+        with current().derive(shards=1).activate():
             serial = run_experiment("figure8", config)
-        clear_caches()
-        with applied_env({"REPRO_SEARCH_SHARDS": "4"}):
+        current().caches.clear()
+        with current().derive(shards=4).activate():
             sharded = run_experiment("figure8", config)
         assert serial.record.table == sharded.record.table
         assert serial.record.metrics == sharded.record.metrics
@@ -260,7 +251,7 @@ class TestExperimentParity:
         environment for `repro report`.
         """
         serial = run_experiment("figure8", ExperimentConfig(smoke=True, train_steps=2))
-        clear_caches()
+        current().caches.clear()
         sharded = run_experiment(
             "figure8", ExperimentConfig(smoke=True, train_steps=2, shards=4)
         )
@@ -277,12 +268,12 @@ class TestExperimentParity:
         from repro.experiments.figure8 import _VARIANTS, _variant_points
 
         serial = [_variant_points(2, 0, MOBILE_CPU, variant) for variant in _VARIANTS]
-        clear_caches()
+        current().caches.clear()
         worker = functools.partial(_variant_points, 2, 0, MOBILE_CPU)
         forked = sharded_map(worker, _VARIANTS, shards=3, max_workers=3)
         assert serial == forked
         # The workers' training/tuning results were merged back.
-        sizes = cache_sizes()
+        sizes = current().caches.sizes()
         assert sizes["baseline"] > 0 and sizes["compile"] > 0
 
 

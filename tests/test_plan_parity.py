@@ -39,7 +39,7 @@ from repro.core.library import (
 )
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor, compute_dtype, no_grad
-from repro.search.cache import plan_cache
+from repro.runtime import current
 
 CONV_BINDING = {N: 2, C_IN: 8, C_OUT: 8, H: 6, W: 6, K1: 3, GROUPS: 4, SHRINK: 2}
 MATMUL_BINDING = {M: 4, K: 6, OUT_FEATURES: 6, GROUPS: 2}
@@ -64,13 +64,18 @@ TOLERANCES = {
 }
 
 
-def _forward_backward(operator, binding, x, compiled: bool, monkeypatch):
+def _under(**overrides):
+    """Activate the ambient config with ``overrides`` applied."""
+    return current().derive(**overrides).activate()
+
+
+def _forward_backward(operator, binding, x, compiled: bool):
     """(output, input grad, weight grads) under one execution mode."""
-    monkeypatch.setenv("REPRO_COMPILED_FORWARD", "1" if compiled else "0")
-    module = lower_to_module(operator, binding, rng=np.random.default_rng(7))
-    x_tensor = Tensor(x, requires_grad=True)
-    output = module(x_tensor)
-    F.sum(F.mul(output, output)).backward()
+    with _under(compiled_forward=compiled):
+        module = lower_to_module(operator, binding, rng=np.random.default_rng(7))
+        x_tensor = Tensor(x, requires_grad=True)
+        output = module(x_tensor)
+        F.sum(F.mul(output, output)).backward()
     return (
         output.data.copy(),
         x_tensor.grad.copy(),
@@ -78,14 +83,14 @@ def _forward_backward(operator, binding, x, compiled: bool, monkeypatch):
     )
 
 
-def _assert_parity(operator, binding, dtype, monkeypatch):
-    monkeypatch.setenv("REPRO_DTYPE", dtype)
+def _assert_parity(operator, binding, dtype):
     tolerance = TOLERANCES[dtype]
     rng = np.random.default_rng(3)
     x = rng.normal(size=operator.concrete_input_shape(binding))
 
-    eager_out, eager_gx, eager_gw = _forward_backward(operator, binding, x, False, monkeypatch)
-    plan_out, plan_gx, plan_gw = _forward_backward(operator, binding, x, True, monkeypatch)
+    with _under(dtype=dtype):
+        eager_out, eager_gx, eager_gw = _forward_backward(operator, binding, x, False)
+        plan_out, plan_gx, plan_gw = _forward_backward(operator, binding, x, True)
 
     assert plan_out.dtype == np.dtype(dtype)
     np.testing.assert_allclose(plan_out, eager_out, **tolerance)
@@ -99,15 +104,14 @@ def _assert_parity(operator, binding, dtype, monkeypatch):
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("name", sorted(LIBRARY))
-def test_library_operator_parity(name, dtype, monkeypatch):
+def test_library_operator_parity(name, dtype):
     operator = LIBRARY[name]()
-    _assert_parity(operator, LIBRARY_BINDINGS[name], dtype, monkeypatch)
+    _assert_parity(operator, LIBRARY_BINDINGS[name], dtype)
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
-def test_synthesized_operator_parity(dtype, monkeypatch):
+def test_synthesized_operator_parity(dtype):
     """Property-style spread: random complete pGraphs agree in both modes."""
-    monkeypatch.setenv("REPRO_DTYPE", dtype)
     spec = conv2d_spec(bindings=(CONV_BINDING,))
     options = default_options_for(spec, coefficients=[K1, GROUPS], max_depth=4)
     operators, _ = synthesize(
@@ -121,50 +125,49 @@ def test_synthesized_operator_parity(dtype, monkeypatch):
         try:
             # Candidates even the interpreter rejects (indivisible extents,
             # residual axes) are not parity subjects — skip them.
-            _forward_backward(operator, CONV_BINDING, x, False, monkeypatch)
+            with _under(dtype=dtype):
+                _forward_backward(operator, CONV_BINDING, x, False)
         except (RuntimeError, ValueError):
             continue
-        _assert_parity(operator, CONV_BINDING, dtype, monkeypatch)
+        _assert_parity(operator, CONV_BINDING, dtype)
         checked += 1
     assert checked >= 5, "too few synthesized operators survived to a parity check"
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
-def test_weight_grads_without_input_grad(dtype, monkeypatch):
+def test_weight_grads_without_input_grad(dtype):
     """First-layer case: the input is raw data, weight grads must still agree."""
-    monkeypatch.setenv("REPRO_DTYPE", dtype)
     tolerance = TOLERANCES[dtype]
     operator = build_operator1()
     x = np.random.default_rng(4).normal(size=operator.concrete_input_shape(CONV_BINDING))
     grads = {}
-    for mode in ("0", "1"):
-        monkeypatch.setenv("REPRO_COMPILED_FORWARD", mode)
-        module = lower_to_module(operator, CONV_BINDING, rng=np.random.default_rng(7))
-        output = module(Tensor(x))  # requires_grad=False input
-        F.sum(F.mul(output, output)).backward()
-        grads[mode] = [weight.grad.copy() for weight in module.weights]
-    for compiled, eager in zip(grads["1"], grads["0"]):
+    for compiled in (False, True):
+        with _under(dtype=dtype, compiled_forward=compiled):
+            module = lower_to_module(operator, CONV_BINDING, rng=np.random.default_rng(7))
+            output = module(Tensor(x))  # requires_grad=False input
+            F.sum(F.mul(output, output)).backward()
+        grads[compiled] = [weight.grad.copy() for weight in module.weights]
+    for compiled, eager in zip(grads[True], grads[False]):
         np.testing.assert_allclose(compiled, eager, **tolerance)
 
 
-def test_forward_under_no_grad_matches(monkeypatch):
-    monkeypatch.setenv("REPRO_DTYPE", "float64")
+def test_forward_under_no_grad_matches():
     operator = build_operator1()
     module = lower_to_module(operator, CONV_BINDING, rng=np.random.default_rng(5))
     x = np.random.default_rng(1).normal(size=operator.concrete_input_shape(CONV_BINDING))
     with no_grad():
-        monkeypatch.setenv("REPRO_COMPILED_FORWARD", "1")
-        compiled_out = module(Tensor(x))
-        monkeypatch.setenv("REPRO_COMPILED_FORWARD", "0")
-        eager_out = module(Tensor(x))
+        with _under(compiled_forward=True):
+            compiled_out = module(Tensor(x))
+        with _under(compiled_forward=False):
+            eager_out = module(Tensor(x))
     assert not compiled_out.requires_grad
     assert not compiled_out._parents
     np.testing.assert_allclose(compiled_out.data, eager_out.data, rtol=1e-8, atol=1e-10)
 
 
-def test_plan_cache_shares_structurally_identical_pairs(monkeypatch):
-    monkeypatch.setenv("REPRO_DTYPE", "float64")
-    plan_cache().clear()
+def test_plan_cache_shares_structurally_identical_pairs():
+    plan_cache = current().caches.plan
+    plan_cache.clear()
     first = build_operator1()
     second = build_operator1()
     assert first is not second
@@ -172,15 +175,15 @@ def test_plan_cache_shares_structurally_identical_pairs(monkeypatch):
     plan_a = cached_plan(first, CONV_BINDING)
     plan_b = cached_plan(second, CONV_BINDING)
     assert plan_a is plan_b
-    assert len(plan_cache()) == 1
+    assert len(plan_cache) == 1
     # A different binding compiles (and caches) a fresh plan.
     other_binding = dict(CONV_BINDING)
     other_binding[N] = 3
     assert cached_plan(first, other_binding) is not plan_a
-    assert len(plan_cache()) == 2
+    assert len(plan_cache) == 2
 
 
-def test_plan_fuses_contractions(monkeypatch):
+def test_plan_fuses_contractions():
     """The compiled operator1 collapses its Shares/Expand/Reduces into one step."""
     from repro.codegen.plan import ContractionStep
 
@@ -195,27 +198,26 @@ def test_plan_fuses_contractions(monkeypatch):
     assert len(plan.steps) <= 6
 
 
-def test_compute_dtype_follows_knob(monkeypatch):
-    monkeypatch.setenv("REPRO_DTYPE", "float32")
-    assert compute_dtype() == np.float32
-    assert Tensor(np.zeros(3, dtype=np.float64)).data.dtype == np.float32
-    monkeypatch.setenv("REPRO_DTYPE", "float64")
-    assert compute_dtype() == np.float64
-    monkeypatch.delenv("REPRO_DTYPE")
-    monkeypatch.setenv("REPRO_SMOKE", "1")
-    assert compute_dtype() == np.float32
-    monkeypatch.setenv("REPRO_SMOKE", "0")
-    assert compute_dtype() == np.float64
+def test_compute_dtype_follows_knob():
+    with _under(dtype="float32"):
+        assert compute_dtype() == np.float32
+        assert Tensor(np.zeros(3, dtype=np.float64)).data.dtype == np.float32
+    with _under(dtype="float64"):
+        assert compute_dtype() == np.float64
+    with _under(dtype=None, smoke=True):
+        assert compute_dtype() == np.float32
+    with _under(dtype=None, smoke=False):
+        assert compute_dtype() == np.float64
 
 
-def test_compiled_is_default_and_escape_hatch_interprets(monkeypatch):
-    monkeypatch.delenv("REPRO_COMPILED_FORWARD", raising=False)
+def test_compiled_is_default_and_escape_hatch_interprets():
+    assert current().config.compiled_forward
     operator = build_operator1()
     module = lower_to_module(operator, CONV_BINDING, rng=np.random.default_rng(5))
     x = Tensor(np.random.default_rng(2).normal(size=operator.concrete_input_shape(CONV_BINDING)))
     module(x)
     assert module._plan is not None  # the compiled path populated the plan
     fresh = lower_to_module(operator, CONV_BINDING, rng=np.random.default_rng(5))
-    monkeypatch.setenv("REPRO_COMPILED_FORWARD", "0")
-    fresh(x)
+    with _under(compiled_forward=False):
+        fresh(x)
     assert fresh._plan is None  # the interpreter never compiles

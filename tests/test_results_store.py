@@ -7,30 +7,29 @@ import pickle
 import subprocess
 import sys
 import textwrap
+import zlib
 from pathlib import Path
 
 import pytest
 
 from repro.results import ArtifactStore, ResultRecord, sanitize_metrics
-from repro.search.cache import (
+from repro.runtime import (
     CACHE_FORMAT_VERSION,
+    RuntimeConfig,
+    RuntimeContext,
     cache_snapshot_filename,
-    cache_stats,
-    cached_reward,
-    clear_caches,
-    load_caches,
-    reward_cache,
-    save_caches,
+    current,
 )
+from repro.runtime.store import FRAME_HEADER, FRAME_MAGIC
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(autouse=True)
 def _fresh_caches():
-    clear_caches()
+    current().caches.clear()
     yield
-    clear_caches()
+    current().caches.clear()
 
 
 def make_record(run_id="figure5-20260101-000000-abc123", **overrides) -> ResultRecord:
@@ -109,9 +108,10 @@ def test_store_save_load_list_latest(tmp_path):
     assert store.latest("figure5").run_id == first.run_id
 
 
-def test_store_root_defaults_to_results_dir_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "elsewhere"))
-    store = ArtifactStore()
+def test_store_root_defaults_to_results_dir_env(tmp_path):
+    edge = RuntimeConfig.from_env({"REPRO_RESULTS_DIR": str(tmp_path / "elsewhere")})
+    with RuntimeContext(edge).activate():
+        store = ArtifactStore()
     assert store.root == tmp_path / "elsewhere"
     assert store.cache_path.name == cache_snapshot_filename()
 
@@ -132,75 +132,85 @@ def test_store_skips_unreadable_records(tmp_path):
 
 def test_cache_persist_and_reload_in_process(tmp_path):
     path = tmp_path / cache_snapshot_filename()
+    runtime = current()
     calls = []
-    cached_reward(("persist-test",), "sig", lambda: calls.append(1) or 0.75)
-    saved = save_caches(str(path))
-    assert saved["reward"] == 1
+    runtime.cached_reward(("persist-test",), "sig", lambda: calls.append(1) or 0.75)
+    saved = runtime.save_caches(str(path))
+    assert saved.entries["reward"] == 1
 
-    clear_caches()  # simulate a fresh process
-    added = load_caches(str(path))
-    assert added["reward"] == 1
-    value = cached_reward(("persist-test",), "sig", lambda: calls.append(1) or 0.0)
+    runtime.caches.clear()  # simulate a fresh process
+    added = runtime.load_caches(str(path))
+    assert added.entries["reward"] == 1
+    value = runtime.cached_reward(("persist-test",), "sig", lambda: calls.append(1) or 0.0)
     assert value == 0.75 and calls == [1]
-    assert cache_stats()["reward"].hits == 1
+    assert runtime.caches.stats()["reward"].hits == 1
 
 
 def test_load_ignores_missing_and_version_mismatched_snapshots(tmp_path):
-    assert load_caches(str(tmp_path / "absent.pkl")) == {}
+    runtime = current()
+    assert runtime.load_caches(str(tmp_path / "absent.pkl")).status == "missing"
 
     stale = tmp_path / "stale.pkl"
-    payload = {"version": CACHE_FORMAT_VERSION + 1, "caches": {"reward": {("k",): 1.0}}}
-    stale.write_bytes(pickle.dumps(payload))
-    assert load_caches(str(stale)) == {}
-    assert len(reward_cache()) == 0
+    payload = pickle.dumps(
+        {"version": CACHE_FORMAT_VERSION + 1, "caches": {"reward": {("k",): 1.0}}}
+    )
+    stale.write_bytes(
+        FRAME_HEADER.pack(FRAME_MAGIC, len(payload), zlib.crc32(payload)) + payload
+    )
+    assert runtime.load_caches(str(stale)).status == "version-mismatch"
+    assert len(runtime.caches.reward) == 0
 
     corrupt = tmp_path / "corrupt.pkl"
     corrupt.write_bytes(b"not a pickle")
-    assert load_caches(str(corrupt)) == {}
+    assert runtime.load_caches(str(corrupt)).status == "unreadable"
 
 
 def test_save_skips_unpicklable_entries(tmp_path):
     path = tmp_path / "snapshot.pkl"
-    reward_cache().put(("fine",), 1.0)
-    reward_cache().put(("poison",), lambda: None)  # lambdas cannot be pickled
-    saved = save_caches(str(path))
-    assert saved["reward"] == 1
+    runtime = current()
+    runtime.caches.reward.put(("fine",), 1.0)
+    runtime.caches.reward.put(("poison",), lambda: None)  # lambdas cannot be pickled
+    saved = runtime.save_caches(str(path))
+    assert saved.entries["reward"] == 1
 
-    clear_caches()
-    assert load_caches(str(path)) == {"reward": 1, "compile": 0, "baseline": 0}
-    found, value = reward_cache().lookup(("fine",))
+    runtime.caches.clear()
+    loaded = runtime.load_caches(str(path))
+    assert loaded.entries == {"reward": 1, "compile": 0, "baseline": 0}
+    found, value = runtime.caches.reward.lookup(("fine",))
     assert found and value == 1.0
 
 
 def test_in_process_values_win_over_persisted_ones(tmp_path):
     path = tmp_path / "snapshot.pkl"
-    reward_cache().put(("shared",), 1.0)
-    save_caches(str(path))
-    clear_caches()
-    reward_cache().put(("shared",), 2.0)
-    assert load_caches(str(path))["reward"] == 0
-    assert reward_cache().lookup(("shared",)) == (True, 2.0)
+    runtime = current()
+    runtime.caches.reward.put(("shared",), 1.0)
+    runtime.save_caches(str(path))
+    runtime.caches.clear()
+    runtime.caches.reward.put(("shared",), 2.0)
+    assert runtime.load_caches(str(path)).entries["reward"] == 0
+    assert runtime.caches.reward.lookup(("shared",)) == (True, 2.0)
 
 
-def test_disabled_caches_do_not_clobber_a_warm_snapshot(tmp_path, monkeypatch):
+def test_disabled_caches_do_not_clobber_a_warm_snapshot(tmp_path):
     path = tmp_path / "snapshot.pkl"
-    reward_cache().put(("warm",), 1.0)
-    assert save_caches(str(path))["reward"] == 1
+    current().caches.reward.put(("warm",), 1.0)
+    assert current().save_caches(str(path)).entries["reward"] == 1
 
-    monkeypatch.setenv("REPRO_EVAL_CACHE", "0")
-    clear_caches()
-    assert save_caches(str(path)) == {}  # must not overwrite the warm file
-    assert load_caches(str(path)) == {}  # loading is a no-op while disabled
+    with current().derive(eval_cache=False).activate():
+        current().caches.clear()
+        # must not overwrite the warm file; loading is a no-op while disabled
+        assert current().save_caches(str(path)).status == "disabled"
+        assert current().load_caches(str(path)).status == "disabled"
 
-    monkeypatch.delenv("REPRO_EVAL_CACHE")
-    assert load_caches(str(path))["reward"] == 1
+    assert current().load_caches(str(path)).entries["reward"] == 1
 
 
 def test_save_survives_unwritable_destination(tmp_path):
-    reward_cache().put(("k",), 1.0)
+    current().caches.reward.put(("k",), 1.0)
     target = tmp_path / "file-not-dir" / "snapshot.pkl"
     (tmp_path / "file-not-dir").write_text("")  # makedirs will fail on this
-    assert save_caches(str(target)) == {}  # logged, not raised
+    # logged, not raised
+    assert current().save_caches(str(target)).status == "write-failed"
 
 
 def test_cache_persist_across_two_processes(tmp_path):
@@ -208,22 +218,22 @@ def test_cache_persist_across_two_processes(tmp_path):
     path = tmp_path / cache_snapshot_filename()
     producer = textwrap.dedent(
         f"""
-        from repro.search.cache import cached_reward, save_caches
-        cached_reward(("two-proc",), "sig", lambda: 41.5)
-        counts = save_caches({str(path)!r})
-        assert counts["reward"] == 1, counts
+        from repro.runtime import current
+        current().cached_reward(("two-proc",), "sig", lambda: 41.5)
+        status = current().save_caches({str(path)!r})
+        assert status.entries["reward"] == 1, status
         """
     )
     consumer = textwrap.dedent(
         f"""
-        from repro.search.cache import cache_stats, cached_reward, load_caches
-        added = load_caches({str(path)!r})
-        assert added["reward"] == 1, added
+        from repro.runtime import current
+        added = current().load_caches({str(path)!r})
+        assert added.entries["reward"] == 1, added
         def recompute():
             raise AssertionError("work item was recomputed despite the snapshot")
-        value = cached_reward(("two-proc",), "sig", recompute)
+        value = current().cached_reward(("two-proc",), "sig", recompute)
         assert value == 41.5, value
-        assert cache_stats()["reward"].hits == 1
+        assert current().caches.stats()["reward"].hits == 1
         """
     )
     for script in (producer, consumer):

@@ -1,27 +1,29 @@
 """Tests for the scoped runtime API (:mod:`repro.runtime`).
 
-Covers: `RuntimeConfig` provenance (default/env/explicit), activation
-scoping, concurrent contexts with isolated caches (sequentially interleaved
-*and* in threads), record parity between the explicit context path and the
-legacy env-var path, the env-fallback deprecation warning, and the
-structured snapshot load/save status.
+Covers: `RuntimeConfig` provenance (default/env/explicit), the once-per-
+process env edge, activation scoping, concurrent contexts with isolated
+caches (sequentially interleaved *and* in threads), record parity between
+explicit contexts and env-parsed edge contexts, and the structured snapshot
+load/save status.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 import pickle
 import threading
-import warnings
+import zlib
 
 import pytest
 
 from repro.compiler.backends import TVMBackend
 from repro.compiler.targets import MOBILE_CPU
 from repro.experiments.common import evaluate_model, syno_candidates
-from repro.experiments.runner import ExperimentConfig, applied_env, run_experiment
+from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.nn.models.common import ConvSlot
 from repro.nn.tensor import compute_dtype
+from repro.results.store import default_results_dir
 from repro.runtime import (
     CACHE_FORMAT_VERSION,
     CacheSet,
@@ -29,23 +31,16 @@ from repro.runtime import (
     RuntimeContext,
     current,
     default_context,
-    reset_deprecation_warnings,
 )
-from repro.search.cache import (
-    clear_caches,
-    default_train_steps,
-    reward_cache,
-    search_shards,
-    smoke_mode,
-)
+from repro.runtime.store import FRAME_HEADER, FRAME_MAGIC
 from repro.search.parallel import sharded_map
 
 
 @pytest.fixture(autouse=True)
 def _fresh_default_caches():
-    clear_caches()
+    current().caches.clear()
     yield
-    clear_caches()
+    current().caches.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +103,7 @@ class TestRuntimeConfig:
 
 
 # ---------------------------------------------------------------------------
-# Activation scoping and the legacy shims
+# The process edge and activation scoping
 # ---------------------------------------------------------------------------
 
 
@@ -118,33 +113,45 @@ class TestActivation:
         inner = RuntimeContext(RuntimeConfig(shards=5))
         assert current() is default_context()
         with outer.activate():
-            assert current() is outer and search_shards() == 2
+            assert current() is outer and current().config.shards == 2
             with inner.activate():
-                assert current() is inner and search_shards() == 5
+                assert current() is inner and current().config.shards == 5
             assert current() is outer
         assert current() is default_context()
 
-    def test_shims_follow_the_active_context(self):
-        ctx = RuntimeContext(RuntimeConfig(smoke=True, train_steps=3))
+    def test_shims_follow_the_active_context(self, tmp_path):
+        """Module-level ambient resolvers read whichever context is active."""
+        ctx = RuntimeContext(
+            RuntimeConfig(smoke=True, train_steps=3, results_dir=str(tmp_path))
+        )
         with ctx.activate():
-            assert smoke_mode() is True
-            assert default_train_steps(full=40, smoke=8) == 3
-            assert reward_cache() is ctx.caches.reward
-        assert reward_cache() is default_context().caches.reward
+            assert compute_dtype().name == "float32"
+            assert default_results_dir() == tmp_path
+            assert current().config.resolve_train_steps(full=40, smoke=8) == 3
+            assert current().caches.reward is ctx.caches.reward
+        assert compute_dtype().name == "float64"  # the pinned default context
+        assert current().caches.reward is default_context().caches.reward
 
-    def test_env_seed_change_reseeds_the_default_rng(self, monkeypatch):
-        first = default_context().rng  # materialize, seeded from the old config
-        monkeypatch.setenv("REPRO_SEED", "7")
-        refreshed = default_context()
-        assert refreshed.config.seed == 7
-        assert refreshed.rng is not first
+    def test_env_changes_after_the_edge_leave_config_unchanged(self, monkeypatch):
+        """The default context parsed REPRO_* once; later changes steer nothing."""
+        context = default_context()
+        config, rng = context.config, context.rng
+        monkeypatch.setenv("REPRO_SEED", str(config.seed + 7))
+        monkeypatch.setenv("REPRO_SMOKE", "0" if config.smoke else "1")
+        monkeypatch.setenv("REPRO_DTYPE", "float32")
+        monkeypatch.setenv("REPRO_VERIFY_PLANS", "0" if config.verify_plans else "1")
+        assert default_context() is context
+        assert current().config is config
+        assert current().config.dtype_name() == "float64"
+        assert context.rng is rng
 
     def test_env_knob_changes_keep_the_default_caches(self, monkeypatch):
-        """Refreshing the default config on env changes must not drop warmth."""
+        """An env change mid-process neither steers nor drops cache warmth."""
         caches = default_context().caches
         caches.reward.put(("warm",), 1.0)
-        monkeypatch.setenv("REPRO_SEARCH_SHARDS", "7")
-        assert search_shards() == 7
+        shards = current().config.shards
+        monkeypatch.setenv("REPRO_SEARCH_SHARDS", str(shards + 6))
+        assert current().config.shards == shards
         assert default_context().caches is caches
         assert ("warm",) in default_context().caches.reward
 
@@ -246,7 +253,10 @@ class TestConcurrentContexts:
 
     def test_concurrent_contexts_match_env_var_records(self):
         """Two coexisting contexts with different dtype/train_steps produce
-        the same records as isolated env-var runs (acceptance criterion)."""
+        the same records as isolated env-var runs (acceptance criterion).
+
+        An env-var run is what a CLI process does at its edge: parse
+        ``REPRO_*`` into a context over the process-default caches."""
         config_fast = ExperimentConfig(smoke=True, train_steps=2, seed=0)
         config_slow = ExperimentConfig(smoke=True, train_steps=3, seed=0)
         base = RuntimeConfig.from_env()
@@ -265,7 +275,7 @@ class TestConcurrentContexts:
 
         # Zero cross-talk: the default caches saw none of this work, and the
         # two contexts' reward keys never alias (dtype is part of the key).
-        assert len(reward_cache()) == 0
+        assert len(current().caches.reward) == 0
         assert len(ctx_fast.caches.reward) > 0 and len(ctx_slow.caches.reward) > 0
         assert not (
             ctx_fast.caches.reward.key_snapshot()
@@ -273,11 +283,17 @@ class TestConcurrentContexts:
         )
 
         # The env-var path (isolated, sequential) agrees record for record.
-        clear_caches()
-        with applied_env({"REPRO_DTYPE": "float32"}):
+        def edge(dtype: str) -> RuntimeContext:
+            environ = {**os.environ, "REPRO_DTYPE": dtype}
+            return RuntimeContext(
+                RuntimeConfig.from_env(environ), caches=default_context().caches
+            )
+
+        current().caches.clear()
+        with edge("float32").activate():
             env_fast = run_experiment("figure8", config_fast).record
-        clear_caches()
-        with applied_env({"REPRO_DTYPE": "float64"}):
+        current().caches.clear()
+        with edge("float64").activate():
             env_slow = run_experiment("figure8", config_slow).record
         assert fast.fingerprint() == env_fast.fingerprint()
         assert slow.fingerprint() == env_slow.fingerprint()
@@ -334,16 +350,16 @@ class TestShardedContextBootstrap:
         # The workers' rewards merged into the explicit context's caches —
         # not into the process-default ones.
         assert len(ctx.caches.reward) == 4
-        assert len(reward_cache()) == 0
+        assert len(current().caches.reward) == 0
 
     def test_derived_context_workers_inherit_default_caches(self):
-        reward_cache().put(("pre",), 0.0)  # pre-existing warmth to inherit
+        current().caches.reward.put(("pre",), 0.0)  # pre-existing warmth to inherit
         ctx = default_context().derive(shards=2)
         worker = functools.partial(_context_cached_value, "derive-test")
         results = sharded_map(worker, [1, 2, 3, 4], max_workers=2, runtime=ctx)
         assert results == [1.0, 4.0, 9.0, 16.0]
         # Derived contexts share the default cache set, so the merge lands there.
-        assert len(reward_cache()) == 5
+        assert len(current().caches.reward) == 5
 
     def test_contexts_sharing_default_caches_ship_config_only(self):
         """Payloads for CLI-style contexts must not pickle the warm cache set."""
@@ -355,67 +371,6 @@ class TestShardedContextBootstrap:
         assert shipped is not None and shipped.caches is _InheritDefaultCaches
         isolated = RuntimeContext(RuntimeConfig(shards=2))
         assert _ship_context(isolated) is isolated
-
-
-# ---------------------------------------------------------------------------
-# Env-fallback deprecation warning
-# ---------------------------------------------------------------------------
-
-
-class TestEnvFallbackDeprecation:
-    def test_warns_once_per_knob_after_explicit_context(self, monkeypatch):
-        with RuntimeContext(RuntimeConfig()).activate():
-            pass  # the process has now adopted the explicit API
-        reset_deprecation_warnings()
-        monkeypatch.setenv("REPRO_TRAIN_STEPS", "7")
-        with pytest.warns(DeprecationWarning, match="REPRO_TRAIN_STEPS"):
-            assert default_train_steps() == 7
-        # The same knob never warns twice.
-        monkeypatch.setenv("REPRO_TRAIN_STEPS", "9")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert default_train_steps() == 9
-
-    def test_no_warning_while_an_explicit_context_is_active(self, monkeypatch):
-        reset_deprecation_warnings()
-        ctx = RuntimeContext(RuntimeConfig(train_steps=4))
-        monkeypatch.setenv("REPRO_TRAIN_STEPS", "11")
-        with ctx.activate():
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                # The active context wins; no env read happens at all.
-                assert default_train_steps() == 4
-
-    def test_runner_activation_does_not_count_as_adoption(self, monkeypatch):
-        """run_experiment activates internally on behalf of env-var callers —
-        that must not arm the env-steering deprecation for them."""
-        from repro.runtime import config as runtime_config
-        from repro.runtime import explicit_context_seen
-
-        monkeypatch.setattr(runtime_config, "_EXPLICIT_CONTEXT_SEEN", False)
-        run_experiment("ablation-materialization")
-        assert not explicit_context_seen()
-        # A user-constructed activation, by contrast, does adopt.
-        with RuntimeContext(RuntimeConfig()).activate():
-            pass
-        assert explicit_context_seen()
-
-    def test_unchanged_env_never_warns(self):
-        """Reading a *stable* environment through the fallback is supported.
-
-        The warning targets mid-process env *changes* after explicit-context
-        adoption (the deprecated steering pattern) — a CLI process that read
-        its env once at the edge must stay silent no matter how many contexts
-        it activates afterwards.
-        """
-        with RuntimeContext(RuntimeConfig()).activate():
-            pass
-        reset_deprecation_warnings()
-        default_context()  # settle the snapshot
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            default_train_steps()
-            smoke_mode()
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +400,10 @@ class TestSnapshotStatus:
 
     def test_version_mismatch_logs_path_and_both_versions(self, tmp_path, caplog):
         path = tmp_path / "snap.pkl"
-        path.write_bytes(pickle.dumps({"version": 999, "caches": {}}))
+        payload = pickle.dumps({"version": 999, "caches": {}})
+        path.write_bytes(
+            FRAME_HEADER.pack(FRAME_MAGIC, len(payload), zlib.crc32(payload)) + payload
+        )
         caches = CacheSet()
         with caplog.at_level("WARNING"):
             status = caches.load_snapshot(str(path))

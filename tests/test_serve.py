@@ -11,7 +11,6 @@ from repro.core.library import K, M, OUT_FEATURES, matmul_spec
 from repro.core.mcts import MCTS, MCTSConfig
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.runtime import current
-from repro.search.cache import cached_reward, clear_caches
 from repro.serve import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -27,9 +26,9 @@ from repro.serve import protocol
 
 @pytest.fixture(autouse=True)
 def _fresh_caches():
-    clear_caches()
+    current().caches.clear()
     yield
-    clear_caches()
+    current().caches.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +155,7 @@ class TestWaveCoalescer:
             computed.append(operator)
             return 0.5
 
-        cached_reward("hit-ctx", "warm", lambda: 0.25)
+        current().cached_reward("hit-ctx", "warm", lambda: 0.25)
         coalescer = WaveCoalescer(current(), window_seconds=0.0)
         rewards = coalescer.evaluate(
             _pending("warm", "cold"), reward, "hit-ctx", runtime=current()
@@ -207,15 +206,15 @@ def test_mcts_routes_waves_through_the_context_wave_evaluator():
     def reward(operator):
         return min(operator.parameter_count(binding) / 100.0, 1.0)
 
-    def search(cache_context):
+    def make_search(context_tag):
         return MCTS(
             spec=spec,
             options=options,
             reward_fn=reward,
-            config=MCTSConfig(iterations=20, seed=1, batch_size=4, cache_context=cache_context),
+            config=MCTSConfig(iterations=20, seed=1, batch_size=4, cache_context=context_tag),
         )
 
-    serial = search("hook-serial").run()
+    serial = make_search("hook-serial").run()
     assert serial, "the matmul space must yield samples"
 
     waves = []
@@ -226,8 +225,8 @@ def test_mcts_routes_waves_through_the_context_wave_evaluator():
 
     hooked_context = current().derive()
     hooked_context.wave_evaluator = hook
-    with hooked_context.activate(adopt=False):
-        hooked = search("hook-test").run()
+    with hooked_context.activate():
+        hooked = make_search("hook-test").run()
 
     assert waves and sum(waves) > 0, "the hook must have received pending evaluations"
     assert [(r.operator.graph.signature(), r.reward) for r in hooked] == [
@@ -250,7 +249,7 @@ def _search_config(seed):
 @pytest.fixture
 def live_server(tmp_path):
     context = current().derive(results_dir=str(tmp_path))
-    with context.activate(adopt=False):
+    with context.activate():
         server = SearchServer(current(), window_seconds=0.1)
         thread, _address = start_server_thread(server)
         try:
@@ -331,7 +330,7 @@ class TestSearchServer:
 
     def test_status_and_shutdown_ops(self, tmp_path):
         context = current().derive(results_dir=str(tmp_path))
-        with context.activate(adopt=False):
+        with context.activate():
             server = SearchServer(current())
             thread, address = start_server_thread(server)
             assert address.startswith("127.0.0.1:")
