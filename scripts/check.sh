@@ -101,11 +101,12 @@ python -m repro.cli chaos figure5 --smoke --shards 2 \
 echo "OK: fingerprint parity held under a killed shard worker"
 
 echo "== timing sanity: smoke benches must not regress =="
-# figure5 is loop-nest-lowering-bound (perfbench/README.md): guard its
-# absolute smoke wall-clock.
-# (The threshold is generous — about 5x the current ~18 s — so only a real
-# regression trips it, not machine noise.)
-python -m repro.cli bench figure5 --smoke --no-compare --max-seconds 90
+# figure5 evaluates every candidate's latency at each model slot for three
+# targets and two backends.  Loop-nest lowerings are memoized per context
+# and tunings per (backend, program, target), so a smoke run takes ~0.2 s
+# on a 2-vCPU host.  The 10 s guard leaves room for machine noise but trips
+# if the lowering memo stops hitting (the unmemoized run took ~30 s).
+python -m repro.cli bench figure5 --smoke --no-compare --max-seconds 10
 # figure8 is proxy-training-bound: it must stay fast in absolute terms AND
 # keep the compiled-plan + float32 path >= 1.5x over the eager float64
 # interpreter at identical budgets (the escape-hatch comparison would

@@ -8,7 +8,8 @@ Two backends mirror the paper's:
 * :mod:`repro.codegen.loopnest` — the TVM-TE-like generator: lowers the
   pGraph bottom-up into a loop-nest IR (with the materialized-reduction
   optimization of Figure 4) that the simulated tensor compiler schedules and
-  costs.
+  costs; :func:`cached_loopnest` memoizes it per ``(graph, binding)`` in the
+  runtime context.
 
 :mod:`repro.codegen.plan` compiles the eager lowering once per
 ``(graph, binding)`` into a flat :class:`ExecutionPlan` of primitive numpy
@@ -18,7 +19,7 @@ per-call interpreter).
 """
 
 from repro.codegen.eager import EagerOperator, lower_to_module
-from repro.codegen.loopnest import LoopNest, LoopNestProgram, lower_to_loopnest
+from repro.codegen.loopnest import LoopNest, LoopNestProgram, cached_loopnest, lower_to_loopnest
 from repro.codegen.plan import ExecutionPlan, cached_plan, compile_plan, plan_cache_key
 
 __all__ = [
@@ -27,6 +28,7 @@ __all__ = [
     "LoopNest",
     "LoopNestProgram",
     "lower_to_loopnest",
+    "cached_loopnest",
     "ExecutionPlan",
     "cached_plan",
     "compile_plan",

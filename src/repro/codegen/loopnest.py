@@ -18,13 +18,15 @@ program (never worse than the naive single stage).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.core.operator import SynthesizedOperator
-from repro.core.pgraph import Dim, DimRole, PGraph
+from repro.core.pgraph import Application, Dim, PGraph
 from repro.core.primitives import Expand, Merge, Reduce, Share, Shift, Split, Stride, Unfold
 from repro.ir.variables import Variable
+from repro.runtime import RuntimeContext, current
 
 
 # ---------------------------------------------------------------------------
@@ -50,46 +52,88 @@ class Atom:
     leaf_components: frozenset[int]
 
 
-def _atom_for(dim: Dim, graph: PGraph, binding: Mapping[Variable, int]) -> Atom:
-    extent = dim.size.evaluate(binding)
-    components, leaves = _bijective_components(dim, graph)
-    return Atom(identity=dim.uid, extent=extent, components=components, leaf_components=leaves)
+class _DimTable:
+    """The ordering-independent facts of one (graph, binding) lowering.
 
+    Built once per :func:`lower_to_loopnest` call and shared by every (weight
+    order, reduction order) the search tries: the dim-uid -> producer map,
+    each dim's :class:`Atom` (concrete extent plus bijective components),
+    every weight's factor atoms and parameter count, and the element counts
+    of the frontier and the output.  ``Size.evaluate`` thus runs once per dim
+    instead of once per ordering.
+    """
 
-def _bijective_components(dim: Dim, graph: PGraph) -> tuple[frozenset[int], frozenset[int]]:
-    """Dims whose values are determined by iterating ``dim`` (plus leaf dims)."""
-    components: set[int] = {dim.uid}
-    leaves: set[int] = set()
-    producer = None
-    for app in graph.applications:
-        if dim in app.produced:
-            producer = app
-            break
-    if producer is None:
-        # Output dims and weight-identified output dims are leaves.
-        leaves.add(dim.uid)
-        return frozenset(components), frozenset(leaves)
-    primitive = producer.primitive
-    if isinstance(primitive, Split):
-        for consumed in producer.consumed:
-            sub, sub_leaves = _bijective_components(consumed, graph)
+    def __init__(self, graph: PGraph, binding: Mapping[Variable, int]) -> None:
+        self.binding = binding
+        self.dims_by_uid = _dims_by_uid(graph)
+        self.producers: dict[int, Application] = {}
+        for app in graph.applications:
+            for dim in app.produced:
+                self.producers.setdefault(dim.uid, app)
+        self._atoms: dict[int, Atom] = {}
+        self._components: dict[int, tuple[frozenset[int], frozenset[int]]] = {}
+        # A weight dim is identified with the data-path dim its Share matched.
+        self.weight_factors = [
+            [self.atom(wdim.identified_with) for wdim in weight.dims] for weight in graph.weights
+        ]
+        self.weight_needs = [
+            frozenset().union(*(atom.components for atom in factor))
+            for factor in self.weight_factors
+        ]
+        self.weight_elements = [weight.parameter_count(binding) for weight in graph.weights]
+        self.input_atoms = [self.atom(dim) for dim in graph.frontier]
+        self.output_atoms = [self.atom(dim) for dim in graph.output_dims]
+        self.input_elements = math.prod(atom.extent for atom in self.input_atoms)
+        self.output_elements = math.prod(atom.extent for atom in self.output_atoms)
+        self.output_uids = frozenset(dim.uid for dim in graph.output_dims)
+        self.reduction_uids = frozenset(dim.uid for dim in graph.reduction_dims)
+
+    def atom(self, dim: Dim) -> Atom:
+        atom = self._atoms.get(dim.uid)
+        if atom is None:
+            components, leaves = self.components(dim)
+            atom = Atom(
+                identity=dim.uid,
+                extent=dim.size.evaluate(self.binding),
+                components=components,
+                leaf_components=leaves,
+            )
+            self._atoms[dim.uid] = atom
+        return atom
+
+    def components(self, dim: Dim) -> tuple[frozenset[int], frozenset[int]]:
+        """Dims whose values are determined by iterating ``dim`` (plus leaf dims)."""
+        cached = self._components.get(dim.uid)
+        if cached is None:
+            cached = self._components[dim.uid] = self._bijective_components(dim)
+        return cached
+
+    def _bijective_components(self, dim: Dim) -> tuple[frozenset[int], frozenset[int]]:
+        components: set[int] = {dim.uid}
+        leaves: set[int] = set()
+        producer = self.producers.get(dim.uid)
+        if producer is None:
+            # Output dims and weight-identified output dims are leaves.
+            leaves.add(dim.uid)
+            return frozenset(components), frozenset(leaves)
+        primitive = producer.primitive
+        if isinstance(primitive, Split):
+            covered = producer.consumed
+        elif isinstance(primitive, (Shift, Stride, Unfold)):
+            # An unfolded axis determines (covers) its *main* coordinate but
+            # not the window coordinate — the window stays a separate loop.
+            covered = producer.consumed[:1]
+        else:
+            # Reduce dims are leaves; Merge / Expand / Share produce dims
+            # that cover nothing extra.
+            covered = ()
+            if isinstance(primitive, Reduce):
+                leaves.add(dim.uid)
+        for consumed in covered:
+            sub, sub_leaves = self.components(consumed)
             components |= sub
             leaves |= sub_leaves
-    elif isinstance(primitive, (Shift, Stride)):
-        sub, sub_leaves = _bijective_components(producer.consumed[0], graph)
-        components |= sub
-        leaves |= sub_leaves
-    elif isinstance(primitive, Unfold):
-        # The unfolded axis determines (covers) its *main* coordinate but not
-        # the window coordinate — the window stays a separate loop.
-        main = producer.consumed[0]
-        sub, sub_leaves = _bijective_components(main, graph)
-        components |= sub
-        leaves |= sub_leaves
-    elif isinstance(primitive, Reduce):
-        leaves.add(dim.uid)
-    # Merge / Expand / Share produce dims that cover nothing extra.
-    return frozenset(components), frozenset(leaves)
+        return frozenset(components), frozenset(leaves)
 
 
 def _count(atoms: Sequence[Atom]) -> tuple[int, list[Atom]]:
@@ -194,32 +238,8 @@ class LoopNestProgram:
 # ---------------------------------------------------------------------------
 
 
-def _weight_factor_atoms(
-    graph: PGraph, binding: Mapping[Variable, int]
-) -> list[list[Atom]]:
-    factors = []
-    for weight in graph.weights:
-        atoms = []
-        for wdim in weight.dims:
-            target = wdim.identified_with
-            assert target is not None
-            atoms.append(_atom_for(target, graph, binding))
-        factors.append(atoms)
-    return factors
-
-
-def _needed_leaves(factors: Sequence[Sequence[Atom]]) -> set[int]:
-    needed: set[int] = set()
-    for factor in factors:
-        for atom in factor:
-            needed |= set(atom.components)
-    return needed
-
-
-def _decompose(atoms: Sequence[Atom], eliminated: set[int], graph: PGraph,
-               binding: Mapping[Variable, int]) -> list[Atom]:
+def _decompose(atoms: Sequence[Atom], eliminated: set[int], table: _DimTable) -> list[Atom]:
     """Rebuild intermediate atoms after eliminating some reduction dims."""
-    dims_by_uid = _dims_by_uid(graph)
     result: list[Atom] = []
     for atom in atoms:
         if atom.identity in eliminated:
@@ -228,7 +248,7 @@ def _decompose(atoms: Sequence[Atom], eliminated: set[int], graph: PGraph,
             # The axis covered an eliminated coordinate: fall back to the
             # surviving leaf coordinates it covered.
             for uid in sorted(atom.leaf_components - eliminated):
-                result.append(_atom_for(dims_by_uid[uid], graph, binding))
+                result.append(table.atom(table.dims_by_uid[uid]))
         else:
             result.append(atom)
     return result
@@ -243,69 +263,49 @@ def _dims_by_uid(graph: PGraph) -> dict[int, Dim]:
 
 
 def _program_for_order(
-    operator: SynthesizedOperator,
-    binding: Mapping[Variable, int],
-    weight_order: Sequence[int],
-    reduction_order: Sequence[Dim],
+    table: _DimTable, weight_order: Sequence[int], reduction_order: Sequence[Dim]
 ) -> list[LoopNest]:
-    graph = operator.graph
-    weight_factors = _weight_factor_atoms(graph, binding)
-    input_atoms = [_atom_for(dim, graph, binding) for dim in graph.frontier]
-    output_atoms = [_atom_for(dim, graph, binding) for dim in graph.output_dims]
-    output_elements = 1
-    for dim in graph.output_dims:
-        output_elements *= dim.size.evaluate(binding)
-
-    reduction_uids = {dim.uid for dim in graph.reduction_dims}
-    current = list(input_atoms)
-    current_elements = 1
-    for dim in graph.frontier:
-        current_elements *= dim.size.evaluate(binding)
-
+    current = list(table.input_atoms)
+    current_elements = table.input_elements
     stages: list[LoopNest] = []
-    remaining_weights = list(weight_order)
-    pending_reductions = list(reduction_order)
-
-    def finalize_needed() -> set[int]:
-        needed = _needed_leaves([weight_factors[i] for i in remaining_weights])
-        needed |= {dim.uid for dim in graph.output_dims}
-        return needed
+    pending_reductions = {dim.uid for dim in reduction_order}
 
     for step_index, weight_index in enumerate(weight_order):
-        remaining_weights = [w for w in weight_order if weight_order.index(w) > step_index]
-        participating = current + list(weight_factors[weight_index])
+        participating = current + table.weight_factors[weight_index]
         macs, kept = _count(participating)
-        needed = finalize_needed()
+        # Reductions a later weight or the output still reads stay live.
+        needed = set(table.output_uids)
+        for later in weight_order[step_index + 1:]:
+            needed |= table.weight_needs[later]
         eliminated = {
             uid
-            for uid in reduction_uids
+            for uid in table.reduction_uids
             if uid not in needed and any(uid in atom.components for atom in kept)
         }
-        new_atoms = _decompose(kept, eliminated, graph, binding)
+        new_atoms = _decompose(kept, eliminated, table)
         out_elems, _ = _count(new_atoms)
-        weight_elems = graph.weights[weight_index].parameter_count(binding)
         stages.append(
             LoopNest(
                 name=f"contract_w{weight_index}",
                 extents=tuple(atom.extent for atom in kept),
                 macs=macs,
                 input_elements=current_elements,
-                weight_elements=weight_elems,
+                weight_elements=table.weight_elements[weight_index],
                 output_elements=out_elems,
             )
         )
         current = new_atoms
         current_elements = out_elems
-        pending_reductions = [dim for dim in pending_reductions if dim.uid not in eliminated]
+        pending_reductions -= eliminated
 
     # Remaining reductions (none of them touch weights anymore): one stage each.
     for dim in reduction_order:
-        if dim not in pending_reductions:
+        if dim.uid not in pending_reductions:
             continue
-        participating = current + [_atom_for(dim, graph, binding)]
+        participating = current + [table.atom(dim)]
         macs, kept = _count(participating)
         eliminated = {dim.uid}
-        new_atoms = _decompose(kept, eliminated, graph, binding)
+        new_atoms = _decompose(kept, eliminated, table)
         out_elems, _ = _count(new_atoms)
         stages.append(
             LoopNest(
@@ -319,11 +319,11 @@ def _program_for_order(
         )
         current = new_atoms
         current_elements = out_elems
-        pending_reductions.remove(dim)
+        pending_reductions.discard(dim.uid)
 
     # Final stage: produce the output if the last contraction did not already.
-    final_atoms = current + output_atoms
-    macs, kept = _count(final_atoms)
+    output_elements = table.output_elements
+    macs, kept = _count(current + table.output_atoms)
     if current_elements != output_elements or macs != current_elements:
         stages.append(
             LoopNest(
@@ -354,12 +354,8 @@ def lower_to_loopnest(
     graph = operator.graph
     naive_macs = graph.macs(binding)
     parameter_count = graph.parameter_count(binding)
-    input_elements = 1
-    for size in operator.spec.input_shape:
-        input_elements *= size.evaluate(binding)
-    output_elements = 1
-    for size in operator.spec.output_shape:
-        output_elements *= size.evaluate(binding)
+    input_elements = operator.spec.input_shape.numel(binding)
+    output_elements = operator.spec.output_shape.numel(binding)
 
     naive_stage = LoopNest(
         name="naive",
@@ -389,13 +385,13 @@ def lower_to_loopnest(
     if len(weight_orders) > max_orderings:
         weight_orders = weight_orders[:max_orderings]
 
+    table = _DimTable(graph, binding)
     best = naive_program
     for weight_order in weight_orders:
         for reduction_order in reduction_orders:
-            stages = _program_for_order(operator, binding, list(weight_order), list(reduction_order))
             program = LoopNestProgram(
                 operator_name=operator.spec.name,
-                stages=tuple(stages),
+                stages=tuple(_program_for_order(table, weight_order, reduction_order)),
                 naive_macs=naive_macs,
                 parameter_count=parameter_count,
                 input_elements=input_elements,
@@ -404,3 +400,51 @@ def lower_to_loopnest(
             if program.macs < best.macs:
                 best = program
     return best
+
+
+def lowering_cache_key(
+    operator: SynthesizedOperator,
+    binding: Mapping[Variable, int],
+    materialize: bool = True,
+    max_orderings: int = 24,
+) -> tuple:
+    """The memoization key: everything :func:`lower_to_loopnest` reads.
+
+    The canonical signature fixes the application structure; the spec's
+    :attr:`~repro.core.operator.OperatorSpec.shape_key` (name plus symbolic
+    input and output shapes) fixes the program name, the element counts and,
+    through the output shape the graph is rooted at, every dim's symbolic
+    size; the sorted binding makes each size concrete.
+    """
+    return (
+        operator.graph.signature(),
+        operator.spec.shape_key,
+        tuple(sorted((variable.name, int(value)) for variable, value in binding.items())),
+        materialize,
+        max_orderings,
+    )
+
+
+def cached_loopnest(
+    operator: SynthesizedOperator,
+    binding: Mapping[Variable, int],
+    materialize: bool = True,
+    max_orderings: int = 24,
+    runtime: RuntimeContext | None = None,
+) -> LoopNestProgram:
+    """The lowering of ``(operator, binding)``, memoized per context.
+
+    Lowering depends on neither the compiler backend nor the hardware target,
+    so the latency evaluators, which re-lower every (operator, slot) pair for
+    each of them, pay for it once.  ``runtime`` is the
+    :class:`~repro.runtime.RuntimeContext` whose lowering cache is used;
+    ``None`` resolves the ambient context.  A :class:`~repro.ir.size.SizeError`
+    (the pairing has no integral sizes) propagates and is not cached.
+    """
+    context = runtime if runtime is not None else current()
+    return context.cached_lowering(
+        lowering_cache_key(operator, binding, materialize, max_orderings),
+        lambda: lower_to_loopnest(
+            operator, binding, materialize=materialize, max_orderings=max_orderings
+        ),
+    )

@@ -12,6 +12,7 @@ slot).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -35,6 +36,16 @@ class OperatorSpec:
     input_shape: ShapeSpec
     output_shape: ShapeSpec
     bindings: tuple[Mapping[Variable, int], ...] = ()
+
+    @functools.cached_property
+    def shape_key(self) -> str:
+        """``name:input->output`` as text, computed once per spec.
+
+        The slot identity the lowering cache keys on: unlike the shapes
+        themselves (whose ``Fraction`` factors hash slowly) a string hashes
+        once and is free to look up afterwards.
+        """
+        return f"{self.name}:{self.input_shape!r}->{self.output_shape!r}"
 
     @property
     def primary_variables(self) -> frozenset[Variable]:

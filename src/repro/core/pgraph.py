@@ -294,7 +294,20 @@ class PGraph:
         return "\n".join(lines)
 
     def signature(self) -> str:
-        """A structural signature used for deduplication of candidates."""
+        """A structural signature used for deduplication of candidates.
+
+        Computed once per graph and kept on the (immutable) instance: it is
+        the key of every evaluation cache, so lookups must cost less than
+        what they save.  ``dataclasses.replace`` builds a new instance and
+        recomputes; a pickled graph carries its signature along.
+        """
+        cached = self.__dict__.get("_signature")
+        if cached is None:
+            cached = self._compute_signature()
+            object.__setattr__(self, "_signature", cached)
+        return cached
+
+    def _compute_signature(self) -> str:
         parts = []
         dim_labels: dict[int, str] = {}
 

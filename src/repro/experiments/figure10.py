@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.codegen.loopnest import lower_to_loopnest
+from repro.codegen.loopnest import cached_loopnest
 from repro.compiler.backends import TVMBackend, linear_loopnest
 from repro.compiler.targets import A100
 from repro.core.library import GROUPS, K, K1, M, OUT_FEATURES, SHRINK, build_grouped_projection
@@ -77,7 +77,7 @@ def estimated_training_speedup(embed_dim: int = 768, seq_tokens: int = 1024, gro
     baseline = backend.compile(baseline_program, A100).latency_seconds * 3  # Q, K and V
     operator = build_grouped_projection()
     binding = {M: seq_tokens, K: embed_dim, OUT_FEATURES: embed_dim, GROUPS: groups}
-    substituted_program = lower_to_loopnest(operator, binding)
+    substituted_program = cached_loopnest(operator, binding)
     substituted = backend.compile(substituted_program, A100).latency_seconds * 3
     # Attention + MLP + other projections make up the rest of a block's time;
     # QKV is roughly 25% of it for GPT-2's dimensions.

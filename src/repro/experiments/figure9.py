@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.codegen.loopnest import lower_to_loopnest
+from repro.codegen.loopnest import cached_loopnest
 from repro.compiler.backends import CompilerBackend, loopnest_for_slot
 from repro.compiler.targets import HardwareTarget
 from repro.experiments.common import (
@@ -130,7 +130,7 @@ def run(
                 for candidate in list(syno) + list(nas_pte):
                     binding = binding_for_slot(slot, 1, candidate.coefficients)
                     try:
-                        program = lower_to_loopnest(candidate.operator, binding)
+                        program = cached_loopnest(candidate.operator, binding)
                     except Exception:
                         continue  # coefficients do not divide this layer's channels
                     tuned = backend.compile(program, target)

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.codegen.eager import LoweringError
-from repro.codegen.loopnest import lower_to_loopnest
+from repro.codegen.loopnest import cached_loopnest
 from repro.compiler.backends import TVMBackend, linear_loopnest
 from repro.compiler.targets import A100
 from repro.core.library import GROUPS
@@ -310,7 +310,7 @@ def run(
             continue
         operator = sample.operator
         try:
-            program = lower_to_loopnest(operator, binding)
+            program = cached_loopnest(operator, binding)
         except LoweringError as exc:
             log.warning(
                 "qualified candidate %s does not lower to a loop nest: %s",

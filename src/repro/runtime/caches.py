@@ -1,7 +1,7 @@
 """Evaluation caches as an owned object (`CacheSet`) instead of module globals.
 
-A :class:`CacheSet` bundles the four evaluation caches — reward, compile,
-baseline and plan.  Each :class:`~repro.runtime.context.RuntimeContext`
+A :class:`CacheSet` bundles the five evaluation caches — reward, compile,
+baseline, plan and lowering.  Each :class:`~repro.runtime.context.RuntimeContext`
 owns one, so two contexts in one process have fully isolated caches.
 
 Snapshot persistence (:meth:`CacheSet.save_snapshot` /
@@ -259,13 +259,13 @@ class SnapshotStatus:
 
 
 class CacheSet:
-    """The four evaluation caches one runtime context owns.
+    """The five evaluation caches one runtime context owns.
 
-    ``reward``/``compile_``/``baseline`` persist to disk; ``plan`` holds
-    numpy index arrays and contraction paths that are cheap to recompile, so
-    it is memoized in memory only.  All four participate in shard-delta
-    export/merge (shipping a compiled plan saves the recompile on the next
-    wave).
+    ``reward``/``compile_``/``baseline`` persist to disk.  ``plan`` (numpy
+    index arrays and contraction paths) and ``lowering`` (loop-nest programs)
+    are cheap to recompute, so they are memoized in memory only.  All five
+    participate in shard-delta export/merge (shipping a compiled plan or a
+    lowering saves the recompute on the next wave).
     """
 
     def __init__(self) -> None:
@@ -273,6 +273,7 @@ class CacheSet:
         self.compile_ = KeyedCache("compile")
         self.baseline = KeyedCache("baseline")
         self.plan = KeyedCache("plan")
+        self.lowering = KeyedCache("lowering")
         #: status of the most recent snapshot load/save through this set.
         self.last_load: SnapshotStatus | None = None
         self.last_save: SnapshotStatus | None = None
@@ -293,13 +294,14 @@ class CacheSet:
             "baseline": self.baseline,
             "compile": self.compile_,
             "plan": self.plan,
+            "lowering": self.lowering,
         }
 
     def persisted(self) -> tuple[KeyedCache, ...]:
         return (self.reward, self.compile_, self.baseline)
 
     def all(self) -> tuple[KeyedCache, ...]:
-        return (self.reward, self.compile_, self.baseline, self.plan)
+        return (self.reward, self.compile_, self.baseline, self.plan, self.lowering)
 
     # -- bookkeeping ---------------------------------------------------------
 

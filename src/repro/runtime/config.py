@@ -110,7 +110,7 @@ class RuntimeConfig:
     dtype: str | None = None
     #: run lowered operators through compiled execution plans.
     compiled_forward: bool = True
-    #: whether the reward/baseline/compile/plan caches are active.
+    #: whether the reward/baseline/compile/plan/lowering caches are active.
     eval_cache: bool = True
     #: worker processes for the legacy candidate-evaluation fan-out.
     eval_processes: int = 1

@@ -2,7 +2,8 @@
 
 A :class:`RuntimeContext` bundles everything that used to be process-global
 state: a frozen :class:`~repro.runtime.config.RuntimeConfig`, a
-:class:`~repro.runtime.caches.CacheSet` (reward/baseline/compile/plan), the
+:class:`~repro.runtime.caches.CacheSet`
+(reward/baseline/compile/plan/lowering), the
 :class:`~repro.results.ArtifactStore` rooted at the config's results
 directory, and a root RNG seeded from the config.  Two contexts with
 different dtypes, budgets or shard counts coexist in one process with fully
@@ -232,6 +233,12 @@ class RuntimeContext:
     def cached_plan(self, key: Hashable, compute: Callable[[], T]) -> T:
         """A compiled execution plan for one (signature, binding, shapes) key."""
         return self.caches.plan.get_or_compute(
+            key, compute, enabled=self.config.eval_cache
+        )
+
+    def cached_lowering(self, key: Hashable, compute: Callable[[], T]) -> T:
+        """A ``LoopNestProgram`` for one (signature, spec, binding, options) key."""
+        return self.caches.lowering.get_or_compute(
             key, compute, enabled=self.config.eval_cache
         )
 

@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from repro.codegen.eager import LoweringError
-from repro.codegen.loopnest import lower_to_loopnest
+from repro.codegen.loopnest import cached_loopnest
 from repro.compiler.backends import CompilerBackend, TuneResult, loopnest_for_slot
 from repro.compiler.targets import HardwareTarget
 from repro.core.operator import SynthesizedOperator
@@ -261,7 +261,7 @@ class LatencyEvaluator:
         if operator is not None and slot_is_substitutable(slot):
             binding = binding_for_slot(slot, self.batch, self.coefficients)
             try:
-                return lower_to_loopnest(operator, binding)
+                return cached_loopnest(operator, binding, runtime=self.runtime)
             except SizeError as exc:
                 # The (operator, slot) pairing has no integral sizes — e.g. a
                 # coefficient that does not divide this slot's channels.  The
@@ -293,7 +293,7 @@ class LatencyEvaluator:
         for slot in substitutable_slots(self.slots):
             baseline = self._compile(loopnest_for_slot(slot, batch=self.batch))
             binding = binding_for_slot(slot, self.batch, self.coefficients)
-            substituted = self._compile(lower_to_loopnest(operator, binding))
+            substituted = self._compile(cached_loopnest(operator, binding, runtime=self.runtime))
             results.append((slot, baseline, substituted))
         return results
 
@@ -306,7 +306,7 @@ class LatencyEvaluator:
                 continue
             binding = binding_for_slot(slot, self.batch, self.coefficients)
             try:
-                total += lower_to_loopnest(operator, binding).macs
+                total += cached_loopnest(operator, binding, runtime=self.runtime).macs
             except SizeError:
                 # Slots the coefficients do not divide keep their standard conv.
                 total += slot.macs(self.batch)

@@ -614,16 +614,18 @@ def _live_refresh(runtime: RuntimeContext) -> None:
 def _live_publish(runtime: RuntimeContext, deltas: Sequence[dict]) -> None:
     """Publish this wave's fresh cache entries to the shared store.
 
-    Plan entries stay in memory (they are cheap to recompile and are not part
-    of the persisted store format); a held lock or write failure is logged
-    and skipped — live sync is an optimisation, never a correctness gate.
+    Only the caches :meth:`CacheSet.persisted` names are published; the
+    memory-only ones (plans, lowerings) are cheap to recompute and are not
+    part of the persisted store format.  A held lock or write failure is
+    logged and skipped — live sync is an optimisation, never a correctness
+    gate.
     """
+    persisted = {cache.name for cache in runtime.caches.persisted()}
     combined: dict[str, dict] = {}
     for delta in deltas:
         for name, entries in delta.items():
-            if name == "plan":
-                continue
-            combined.setdefault(name, {}).update(entries)
+            if name in persisted:
+                combined.setdefault(name, {}).update(entries)
     if not any(combined.values()):
         return
     cap = runtime.config.cache_max_entries

@@ -249,7 +249,7 @@ def test_cli_cache_json_round_trips_the_snapshot_status(tmp_path, capsys):
     assert status.status == "loaded" and status.ok
     assert payload["path"] == str(ArtifactStore(tmp_path).cache_path)
     assert payload["lock"] is None  # nobody is writing
-    assert set(payload["sizes"]) >= {"reward", "compile", "baseline", "plan"}
+    assert set(payload["sizes"]) >= {"reward", "compile", "baseline", "plan", "lowering"}
 
 
 def test_cli_config_renders_table_and_json(capsys, monkeypatch):

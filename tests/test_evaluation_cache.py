@@ -3,22 +3,43 @@
 Covers the runtime context's caches (:class:`repro.runtime.CacheSet`), their
 wiring into MCTS, the compiler backends and the search session, and the
 budget plumbing bugfixes (``REPRO_TRAIN_STEPS``, ``rollout_depth=0``,
-narrowed reward-suppression and lowering-skip handlers).
+narrowed reward-suppression and lowering-skip handlers), and the loop-nest
+lowering memo with the cached ``PGraph.signature()`` it keys on.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.codegen.eager import LoweringError
+from repro.codegen.loopnest import cached_loopnest, lower_to_loopnest
 from repro.compiler.backends import CompilerBackend, TuneResult, TVMBackend, loopnest_for_slot
 from repro.compiler.schedule import default_schedule
 from repro.compiler.targets import MOBILE_CPU
 from repro.core.enumeration import default_options_for
-from repro.core.library import K, M, OUT_FEATURES, matmul_spec
+from repro.core.library import (
+    C_IN,
+    C_OUT,
+    GROUPS,
+    H,
+    K,
+    K1,
+    M,
+    N,
+    OUT_FEATURES,
+    SHRINK,
+    W,
+    build_operator1,
+    matmul_spec,
+)
 from repro.core.mcts import MCTS, MCTSConfig
+from repro.experiments.common import evaluate_model, syno_candidates
 from repro.nn.models.common import ConvSlot
 from repro.nn.models.resnet import resnet18
+from repro.ir.shape import ShapeSpec
 from repro.ir.size import SizeError
 from repro.runtime import KeyedCache, RuntimeConfig, RuntimeContext, current
 from repro.search import SearchConfig, SearchSession
@@ -333,13 +354,21 @@ class TestLatencyLoweringNarrowing:
     SLOTS = (ConvSlot("c1", 16, 16, 8, 3, 1), ConvSlot("c2", 16, 32, 8, 3, 1))
 
     def _evaluator(self):
-        return LatencyEvaluator(slots=self.SLOTS, backend=TVMBackend(trials=8), target=MOBILE_CPU)
+        # An isolated context: a lowering memoized earlier would be served
+        # without ever reaching the patched function.
+        return LatencyEvaluator(
+            slots=self.SLOTS,
+            backend=TVMBackend(trials=8),
+            target=MOBILE_CPU,
+            runtime=current().isolated(),
+        )
 
     def _lowering_raises(self, monkeypatch, exc):
-        def lower(operator, binding):
+        def lower(operator, binding, **options):
             raise exc
 
-        monkeypatch.setattr("repro.search.evaluator.lower_to_loopnest", lower)
+        # The lowering behind the evaluators' entry point, cached_loopnest.
+        monkeypatch.setattr("repro.codegen.loopnest.lower_to_loopnest", lower)
 
     def test_size_error_keeps_the_standard_convolution(self, monkeypatch, caplog):
         from repro.core.library import build_operator1
@@ -352,6 +381,7 @@ class TestLatencyLoweringNarrowing:
             assert evaluator.substituted_latency(build_operator1()) == baseline
         assert "operator not lowerable at slot" in caplog.text
         assert evaluator.macs(build_operator1()) == standard_macs
+        assert len(evaluator.runtime.caches.lowering) == 0  # failures are not memoized
 
     def test_other_lowering_errors_propagate(self, monkeypatch):
         from repro.core.library import build_operator1
@@ -395,3 +425,116 @@ class TestCachedRewardHelper:
     def test_contexts_are_isolated(self):
         current().cached_reward("ctx-a", "sig", lambda: 0.1)
         assert current().cached_reward("ctx-b", "sig", lambda: 0.9) == 0.9
+
+
+LOWERING_BINDING = {N: 1, C_IN: 64, C_OUT: 64, H: 14, W: 14, K1: 3, GROUPS: 4, SHRINK: 2}
+
+
+class TestLoweringMemo:
+    def test_repeated_lowering_is_a_hit_returning_the_same_object(self):
+        ctx = RuntimeContext(RuntimeConfig())
+        operator = build_operator1()
+        first = cached_loopnest(operator, LOWERING_BINDING, runtime=ctx)
+        # A rebuilt operator (fresh dim uids, same structure) hits too.
+        assert cached_loopnest(build_operator1(), dict(LOWERING_BINDING), runtime=ctx) is first
+        assert first == lower_to_loopnest(operator, LOWERING_BINDING)
+        stats = ctx.caches.stats()["lowering"]
+        assert (stats.hits, stats.misses) == (1, 1)
+
+    def test_nothing_aliases(self):
+        ctx = RuntimeContext(RuntimeConfig())
+        operator = build_operator1()
+        renamed = dataclasses.replace(
+            operator, spec=dataclasses.replace(operator.spec, name="renamed")
+        )
+        reshaped = dataclasses.replace(
+            operator,
+            spec=dataclasses.replace(operator.spec, input_shape=ShapeSpec.of([N, C_IN, W, H])),
+        )
+        variants = [
+            (operator, LOWERING_BINDING, {}),
+            (renamed, LOWERING_BINDING, {}),
+            (reshaped, LOWERING_BINDING, {}),
+            (operator, {**LOWERING_BINDING, H: 7, W: 7}, {}),
+            (operator, LOWERING_BINDING, {"materialize": False}),
+            (operator, LOWERING_BINDING, {"max_orderings": 1}),
+        ]
+        programs = [
+            cached_loopnest(op, binding, runtime=ctx, **options)
+            for op, binding, options in variants
+        ]
+        assert len(ctx.caches.lowering) == len(variants)
+        assert ctx.caches.stats()["lowering"].hits == 0
+        for program, (op, binding, options) in zip(programs, variants):
+            assert program == lower_to_loopnest(op, binding, **options)
+        assert programs[1].operator_name == "renamed"
+        assert programs[1].structural_key() == programs[0].structural_key()
+        assert programs[4].macs > programs[0].macs
+
+    def test_eval_cache_off_bypasses_the_memo(self):
+        ctx = RuntimeContext(RuntimeConfig(eval_cache=False))
+        operator = build_operator1()
+        first = cached_loopnest(operator, LOWERING_BINDING, runtime=ctx)
+        second = cached_loopnest(operator, LOWERING_BINDING, runtime=ctx)
+        assert first == second and first is not second
+        assert len(ctx.caches.lowering) == 0
+        assert ctx.caches.stats()["lowering"].lookups == 0
+
+    def test_isolated_contexts_share_nothing(self):
+        ctx = RuntimeContext(RuntimeConfig())
+        operator = build_operator1()
+        warm = cached_loopnest(operator, LOWERING_BINDING, runtime=ctx)
+        isolated = ctx.isolated()
+        assert cached_loopnest(operator, LOWERING_BINDING, runtime=isolated) is not warm
+        assert isolated.caches.stats()["lowering"].misses == 1
+        # A derived context shares the caches, so it hits.
+        assert cached_loopnest(operator, LOWERING_BINDING, runtime=ctx.derive()) is warm
+
+    def test_size_errors_propagate_uncached(self):
+        ctx = RuntimeContext(RuntimeConfig())
+        indivisible = {**LOWERING_BINDING, C_IN: 6}
+        for _ in range(2):
+            with pytest.raises(SizeError):
+                cached_loopnest(build_operator1(), indivisible, runtime=ctx)
+        assert len(ctx.caches.lowering) == 0
+        assert ctx.caches.stats()["lowering"].misses == 2
+
+    def test_two_shard_evaluate_model_merges_lowerings_into_the_parent(self):
+        slots = [ConvSlot("c1", 16, 16, 8, 3, 1), ConvSlot("c2", 16, 32, 8, 3, 1)]
+        results = {}
+        contexts = {}
+        for shards in (1, 2):
+            contexts[shards] = RuntimeContext(RuntimeConfig(shards=shards))
+            results[shards] = evaluate_model(
+                "unit", slots, TVMBackend(trials=8), MOBILE_CPU,
+                syno_candidates()[:2], shards=shards, runtime=contexts[shards],
+            )
+        assert results[2] == results[1]
+        serial, sharded = contexts[1].caches.lowering, contexts[2].caches.lowering
+        assert len(serial) > 0
+        assert sharded.key_snapshot() == serial.key_snapshot()
+        for key in serial.key_snapshot():
+            assert sharded.lookup(key) == serial.lookup(key)
+
+
+class TestCachedSignature:
+    def test_cached_signature_equals_a_fresh_computation(self):
+        graph = build_operator1().graph
+        signature = graph.signature()
+        assert graph.signature() is signature
+        # A structurally identical graph (fresh uids) computes it from scratch.
+        assert build_operator1().graph.signature() == signature
+
+    def test_signature_survives_pickle(self):
+        graph = build_operator1().graph
+        signature = graph.signature()
+        clone = pickle.loads(pickle.dumps(graph))
+        assert clone == graph
+        assert clone.signature() == signature
+
+    def test_replace_recomputes_the_signature(self):
+        graph = build_operator1().graph
+        signature = graph.signature()
+        trimmed = dataclasses.replace(graph, applications=graph.applications[:-1])
+        assert trimmed.signature() == ";".join(signature.split(";")[:-1])
+        assert dataclasses.replace(graph).signature() == signature

@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 
 from repro.core.enumeration import default_options_for
-from repro.core.library import K, M, OUT_FEATURES, matmul_spec
+from repro.codegen.loopnest import cached_loopnest
+from repro.core.library import K, M, OUT_FEATURES, build_matmul, matmul_spec
 from repro.core.mcts import MCTS, MCTSConfig
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.runtime import RuntimeConfig, RuntimeContext, SharedCacheStore, current
@@ -287,6 +288,13 @@ def _live_probe(item):
     return current().cached_reward("live", f"sig{item}", lambda: float(item))
 
 
+def _live_probe_with_lowering(item):
+    """Like :func:`_live_probe`, plus a memory-only lowering cache entry."""
+    binding = {M: 4, K: 2 * item, OUT_FEATURES: 5}
+    cached_loopnest(build_matmul(), binding)
+    return _live_probe(item)
+
+
 def _live_context(tmp_path, **overrides) -> RuntimeContext:
     config = RuntimeConfig(
         results_dir=str(tmp_path / "results"), cache_live_sync=True, **overrides
@@ -353,6 +361,19 @@ class TestLiveStoreSync:
         assert status.status == "loaded"
         assert status.error == ""  # the publish repaired the torn tail
         assert entries["reward"][("live", "sig1")] == 1.0
+
+    @pytest.mark.parametrize("max_workers", [2, 1])
+    def test_memory_only_caches_never_reach_the_store(self, tmp_path, max_workers):
+        ctx = _live_context(tmp_path)
+        results = sharded_map(
+            _live_probe_with_lowering, [1, 2], shards=2, max_workers=max_workers, runtime=ctx
+        )
+        assert results == [1.0, 2.0]
+        assert len(ctx.caches.lowering) == 2  # computed (and merged back) ...
+        entries, status = SharedCacheStore(ctx.snapshot_path()).load()
+        assert status.status == "loaded"
+        assert entries["reward"] == {("live", "sig1"): 1.0, ("live", "sig2"): 2.0}
+        assert "lowering" not in entries and "plan" not in entries  # ... but not published
 
     def test_live_sync_is_off_by_default(self, tmp_path):
         ctx = RuntimeContext(RuntimeConfig(results_dir=str(tmp_path / "results")))
