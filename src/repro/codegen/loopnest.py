@@ -402,37 +402,12 @@ def lower_to_loopnest(
     return best
 
 
-def lowering_cache_key(
-    operator: SynthesizedOperator,
-    binding: Mapping[Variable, int],
-    materialize: bool = True,
-    max_orderings: int = 24,
-) -> tuple:
-    """The memoization key: everything :func:`lower_to_loopnest` reads.
-
-    The canonical signature fixes the application structure; the spec's
-    :attr:`~repro.core.operator.OperatorSpec.shape_key` (name plus symbolic
-    input and output shapes) fixes the program name, the element counts and,
-    through the output shape the graph is rooted at, every dim's symbolic
-    size; the sorted binding makes each size concrete.
-    """
-    return (
-        operator.graph.signature(),
-        operator.spec.shape_key,
-        tuple(sorted((variable.name, int(value)) for variable, value in binding.items())),
-        materialize,
-        max_orderings,
-    )
-
-
 def cached_loopnest(
     operator: SynthesizedOperator,
     binding: Mapping[Variable, int],
-    materialize: bool = True,
-    max_orderings: int = 24,
     runtime: RuntimeContext | None = None,
 ) -> LoopNestProgram:
-    """The lowering of ``(operator, binding)``, memoized per context.
+    """:func:`lower_to_loopnest` of ``(operator, binding)``, memoized per context.
 
     Lowering depends on neither the compiler backend nor the hardware target,
     so the latency evaluators, which re-lower every (operator, slot) pair for
@@ -440,11 +415,21 @@ def cached_loopnest(
     :class:`~repro.runtime.RuntimeContext` whose lowering cache is used;
     ``None`` resolves the ambient context.  A :class:`~repro.ir.size.SizeError`
     (the pairing has no integral sizes) propagates and is not cached.
+
+    The key holds everything the lowering reads.  The canonical signature
+    fixes the application structure and the weight signature the dim each
+    weight axis is indexed by; the spec's
+    :attr:`~repro.core.operator.OperatorSpec.shape_key` (name plus symbolic
+    input and output shapes) fixes the program name, the element counts and,
+    since a graph is rooted at its spec's output shape, every dim's symbolic
+    size; the sorted binding makes each size concrete.
     """
-    context = runtime if runtime is not None else current()
-    return context.cached_lowering(
-        lowering_cache_key(operator, binding, materialize, max_orderings),
-        lambda: lower_to_loopnest(
-            operator, binding, materialize=materialize, max_orderings=max_orderings
-        ),
+    graph = operator.graph
+    key = (
+        graph.signature(),
+        graph.weight_signature(),
+        operator.spec.shape_key,
+        tuple(sorted((variable.name, int(value)) for variable, value in binding.items())),
     )
+    context = runtime if runtime is not None else current()
+    return context.cached_lowering(key, lambda: lower_to_loopnest(operator, binding))

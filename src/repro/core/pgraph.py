@@ -301,13 +301,27 @@ class PGraph:
         what they save.  ``dataclasses.replace`` builds a new instance and
         recomputes; a pickled graph carries its signature along.
         """
-        cached = self.__dict__.get("_signature")
+        return self._signatures()[0]
+
+    def weight_signature(self) -> str:
+        """The dim each weight axis is identified with, in :meth:`signature`'s labels.
+
+        The signature names a ``Share``'s matched dims but not its shared dim,
+        so graphs that differ only in which frontier dim a weight is indexed
+        by (``Share`` on dim 0 or on dim 1 of the same output) share a
+        signature.  Keys that must tell them apart add this string.  Cached
+        with the signature.
+        """
+        return self._signatures()[1]
+
+    def _signatures(self) -> tuple[str, str]:
+        cached = self.__dict__.get("_signature_cache")
         if cached is None:
-            cached = self._compute_signature()
-            object.__setattr__(self, "_signature", cached)
+            cached = self._compute_signatures()
+            object.__setattr__(self, "_signature_cache", cached)
         return cached
 
-    def _compute_signature(self) -> str:
+    def _compute_signatures(self) -> tuple[str, str]:
         parts = []
         dim_labels: dict[int, str] = {}
 
@@ -328,7 +342,11 @@ class PGraph:
                     app.weight_index if app.weight_index is not None else "",
                 )
             )
-        return ";".join(parts)
+        weights = ";".join(
+            ",".join(label(wdim.identified_with) for wdim in weight.dims)
+            for weight in self.weights
+        )
+        return ";".join(parts), weights
 
     def __repr__(self) -> str:
         return f"PGraph(depth={self.depth}, frontier={self.frontier_shape!r})"

@@ -36,6 +36,9 @@ from repro.core.library import (
     matmul_spec,
 )
 from repro.core.mcts import MCTS, MCTSConfig
+from repro.core.operator import OperatorSpec, SynthesizedOperator
+from repro.core.pgraph import PGraph
+from repro.core.primitives import Share
 from repro.experiments.common import evaluate_model, syno_candidates
 from repro.nn.models.common import ConvSlot
 from repro.nn.models.resnet import resnet18
@@ -364,7 +367,7 @@ class TestLatencyLoweringNarrowing:
         )
 
     def _lowering_raises(self, monkeypatch, exc):
-        def lower(operator, binding, **options):
+        def lower(operator, binding):
             raise exc
 
         # The lowering behind the evaluators' entry point, cached_loopnest.
@@ -452,24 +455,36 @@ class TestLoweringMemo:
             spec=dataclasses.replace(operator.spec, input_shape=ShapeSpec.of([N, C_IN, W, H])),
         )
         variants = [
-            (operator, LOWERING_BINDING, {}),
-            (renamed, LOWERING_BINDING, {}),
-            (reshaped, LOWERING_BINDING, {}),
-            (operator, {**LOWERING_BINDING, H: 7, W: 7}, {}),
-            (operator, LOWERING_BINDING, {"materialize": False}),
-            (operator, LOWERING_BINDING, {"max_orderings": 1}),
+            (operator, LOWERING_BINDING),
+            (renamed, LOWERING_BINDING),
+            (reshaped, LOWERING_BINDING),
+            (operator, {**LOWERING_BINDING, H: 7, W: 7}),
         ]
-        programs = [
-            cached_loopnest(op, binding, runtime=ctx, **options)
-            for op, binding, options in variants
-        ]
+        programs = [cached_loopnest(op, binding, runtime=ctx) for op, binding in variants]
         assert len(ctx.caches.lowering) == len(variants)
         assert ctx.caches.stats()["lowering"].hits == 0
-        for program, (op, binding, options) in zip(programs, variants):
-            assert program == lower_to_loopnest(op, binding, **options)
+        for program, (op, binding) in zip(programs, variants):
+            assert program == lower_to_loopnest(op, binding)
         assert programs[1].operator_name == "renamed"
         assert programs[1].structural_key() == programs[0].structural_key()
-        assert programs[4].macs > programs[0].macs
+
+    def test_weights_indexed_by_different_dims_do_not_alias(self):
+        # Share's shared dim is not in the signature: a weight over C and one
+        # over H leave the same signature behind.
+        spec = OperatorSpec("scale", ShapeSpec.of([C_IN, H]), ShapeSpec.of([C_IN, H]))
+        operators = []
+        for shared in range(2):
+            root = PGraph.root(spec.output_shape, spec.input_shape)
+            graph = Share(new_weight=True).apply(root, (root.frontier[shared],))
+            operators.append(SynthesizedOperator.from_graph(graph, spec))
+        assert operators[0].graph.signature() == operators[1].graph.signature()
+        ctx = RuntimeContext(RuntimeConfig())
+        binding = {C_IN: 8, H: 5}
+        programs = [cached_loopnest(op, binding, runtime=ctx) for op in operators]
+        assert [program.parameter_count for program in programs] == [8, 5]
+        for program, op in zip(programs, operators):
+            assert program == lower_to_loopnest(op, binding)
+        assert ctx.caches.stats()["lowering"].hits == 0
 
     def test_eval_cache_off_bypasses_the_memo(self):
         ctx = RuntimeContext(RuntimeConfig(eval_cache=False))
@@ -524,13 +539,14 @@ class TestCachedSignature:
         assert graph.signature() is signature
         # A structurally identical graph (fresh uids) computes it from scratch.
         assert build_operator1().graph.signature() == signature
+        assert build_operator1().graph.weight_signature() == graph.weight_signature()
 
     def test_signature_survives_pickle(self):
         graph = build_operator1().graph
-        signature = graph.signature()
+        signature, weights = graph.signature(), graph.weight_signature()
         clone = pickle.loads(pickle.dumps(graph))
         assert clone == graph
-        assert clone.signature() == signature
+        assert (clone.signature(), clone.weight_signature()) == (signature, weights)
 
     def test_replace_recomputes_the_signature(self):
         graph = build_operator1().graph
