@@ -42,12 +42,12 @@ class AblationResult:
         return guided_rate / unguided_rate
 
     def to_table(self) -> str:
+        # The table is part of the run's fingerprint, so it must not print the
+        # wall-clock seconds: they differ on every run.
         return (
             f"trials per mode: {self.trials}\n"
-            f"guided:   {self.guided_valid} valid ({self.guided_distinct} distinct) "
-            f"in {self.guided_seconds:.2f}s\n"
-            f"unguided: {self.unguided_valid} valid ({self.unguided_distinct} distinct) "
-            f"in {self.unguided_seconds:.2f}s"
+            f"guided:   {self.guided_valid} valid ({self.guided_distinct} distinct)\n"
+            f"unguided: {self.unguided_valid} valid ({self.unguided_distinct} distinct)"
         )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import signal
 import subprocess
@@ -101,6 +102,22 @@ def test_inapplicable_kwargs_are_warned_and_excluded_from_the_record(caplog):
     # Identical effective runs agree on their fingerprint despite the noise.
     baseline = run_experiment("ablation-materialization")
     assert outcome.record.fingerprint() == baseline.record.fingerprint()
+
+
+def test_shape_distance_ablation_fingerprint_is_stable_across_runs(monkeypatch):
+    from repro.experiments import ablation_shape_distance
+
+    # A clock whose every interval is longer than the last: if any elapsed
+    # time reached the record, the two runs' fingerprints would differ.
+    steps = itertools.count()
+    monkeypatch.setattr(
+        ablation_shape_distance.time, "perf_counter", lambda: float(next(steps) ** 2)
+    )
+    config = ExperimentConfig(seed=3, options={"trials": 12})
+    first = run_experiment("ablation-shape-distance", config)
+    second = run_experiment("ablation-shape-distance", config)
+    assert first.result.guided_seconds != second.result.guided_seconds
+    assert first.record.fingerprint() == second.record.fingerprint()
 
 
 def test_runner_context_store_sentinel_resolves_to_the_run_context(tmp_path):
