@@ -63,6 +63,11 @@ class Dim:
     Dimensions have identity: two dims with the same size are distinct edges
     of the graph.  Weight dims additionally record which data-path dim they
     are identified with by a ``Share`` or its implicit ``Match``.
+
+    A dim hashes on its uid, and equality settles on identity or a uid
+    mismatch before falling back to comparing every field, so the relation
+    is the field-wise one without its cost on the frontier-membership tests
+    enumeration runs per candidate.
     """
 
     size: Size
@@ -70,6 +75,20 @@ class Dim:
     name: str = ""
     uid: int = field(default_factory=lambda: next(_DIM_COUNTER))
     identified_with: "Dim | None" = None
+
+    def __hash__(self) -> int:
+        return hash(self.uid)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.uid != other.uid:
+            return False
+        return (self.size, self.role, self.name, self.identified_with) == (
+            other.size, other.role, other.name, other.identified_with
+        )
 
     @property
     def is_reduction(self) -> bool:
@@ -222,7 +241,12 @@ class PGraph:
 
     @property
     def frontier_shape(self) -> ShapeSpec:
-        return ShapeSpec(tuple(dim.size for dim in self.frontier))
+        """The frontier's sizes, built once per (immutable) graph."""
+        shape = self.__dict__.get("_frontier_shape")
+        if shape is None:
+            shape = ShapeSpec(tuple(dim.size for dim in self.frontier))
+            object.__setattr__(self, "_frontier_shape", shape)
+        return shape
 
     @property
     def is_complete(self) -> bool:

@@ -18,6 +18,10 @@ The metric follows the paper's construction:
    paper does);
 4. repeated dimensions / permutations are free (the final matching may
    transpose).
+
+Synthesis asks for the distance of every generated child, and many children
+share a frontier shape, so :func:`shape_distance` is memoized in the ambient
+runtime context's caches (``RuntimeContext.cached_shape_distance``).
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from typing import Iterable
 
 from repro.ir.shape import ShapeSpec
 from repro.ir.size import Size
+from repro.runtime.context import current as current_runtime
 
 
 def _union_find_groups(lhs: ShapeSpec, rhs: ShapeSpec) -> list[tuple[list[Size], list[Size]]]:
@@ -111,10 +116,17 @@ def _group_bound(lhs: list[Size], rhs: list[Size]) -> int:
 def shape_distance(current: ShapeSpec, desired: ShapeSpec) -> int:
     """Estimated minimum number of primitives to reach ``desired`` from ``current``.
 
-    Returns 0 when the shapes already match as multisets.
+    Returns 0 when the shapes already match as multisets.  Memoized per
+    runtime context on both shapes' size tuples (see the module docstring).
     """
     current = ShapeSpec.of(current)
     desired = ShapeSpec.of(desired)
+    return current_runtime().cached_shape_distance(
+        (current.sizes, desired.sizes), lambda: _uncached_distance(current, desired)
+    )
+
+
+def _uncached_distance(current: ShapeSpec, desired: ShapeSpec) -> int:
     if current.same_multiset(desired):
         return 0
 

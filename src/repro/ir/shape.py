@@ -16,16 +16,29 @@ from repro.ir.variables import Variable
 
 @dataclass(frozen=True)
 class ShapeSpec:
-    """An ordered tuple of symbolic dimension sizes."""
+    """An ordered tuple of symbolic dimension sizes.
+
+    :attr:`total` and :meth:`multiset_key` are computed once and kept on the
+    instance; the pickled state holds only the sizes.
+    """
 
     sizes: tuple[Size, ...]
 
+    # Per-instance caches (class-level defaults, not dataclass fields).
+    _total = None
+    _multiset_key = None
+
     @staticmethod
-    def of(dims: Iterable[Size | Variable | int]) -> "ShapeSpec":
+    def of(dims: "ShapeSpec | Iterable[Size | Variable | int]") -> "ShapeSpec":
+        if isinstance(dims, ShapeSpec):
+            return dims
         return ShapeSpec(tuple(Size.of(d) for d in dims))
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sizes", tuple(Size.of(s) for s in self.sizes))
+
+    def __getstate__(self) -> dict:
+        return {"sizes": self.sizes}
 
     def __len__(self) -> int:
         return len(self.sizes)
@@ -39,7 +52,11 @@ class ShapeSpec:
     @property
     def total(self) -> Size:
         """The product of all dimension sizes (the domain of the shape)."""
-        return Size.product(self.sizes)
+        total = self._total
+        if total is None:
+            total = Size.product(self.sizes)
+            object.__setattr__(self, "_total", total)
+        return total
 
     def variables(self) -> frozenset[Variable]:
         result: set[Variable] = set()
@@ -56,9 +73,17 @@ class ShapeSpec:
             result *= extent
         return result
 
+    def multiset_key(self) -> tuple[str, ...]:
+        """The sizes' reprs, sorted: equal for shapes that are permutations."""
+        key = self._multiset_key
+        if key is None:
+            key = tuple(sorted(map(repr, self.sizes)))
+            object.__setattr__(self, "_multiset_key", key)
+        return key
+
     def same_multiset(self, other: "ShapeSpec") -> bool:
         """Whether the two shapes contain the same sizes up to permutation."""
-        return sorted(map(repr, self.sizes)) == sorted(map(repr, other.sizes))
+        return self.multiset_key() == other.multiset_key()
 
     def __repr__(self) -> str:
         return "[" + ", ".join(repr(size) for size in self.sizes) + "]"

@@ -20,9 +20,30 @@ class SizeError(ValueError):
     """Raised for invalid symbolic size manipulations (e.g. inexact division)."""
 
 
+def _power_order(item: tuple[Variable, int]) -> tuple[str, str]:
+    return (item[0].kind.value, item[0].name)
+
+
 def _normalize_powers(powers: Mapping[Variable, int]) -> tuple[tuple[Variable, int], ...]:
     items = [(v, int(p)) for v, p in powers.items() if int(p) != 0]
-    items.sort(key=lambda item: (item[0].kind.value, item[0].name))
+    items.sort(key=_power_order)
+    return tuple(items)
+
+
+def _combine_powers(
+    lhs: tuple[tuple[Variable, int], ...], rhs: tuple[tuple[Variable, int], ...], sign: int
+) -> tuple[tuple[Variable, int], ...]:
+    """The normalized powers of ``lhs * rhs**sign`` for two normalized tuples."""
+    if not rhs:
+        return lhs
+    if not lhs and sign == 1:
+        return rhs
+    powers = dict(lhs)
+    for var, power in rhs:
+        powers[var] = powers.get(var, 0) + sign * power
+    items = [item for item in powers.items() if item[1] != 0]
+    if len(items) > 1:
+        items.sort(key=_power_order)
     return tuple(items)
 
 
@@ -33,10 +54,19 @@ class Size:
     Instances are immutable and hashable, so sizes can be used as dictionary
     keys and compared structurally (two sizes are equal iff they have the same
     normalized factor and variable powers).
+
+    The hash and the repr are computed once and kept on the instance, since
+    enumeration hashes and prints the same sizes many times over.  Neither
+    is pickled: a ``str`` hash is salted per process, so a size loaded in
+    another process must hash afresh.
     """
 
     factor: Fraction
     powers: tuple[tuple[Variable, int], ...]
+
+    # Per-instance caches (class-level defaults, not dataclass fields).
+    _hash = None
+    _repr = None
 
     # -- constructors ------------------------------------------------------
 
@@ -68,23 +98,39 @@ class Size:
         object.__setattr__(self, "factor", Fraction(self.factor))
         object.__setattr__(self, "powers", _normalize_powers(dict(self.powers)))
 
+    @staticmethod
+    def _normalized(factor: Fraction, powers: tuple[tuple[Variable, int], ...]) -> "Size":
+        """A size from an already-normalized factor and powers (skips ``__post_init__``)."""
+        size = object.__new__(Size)
+        object.__setattr__(size, "factor", factor)
+        object.__setattr__(size, "powers", powers)
+        return size
+
+    def __hash__(self) -> int:
+        cached = self._hash
+        if cached is None:
+            cached = hash((self.factor, self.powers))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self) -> dict:
+        return {"factor": self.factor, "powers": self.powers}
+
     # -- algebra -----------------------------------------------------------
 
     def __mul__(self, other: "Size | Variable | int") -> "Size":
         other = Size.of(other)
-        powers = dict(self.powers)
-        for var, power in other.powers:
-            powers[var] = powers.get(var, 0) + power
-        return Size(self.factor * other.factor, tuple(powers.items()))
+        return Size._normalized(
+            self.factor * other.factor, _combine_powers(self.powers, other.powers, 1)
+        )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "Size | Variable | int") -> "Size":
         other = Size.of(other)
-        powers = dict(self.powers)
-        for var, power in other.powers:
-            powers[var] = powers.get(var, 0) - power
-        return Size(self.factor / other.factor, tuple(powers.items()))
+        return Size._normalized(
+            self.factor / other.factor, _combine_powers(self.powers, other.powers, -1)
+        )
 
     def pow(self, exponent: int) -> "Size":
         powers = {var: power * exponent for var, power in self.powers}
@@ -190,12 +236,16 @@ class Size:
     # -- presentation ------------------------------------------------------
 
     def __repr__(self) -> str:
-        terms: list[str] = []
-        if self.factor != 1 or not self.powers:
-            terms.append(str(self.factor))
-        for var, power in self.powers:
-            if power == 1:
-                terms.append(var.name)
-            else:
-                terms.append(f"{var.name}^{power}")
-        return "*".join(terms)
+        cached = self._repr
+        if cached is None:
+            terms: list[str] = []
+            if self.factor != 1 or not self.powers:
+                terms.append(str(self.factor))
+            for var, power in self.powers:
+                if power == 1:
+                    terms.append(var.name)
+                else:
+                    terms.append(f"{var.name}^{power}")
+            cached = "*".join(terms)
+            object.__setattr__(self, "_repr", cached)
+        return cached

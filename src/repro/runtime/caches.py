@@ -1,8 +1,9 @@
 """Evaluation caches as an owned object (`CacheSet`) instead of module globals.
 
-A :class:`CacheSet` bundles the five evaluation caches — reward, compile,
-baseline, plan and lowering.  Each :class:`~repro.runtime.context.RuntimeContext`
-owns one, so two contexts in one process have fully isolated caches.
+A :class:`CacheSet` bundles the six evaluation caches — reward, compile,
+baseline, plan, lowering and shape_distance.  Each
+:class:`~repro.runtime.context.RuntimeContext` owns one, so two contexts in one
+process have fully isolated caches.
 
 Snapshot persistence (:meth:`CacheSet.save_snapshot` /
 :meth:`CacheSet.load_snapshot`) returns a structured :class:`SnapshotStatus`
@@ -259,13 +260,17 @@ class SnapshotStatus:
 
 
 class CacheSet:
-    """The five evaluation caches one runtime context owns.
+    """The six evaluation caches one runtime context owns.
 
     ``reward``/``compile_``/``baseline`` persist to disk.  ``plan`` (numpy
     index arrays and contraction paths) and ``lowering`` (loop-nest programs)
-    are cheap to recompute, so they are memoized in memory only.  All five
-    participate in shard-delta export/merge (shipping a compiled plan or a
-    lowering saves the recompute on the next wave).
+    are cheap to recompute, so they are memoized in memory only; both
+    participate in shard-delta export/merge with the persisted three
+    (shipping a compiled plan or a lowering saves the recompute on the next
+    wave).  ``shape_distance`` (synthesis's pruning guide, keyed on two
+    shapes' size tuples) is memory-only *and* process-local: it is never
+    shard-merged, so the frontiers shard workers visit stay out of the
+    parent's memory, and it is shipped empty when the set is pickled.
     """
 
     def __init__(self) -> None:
@@ -274,15 +279,19 @@ class CacheSet:
         self.baseline = KeyedCache("baseline")
         self.plan = KeyedCache("plan")
         self.lowering = KeyedCache("lowering")
+        self.shape_distance = KeyedCache("shape_distance")
         #: status of the most recent snapshot load/save through this set.
         self.last_load: SnapshotStatus | None = None
         self.last_save: SnapshotStatus | None = None
 
     def __getstate__(self) -> dict:
-        # The last_* statuses are process-local diagnostics; don't ship them.
+        # The last_* statuses are process-local diagnostics, and so is the
+        # shape-distance memo (pickling it would copy every frontier the
+        # process has seen into each shard payload); don't ship them.
         state = dict(self.__dict__)
         state["last_load"] = None
         state["last_save"] = None
+        state["shape_distance"] = KeyedCache("shape_distance")
         return state
 
     # -- views ---------------------------------------------------------------
@@ -301,7 +310,10 @@ class CacheSet:
         return (self.reward, self.compile_, self.baseline)
 
     def all(self) -> tuple[KeyedCache, ...]:
-        return (self.reward, self.compile_, self.baseline, self.plan, self.lowering)
+        return (
+            self.reward, self.compile_, self.baseline, self.plan, self.lowering,
+            self.shape_distance,
+        )
 
     # -- bookkeeping ---------------------------------------------------------
 

@@ -337,6 +337,35 @@ class TestSynthesisStats:
         assert stats["canonicalization_rejections"], "gpt2 space rejects some orders"
         assert stats["feature_names"] == list(FEATURE_NAMES)
 
+    #: ``SynthesisStats.to_dict()`` of the resnet space at depth 2, pinned
+    #: from the build before the shape-distance memo and the cached size
+    #: arithmetic: the entry hash alone would not notice a change in how
+    #: candidates are generated or pruned.
+    RESNET_DEPTH2_STATS = {
+        "nodes_visited": 39,
+        "children_generated": 915,
+        "pruned_by_distance": 875,
+        "completed": 2,
+        "rejected_by_budget": 0,
+        "canonicalization_rejections": {
+            "canonical_commuting_order": 1022,
+            "no_expand_of_reduction": 7,
+            "no_merge_above_split": 18,
+            "no_shift_chains": 4,
+        },
+        "dead_ends_by_distance": 35,
+    }
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_build_pruning_statistics_are_pinned(self, tmp_path, shards):
+        space = space_for("resnet", max_depth=2)
+        result = build_library(
+            space.spec, space.options, name=space.name,
+            runtime=_runtime(tmp_path), shards=shards,
+        )
+        assert result.entries == 41
+        assert result.stats.to_dict() == self.RESNET_DEPTH2_STATS
+
     def test_stats_merge_folds_rule_counts(self):
         left = SynthesisStats(nodes_visited=2)
         left.note_canonicalization_rejection("rule_a")

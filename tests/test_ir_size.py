@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.ir.shape import ShapeSpec
 from repro.ir.size import Size, SizeError
 from repro.ir.variables import Variable, VariableKind, coefficient, primary
 
@@ -72,6 +78,57 @@ class TestAlgebra:
 
     def test_hashable(self):
         assert len({Size.of(H), Size.of(H), Size.of(W)}) == 2
+
+
+class TestCachedValues:
+    """Hash, repr, total and multiset key are cached, but never pickled."""
+
+    def test_size_pickles_only_its_fields(self):
+        size = Size.of(H) * W / S
+        hash(size), repr(size)
+        assert {"_hash", "_repr"} <= set(vars(size))
+        loaded = pickle.loads(pickle.dumps(size))
+        assert set(vars(loaded)) == {"factor", "powers"}
+        assert loaded == size and hash(loaded) == hash(size) and repr(loaded) == repr(size)
+
+    def test_shape_spec_pickles_only_its_sizes(self):
+        shape = ShapeSpec.of([H, Size.of(W) * S, 3])
+        shape.total, shape.multiset_key()
+        assert {"_total", "_multiset_key"} <= set(vars(shape))
+        loaded = pickle.loads(pickle.dumps(shape))
+        assert set(vars(loaded)) == {"sizes"}
+        assert loaded == shape and loaded.total == shape.total
+        assert loaded.multiset_key() == shape.multiset_key()
+
+    def test_shape_spec_of_returns_a_shape_unchanged(self):
+        shape = ShapeSpec.of([H, W])
+        assert ShapeSpec.of(shape) is shape
+
+    def test_hashed_size_is_found_in_a_process_with_another_hash_seed(self, tmp_path):
+        size = Size.of(H) * W / S
+        hash(size)
+        payload = tmp_path / "size.pkl"
+        payload.write_bytes(pickle.dumps(size))
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        script = (
+            "import pickle, sys\n"
+            "from repro.ir.size import Size\n"
+            "from repro.ir.variables import coefficient, primary\n"
+            "loaded = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+            "fresh = Size.of(primary('H')) * primary('W') / coefficient('s')\n"
+            "assert {fresh: 'found'}[loaded] == 'found'\n"
+            "assert {loaded: 'found'}[fresh] == 'found'\n"
+            "print(hash('H'))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        completed = subprocess.run(
+            [sys.executable, "-c", script, str(payload)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr
+        # The child really salted str hashes differently from this process.
+        assert int(completed.stdout) != hash("H")
 
 
 class TestQueries:

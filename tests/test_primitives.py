@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import pytest
 
-from repro.core.pgraph import DimRole, PGraph
+from repro.core.pgraph import Dim, DimRole, PGraph
 from repro.core.primitives import (
     Expand,
     Merge,
@@ -186,3 +189,41 @@ class TestPGraphAccounting:
         assert graph.frontier[0].role is DimRole.OUTPUT
         graph = Reduce(size=Size.of(C)).apply(graph, ())
         assert graph.frontier[-1].role is DimRole.REDUCTION
+
+
+class TestDimIdentity:
+    """Dims hash on their uid; equality keeps the field-wise relation."""
+
+    def test_equal_fields_with_different_uids_are_unequal(self):
+        first = Dim(size=Size.of(H), role=DimRole.OUTPUT, name="o0", uid=10_001)
+        second = Dim(size=Size.of(H), role=DimRole.OUTPUT, name="o0", uid=10_002)
+        assert first != second
+        assert len({first, second}) == 2
+
+    def test_equal_uids_with_different_fields_are_unequal(self):
+        first = Dim(size=Size.of(H), role=DimRole.OUTPUT, name="o0", uid=10_003)
+        renamed = dataclasses.replace(first, name="o1")
+        resized = dataclasses.replace(first, size=Size.of(W))
+        assert first != renamed and first != resized
+
+    def test_dim_equals_its_unpickled_copy(self):
+        graph = _root([H, W], [H, W])
+        graph = Share(new_weight=True).apply(graph, (graph.frontier[0],))
+        dim = graph.weights[0].dims[0]  # identified with an output dim
+        copy = pickle.loads(pickle.dumps(dim))
+        assert copy is not dim
+        assert copy == dim and hash(copy) == hash(dim)
+        assert dataclasses.replace(dim) == dim
+
+    def test_frontier_membership_survives_pickle_and_replace(self):
+        graph = _root([H, W], [H, W])
+        graph = Merge(block=Size.of(S)).apply(graph, (graph.frontier[1],))
+        loaded = pickle.loads(pickle.dumps(graph))
+        replaced = dataclasses.replace(graph)
+        for dim in graph.frontier:
+            assert dim in loaded.frontier
+            assert dim in replaced.frontier
+            assert dataclasses.replace(dim) in graph.frontier
+        # Operands from the original graph still address the loaded one.
+        extended = Shift(amount=1).apply(loaded, (graph.frontier[0],))
+        assert extended.depth == 2

@@ -2,12 +2,24 @@
 
 from __future__ import annotations
 
+import pickle
+
+import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.shape_distance import remaining_budget_allows, shape_distance
+from repro.core.enumeration import enumerate_children
+from repro.core.pgraph import PGraph
+from repro.core.shape_distance import (
+    _uncached_distance,
+    remaining_budget_allows,
+    shape_distance,
+)
 from repro.ir.shape import ShapeSpec
 from repro.ir.size import Size
 from repro.ir.variables import coefficient, primary
+from repro.library.specs import space_for
+from repro.runtime import RuntimeConfig, RuntimeContext
+from repro.search.parallel import sharded_map
 
 C_IN = primary("C_in", default=8)
 H = primary("H", default=8)
@@ -78,3 +90,111 @@ def test_property_adding_a_dim_gives_positive_distance(extra, base):
     lhs = ShapeSpec.of(base + [extra * 7])
     rhs = ShapeSpec.of(base)
     assert shape_distance(lhs, rhs) >= 1
+
+
+# ---------------------------------------------------------------------------
+# The per-context memo
+# ---------------------------------------------------------------------------
+
+
+def _depth_two_children(family: str) -> list[PGraph]:
+    """Every child generated by a depth-2 enumeration of ``family``'s space."""
+    space = space_for(family, max_depth=3)
+    root = PGraph.root(space.spec.output_shape, space.spec.input_shape)
+    first = [child for _, child in enumerate_children(root, space.options)]
+    second = [
+        grandchild
+        for child in first
+        for _, grandchild in enumerate_children(child, space.options)
+    ]
+    return first + second
+
+
+def _fresh(shape: ShapeSpec) -> ShapeSpec:
+    """An equal shape built from new sizes: nothing cached on any of them."""
+    return ShapeSpec(tuple(Size(size.factor, size.powers) for size in shape))
+
+
+def _distance_probe(shapes: tuple[ShapeSpec, ShapeSpec]) -> int:
+    """Picklable shard worker: one memoized distance."""
+    return shape_distance(*shapes)
+
+
+class TestMemo:
+    @pytest.mark.parametrize("family", ["resnet", "gpt2"])
+    def test_memoized_distance_equals_the_uncached_computation(self, family):
+        children = _depth_two_children(family)
+        assert len(children) > 50
+        context = RuntimeContext()
+        with context.activate():
+            for child in children:
+                expected = _uncached_distance(
+                    _fresh(child.frontier_shape), _fresh(child.input_shape)
+                )
+                # Asked twice: the miss computes, the hit replays.
+                assert shape_distance(child.frontier_shape, child.input_shape) == expected
+                assert shape_distance(child.frontier_shape, child.input_shape) == expected
+        stats = context.caches.stats()["shape_distance"]
+        assert stats.hits >= len(children)
+        assert stats.misses == len(context.caches.shape_distance) < len(children)
+
+    def test_a_repeat_is_a_hit(self):
+        context = RuntimeContext()
+        current_shape = ShapeSpec.of([C_IN, Size.of(H) / S, Size.of(W) * S, K])
+        desired = ShapeSpec.of([C_IN, H, W])
+        with context.activate():
+            assert shape_distance(current_shape, desired) == 3
+            assert shape_distance(_fresh(current_shape), _fresh(desired)) == 3
+        stats = context.caches.stats()["shape_distance"]
+        assert (stats.hits, stats.misses) == (1, 1)
+
+    def test_eval_cache_off_bypasses_the_memo(self):
+        context = RuntimeContext(RuntimeConfig(eval_cache=False))
+        with context.activate():
+            shape_distance(ShapeSpec.of([Size.of(H) * W]), ShapeSpec.of([H, W]))
+            shape_distance(ShapeSpec.of([Size.of(H) * W]), ShapeSpec.of([H, W]))
+        assert len(context.caches.shape_distance) == 0
+        assert context.caches.stats()["shape_distance"].lookups == 0
+
+    def test_isolated_contexts_share_nothing_and_clear_empties(self):
+        context = RuntimeContext()
+        with context.activate():
+            shape_distance(ShapeSpec.of([Size.of(H) * W]), ShapeSpec.of([H, W]))
+        assert len(context.caches.shape_distance) == 1
+        isolated = context.isolated()
+        assert len(isolated.caches.shape_distance) == 0
+        with isolated.activate():
+            shape_distance(ShapeSpec.of([Size.of(H) * W]), ShapeSpec.of([H, W]))
+        assert isolated.caches.stats()["shape_distance"].misses == 1
+        context.caches.clear()
+        assert len(context.caches.shape_distance) == 0
+        assert len(isolated.caches.shape_distance) == 1
+
+    def test_memo_is_process_local(self):
+        context = RuntimeContext()
+        caches = context.caches
+        assert "shape_distance" not in caches.mergeable()
+        assert caches.shape_distance not in caches.persisted()
+        assert caches.shape_distance in caches.all()
+        with context.activate():
+            shape_distance(ShapeSpec.of([Size.of(H) * W]), ShapeSpec.of([H, W]))
+        caches.plan.put("plan-key", "plan")
+        assert "shape_distance" not in caches.export_delta({})
+        shipped = pickle.loads(pickle.dumps(caches))
+        assert len(shipped.shape_distance) == 0 and len(shipped.plan) == 1
+
+    def test_two_shard_map_exports_no_shape_distance_delta(self):
+        context = RuntimeContext()
+        desired = ShapeSpec.of([H, W])
+        items = [
+            (ShapeSpec.of([Size.of(H) * W]), desired),
+            (ShapeSpec.of([H, W, K]), desired),
+            (ShapeSpec.of([Size.of(H) / S, Size.of(W) * S]), desired),
+            (ShapeSpec.of([H, Size.of(W) * K]), desired),
+        ]
+        expected = [_uncached_distance(*item) for item in items]
+        assert sharded_map(
+            _distance_probe, items, shards=2, max_workers=2, runtime=context
+        ) == expected
+        assert context.shard_failures == []
+        assert len(context.caches.shape_distance) == 0
