@@ -26,6 +26,7 @@ from repro.nn.tensor import compute_dtype
 from repro.results.store import default_results_dir
 from repro.runtime import (
     CACHE_FORMAT_VERSION,
+    ENV_KNOBS,
     CacheSet,
     RuntimeConfig,
     RuntimeContext,
@@ -100,6 +101,112 @@ class TestRuntimeConfig:
         config = RuntimeConfig.from_env()
         assert config.eval_cache is False
         assert config.provenance_map()["eval_cache"] == "env"
+
+
+_INT = "(expected an integer)"
+_NUMBER = "(expected a number)"
+
+#: (field, variable, raw value, parsed value, provenance, warning fragment).
+#: Every variable gets a well-formed, a malformed and an empty value.  Flags
+#: have no malformed form (anything but "", "0", "false" or "no" is on) and
+#: neither do the string knobs, which keep any non-empty value verbatim.
+_ENV_CASES = [
+    ("smoke", "REPRO_SMOKE", "1", True, "env", None),
+    ("smoke", "REPRO_SMOKE", "maybe", True, "env", None),
+    ("smoke", "REPRO_SMOKE", "", False, "env", None),
+    ("train_steps", "REPRO_TRAIN_STEPS", "5", 5, "env", None),
+    ("train_steps", "REPRO_TRAIN_STEPS", "five", None, "default", _INT),
+    ("train_steps", "REPRO_TRAIN_STEPS", "", None, "default", None),
+    ("dtype", "REPRO_DTYPE", " Float64 ", "float64", "env", None),
+    ("dtype", "REPRO_DTYPE", "bfloat16", None, "default", "(expected float32/float64)"),
+    ("dtype", "REPRO_DTYPE", "", None, "default", None),
+    ("compiled_forward", "REPRO_COMPILED_FORWARD", "0", False, "env", None),
+    ("compiled_forward", "REPRO_COMPILED_FORWARD", "maybe", True, "env", None),
+    ("compiled_forward", "REPRO_COMPILED_FORWARD", "", False, "env", None),
+    ("eval_cache", "REPRO_EVAL_CACHE", "false", False, "env", None),
+    ("eval_cache", "REPRO_EVAL_CACHE", "maybe", True, "env", None),
+    ("eval_cache", "REPRO_EVAL_CACHE", "", False, "env", None),
+    ("eval_processes", "REPRO_EVAL_PROCESSES", "3", 3, "env", None),
+    ("eval_processes", "REPRO_EVAL_PROCESSES", "three", 1, "default", _INT),
+    ("eval_processes", "REPRO_EVAL_PROCESSES", "", 1, "default", None),
+    ("shards", "REPRO_SEARCH_SHARDS", "4", 4, "env", None),
+    ("shards", "REPRO_SEARCH_SHARDS", "2.5", 1, "default", _INT),
+    ("shards", "REPRO_SEARCH_SHARDS", "", 1, "default", None),
+    ("frontier_width", "REPRO_FRONTIER_WIDTH", "4", 4, "env", None),
+    ("frontier_width", "REPRO_FRONTIER_WIDTH", "wide", 8, "default", _INT),
+    ("frontier_width", "REPRO_FRONTIER_WIDTH", "", 8, "default", None),
+    ("cache_max_entries", "REPRO_CACHE_MAX_ENTRIES", "7", 7, "env", None),
+    ("cache_max_entries", "REPRO_CACHE_MAX_ENTRIES", "lots", 4096, "default", _INT),
+    ("cache_max_entries", "REPRO_CACHE_MAX_ENTRIES", "", 4096, "default", None),
+    ("cache_lock_timeout", "REPRO_CACHE_LOCK_TIMEOUT", "2.5", 2.5, "env", None),
+    ("cache_lock_timeout", "REPRO_CACHE_LOCK_TIMEOUT", "soon", 10.0, "default", _NUMBER),
+    ("cache_lock_timeout", "REPRO_CACHE_LOCK_TIMEOUT", "", 10.0, "default", None),
+    ("cache_live_sync", "REPRO_CACHE_LIVE_SYNC", "yes", True, "env", None),
+    ("cache_live_sync", "REPRO_CACHE_LIVE_SYNC", "maybe", True, "env", None),
+    ("cache_live_sync", "REPRO_CACHE_LIVE_SYNC", "", False, "env", None),
+    ("shard_timeout", "REPRO_SHARD_TIMEOUT", "60", 60.0, "env", None),
+    ("shard_timeout", "REPRO_SHARD_TIMEOUT", "1m", 300.0, "default", _NUMBER),
+    ("shard_timeout", "REPRO_SHARD_TIMEOUT", "", 300.0, "default", None),
+    ("shard_retries", "REPRO_SHARD_RETRIES", "5", 5, "env", None),
+    ("shard_retries", "REPRO_SHARD_RETRIES", "few", 2, "default", _INT),
+    ("shard_retries", "REPRO_SHARD_RETRIES", "", 2, "default", None),
+    ("fault_plan", "REPRO_FAULT_PLAN", "kill:shard-entry:shard=1", "kill:shard-entry:shard=1", "env", None),
+    ("fault_plan", "REPRO_FAULT_PLAN", "not a plan", "not a plan", "env", None),
+    ("fault_plan", "REPRO_FAULT_PLAN", "", "", "default", None),
+    ("results_dir", "REPRO_RESULTS_DIR", "/tmp/runs", "/tmp/runs", "env", None),
+    ("results_dir", "REPRO_RESULTS_DIR", " odd dir ", " odd dir ", "env", None),
+    ("results_dir", "REPRO_RESULTS_DIR", "", "results", "default", None),
+    ("library_dir", "REPRO_LIBRARY_DIR", "/tmp/lib", "/tmp/lib", "env", None),
+    ("library_dir", "REPRO_LIBRARY_DIR", " odd dir ", " odd dir ", "env", None),
+    ("library_dir", "REPRO_LIBRARY_DIR", "", "", "default", None),
+    ("seed", "REPRO_SEED", "7", 7, "env", None),
+    ("seed", "REPRO_SEED", "0x7", 0, "default", _INT),
+    ("seed", "REPRO_SEED", "", 0, "default", None),
+    ("verify_plans", "REPRO_VERIFY_PLANS", "1", True, "env", None),
+    ("verify_plans", "REPRO_VERIFY_PLANS", "maybe", True, "env", None),
+    ("verify_plans", "REPRO_VERIFY_PLANS", "", False, "env", None),
+    ("warm_start", "REPRO_WARM_START", "1", True, "env", None),
+    ("warm_start", "REPRO_WARM_START", "maybe", True, "env", None),
+    ("warm_start", "REPRO_WARM_START", "", False, "env", None),
+    # Integer knobs with a floor clamp a well-formed value and keep `env`.
+    ("eval_processes", "REPRO_EVAL_PROCESSES", "0", 1, "env", None),
+    ("shards", "REPRO_SEARCH_SHARDS", "-3", 1, "env", None),
+    ("frontier_width", "REPRO_FRONTIER_WIDTH", "0", 1, "env", None),
+    ("shard_retries", "REPRO_SHARD_RETRIES", "-1", 0, "env", None),
+    ("cache_lock_timeout", "REPRO_CACHE_LOCK_TIMEOUT", "-2", 0.0, "env", None),
+    # ...the unfloored ones keep it as given.
+    ("cache_max_entries", "REPRO_CACHE_MAX_ENTRIES", "-1", -1, "env", None),
+    ("shard_timeout", "REPRO_SHARD_TIMEOUT", "0", 0.0, "env", None),
+]
+
+
+@pytest.mark.parametrize(
+    "field_name, variable, raw, value, provenance, warning",
+    _ENV_CASES,
+    ids=[f"{case[1]}={case[2]!r}" for case in _ENV_CASES],
+)
+def test_from_env_parses_every_knob(field_name, variable, raw, value, provenance, warning, caplog):
+    """Each variable's parsed value, provenance tag and warning, pinned."""
+    with caplog.at_level("WARNING", logger="repro.runtime.config"):
+        config = RuntimeConfig.from_env({variable: raw})
+    parsed = getattr(config, field_name)
+    assert parsed == value and type(parsed) is type(value)
+    assert config.provenance_map()[field_name] == provenance
+    untouched = RuntimeConfig()
+    for other in ENV_KNOBS:
+        if other != field_name:
+            assert getattr(config, other) == getattr(untouched, other)
+            assert config.provenance_map()[other] == "default"
+    messages = [record.getMessage() for record in caplog.records]
+    if warning is None:
+        assert messages == []
+    else:
+        assert messages == [f"ignoring malformed {variable}={raw!r} {warning}"]
+
+
+def test_env_cases_cover_every_variable():
+    assert {case[1] for case in _ENV_CASES} == set(ENV_KNOBS.values())
+    assert {(case[0], case[1]) for case in _ENV_CASES} == set(ENV_KNOBS.items())
 
 
 # ---------------------------------------------------------------------------
