@@ -1071,9 +1071,22 @@ def cmd_bench(args: argparse.Namespace) -> int:
     config = config_from_args(args)
     repeats = max(args.repeats, 1)
 
-    if args.experiment == "serve":
-        return _bench_serve(args, store, config)
-    if args.experiment == "library":
+    if args.experiment in ("serve", "library"):
+        flags = [
+            flag for flag, given in (
+                ("--all", args.all_experiments),
+                ("--max-seconds", args.max_seconds is not None),
+            ) if given
+        ]
+        if flags:
+            print(
+                f"bench {args.experiment}: {' and '.join(flags)} "
+                "apply to experiment benches only",
+                file=sys.stderr,
+            )
+            return 2
+        if args.experiment == "serve":
+            return _bench_serve(args, store, config)
         return _bench_library(args, store, config)
 
     if args.all_experiments:

@@ -365,6 +365,16 @@ def test_bench_requires_an_experiment_or_all(capsys):
     assert "not both" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subsystem", ["serve", "library"])
+@pytest.mark.parametrize("flags", [["--all"], ["--max-seconds", "5"]])
+def test_bench_serve_and_library_reject_experiment_only_flags(subsystem, flags, tmp_path, capsys):
+    """`--all` and `--max-seconds` would be silently ignored by these benches."""
+    assert main(["bench", subsystem, *flags, "--results-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert flags[0] in err and "experiment benches only" in err
+    assert not any(tmp_path.iterdir())  # rejected before any bench ran
+
+
 def test_cli_bench_compare_reports_speedup(tmp_path):
     argv = [
         "bench", "ablation-materialization",
