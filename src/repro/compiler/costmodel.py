@@ -113,8 +113,3 @@ class AnalyticalCostModel:
     ) -> float:
         """End-to-end latency (seconds) of a program under one schedule."""
         return sum(self.stage_cost(stage, target, schedule).seconds for stage in program.stages)
-
-    def program_breakdown(
-        self, program: LoopNestProgram, target: HardwareTarget, schedule: Schedule
-    ) -> list[StageCost]:
-        return [self.stage_cost(stage, target, schedule) for stage in program.stages]

@@ -51,11 +51,6 @@ class OperatorSpec:
     def primary_variables(self) -> frozenset[Variable]:
         return self.input_shape.variables() | self.output_shape.variables()
 
-    def with_binding(self, binding: Mapping[Variable, int]) -> "OperatorSpec":
-        return OperatorSpec(
-            self.name, self.input_shape, self.output_shape, self.bindings + (dict(binding),)
-        )
-
 
 class InvalidOperatorError(ValueError):
     """Raised when a pGraph cannot be interpreted as a complete operator."""
@@ -111,17 +106,6 @@ class SynthesizedOperator:
 
     def flops(self, binding: Mapping[Variable, int] | None = None) -> int:
         return 2 * self.macs(binding)
-
-    def total_macs(self) -> int:
-        """MACs summed over every concrete binding (layer) of the spec."""
-        return sum(self.graph.macs(binding) for binding in self.spec.bindings) if self.spec.bindings else self.macs()
-
-    def total_parameters(self) -> int:
-        return (
-            sum(self.graph.parameter_count(binding) for binding in self.spec.bindings)
-            if self.spec.bindings
-            else self.parameter_count()
-        )
 
     # -- concrete shapes ---------------------------------------------------
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.ir.shape import ShapeSpec
 from repro.ir.size import Size
@@ -267,9 +267,6 @@ class PGraph:
     def count_primitive(self, primitive_type: type) -> int:
         return sum(1 for app in self.applications if isinstance(app.primitive, primitive_type))
 
-    def applications_of(self, primitive_type: type) -> tuple[Application, ...]:
-        return tuple(app for app in self.applications if isinstance(app.primitive, primitive_type))
-
     def weight_index_of_last_share(self) -> int | None:
         """Index of the most recently extended weight tensor, if any."""
         for app in reversed(self.applications):
@@ -298,12 +295,6 @@ class PGraph:
     def flops(self, bindings: Mapping[Variable, int] | None = None) -> int:
         """FLOPs (2 per multiply-accumulate) of the naive loop nest."""
         return 2 * self.macs(bindings)
-
-    def symbolic_macs(self) -> Size:
-        size = self.output_shape.total
-        for dim in self.reduction_dims:
-            size = size * dim.size
-        return size
 
     # -- presentation ------------------------------------------------------
 
@@ -375,10 +366,3 @@ class PGraph:
     def __repr__(self) -> str:
         return f"PGraph(depth={self.depth}, frontier={self.frontier_shape!r})"
 
-
-def dims_of_sizes(sizes: Iterable[Size | Variable | int], role: DimRole, prefix: str) -> tuple[Dim, ...]:
-    """Helper to create a tuple of dims with a common role and name prefix."""
-    return tuple(
-        Dim(size=Size.of(size), role=role, name=f"{prefix}{index}")
-        for index, size in enumerate(sizes)
-    )

@@ -26,8 +26,6 @@ runtime context's caches (``RuntimeContext.cached_shape_distance``).
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.ir.shape import ShapeSpec
 from repro.ir.size import Size
 from repro.runtime.context import current as current_runtime
@@ -83,10 +81,6 @@ def _union_find_groups(lhs: ShapeSpec, rhs: ShapeSpec) -> list[tuple[list[Size],
         else:
             group[1].append(size)
     return list(groups.values())
-
-
-def _domain(sizes: Iterable[Size]) -> Size:
-    return Size.product(sizes)
 
 
 def _group_bound(lhs: list[Size], rhs: list[Size]) -> int:

@@ -43,9 +43,6 @@ class CoordExpr:
     def times(self, size: Size | Variable | int) -> "CoordExpr":
         return Mul(self, Size.of(size))
 
-    def floordiv(self, size: Size | Variable | int) -> "CoordExpr":
-        return FloorDiv(self, Size.of(size))
-
     def mod(self, size: Size | Variable | int) -> "CoordExpr":
         return Mod(self, Size.of(size))
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from repro.ir.size import Size, SizeError
+from repro.ir.size import Size
 from repro.ir.variables import Variable
 
 
@@ -105,12 +105,3 @@ class TensorSpec:
 
     def __repr__(self) -> str:
         return f"{self.name}{self.shape!r}"
-
-
-def check_bindings_cover(shape: ShapeSpec, bindings: Mapping[Variable, int]) -> None:
-    """Validate that ``bindings`` (plus defaults) make ``shape`` concrete."""
-    for size in shape:
-        try:
-            size.evaluate(bindings)
-        except SizeError as exc:
-            raise SizeError(f"shape {shape} not concrete under {bindings}: {exc}") from exc

@@ -39,10 +39,6 @@ class Variable:
     def is_primary(self) -> bool:
         return self.kind is VariableKind.PRIMARY
 
-    @property
-    def is_coefficient(self) -> bool:
-        return self.kind is VariableKind.COEFFICIENT
-
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return self.name
 

@@ -137,8 +137,3 @@ MODEL_PROFILES: dict[str, list[ConvSlot]] = {
     "efficientnet_v2_s": EFFICIENTNETV2S_PROFILE,
 }
 
-
-def profile_for(model_name: str) -> list[ConvSlot]:
-    if model_name not in MODEL_PROFILES:
-        raise KeyError(f"no ImageNet-scale profile for model {model_name!r}")
-    return MODEL_PROFILES[model_name]

@@ -271,11 +271,6 @@ def disarm_worker() -> None:
     _WORKER_ATTEMPT = None
 
 
-def worker_identity() -> tuple[int | None, int | None]:
-    """``(shard, attempt)`` of the armed worker, or ``(None, None)``."""
-    return _WORKER_SHARD, _WORKER_ATTEMPT
-
-
 def inject(site: str, runtime=None) -> None:
     """Fire the active plan's first matching rule at ``site``, if any.
 
