@@ -29,6 +29,21 @@ echo "OK: static invariants hold (zero unbaselined findings)"
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
+echo "== examples: quickstart, and the vision search serial and at 2 shards =="
+# The examples are the only callers of SearchSession.run() and the only MCTS
+# users outside the tests.  The vision search reads its shard count from
+# REPRO_SEARCH_SHARDS alone and must print the same report at either count.
+python examples/quickstart.py > /dev/null
+VISION_SERIAL="$(REPRO_TRAIN_STEPS=1 REPRO_MCTS_ITERATIONS=2 python examples/vision_search.py)"
+VISION_SHARDED="$(REPRO_TRAIN_STEPS=1 REPRO_MCTS_ITERATIONS=2 REPRO_SEARCH_SHARDS=2 \
+  python examples/vision_search.py)"
+if [ "$VISION_SERIAL" != "$VISION_SHARDED" ]; then
+  echo "FAIL: the 2-shard vision search report differs from the serial one" >&2
+  diff <(echo "$VISION_SERIAL") <(echo "$VISION_SHARDED") >&2 || true
+  exit 1
+fi
+echo "OK: examples ran; vision search report identical serial and at 2 shards"
+
 echo "== CLI smoke: repro run figure5 --smoke && repro report =="
 python -m repro.cli run figure5 --smoke
 python -m repro.cli report

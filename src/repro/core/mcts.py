@@ -20,10 +20,12 @@ backpropagated eagerly (a deterministic virtual loss that diversifies the
 selections); rewards land all at once in ``apply_results``.  Because the
 wave's composition depends only on the seed and the wave width — never on
 how, where, or whether rewards were cached — the sample sequence is
-bit-identical across serial runs, sharded runs
-(:func:`repro.search.parallel.sharded_reward_evaluator`), and cache
-round-trips.  ``batch_size=1`` (the default) reproduces the classic
-one-sample-at-a-time UCT loop exactly.
+bit-identical across serial runs, sharded runs and cache round-trips.
+:meth:`MCTS.run` maps every wave's rewards through
+:func:`repro.search.parallel.sharded_map`, which fans out over the runtime
+context's ``shards`` (in process at one shard), unless the serving layer
+installed a ``wave_evaluator`` on the context.  ``batch_size=1`` (the
+default) reproduces the classic one-sample-at-a-time UCT loop exactly.
 
 Rewards are memoized twice: per instance (``_local_rewards``, which also
 deduplicates the recorded samples) and context-wide through
@@ -36,6 +38,7 @@ persisted cache snapshot.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -136,9 +139,15 @@ class PendingRollout:
     operator: SynthesizedOperator | None = None
     signature: str | None = None
 
-#: Batched reward evaluation hook for :meth:`MCTS.run`: unique pending
-#: ``(signature, operator)`` pairs in wave order → reward per signature.
-BatchEvaluator = Callable[[Sequence[tuple[str, SynthesizedOperator]]], Mapping[str, float]]
+
+def _reward_worker(
+    reward_fn: RewardFn, context: Hashable, item: tuple[str, SynthesizedOperator]
+) -> float:
+    """Reward one pending (signature, operator) pair through the reward cache."""
+    from repro.runtime import current  # lazy: avoids an import cycle
+
+    signature, operator = item
+    return current().cached_reward(context, signature, lambda: float(reward_fn(operator)))
 
 
 @dataclass
@@ -149,8 +158,9 @@ class MCTS:
     options: EnumerationOptions
     reward_fn: RewardFn
     config: MCTSConfig = field(default_factory=MCTSConfig)
-    #: runtime context whose reward cache serial evaluation uses; ``None``
-    #: resolves the ambient context (:func:`repro.runtime.current`) per wave.
+    #: runtime context the rewards are computed under (its seed, shard count
+    #: and reward cache); ``None`` resolves the ambient context
+    #: (:func:`repro.runtime.current`) per wave.
     runtime: object | None = None
 
     def __post_init__(self) -> None:
@@ -177,18 +187,12 @@ class MCTS:
 
     # -- public API --------------------------------------------------------
 
-    def run(
-        self,
-        iterations: int | None = None,
-        evaluate_batch: BatchEvaluator | None = None,
-    ) -> list[SampleRecord]:
+    def run(self, iterations: int | None = None) -> list[SampleRecord]:
         """Run the search and return all evaluated samples (best first).
 
-        ``evaluate_batch`` overrides how each wave's pending rewards are
-        computed (e.g. :func:`repro.search.parallel.sharded_reward_evaluator`
-        fans them out over worker processes).  The default evaluates serially
-        through the process-wide reward cache.  Either way the sample
-        sequence is identical: waves are composed before any evaluation.
+        Each wave's rewards are computed under the runtime context, sharded
+        over its ``shards`` workers; the sample sequence is the same at any
+        shard count because waves are composed before any evaluation.
         """
         iterations = iterations if iterations is not None else self.config.iterations
         width = max(self.config.batch_size, 1)
@@ -198,7 +202,7 @@ class MCTS:
             wave = self.propose_batch(min(width, iterations - done))
             if not wave:
                 break
-            rewards = self._evaluate_wave(wave, evaluate_batch)
+            rewards = self._evaluate_wave(wave)
             self.apply_results(wave, rewards)
             done += len(wave)
         return self.best_samples()
@@ -261,32 +265,23 @@ class MCTS:
                 )
             self._propagate_reward(rollout.node, reward)
 
-    def _evaluate_wave(
-        self, wave: Sequence[PendingRollout], evaluate_batch: BatchEvaluator | None
-    ) -> Mapping[str, float]:
+    def _evaluate_wave(self, wave: Sequence[PendingRollout]) -> Mapping[str, float]:
         from repro.runtime import current  # lazy: avoids an import cycle
+        from repro.search.parallel import sharded_map
 
         pending = self.pending_evaluations(wave)
         if not pending:
             return {}
-        if evaluate_batch is not None:
-            return dict(evaluate_batch(pending))
         runtime = self.runtime if self.runtime is not None else current()
-        wave_evaluator = getattr(runtime, "wave_evaluator", None)
-        if wave_evaluator is not None:
+        if runtime.wave_evaluator is not None:
             # The serving layer installed a coalescer on this context: hand
             # the whole wave over so concurrent searches share one fan-out.
             # Wave *composition* already happened (propose_batch), so where
             # the rewards come from cannot change the sample sequence.
-            return dict(wave_evaluator(pending, self.reward_fn, self._context, runtime))
-        rewards: dict[str, float] = {}
-        for signature, operator in pending:
-            rewards[signature] = runtime.cached_reward(
-                self._context,
-                signature,
-                lambda operator=operator: float(self.reward_fn(operator)),
-            )
-        return rewards
+            return dict(runtime.wave_evaluator(pending, self.reward_fn, self._context, runtime))
+        worker = functools.partial(_reward_worker, self.reward_fn, self._context)
+        values = sharded_map(worker, pending, runtime=self.runtime)
+        return {signature: value for (signature, _), value in zip(pending, values)}
 
     def best_samples(self, top_k: int | None = None) -> list[SampleRecord]:
         ordered = sorted(self.samples, key=lambda record: record.reward, reverse=True)

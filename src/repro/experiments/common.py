@@ -24,7 +24,7 @@ from repro.ir.variables import Variable
 from repro.nn.models.common import ConvSlot
 from repro.runtime import RuntimeContext, current
 from repro.search.evaluator import LatencyEvaluator
-from repro.search.parallel import parallel_map, sharded_map, warn_processes_ignored
+from repro.search.parallel import fan_out
 
 
 @dataclass(frozen=True)
@@ -88,21 +88,17 @@ def evaluate_model(
     target: HardwareTarget,
     candidates: Sequence[Candidate],
     batch: int = 1,
-    processes: int | None = None,
-    shards: int | None = None,
     runtime: RuntimeContext | None = None,
 ) -> ModelEvaluation:
     """Latency of the baseline model and of every candidate substitution.
 
     ``runtime`` is the :class:`~repro.runtime.RuntimeContext` evaluated
-    under (``None`` resolves the ambient context); ``shards`` (default: the
-    context's ``shards`` field) fans the per-candidate tuning out over shard
-    worker processes and merges their compile-cache entries back into the
-    context.  With sharding off, ``processes`` (the older ``eval_processes``
-    fan-out) still opts into the cache-discarding parallel map; the serial
+    under (``None`` resolves the ambient context).  The per-candidate tuning
+    fans out through :func:`repro.search.parallel.fan_out`: over the
+    context's shards, merging their compile-cache entries back, or else over
+    its ``eval_processes`` (the cache-discarding parallel map); the serial
     default warms the context's compile cache directly.
     """
-    context = runtime if runtime is not None else current()
     # The whole evaluation runs under the context so nested ambient lookups
     # (plan compilation, dtype resolution) land in the same CacheSet the
     # threaded `runtime` argument targets.
@@ -118,12 +114,7 @@ def evaluate_model(
             baseline_ms=baseline_evaluator.baseline_latency() * 1e3,
         )
         worker = functools.partial(_candidate_latency_ms, tuple(slots), backend, target, batch)
-        count = shards if shards is not None else max(context.config.shards, 1)
-        if count > 1:
-            warn_processes_ignored(count, processes, runtime=runtime)
-            latencies = sharded_map(worker, candidates, shards=count, runtime=runtime)
-        else:
-            latencies = parallel_map(worker, candidates, processes=processes)
+        latencies = fan_out(worker, candidates, runtime=runtime)
     for candidate, latency_ms in zip(candidates, latencies):
         evaluation.candidate_ms[candidate.name] = latency_ms
     return evaluation

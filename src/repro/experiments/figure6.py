@@ -119,11 +119,10 @@ def run(
     target: HardwareTarget = A100,
     train_steps: int | None = None,
     seed: int = 0,
-    shards: int | None = None,
 ) -> Figure6Result:
     """Regenerate the Pareto points (one target/backend by default for speed).
 
-    ``shards=None`` inherits the ``REPRO_SEARCH_SHARDS`` knob; the point set
+    The trainings shard over the runtime context's ``shards``; the point set
     is identical at any shard count.
     """
     models = list(models) if models is not None else ["resnet18", "resnet34"]
@@ -144,7 +143,7 @@ def run(
             )
             tasks.setdefault(key, (model, candidate))
     worker = functools.partial(_train_accuracy_task, steps, seed)
-    by_signature = dict(zip(tasks, sharded_map(worker, list(tasks.values()), shards=shards)))
+    by_signature = dict(zip(tasks, sharded_map(worker, list(tasks.values()))))
 
     result = Figure6Result()
     for model in models:

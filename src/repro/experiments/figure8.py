@@ -172,16 +172,15 @@ def run(
     target: HardwareTarget = MOBILE_CPU,
     train_steps: int | None = None,
     seed: int = 0,
-    shards: int | None = None,
 ) -> Figure8Result:
-    """Regenerate the case study (``shards=None`` inherits ``REPRO_SEARCH_SHARDS``)."""
+    """Regenerate the case study (the variants shard over the context's ``shards``)."""
     steps = (
         train_steps
         if train_steps is not None
         else current().config.resolve_train_steps(full=40)
     )
     worker = functools.partial(_variant_points, steps, seed, target)
-    groups = sharded_map(worker, _VARIANTS, shards=shards)
+    groups = sharded_map(worker, _VARIANTS)
     return Figure8Result(
         target=target.name, points=[point for group in groups for point in group]
     )

@@ -48,7 +48,6 @@ from repro.nn.models.gpt2 import default_projection_factory, gpt2_tiny
 from repro.nn.module import Module
 from repro.nn.trainer import Trainer, TrainingConfig
 from repro.runtime import current
-from repro.search.parallel import sharded_reward_evaluator
 from repro.search.substitution import SynthesizedLinear
 
 log = logging.getLogger(__name__)
@@ -273,22 +272,12 @@ def run(
         config=MCTSConfig(
             iterations=iterations,
             seed=seed,
-            batch_size=max(config.frontier_width, 1),
+            batch_size=config.frontier_width,
             cache_context=evaluator.context,
             root_priority=plan.root_priority if plan is not None else (),
         ),
     )
-
-    runtime = current()
-    shards = max(config.shards, 1)
-    evaluate_batch = None
-    # The serving layer's wave coalescer supersedes per-search sharding: it
-    # already fans each merged wave out with sharded_map.
-    if shards > 1 and getattr(runtime, "wave_evaluator", None) is None:
-        evaluate_batch = sharded_reward_evaluator(
-            evaluator.evaluate, evaluator.context, shards=shards, runtime=runtime
-        )
-    samples = search.run(evaluate_batch=evaluate_batch)
+    samples = search.run()
     if plan is not None:
         # Publish fresh proxy-training rewards back to the library sidecar
         # so the next warm-started run skips re-training these candidates.

@@ -15,9 +15,9 @@ Given a library built for the searched spec, warm-starting does two things:
   signature, so candidates the library has already proxy-trained (in any
   previous run) cost nothing to revisit.
 
-Both halves are opt-in via ``SearchConfig.warm_start`` /
-``RuntimeConfig.warm_start`` (``REPRO_WARM_START``) and degrade to no-ops
-when no matching library exists.
+Both halves are opt-in via ``RuntimeConfig.warm_start``
+(``REPRO_WARM_START``) and degrade to no-ops when no matching library
+exists.
 """
 
 from __future__ import annotations

@@ -36,8 +36,6 @@ from repro.runtime.config import (
     PROVENANCE_ENV,
     PROVENANCE_EXPLICIT,
     RuntimeConfig,
-    env_float,
-    env_int,
 )
 from repro.runtime.context import RuntimeContext, current, default_context
 from repro.runtime.faults import (
@@ -74,8 +72,6 @@ __all__ = [
     "cache_snapshot_filename",
     "current",
     "default_context",
-    "env_float",
-    "env_int",
     "fault_sites",
     "inject",
 ]

@@ -23,7 +23,7 @@ import dataclasses
 import logging
 import os
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 log = logging.getLogger(__name__)
 
@@ -32,59 +32,46 @@ PROVENANCE_DEFAULT = "default"
 PROVENANCE_ENV = "env"
 PROVENANCE_EXPLICIT = "explicit"
 
-#: config field -> the environment variable that backs it at the process edge.
-ENV_KNOBS: dict[str, str] = {
-    "smoke": "REPRO_SMOKE",
-    "train_steps": "REPRO_TRAIN_STEPS",
-    "dtype": "REPRO_DTYPE",
-    "compiled_forward": "REPRO_COMPILED_FORWARD",
-    "eval_cache": "REPRO_EVAL_CACHE",
-    "eval_processes": "REPRO_EVAL_PROCESSES",
-    "shards": "REPRO_SEARCH_SHARDS",
-    "frontier_width": "REPRO_FRONTIER_WIDTH",
-    "cache_max_entries": "REPRO_CACHE_MAX_ENTRIES",
-    "cache_lock_timeout": "REPRO_CACHE_LOCK_TIMEOUT",
-    "cache_live_sync": "REPRO_CACHE_LIVE_SYNC",
-    "shard_timeout": "REPRO_SHARD_TIMEOUT",
-    "shard_retries": "REPRO_SHARD_RETRIES",
-    "fault_plan": "REPRO_FAULT_PLAN",
-    "results_dir": "REPRO_RESULTS_DIR",
-    "library_dir": "REPRO_LIBRARY_DIR",
-    "seed": "REPRO_SEED",
-    "verify_plans": "REPRO_VERIFY_PLANS",
-    "warm_start": "REPRO_WARM_START",
-}
-
 _VALID_DTYPES = ("float32", "float64")
 
 #: Values that turn a flag knob off (matching the historical env parsing).
 _FALSY = ("", "0", "false", "no")
 
-
-def env_int(name: str, default: int, environ: Mapping[str, str] | None = None) -> int:
-    """An integer environment knob; malformed values fall back to the default."""
-    environ = environ if environ is not None else os.environ
-    raw = environ.get(name)
-    if raw is None or raw == "":
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        log.warning("ignoring malformed %s=%r (expected an integer)", name, raw)
-        return default
+_INTEGER = "an integer"
+_NUMBER = "a number"
 
 
-def env_float(name: str, default: float, environ: Mapping[str, str] | None = None) -> float:
-    """A float environment knob; malformed values fall back to the default."""
-    environ = environ if environ is not None else os.environ
-    raw = environ.get(name)
-    if raw is None or raw == "":
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        log.warning("ignoring malformed %s=%r (expected a number)", name, raw)
-        return default
+@dataclass(frozen=True)
+class _Knob:
+    """How one config field is read at the process edge."""
+
+    #: the ``REPRO_*`` environment variable backing the field.
+    variable: str
+    #: raw value -> field value; raises ``ValueError`` on a malformed value.
+    parse: Callable[[str], Any]
+    #: what a well-formed value looks like (the malformed-value warning).
+    expected: str = ""
+
+
+def _knob(default: Any, variable: str, parse: Callable[[str], Any], expected: str = "") -> Any:
+    """A config field backed by ``variable`` (see :class:`_Knob`)."""
+    return field(default=default, metadata={"knob": _Knob(variable, parse, expected)})
+
+
+def _flag(raw: str) -> bool:
+    return raw not in _FALSY
+
+
+def _at_least(convert: Callable[[str], Any], minimum: Any) -> Callable[[str], Any]:
+    """A parser that floors the converted value at ``minimum``."""
+    return lambda raw: max(convert(raw), minimum)
+
+
+def _dtype(raw: str) -> str:
+    name = raw.strip().lower()
+    if name not in _VALID_DTYPES:
+        raise ValueError(raw)
+    return name
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +83,10 @@ def env_float(name: str, default: float, environ: Mapping[str, str] | None = Non
 class RuntimeConfig:
     """Frozen, typed snapshot of every runtime knob, with per-field provenance.
 
+    Each field declares its ``REPRO_*`` variable and parser once, as field
+    metadata; :meth:`from_env`, :meth:`describe` and :data:`ENV_KNOBS` are
+    derived from the fields.
+
     ``None`` for :attr:`train_steps` / :attr:`dtype` means "derived": the
     training budget follows the call site's full/smoke defaults and the dtype
     follows the smoke flag (float32 under smoke, float64 at full fidelity).
@@ -103,51 +94,54 @@ class RuntimeConfig:
     """
 
     #: shrunken workloads (fewer models/layers/samples, smaller budgets).
-    smoke: bool = False
+    smoke: bool = _knob(False, "REPRO_SMOKE", _flag)
     #: proxy-training step budget; ``None`` derives from ``smoke``.
-    train_steps: int | None = None
+    train_steps: int | None = _knob(None, "REPRO_TRAIN_STEPS", int, _INTEGER)
     #: compute dtype name (``float32``/``float64``); ``None`` derives from ``smoke``.
-    dtype: str | None = None
+    dtype: str | None = _knob(None, "REPRO_DTYPE", _dtype, "float32/float64")
     #: run lowered operators through compiled execution plans.
-    compiled_forward: bool = True
+    compiled_forward: bool = _knob(True, "REPRO_COMPILED_FORWARD", _flag)
     #: whether the reward/baseline/compile/plan/lowering caches are active.
-    eval_cache: bool = True
+    eval_cache: bool = _knob(True, "REPRO_EVAL_CACHE", _flag)
     #: worker processes for the legacy candidate-evaluation fan-out.
-    eval_processes: int = 1
-    #: worker shards for sharded search execution (1 = serial).
-    shards: int = 1
+    eval_processes: int = _knob(1, "REPRO_EVAL_PROCESSES", _at_least(int, 1), _INTEGER)
+    #: worker shards for MCTS reward waves and every other sharded map
+    #: (1 = serial, in process).
+    shards: int = _knob(1, "REPRO_SEARCH_SHARDS", _at_least(int, 1), _INTEGER)
     #: MCTS frontier width (rollouts proposed per reward wave).
-    frontier_width: int = 8
+    frontier_width: int = _knob(8, "REPRO_FRONTIER_WIDTH", _at_least(int, 1), _INTEGER)
     #: per-cache size cap of the persisted snapshot (``<= 0`` disables).
-    cache_max_entries: int = 4096
+    cache_max_entries: int = _knob(4096, "REPRO_CACHE_MAX_ENTRIES", int, _INTEGER)
     #: seconds to wait for the shared cache-store lock before giving up.
-    cache_lock_timeout: float = 10.0
+    cache_lock_timeout: float = _knob(
+        10.0, "REPRO_CACHE_LOCK_TIMEOUT", _at_least(float, 0.0), _NUMBER
+    )
     #: merge shard-worker cache deltas through the shared store at wave
     #: boundaries, so concurrent processes share warmth live (not just at
     #: load/exit).
-    cache_live_sync: bool = False
+    cache_live_sync: bool = _knob(False, "REPRO_CACHE_LIVE_SYNC", _flag)
     #: per-shard wall-clock seconds before the supervised executor reaps a
     #: worker as hung (``<= 0`` disables the timeout).
-    shard_timeout: float = 300.0
+    shard_timeout: float = _knob(300.0, "REPRO_SHARD_TIMEOUT", float, _NUMBER)
     #: supervised re-runs of a dead/hung shard before the executor falls back
     #: to in-process serial execution of that partition.
-    shard_retries: int = 2
+    shard_retries: int = _knob(2, "REPRO_SHARD_RETRIES", _at_least(int, 0), _INTEGER)
     #: fault-injection plan spec (see :mod:`repro.runtime.faults`); empty
     #: means no injected faults.
-    fault_plan: str = ""
+    fault_plan: str = _knob("", "REPRO_FAULT_PLAN", str)
     #: root of the on-disk artifact store.
-    results_dir: str = "results"
+    results_dir: str = _knob("results", "REPRO_RESULTS_DIR", str)
     #: root of the ahead-of-time graph library (see :mod:`repro.library`);
     #: empty derives ``<results_dir>/library`` (use :meth:`library_root`).
-    library_dir: str = ""
-    #: seed of the context's root RNG.
-    seed: int = 0
+    library_dir: str = _knob("", "REPRO_LIBRARY_DIR", str)
+    #: seed of the context's root RNG (and of every MCTS search).
+    seed: int = _knob(0, "REPRO_SEED", int, _INTEGER)
     #: statically verify compiled execution plans before first execution.
-    verify_plans: bool = False
+    verify_plans: bool = _knob(False, "REPRO_VERIFY_PLANS", _flag)
     #: seed MCTS root frontiers (and the reward cache) from the graph
     #: library when one covers the searched spec (see
     #: :mod:`repro.library.warmstart`).
-    warm_start: bool = False
+    warm_start: bool = _knob(False, "REPRO_WARM_START", _flag)
     #: field name -> provenance tag; fields absent here are ``default``.
     provenance: Mapping[str, str] = field(default_factory=dict, compare=False, repr=False)
 
@@ -173,106 +167,23 @@ class RuntimeConfig:
         This is the one place in the codebase where those variables are read.
         It is called at process edges only: the CLI entry and the first build
         of the process-default context (which the pytest bootstrap triggers).
+        A malformed value is logged and leaves its field at the default.
         """
         environ = environ if environ is not None else os.environ
         values: dict[str, Any] = {}
-        tags: dict[str, str] = {}
-
-        def flag(field_name: str, default: bool) -> None:
-            raw = environ.get(ENV_KNOBS[field_name])
-            if raw is None:
-                values[field_name] = default
-                return
-            # An empty string counts as set-and-falsy (`REPRO_EVAL_CACHE= cmd`
-            # has always disabled the feature), matching the historical parse.
-            values[field_name] = raw not in _FALSY
-            tags[field_name] = PROVENANCE_ENV
-
-        def integer(field_name: str, default: int, minimum: int | None = None) -> None:
-            variable = ENV_KNOBS[field_name]
-            raw = environ.get(variable)
-            value = env_int(variable, default, environ)
-            values[field_name] = max(value, minimum) if minimum is not None else value
-            if raw not in (None, "") and value != default:
-                tags[field_name] = PROVENANCE_ENV
-            elif raw not in (None, ""):
-                try:
-                    int(raw)  # well-formed but equal to the default: still env
-                    tags[field_name] = PROVENANCE_ENV
-                except ValueError:
-                    pass  # malformed: fell back to the default
-
-        def floating(field_name: str, default: float, minimum: float | None = None) -> None:
-            variable = ENV_KNOBS[field_name]
-            raw = environ.get(variable)
-            value = env_float(variable, default, environ)
-            values[field_name] = max(value, minimum) if minimum is not None else value
-            if raw not in (None, ""):
-                try:
-                    float(raw)
-                    tags[field_name] = PROVENANCE_ENV
-                except ValueError:
-                    pass  # malformed: fell back to the default
-
-        flag("smoke", False)
-        flag("compiled_forward", True)
-        flag("eval_cache", True)
-        flag("verify_plans", False)
-        flag("cache_live_sync", False)
-        flag("warm_start", False)
-        integer("eval_processes", 1, minimum=1)
-        integer("shards", 1, minimum=1)
-        integer("frontier_width", 8, minimum=1)
-        integer("cache_max_entries", 4096)
-        integer("seed", 0)
-        integer("shard_retries", 2, minimum=0)
-        floating("cache_lock_timeout", 10.0, minimum=0.0)
-        floating("shard_timeout", 300.0)
-
-        raw_plan = environ.get(ENV_KNOBS["fault_plan"])
-        values["fault_plan"] = ""
-        if raw_plan:
-            values["fault_plan"] = raw_plan
-            tags["fault_plan"] = PROVENANCE_ENV
-
-        raw_steps = environ.get(ENV_KNOBS["train_steps"])
-        values["train_steps"] = None
-        if raw_steps not in (None, ""):
+        for name, knob in _KNOBS.items():
+            raw = environ.get(knob.variable)
+            # An empty flag counts as set-and-falsy (`REPRO_EVAL_CACHE= cmd`
+            # has always disabled the cache); any other empty knob is unset.
+            if raw is None or (raw == "" and knob.parse is not _flag):
+                continue
             try:
-                values["train_steps"] = int(raw_steps)
-                tags["train_steps"] = PROVENANCE_ENV
+                values[name] = knob.parse(raw)
             except ValueError:
                 log.warning(
-                    "ignoring malformed %s=%r (expected an integer)",
-                    ENV_KNOBS["train_steps"], raw_steps,
+                    "ignoring malformed %s=%r (expected %s)", knob.variable, raw, knob.expected
                 )
-
-        raw_dtype = environ.get(ENV_KNOBS["dtype"])
-        values["dtype"] = None
-        if raw_dtype:
-            name = raw_dtype.strip().lower()
-            if name in _VALID_DTYPES:
-                values["dtype"] = name
-                tags["dtype"] = PROVENANCE_ENV
-            else:
-                log.warning(
-                    "ignoring malformed %s=%r (expected float32/float64)",
-                    ENV_KNOBS["dtype"], raw_dtype,
-                )
-
-        raw_dir = environ.get(ENV_KNOBS["results_dir"])
-        values["results_dir"] = "results"
-        if raw_dir:
-            values["results_dir"] = raw_dir
-            tags["results_dir"] = PROVENANCE_ENV
-
-        raw_library = environ.get(ENV_KNOBS["library_dir"])
-        values["library_dir"] = ""
-        if raw_library:
-            values["library_dir"] = raw_library
-            tags["library_dir"] = PROVENANCE_ENV
-
-        return cls(provenance=tags, **values)
+        return cls(provenance=dict.fromkeys(values, PROVENANCE_ENV), **values)
 
     def with_overrides(self, **overrides: Any) -> "RuntimeConfig":
         """A copy with the given fields replaced, tagged ``explicit``."""
@@ -316,28 +227,20 @@ class RuntimeConfig:
 
     def describe(self) -> dict[str, Any]:
         """Resolved field -> value mapping (what records and ``repro config`` show)."""
-        return {
-            "smoke": self.smoke,
-            "train_steps": self.train_steps,
-            "dtype": self.dtype_name(),
-            "compiled_forward": self.compiled_forward,
-            "eval_cache": self.eval_cache,
-            "eval_processes": self.eval_processes,
-            "shards": self.shards,
-            "frontier_width": self.frontier_width,
-            "cache_max_entries": self.cache_max_entries,
-            "cache_lock_timeout": self.cache_lock_timeout,
-            "cache_live_sync": self.cache_live_sync,
-            "shard_timeout": self.shard_timeout,
-            "shard_retries": self.shard_retries,
-            "fault_plan": self.fault_plan,
-            "results_dir": self.results_dir,
-            "library_dir": self.library_root(),
-            "seed": self.seed,
-            "verify_plans": self.verify_plans,
-            "warm_start": self.warm_start,
-        }
+        values = {name: getattr(self, name) for name in ENV_KNOBS}
+        values.update(dtype=self.dtype_name(), library_dir=self.library_root())
+        return values
 
     def provenance_map(self) -> dict[str, str]:
         """field -> provenance for every field (``default`` when untagged)."""
         return {name: self.provenance.get(name, PROVENANCE_DEFAULT) for name in ENV_KNOBS}
+
+
+_KNOBS: dict[str, _Knob] = {
+    config_field.name: config_field.metadata["knob"]
+    for config_field in dataclasses.fields(RuntimeConfig)
+    if "knob" in config_field.metadata
+}
+
+#: config field -> the environment variable that backs it at the process edge.
+ENV_KNOBS: dict[str, str] = {name: knob.variable for name, knob in _KNOBS.items()}

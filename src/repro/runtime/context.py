@@ -68,9 +68,9 @@ class RuntimeContext:
         #: batched reward-evaluation hook installed by the serving layer
         #: (see :mod:`repro.serve`): ``(pending, reward_fn, cache_context,
         #: runtime) -> Mapping[signature, reward]``.  When set, MCTS hands
-        #: each frontier wave to it instead of evaluating serially or
-        #: building its own sharded fan-out, which is how concurrent searches
-        #: coalesce their waves.  Deliberately not pickled: a shard worker
+        #: each frontier wave to it instead of mapping the wave through
+        #: ``sharded_map`` itself, which is how concurrent searches coalesce
+        #: their waves.  Deliberately not pickled: a shard worker
         #: must never recurse into the parent's coalescer.
         self.wave_evaluator: Callable | None = None
         #: how many contexts :meth:`derive` has produced from this one — the
@@ -282,14 +282,15 @@ class RuntimeContext:
         """
         return self.config.library_root()
 
-    def save_caches(
-        self, path: str | None = None, max_entries: int | None = None
-    ) -> SnapshotStatus:
-        """Persist this context's caches (default path: the store's snapshot)."""
-        cap = max_entries if max_entries is not None else self.config.cache_max_entries
+    def save_caches(self, path: str | None = None) -> SnapshotStatus:
+        """Persist this context's caches (default path: the store's snapshot).
+
+        Each cache keeps its ``config.cache_max_entries`` most recently used
+        entries (``<= 0``: no cap).
+        """
         return self.caches.save_snapshot(
             path if path is not None else self.snapshot_path(),
-            max_entries=cap,
+            max_entries=self.config.cache_max_entries,
             enabled=self.config.eval_cache,
             lock_timeout=self.config.cache_lock_timeout,
         )

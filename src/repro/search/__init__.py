@@ -7,7 +7,7 @@ the surviving candidates' end-to-end latency with the simulated tensor
 compiler on each hardware target.
 """
 
-from repro.search.parallel import parallel_map, sharded_map, sharded_reward_evaluator
+from repro.search.parallel import parallel_map, sharded_map
 from repro.search.substitution import SynthesizedConv2d, SynthesizedLinear, synthesized_conv_factory
 from repro.search.extraction import extract_conv_slots, conv_spec_from_slots, VISION_COEFFICIENTS
 from repro.search.evaluator import AccuracyEvaluator, LatencyEvaluator, EvaluationSettings
@@ -28,5 +28,4 @@ __all__ = [
     "CandidateResult",
     "parallel_map",
     "sharded_map",
-    "sharded_reward_evaluator",
 ]

@@ -48,15 +48,15 @@ serial map, so callers never handle parallelism errors.
   Genuine exceptions raised by ``fn`` are *not* faults: they propagate
   first-class, exactly as the serial map would raise them.
 
-:func:`sharded_reward_evaluator` adapts the primitive to the batched MCTS
-frontier (:meth:`repro.core.mcts.MCTS.run`'s ``evaluate_batch`` hook): one
-wave of pending ``(signature, operator)`` pairs in, a reward mapping out.
+Every MCTS reward wave goes through :func:`sharded_map` too
+(:meth:`repro.core.mcts.MCTS.run`), in process at one shard.
+:func:`fan_out` is the candidate-evaluation entry point: :func:`sharded_map`
+when the context shards, else the older :func:`parallel_map`.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import logging
 import multiprocessing
 import multiprocessing.connection
@@ -66,7 +66,7 @@ import signal as _signal
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.runtime import RuntimeContext, current, default_context
 from repro.runtime.faults import (
@@ -100,27 +100,6 @@ class ShardOutcome:
 
     results: list = field(default_factory=list)
     cache_entries: dict[str, dict] = field(default_factory=dict)
-
-
-def warn_processes_ignored(
-    shards: int, processes: int | None = None, runtime: RuntimeContext | None = None
-) -> None:
-    """Warn when sharded execution supersedes a requested process fan-out.
-
-    The older ``processes`` fan-out (``RuntimeConfig.eval_processes`` /
-    explicit argument) and sharding are mutually exclusive at a call site:
-    sharding wins.  Callers that take both knobs use this so the losing one
-    is never silently dead — whether it came from the argument or the config.
-    """
-    if processes is not None:
-        effective = processes
-    else:
-        effective = max((runtime or current()).config.eval_processes, 1)
-    if effective > 1:
-        log.warning(
-            "sharded execution (shards=%d) takes precedence: ignoring processes=%d",
-            shards, effective,
-        )
 
 
 def shard_partition(count: int, shards: int) -> list[list[int]]:
@@ -770,41 +749,23 @@ def sharded_map(
     return results
 
 
-# ---------------------------------------------------------------------------
-# MCTS reward waves
-# ---------------------------------------------------------------------------
+def fan_out(
+    fn: Callable[[T], R], items: Iterable[T], runtime: RuntimeContext | None = None
+) -> list[R]:
+    """``[fn(x) for x in items]`` through the context's configured fan-out.
 
-
-def _reward_worker(
-    reward_fn: Callable, context: Hashable, item: tuple[str, object]
-) -> float:
-    """Evaluate one pending (signature, operator) pair inside a shard."""
-    signature, operator = item
-    return current().cached_reward(context, signature, lambda: float(reward_fn(operator)))
-
-
-def sharded_reward_evaluator(
-    reward_fn: Callable,
-    context: Hashable,
-    shards: int | None = None,
-    max_workers: int | None = None,
-    runtime: RuntimeContext | None = None,
-) -> Callable[[Sequence[tuple[str, object]]], dict[str, float]]:
-    """A batched reward evaluator for :meth:`repro.core.mcts.MCTS.run`.
-
-    Each MCTS wave's pending ``(signature, operator)`` pairs are fanned out
-    with :func:`sharded_map` and the resulting rewards returned as a mapping;
-    the per-worker reward caches (and any compile/plan entries the proxy
-    training produced) are merged back into the parent between waves.
-    ``reward_fn`` and the operators must be picklable — if not, the map falls
-    back to in-process evaluation, which is result-identical.
+    With ``RuntimeConfig.shards > 1`` the items go through :func:`sharded_map`
+    (worker caches merge back); otherwise through :func:`parallel_map` at
+    ``RuntimeConfig.eval_processes`` workers.  Sharding wins when both are
+    set, and the ignored process count is logged.
     """
-
-    def evaluate(pending: Sequence[tuple[str, object]]) -> dict[str, float]:
-        worker = functools.partial(_reward_worker, reward_fn, context)
-        values = sharded_map(
-            worker, list(pending), shards=shards, max_workers=max_workers, runtime=runtime
-        )
-        return {signature: value for (signature, _), value in zip(pending, values)}
-
-    return evaluate
+    config = (runtime if runtime is not None else current()).config
+    processes = max(config.eval_processes, 1)
+    if config.shards > 1:
+        if processes > 1:
+            log.warning(
+                "sharded execution (shards=%d) takes precedence: ignoring processes=%d",
+                config.shards, processes,
+            )
+        return sharded_map(fn, items, runtime=runtime)
+    return parallel_map(fn, items, processes=processes)

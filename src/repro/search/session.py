@@ -16,14 +16,13 @@ evaluator's context (passed to MCTS as ``cache_context``), compilations by the p
 structural key, and one latency evaluator is hoisted per (backend, target)
 pair so each baseline compiles exactly once per session.
 
-Both halves of the session shard across worker processes under
-``SearchConfig.shards`` (default: the runtime context's ``shards`` field):
-MCTS reward waves go through
-:func:`repro.search.parallel.sharded_reward_evaluator` and candidate latency
-evaluation through :func:`repro.search.parallel.sharded_map`, with worker
-caches merged back deterministically — a sharded session's results are
-bit-identical to the serial ones.  Candidate latency evaluation can
-alternatively fan out through the older ``eval_processes`` fan-out (which
+Every runtime knob — shard count, frontier width, warm start, seed — comes
+from the session's runtime context.  Both halves of the session shard
+across its ``shards`` worker processes: MCTS reward waves and candidate
+latency evaluation go through :func:`repro.search.parallel.sharded_map`,
+with worker caches merged back deterministically — a sharded session's
+results are bit-identical to the serial ones.  Unsharded, candidate latency
+evaluation can fan out through the older ``eval_processes`` fan-out (which
 does not merge caches back); the experiment runner and CLI
 (:mod:`repro.experiments.runner`, :mod:`repro.cli`) persist the caches
 across processes.
@@ -39,7 +38,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from repro.compiler.backends import CompilerBackend, TVMBackend
 from repro.compiler.targets import HardwareTarget, MOBILE_CPU
@@ -48,12 +47,7 @@ from repro.core.mcts import MCTS, MCTSConfig, SampleRecord
 from repro.core.operator import OperatorSpec, SynthesizedOperator
 from repro.runtime import RuntimeContext, current
 from repro.search.evaluator import AccuracyEvaluator, EvaluationSettings, LatencyEvaluator
-from repro.search.parallel import (
-    parallel_map,
-    sharded_map,
-    sharded_reward_evaluator,
-    warn_processes_ignored,
-)
+from repro.search.parallel import fan_out
 from repro.search.extraction import (
     VISION_COEFFICIENTS,
     conv_spec_from_slots,
@@ -64,56 +58,20 @@ from repro.search.extraction import (
 
 @dataclass
 class SearchConfig:
-    """Hyper-parameters of one search session."""
+    """Hyper-parameters of one search session.
+
+    Runtime knobs are not here: the shard count, MCTS frontier width, warm
+    start and seed come from the session's
+    :class:`~repro.runtime.RuntimeConfig`.
+    """
 
     max_depth: int = 8
     mcts_iterations: int = 24
-    #: MCTS seed; ``None`` inherits the runtime context's ``RuntimeConfig.seed``.
-    mcts_seed: int | None = None
     #: hard MACs budget as a multiple of the original convolutions' MACs.
     macs_budget_ratio: float = 1.0
     #: admissible accuracy loss relative to the baseline (the paper uses 1%).
     accuracy_margin: float = 0.01
-    #: MCTS frontier width: rollouts proposed per wave before rewards are
-    #: applied.  Fixed independently of the shard count so the search
-    #: trajectory is a function of the seed alone (shards only split a wave's
-    #: evaluations across workers).  ``None`` inherits the runtime context's
-    #: ``frontier_width`` field (default 8).
-    frontier_width: int | None = None
-    #: worker shards for reward waves and candidate evaluation; ``None``
-    #: inherits the runtime context's ``shards`` field.
-    shards: int | None = None
-    #: seed the MCTS root frontier (and the reward cache) from an
-    #: ahead-of-time graph library covering the searched spec
-    #: (:mod:`repro.library.warmstart`).  ``None`` inherits the runtime
-    #: context's ``warm_start`` field (``REPRO_WARM_START``); degrades to a
-    #: cold search when no matching library exists.
-    warm_start: bool | None = None
-    #: name of the library to warm start from; ``None`` auto-discovers by
-    #: spec key under the context's library root.
-    library_name: str | None = None
     evaluation: EvaluationSettings = field(default_factory=EvaluationSettings)
-
-    def effective_shards(self, runtime: RuntimeContext | None = None) -> int:
-        """The shard count this session runs with (config beats context)."""
-        if self.shards is not None:
-            return max(self.shards, 1)
-        context = runtime if runtime is not None else current()
-        return max(context.config.shards, 1)
-
-    def effective_frontier_width(self, runtime: RuntimeContext | None = None) -> int:
-        """The wave width this session searches with (config beats context)."""
-        if self.frontier_width is not None:
-            return max(self.frontier_width, 1)
-        context = runtime if runtime is not None else current()
-        return max(context.config.frontier_width, 1)
-
-    def effective_warm_start(self, runtime: RuntimeContext | None = None) -> bool:
-        """Whether this session warm starts (config beats context)."""
-        if self.warm_start is not None:
-            return self.warm_start
-        context = runtime if runtime is not None else current()
-        return context.config.warm_start
 
 
 @dataclass
@@ -188,35 +146,32 @@ class SearchSession:
     def run(self, iterations: int | None = None) -> list[CandidateResult]:
         """Run the MCTS search and return accuracy-qualified candidates.
 
-        Reward waves and candidate latency evaluation shard across
-        ``SearchConfig.shards`` worker processes (default: the runtime
-        context's ``shards`` field); the results are bit-identical to a
-        serial run with the same seed.
+        Reward waves and candidate latency evaluation shard across the
+        runtime context's ``shards`` worker processes; the results are
+        bit-identical to a serial run with the same seed.  With the
+        context's ``warm_start`` on, the root frontier is seeded from a graph
+        library covering the spec, when one exists.
         """
-        options = self.enumeration_options()
+        runtime = self._rt()
         # The bound method (not a lambda) so the reward function can cross
         # the process boundary when reward waves are sharded.
         reward_fn = self.accuracy_evaluator.evaluate
         plan = None
-        if self.config.effective_warm_start(self._rt()):
+        if runtime.config.warm_start:
             # Lazy import: repro.library.builder pulls the shard executor,
             # whose module chain imports this one.
             from repro.library.warmstart import plan_warm_start
 
             plan = plan_warm_start(
-                self.spec,
-                cache_context=self.accuracy_evaluator._context,
-                name=self.config.library_name,
-                runtime=self._rt(),
+                self.spec, cache_context=self.accuracy_evaluator._context, runtime=runtime
             )
         search = MCTS(
             spec=self.spec,
-            options=options,
+            options=self.enumeration_options(),
             reward_fn=reward_fn,
             config=MCTSConfig(
                 iterations=iterations if iterations is not None else self.config.mcts_iterations,
-                seed=self.config.mcts_seed,
-                batch_size=self.config.effective_frontier_width(self._rt()),
+                batch_size=runtime.config.frontier_width,
                 # Share rewards with every search over the same backbone and
                 # evaluation settings (the evaluator's cache context).
                 cache_context=self.accuracy_evaluator._context,
@@ -224,17 +179,7 @@ class SearchSession:
             ),
             runtime=self.runtime,
         )
-        shards = self.config.effective_shards(self._rt())
-        evaluate_batch = None
-        # A runtime carrying a wave_evaluator (the serving layer's coalescer)
-        # owns the fan-out: building a per-session sharded evaluator here
-        # would bypass it and forfeit cross-request wave coalescing.
-        if shards > 1 and getattr(self._rt(), "wave_evaluator", None) is None:
-            evaluate_batch = sharded_reward_evaluator(
-                reward_fn, self.accuracy_evaluator._context, shards=shards,
-                runtime=self.runtime,
-            )
-        samples = search.run(evaluate_batch=evaluate_batch)
+        samples = search.run()
         if plan is not None:
             # Publish this session's proxy-training results back to the
             # library's sidecar so later runs reuse them by signature.
@@ -244,26 +189,19 @@ class SearchSession:
                 {record.operator.graph.signature(): record.reward for record in samples},
                 name=plan.name,
                 cache_context=self.accuracy_evaluator._context,
-                runtime=self._rt(),
+                runtime=runtime,
             )
-        return self.evaluate_candidates(samples, shards=shards)
+        return self.evaluate_candidates(samples)
 
     # -- evaluation ----------------------------------------------------------
 
-    def evaluate_candidates(
-        self,
-        samples: Sequence[SampleRecord],
-        processes: int | None = None,
-        shards: int | None = None,
-    ) -> list[CandidateResult]:
+    def evaluate_candidates(self, samples: Sequence[SampleRecord]) -> list[CandidateResult]:
         """Latency-evaluate the accuracy-qualified samples.
 
-        ``shards`` (default: ``SearchConfig.shards``, falling back to the
-        runtime context's ``shards`` field) fans the per-candidate evaluation
-        out over shard worker processes and merges their compile-cache
-        entries back into this context.  ``processes`` (the older
-        ``eval_processes`` fan-out) is honoured when sharding is off; its
-        workers' caches are discarded.
+        The per-candidate evaluation fans out through
+        :func:`repro.search.parallel.fan_out` under the session's context:
+        over its shards, merging their compile-cache entries back, or else
+        over its ``eval_processes``, whose workers' caches are discarded.
         """
         baseline = self.accuracy_evaluator.baseline_accuracy()
         qualified = [
@@ -274,12 +212,7 @@ class SearchSession:
         # ``partial`` keeps the session on the callable, so it crosses the
         # process boundary once per worker chunk instead of once per record.
         worker = functools.partial(_evaluate_sample, self)
-        count = shards if shards is not None else self.config.effective_shards(self._rt())
-        if count > 1:
-            warn_processes_ignored(count, processes, runtime=self.runtime)
-            results = sharded_map(worker, qualified, shards=count, runtime=self.runtime)
-        else:
-            results = parallel_map(worker, qualified, processes=processes)
+        results = fan_out(worker, qualified, runtime=self.runtime)
         results.sort(key=lambda result: min(result.latencies.values(), default=float("inf")))
         return results
 

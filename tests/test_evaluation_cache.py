@@ -47,7 +47,7 @@ from repro.ir.size import SizeError
 from repro.runtime import KeyedCache, RuntimeConfig, RuntimeContext, current
 from repro.search import SearchConfig, SearchSession
 from repro.search.evaluator import AccuracyEvaluator, EvaluationSettings, LatencyEvaluator
-from repro.search.parallel import parallel_map
+from repro.search.parallel import fan_out, parallel_map
 
 
 @pytest.fixture(autouse=True)
@@ -127,12 +127,12 @@ class TestSnapshotEviction:
         assert cache.export_entries(max_entries=0) == {"a": 1, "b": 2}
 
     def test_save_caches_applies_the_cap_and_load_restores_survivors(self, tmp_path):
-        runtime = current()
+        runtime = current().derive(cache_max_entries=3)
         for index in range(6):
             runtime.cached_reward("evict-ctx", f"sig{index}", lambda index=index: float(index))
         runtime.cached_reward("evict-ctx", "sig1", lambda: -1.0)  # hit: refreshes sig1
         path = tmp_path / "snapshot.pkl"
-        saved = runtime.save_caches(str(path), max_entries=3)
+        saved = runtime.save_caches(str(path))
         assert saved.entries["reward"] == 3
 
         runtime.caches.clear()
@@ -409,6 +409,20 @@ class TestParallelMap:
         assert parallel_map(lambda x: x + local, [1, 2], processes=2) == [11, 12]
 
 
+class TestFanOut:
+    def test_sharding_wins_over_processes_and_says_so(self, caplog):
+        ctx = RuntimeContext(RuntimeConfig(shards=2, eval_processes=3))
+        with caplog.at_level("WARNING", logger="repro.search.parallel"):
+            assert fan_out(_square, [1, 2, 3], runtime=ctx) == [1, 4, 9]
+        assert "shards=2" in caplog.text and "ignoring processes=3" in caplog.text
+
+    def test_unsharded_uses_the_process_fan_out_quietly(self, caplog):
+        ctx = RuntimeContext(RuntimeConfig(eval_processes=2))
+        with caplog.at_level("WARNING", logger="repro.search.parallel"):
+            assert fan_out(_square, [1, 2, 3, 4], runtime=ctx) == [1, 4, 9, 16]
+        assert caplog.text == ""
+
+
 def _square(x):
     return x * x
 
@@ -522,7 +536,7 @@ class TestLoweringMemo:
             contexts[shards] = RuntimeContext(RuntimeConfig(shards=shards))
             results[shards] = evaluate_model(
                 "unit", slots, TVMBackend(trials=8), MOBILE_CPU,
-                syno_candidates()[:2], shards=shards, runtime=contexts[shards],
+                syno_candidates()[:2], runtime=contexts[shards],
             )
         assert results[2] == results[1]
         serial, sharded = contexts[1].caches.lowering, contexts[2].caches.lowering

@@ -47,8 +47,10 @@ from repro.library.warmstart import (
     find_library_name,
     plan_warm_start,
 )
-from repro.runtime import RuntimeConfig, RuntimeContext
-from repro.search.session import SearchConfig
+from repro.nn.models.resnet import resnet18
+from repro.runtime import RuntimeConfig, RuntimeContext, current
+from repro.search.evaluator import EvaluationSettings
+from repro.search.session import SearchConfig, SearchSession
 
 A = primary("A", default=8)
 B = primary("B", default=12)
@@ -505,13 +507,49 @@ class TestWarmStart:
         assert max(warm_entries.values()) >= max(cold_entries.values())
         assert warm.record.status == "completed"
 
-    def test_search_config_effective_warm_start(self, tmp_path):
-        on = _runtime(tmp_path, warm_start=True)
-        off = _runtime(tmp_path, warm_start=False)
-        assert SearchConfig().effective_warm_start(on) is True
-        assert SearchConfig().effective_warm_start(off) is False
-        assert SearchConfig(warm_start=False).effective_warm_start(on) is False
-        assert SearchConfig(warm_start=True).effective_warm_start(off) is True
+    def test_search_session_takes_its_runtime_knobs_from_the_context(
+        self, tmp_path, monkeypatch
+    ):
+        """Shards, frontier width and warm start come from the session's context."""
+        import repro.library.warmstart as warmstart
+        import repro.search.parallel as parallel
+
+        seen: dict[str, list] = {"plans": [], "waves": [], "shards": []}
+
+        def plan(spec, cache_context, runtime=None):
+            seen["plans"].append(runtime)
+            return None  # no library on disk: a cold search
+
+        propose = MCTS.propose_batch
+
+        def spy_propose(search, n):
+            seen["waves"].append(n)
+            return propose(search, n)
+
+        real_map = parallel.sharded_map
+
+        def spy_map(fn, items, shards=None, max_workers=None, runtime=None):
+            seen["shards"].append(shards or (runtime or current()).config.shards)
+            return real_map(fn, items, runtime=runtime, max_workers=1)
+
+        monkeypatch.setattr(warmstart, "plan_warm_start", plan)
+        monkeypatch.setattr(MCTS, "propose_batch", spy_propose)
+        monkeypatch.setattr(parallel, "sharded_map", spy_map)
+        runtime = _runtime(tmp_path, shards=3, frontier_width=3, warm_start=True)
+        session = SearchSession(
+            resnet18,
+            config=SearchConfig(
+                mcts_iterations=4,
+                evaluation=EvaluationSettings(train_steps=1, dataset_size=16, batch_size=8),
+            ),
+            runtime=runtime,
+        )
+        session.run()
+        assert seen["plans"] == [runtime]
+        assert seen["waves"] == [3, 1]
+        # Candidate evaluation (and every non-empty reward wave) fanned out
+        # at the context's shard count.
+        assert seen["shards"] and set(seen["shards"]) == {3}
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,7 @@ from repro.core.library import K, M, OUT_FEATURES, build_matmul, matmul_spec
 from repro.core.mcts import MCTS, MCTSConfig
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.runtime import RuntimeConfig, RuntimeContext, SharedCacheStore, current
-from repro.search.parallel import (
-    shard_partition,
-    sharded_map,
-    sharded_reward_evaluator,
-)
+from repro.search.parallel import shard_partition, sharded_map
 
 
 @pytest.fixture(autouse=True)
@@ -39,7 +35,9 @@ def _sample_key(record):
     return (record.operator.graph.signature(), record.reward, record.iteration)
 
 
-def _matmul_search(reward_fn, *, seed=1, iterations=40, batch_size=4, cache_context=None):
+def _matmul_search(
+    reward_fn, *, seed=1, iterations=40, batch_size=4, cache_context=None, runtime=None
+):
     spec = matmul_spec(bindings=({M: 4, K: 6, OUT_FEATURES: 5},))
     options = default_options_for(spec, coefficients=[], max_depth=3)
     return MCTS(
@@ -52,6 +50,7 @@ def _matmul_search(reward_fn, *, seed=1, iterations=40, batch_size=4, cache_cont
             batch_size=batch_size,
             cache_context=cache_context,
         ),
+        runtime=runtime,
     )
 
 
@@ -209,16 +208,27 @@ class TestMCTSDeterminism:
         assert calls == []  # every reward came from the reloaded snapshot
         assert [_sample_key(s) for s in first] == [_sample_key(s) for s in second]
 
+    def test_rewards_are_computed_with_an_explicit_runtime_active(self):
+        """A serial wave runs like a shard worker: under the search's context."""
+        ctx = RuntimeContext(RuntimeConfig())
+        active = []
+
+        def reward(operator):
+            active.append(current())
+            return _signature_reward(operator)
+
+        samples = _matmul_search(reward, iterations=12, runtime=ctx).run()
+        assert samples and active
+        assert all(context is ctx for context in active)
+        assert len(ctx.caches.reward) == len(active)
+        assert len(current().caches.reward) == 0
+
     def test_serial_vs_sharded_waves_are_bit_identical(self):
         serial = _matmul_search(_signature_reward, cache_context="parity-serial").run()
 
         current().caches.clear()
-        evaluator = sharded_reward_evaluator(
-            _signature_reward, "parity-sharded", shards=4, max_workers=4
-        )
-        sharded = _matmul_search(_signature_reward, cache_context="parity-sharded").run(
-            evaluate_batch=evaluator
-        )
+        with current().derive(shards=4).activate():
+            sharded = _matmul_search(_signature_reward, cache_context="parity-sharded").run()
         assert [_sample_key(s) for s in serial] == [_sample_key(s) for s in sharded]
         # The sharded run left the parent's reward cache exactly as warm.
         assert len(current().caches.reward) >= len(
