@@ -29,6 +29,13 @@ echo "OK: static invariants hold (zero unbaselined findings)"
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
+echo "== benchmark selftest: perfbench workloads against golden.json =="
+# Runs every BENCHMARK.json workload in tiny mode, untraced and traced,
+# checks each op's result against perfbench/golden.json, and checks that a
+# traced run restores every function it hooked (the store's publish and
+# load among them).  A src change that breaks the benchmark fails here.
+python3 perfbench/selftest.py
+
 echo "== examples: quickstart, and the vision search serial and at 2 shards =="
 # The examples are the only callers of SearchSession.run() and the only MCTS
 # users outside the tests.  The vision search reads its shard count from

@@ -149,10 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "experiment",
         nargs="?",
-        choices=experiment_names() + ["serve", "library"],
+        choices=experiment_names() + ["serve"],
         help="which figure/table to time (omit with --all); `serve` benchmarks "
-        "the coalescing search service against serial parity runs; `library` "
-        "benchmarks graph-library builds and warm-started search",
+        "the coalescing search service against serial parity runs",
     )
     bench.add_argument(
         "--clients",
@@ -888,190 +887,12 @@ def _bench_serve(args: argparse.Namespace, store: ArtifactStore, config: Experim
     return 0
 
 
-def _bench_library(
-    args: argparse.Namespace, store: ArtifactStore, config: ExperimentConfig
-) -> int:
-    """Benchmark library builds and the warm-start contract end to end.
-
-    Three legs, all asserted rather than merely timed:
-
-    1. **Build parity** — the gpt2 space is built serially and at two shards;
-       the artifacts must be bit-identical (same content hash).
-    2. **Family sweep** — every slot family is built (reusing matching
-       artifacts), recording entry counts and enumeration statistics.
-    3. **Warm start** — a cold search (fresh caches, no library) is timed and
-       its proxy-training count measured, its rewards are exported to the
-       library sidecar, then a warm-started search (fresh caches again) must
-       reach at least the same best reward with strictly fewer proxy
-       trainings.
-
-    Proxy trainings are counted as new reward-cache entries: each leg runs in
-    an isolated context whose reward cache starts empty, so entries present
-    afterwards were either trained in that leg or (warm leg only) seeded from
-    the sidecar — the seeded count is subtracted.
-    """
-    from repro.library.builder import build_library
-    from repro.library.warmstart import export_rewards, plan_warm_start
-
-    runtime = _command_runtime(args)
-    depth = 3 if config.smoke else None
-    spaces = _library_spaces(depth)
-    gpt2 = spaces["gpt2"]
-    print(f"bench library: root {runtime.library_path()} (smoke={config.smoke})")
-
-    # Leg 1: serial vs sharded build parity.
-    start = time.perf_counter()
-    serial = build_library(
-        gpt2.spec, gpt2.options, name=gpt2.name, runtime=runtime, shards=1, force=True
-    )
-    serial_seconds = round(time.perf_counter() - start, 3)
-    start = time.perf_counter()
-    sharded = build_library(
-        gpt2.spec, gpt2.options, name=gpt2.name, runtime=runtime, shards=2, force=True
-    )
-    sharded_seconds = round(time.perf_counter() - start, 3)
-    build_parity = serial.content_hash == sharded.content_hash
-    print(
-        f"  build gpt2: serial {serial_seconds:.2f}s, 2 shards {sharded_seconds:.2f}s, "
-        f"{serial.entries} entries, hash {serial.content_hash[:16]} "
-        f"{'== sharded' if build_parity else '!= sharded ' + sharded.content_hash[:16]}"
-    )
-
-    # Leg 2: sweep every slot family (reuses the artifact when it matches).
-    sweep: list[dict] = []
-    for name in sorted(spaces):
-        space = spaces[name]
-        start = time.perf_counter()
-        result = build_library(
-            space.spec, space.options, name=space.name, runtime=runtime
-        )
-        # Meta stats survive artifact reuse (a reused build carries no live
-        # SynthesisStats of its own).
-        stats = result.library.meta.get("stats") or {}
-        sweep.append(
-            {
-                "family": name,
-                "entries": result.entries,
-                "complete": result.complete,
-                "levels": result.levels,
-                "reused": result.reused,
-                "seconds": round(time.perf_counter() - start, 3),
-                "dead_ends_by_distance": stats.get("dead_ends_by_distance", 0),
-                "canonicalization_rejections": sum(
-                    (stats.get("canonicalization_rejections") or {}).values()
-                ),
-            }
-        )
-        print(
-            f"  sweep {name:13s} {result.entries:5d} entries "
-            f"({result.complete} complete){'  [reused]' if result.reused else ''}"
-        )
-
-    # Leg 3: cold search, export rewards, warm-started search.
-    cold = runtime.isolated(warm_start=False)
-    with cold.activate():
-        start = time.perf_counter()
-        cold_outcome = run_experiment("search", config, store=None)
-        cold_seconds = round(time.perf_counter() - start, 3)
-    cold_entries = cold.caches.reward.export_entries()
-    cold_trainings = len(cold_entries)
-    cold_best = max(cold_entries.values(), default=0.0)
-    if not cold_entries:
-        print("FAIL: the cold search trained nothing to warm-start from", file=sys.stderr)
-        return 1
-    cache_context = next(iter(cold_entries))[0]
-    exported = export_rewards(
-        {signature: reward for (_, signature), reward in cold_entries.items()},
-        name=gpt2.name,
-        cache_context=cache_context,
-        runtime=runtime,
-    )
-    print(
-        f"  cold search: {cold_trainings} proxy training(s) in {cold_seconds:.2f}s, "
-        f"best reward {cold_best:.6f}, {exported} reward(s) exported to the sidecar"
-    )
-
-    warm = runtime.isolated(warm_start=True)
-    with warm.activate():
-        # Planning ahead of the run seeds the reward cache now and tells us
-        # how many entries were seeds; the run's own plan then seeds nothing,
-        # so trainings = entries afterwards - seeded.
-        plan = plan_warm_start(
-            gpt2.spec, cache_context=cache_context, name=gpt2.name, runtime=warm
-        )
-        seeded = plan.seeded_rewards if plan is not None else 0
-        start = time.perf_counter()
-        warm_outcome = run_experiment("search", config, store=None)
-        warm_seconds = round(time.perf_counter() - start, 3)
-    warm_entries = warm.caches.reward.export_entries()
-    warm_trainings = len(warm_entries) - seeded
-    warm_best = max(warm_entries.values(), default=0.0)
-    fingerprint_parity = (
-        cold_outcome.record.fingerprint() == warm_outcome.record.fingerprint()
-    )
-    print(
-        f"  warm search: {warm_trainings} proxy training(s) "
-        f"({seeded} seeded) in {warm_seconds:.2f}s, best reward {warm_best:.6f}"
-    )
-
-    entry = {
-        "experiment": "library",
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "config": config.to_dict(),
-        "build": {
-            "family": gpt2.name,
-            "entries": serial.entries,
-            "complete": serial.complete,
-            "serial_seconds": serial_seconds,
-            "sharded_seconds": sharded_seconds,
-            "content_hash": serial.content_hash,
-            "parity": build_parity,
-        },
-        "sweep": sweep,
-        "warm_start": {
-            "cold_trainings": cold_trainings,
-            "cold_seconds": cold_seconds,
-            "cold_best_reward": cold_best,
-            "seeded_rewards": seeded,
-            "warm_trainings": warm_trainings,
-            "warm_seconds": warm_seconds,
-            "warm_best_reward": warm_best,
-            "fingerprint_parity": fingerprint_parity,
-        },
-    }
-    output = Path(args.output) if args.output else store.root / "BENCH_library.json"
-    _append_bench_record(output, entry, name="library")
-    print(f"bench record appended to {output}")
-
-    failures: list[str] = []
-    if not build_parity:
-        failures.append("serial and sharded gpt2 builds diverge")
-    if warm_trainings >= cold_trainings:
-        failures.append(
-            f"warm start did not save proxy trainings "
-            f"({warm_trainings} warm vs {cold_trainings} cold)"
-        )
-    if warm_best < cold_best - 1e-12:
-        failures.append(
-            f"warm best reward {warm_best:.6f} below cold {cold_best:.6f}"
-        )
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    print(
-        f"OK: sharded build bit-identical; warm start reached reward "
-        f"{warm_best:.6f} with {warm_trainings}/{cold_trainings} trainings"
-    )
-    return 0
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     store = _store(args)
     config = config_from_args(args)
     repeats = max(args.repeats, 1)
 
-    if args.experiment in ("serve", "library"):
+    if args.experiment == "serve":
         flags = [
             flag for flag, given in (
                 ("--all", args.all_experiments),
@@ -1080,14 +901,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         ]
         if flags:
             print(
-                f"bench {args.experiment}: {' and '.join(flags)} "
-                "apply to experiment benches only",
+                f"bench serve: {' and '.join(flags)} apply to experiment benches only",
                 file=sys.stderr,
             )
             return 2
-        if args.experiment == "serve":
-            return _bench_serve(args, store, config)
-        return _bench_library(args, store, config)
+        return _bench_serve(args, store, config)
 
     if args.all_experiments:
         if args.experiment is not None:

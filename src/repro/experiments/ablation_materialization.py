@@ -27,7 +27,6 @@ from repro.core.library import (
 from repro.core.operator import OperatorSpec, SynthesizedOperator
 from repro.core.pgraph import PGraph
 from repro.core.primitives import Reduce, Split, Unfold
-from repro.experiments.runner import make_run_record
 from repro.ir.size import Size
 
 
@@ -94,12 +93,6 @@ def run() -> MaterializationResult:
         staged = lower_to_loopnest(operator, conv_binding, materialize=True)
         result.rows.append(MaterializationRow(name, naive.macs, staged.macs))
     return result
-
-
-#: Structured counterpart of :func:`run`: same execution through the shared
-#: runner, returning a :class:`repro.results.ResultRecord` (see
-#: :func:`repro.experiments.runner.make_run_record`).
-run_record = make_run_record("ablation-materialization")
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation

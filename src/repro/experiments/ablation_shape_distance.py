@@ -17,7 +17,6 @@ from repro.core.enumeration import EnumerationOptions, default_options_for, enum
 from repro.core.library import C_IN, C_OUT, GROUPS, H, K1, N, SHRINK, W, conv2d_spec
 from repro.core.pgraph import PGraph
 from repro.core.shape_distance import shape_distance
-from repro.experiments.runner import make_run_record
 from repro.ir.size import Size
 from repro.runtime import current
 
@@ -118,12 +117,6 @@ def run(trials: int | None = None, max_depth: int = 4, seed: int = 0) -> Ablatio
         unguided_distinct=results["unguided"][1],
         unguided_seconds=results["unguided"][2],
     )
-
-
-#: Structured counterpart of :func:`run`: same execution through the shared
-#: runner, returning a :class:`repro.results.ResultRecord` (see
-#: :func:`repro.experiments.runner.make_run_record`).
-run_record = make_run_record("ablation-shape-distance")
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation

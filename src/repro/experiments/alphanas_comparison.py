@@ -16,7 +16,6 @@ from repro.baselines.alphanas import alphanas_substitution
 from repro.compiler.backends import TVMBackend
 from repro.compiler.targets import A100
 from repro.experiments.common import syno_candidates
-from repro.experiments.runner import make_run_record
 from repro.nn.models.profiles import MODEL_PROFILES
 from repro.runtime import current
 from repro.search.evaluator import LatencyEvaluator
@@ -77,12 +76,6 @@ def run(models: tuple[str, ...] = ("resnet34", "efficientnet_v2_s")) -> AlphaNAS
             )
         )
     return result
-
-
-#: Structured counterpart of :func:`run`: same execution through the shared
-#: runner, returning a :class:`repro.results.ResultRecord` (see
-#: :func:`repro.experiments.runner.make_run_record`).
-run_record = make_run_record("alphanas")
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation

@@ -19,7 +19,6 @@ from repro.codegen.loopnest import cached_loopnest
 from repro.compiler.backends import TVMBackend, linear_loopnest
 from repro.compiler.targets import A100
 from repro.core.library import GROUPS, K, K1, M, OUT_FEATURES, SHRINK, build_grouped_projection
-from repro.experiments.runner import make_run_record
 from repro.nn.data import SyntheticLanguageDataset
 from repro.nn.models.gpt2 import GPT2, default_projection_factory, gpt2_tiny
 from repro.nn.module import Module
@@ -109,12 +108,6 @@ def run(train_steps: int | None = None, seed: int = 0, groups: int = 2) -> Figur
         syno_perplexity=_perplexity(syno_result.loss_history),
         training_speedup=estimated_training_speedup(groups=4),
     )
-
-
-#: Structured counterpart of :func:`run`: same execution through the shared
-#: runner, returning a :class:`repro.results.ResultRecord` (see
-#: :func:`repro.experiments.runner.make_run_record`).
-run_record = make_run_record("figure10")
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation

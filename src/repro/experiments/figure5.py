@@ -24,7 +24,6 @@ from repro.experiments.common import (
     evaluate_model,
     syno_candidates,
 )
-from repro.experiments.runner import make_run_record
 from repro.nn.models.profiles import MODEL_PROFILES
 from repro.runtime import current
 
@@ -104,12 +103,6 @@ def run(
                     )
                 )
     return result
-
-
-#: Structured counterpart of :func:`run`: same execution through the shared
-#: runner, returning a :class:`repro.results.ResultRecord` (see
-#: :func:`repro.experiments.runner.make_run_record`).
-run_record = make_run_record("figure5")
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation

@@ -24,7 +24,6 @@ from typing import Sequence
 from repro.compiler.backends import TVMBackend
 from repro.compiler.targets import A100, HardwareTarget
 from repro.experiments.common import Candidate, syno_candidates
-from repro.experiments.runner import make_run_record
 from repro.nn.data import SyntheticImageDataset
 from repro.nn.layers import seed_all
 from repro.nn.models import MODEL_BUILDERS
@@ -166,12 +165,6 @@ def run(
             accuracy = by_signature[(model, candidate.operator.graph.signature())]
             result.points.append(ParetoPoint(model, candidate.name, accuracy, latency_ms))
     return result
-
-
-#: Structured counterpart of :func:`run`: same execution through the shared
-#: runner, returning a :class:`repro.results.ResultRecord` (see
-#: :func:`repro.experiments.runner.make_run_record`).
-run_record = make_run_record("figure6")
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation

@@ -26,7 +26,6 @@ from repro.baselines.stacked_conv import StackedConvolution, stacked_conv_progra
 from repro.compiler.backends import TVMBackend
 from repro.compiler.targets import MOBILE_CPU, HardwareTarget
 from repro.core.library import GROUPS, K1, SHRINK, build_operator1
-from repro.experiments.runner import make_run_record
 from repro.nn.data import SyntheticImageDataset
 from repro.nn.layers import seed_all
 from repro.nn.models.common import ConvSlot, default_conv_factory
@@ -184,12 +183,6 @@ def run(
     return Figure8Result(
         target=target.name, points=[point for group in groups for point in group]
     )
-
-
-#: Structured counterpart of :func:`run`: same execution through the shared
-#: runner, returning a :class:`repro.results.ResultRecord` (see
-#: :func:`repro.experiments.runner.make_run_record`).
-run_record = make_run_record("figure8")
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation

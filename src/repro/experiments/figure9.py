@@ -10,6 +10,7 @@ the FLOPs / parameter reductions — are computed here as well.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -25,10 +26,12 @@ from repro.experiments.common import (
     nas_pte_candidates,
     syno_candidates,
 )
-from repro.experiments.runner import make_run_record
+from repro.ir.size import SizeError
 from repro.nn.models.common import ConvSlot
 from repro.nn.models.profiles import RESNET34_FIGURE9_LAYERS
 from repro.search.extraction import binding_for_slot
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -131,20 +134,21 @@ def run(
                     binding = binding_for_slot(slot, 1, candidate.coefficients)
                     try:
                         program = cached_loopnest(candidate.operator, binding)
-                    except Exception:
-                        continue  # coefficients do not divide this layer's channels
+                    except SizeError as exc:
+                        # The coefficients do not divide this layer's channels,
+                        # so the candidate has no entry for it.  Any other
+                        # exception is a lowering bug and propagates.
+                        log.debug(
+                            "%s not lowerable at layer %s (%s); skipping it",
+                            candidate.name, layer_name, exc,
+                        )
+                        continue
                     tuned = backend.compile(program, target)
                     comparison.candidate_ms[candidate.name] = tuned.latency_ms
                     comparison.candidate_macs[candidate.name] = program.macs
                     comparison.candidate_params[candidate.name] = program.parameter_count
                 result.comparisons.append(comparison)
     return result
-
-
-#: Structured counterpart of :func:`run`: same execution through the shared
-#: runner, returning a :class:`repro.results.ResultRecord` (see
-#: :func:`repro.experiments.runner.make_run_record`).
-run_record = make_run_record("figure9")
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation

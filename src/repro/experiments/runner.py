@@ -502,27 +502,3 @@ def _finalize(
     failures = runtime.drain_shard_failures()
     if failures:
         record.environment["shard_failures"] = [f.to_dict() for f in failures]
-
-
-def make_run_record(name: str):
-    """Build the module-level ``run_record`` function for one experiment.
-
-    Every experiment module exposes ``run_record = make_run_record("<name>")``
-    — the structured counterpart of its ``run()``: same execution through
-    :func:`run_experiment`, returning the :class:`ResultRecord` instead of
-    the result dataclass.
-    """
-
-    def run_record(
-        config: ExperimentConfig | None = None, store: ArtifactStore | None = None
-    ) -> ResultRecord:
-        return run_experiment(name, config, store=store).record
-
-    run_record.__doc__ = (
-        f"Run ``{name}`` through the shared runner and return its "
-        "``ResultRecord``.\n\n"
-        "``config`` is an :class:`~repro.experiments.runner.ExperimentConfig` "
-        "(None for the ambient runtime config); ``store`` an optional "
-        ":class:`~repro.results.ArtifactStore` to save the record into."
-    )
-    return run_record

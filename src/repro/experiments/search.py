@@ -39,7 +39,6 @@ from repro.compiler.targets import A100
 from repro.core.library import GROUPS
 from repro.core.mcts import MCTS, MCTSConfig
 from repro.core.operator import SynthesizedOperator
-from repro.experiments.runner import make_run_record
 from repro.library.specs import gpt2_projection_space
 from repro.library.warmstart import export_rewards, plan_warm_start
 from repro.nn.data import SyntheticLanguageDataset
@@ -329,12 +328,6 @@ def run(
         evaluations=len(samples),
         candidates=candidates,
     )
-
-
-#: Structured counterpart of :func:`run`: same execution through the shared
-#: runner, returning a :class:`repro.results.ResultRecord` (see
-#: :func:`repro.experiments.runner.make_run_record`).
-run_record = make_run_record("search")
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation

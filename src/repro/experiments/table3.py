@@ -16,7 +16,6 @@ from repro.core.canonicalize import CanonicalizationEngine
 from repro.core.enumeration import EnumerationOptions, default_options_for, enumerate_children
 from repro.core.library import C_IN, C_OUT, GROUPS, H, K1, N, SHRINK, W, conv2d_spec
 from repro.core.pgraph import PGraph
-from repro.experiments.runner import make_run_record
 from repro.ir.size import Size
 from repro.runtime import current
 
@@ -111,12 +110,6 @@ def run(num_samples: int | None = None, seed: int = 0, max_depth: int = 8) -> Ta
         samples_canonical=canonical_count,
         per_size={size: (c, t) for size, (c, t) in per_size.items()},
     )
-
-
-#: Structured counterpart of :func:`run`: same execution through the shared
-#: runner, returning a :class:`repro.results.ResultRecord` (see
-#: :func:`repro.experiments.runner.make_run_record`).
-run_record = make_run_record("table3")
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation

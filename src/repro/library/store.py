@@ -2,14 +2,15 @@
 
 A graph library is the ahead-of-time enumeration of one operator spec's
 canonical pGraph space (ROADMAP item: enumerate once, reuse across runs).
-On disk it is a sequence of CRC-framed payloads — the same torn-tail-tolerant
-framing :mod:`repro.runtime.store` uses for the shared cache store, under a
-distinct magic so the two formats can never be confused:
+On disk it is a sequence of CRC-framed payloads (magic, length, CRC32,
+payload), so a torn tail is detected and everything before it still loads:
 
 * frame 0: JSON metadata (format version, spec key, options fingerprint,
   entry counts, content hash, enumeration statistics);
 * frames 1..n: one canonical-JSON :class:`LibraryEntry` each, sorted by
   ``(depth, signature)``.
+
+Build checkpoints use the same framing.
 
 The **content hash** is a SHA-256 over the sorted entry payload bytes.  It is
 the library's identity for the determinism contract: a serial build, a
@@ -21,10 +22,11 @@ Entries carry no process-local state (dimension uids are relabelled away by
 Loading is lazy and mmap-friendly: :meth:`GraphLibrary.load` maps the file
 and scans frame offsets only; entry JSON is parsed on first access.
 
-The **reward sidecar** is a small append-only frame file next to the library
-mapping ``(evaluation-context digest, signature) -> reward``, so proxy-train
-rewards transfer across runs and scenarios by structural signature instead of
-dying with each process's cache snapshot.
+The **reward sidecar** (:func:`sidecar_filename`) sits next to the library.
+It is a :class:`~repro.runtime.store.SharedCacheStore` whose ``reward``
+entries are keyed ``(cache context, signature)`` like the reward cache, so
+proxy-train rewards transfer across runs and scenarios by structural
+signature instead of dying with each process's cache snapshot.
 """
 
 from __future__ import annotations
@@ -34,11 +36,10 @@ import json
 import logging
 import mmap
 import os
+import struct
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Sequence
-
-from repro.runtime.store import FRAME_HEADER, CacheLockTimeout, FileLock
 
 log = logging.getLogger(__name__)
 
@@ -49,26 +50,27 @@ LIBRARY_FORMAT_VERSION = 1
 
 #: Frame magic of library artifacts and build checkpoints.
 LIBRARY_MAGIC = b"RPLB"
-#: Frame magic of reward sidecar files.
-SIDECAR_MAGIC = b"RPLR"
+#: magic (4s) | payload length (u32 BE) | CRC32 of the payload (u32 BE).
+FRAME_HEADER = struct.Struct(">4sII")
 
 
 # ---------------------------------------------------------------------------
-# Framing (same idioms as runtime/store.py, distinct magic)
+# Framing
 # ---------------------------------------------------------------------------
 
 
-def pack_frame(payload: bytes, magic: bytes = LIBRARY_MAGIC) -> bytes:
+def pack_frame(payload: bytes) -> bytes:
     """One CRC-framed payload: header(magic, length, crc32) + payload."""
-    return FRAME_HEADER.pack(magic, len(payload), zlib.crc32(payload) & 0xFFFFFFFF) + payload
+    header = FRAME_HEADER.pack(LIBRARY_MAGIC, len(payload), zlib.crc32(payload) & 0xFFFFFFFF)
+    return header + payload
 
 
-def scan_frames(buffer, magic: bytes = LIBRARY_MAGIC) -> list[tuple[int, int]]:
+def scan_frames(buffer) -> list[tuple[int, int]]:
     """``(start, end)`` payload offsets of every intact frame in ``buffer``.
 
     Scanning stops at the first wrong-magic, wrong-CRC or torn frame — the
     state a SIGKILLed writer leaves behind — so everything before a corrupt
-    tail remains loadable, mirroring the shared cache store's recovery.
+    tail remains loadable.
     """
     offsets: list[tuple[int, int]] = []
     position = 0
@@ -77,7 +79,7 @@ def scan_frames(buffer, magic: bytes = LIBRARY_MAGIC) -> list[tuple[int, int]]:
         found, length, crc = FRAME_HEADER.unpack_from(buffer, position)
         start = position + FRAME_HEADER.size
         end = start + length
-        if found != magic or end > size:
+        if found != LIBRARY_MAGIC or end > size:
             break
         if zlib.crc32(buffer[start:end]) & 0xFFFFFFFF != crc:
             break
@@ -86,7 +88,7 @@ def scan_frames(buffer, magic: bytes = LIBRARY_MAGIC) -> list[tuple[int, int]]:
     return offsets
 
 
-def read_frames(path: str, magic: bytes = LIBRARY_MAGIC) -> list[bytes]:
+def read_frames(path: str) -> list[bytes]:
     """All intact frame payloads of ``path`` (empty for a missing file)."""
     try:
         with open(path, "rb") as handle:
@@ -96,16 +98,16 @@ def read_frames(path: str, magic: bytes = LIBRARY_MAGIC) -> list[bytes]:
     except OSError as exc:
         log.warning("unreadable frame file %s: %s", path, exc)
         return []
-    return [buffer[start:end] for start, end in scan_frames(buffer, magic)]
+    return [buffer[start:end] for start, end in scan_frames(buffer)]
 
 
-def write_frames_atomic(path: str, payloads: Sequence[bytes], magic: bytes = LIBRARY_MAGIC) -> None:
+def write_frames_atomic(path: str, payloads: Sequence[bytes]) -> None:
     """Write ``payloads`` as one framed file, atomically (tmp + fsync + replace)."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp_path = f"{path}.tmp.{os.getpid()}"
     with open(tmp_path, "wb") as handle:
         for payload in payloads:
-            handle.write(pack_frame(payload, magic))
+            handle.write(pack_frame(payload))
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp_path, path)
@@ -182,11 +184,6 @@ def options_fingerprint(options) -> str:
         separators=(",", ":"),
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def context_digest(cache_context) -> str:
-    """Digest of a reward-cache context tuple (the sidecar's namespace key)."""
-    return hashlib.sha256(repr(cache_context).encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +273,7 @@ def checkpoint_filename(name: str) -> str:
 
 
 def sidecar_filename(name: str) -> str:
-    return f"rewards-{name}-v{LIBRARY_FORMAT_VERSION}.rplb"
+    return f"rewards-{name}-v{LIBRARY_FORMAT_VERSION}.pkl"
 
 
 class GraphLibrary:
@@ -416,79 +413,3 @@ class _LazyEntries:
     def __iter__(self) -> Iterator[LibraryEntry]:
         for index in range(len(self._payloads)):
             yield self[index]
-
-
-# ---------------------------------------------------------------------------
-# Reward sidecar
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class RewardSidecar:
-    """Append-only ``(context digest, signature) -> reward`` frames.
-
-    Rewards transfer across runs *by signature*: a search warm-started from
-    the library seeds its context's reward cache from here before the first
-    wave, and publishes its fresh rewards back after the last one.  Appends
-    take the same advisory directory lock the shared cache store uses, and
-    are best-effort — a held lock skips the publish rather than failing the
-    run.
-    """
-
-    path: str
-    lock_timeout: float = 10.0
-    _lock: FileLock = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.path = str(self.path)
-        self._lock = FileLock(f"{self.path}.lock", timeout=self.lock_timeout)
-
-    def load(self, digest: str) -> dict[str, float]:
-        """All rewards recorded under one evaluation-context digest."""
-        rewards: dict[str, float] = {}
-        for payload in read_frames(self.path, SIDECAR_MAGIC):
-            try:
-                record = json.loads(payload.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                log.warning("skipping corrupt sidecar frame in %s: %s", self.path, exc)
-                continue
-            if record.get("context") == digest:
-                rewards[str(record["signature"])] = float(record["reward"])
-        return rewards
-
-    def publish(self, digest: str, rewards: Mapping[str, float]) -> int:
-        """Append rewards not yet recorded under ``digest``; returns how many.
-
-        Read-delta-append under the file lock, so concurrent publishers merge
-        instead of duplicating; a lock timeout publishes nothing (0).
-        """
-        if not rewards:
-            return 0
-        try:
-            self._lock.acquire()
-        except CacheLockTimeout as exc:
-            log.warning("reward sidecar %s is locked (%s); skipping publish", self.path, exc)
-            return 0
-        try:
-            known = set(self.load(digest))
-            fresh = sorted(
-                (signature, float(value))
-                for signature, value in rewards.items()
-                if signature not in known
-            )
-            if not fresh:
-                return 0
-            os.makedirs(os.path.dirname(os.path.abspath(self.path)), exist_ok=True)
-            with open(self.path, "ab") as handle:
-                for signature, value in fresh:
-                    payload = json.dumps(
-                        {"context": digest, "signature": signature, "reward": value},
-                        sort_keys=True,
-                        separators=(",", ":"),
-                    ).encode("utf-8")
-                    handle.write(pack_frame(payload, SIDECAR_MAGIC))
-                handle.flush()
-                os.fsync(handle.fileno())
-            return len(fresh)
-        finally:
-            self._lock.release()

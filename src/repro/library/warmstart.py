@@ -32,13 +32,12 @@ from repro.core.pgraph import PGraph
 from repro.library.embeddings import distance, feature_vector
 from repro.library.store import (
     GraphLibrary,
-    RewardSidecar,
-    context_digest,
     library_filename,
     sidecar_filename,
     spec_key,
 )
 from repro.runtime.context import RuntimeContext, current
+from repro.runtime.store import SharedCacheStore
 
 log = logging.getLogger(__name__)
 
@@ -103,9 +102,9 @@ def load_library(
     return library
 
 
-def reward_sidecar(name: str, runtime: RuntimeContext | None = None) -> RewardSidecar:
+def reward_sidecar(name: str, runtime: RuntimeContext | None = None) -> SharedCacheStore:
     runtime = runtime if runtime is not None else current()
-    return RewardSidecar(os.path.join(runtime.library_path(), sidecar_filename(name)))
+    return SharedCacheStore(os.path.join(runtime.library_path(), sidecar_filename(name)))
 
 
 def plan_warm_start(
@@ -132,8 +131,13 @@ def plan_warm_start(
     if library is None:
         return None
 
-    digest = context_digest(cache_context)
-    rewards = reward_sidecar(name, runtime).load(digest)
+    stored, _ = reward_sidecar(name, runtime).load()
+    seeds = {
+        key: reward
+        for key, reward in (stored or {}).get("reward", {}).items()
+        if key[0] == cache_context
+    }
+    rewards = {signature: reward for (_, signature), reward in seeds.items()}
 
     binding = dict(spec.bindings[0]) if spec.bindings else {}
     root = PGraph.root(spec.output_shape, spec.input_shape)
@@ -153,14 +157,7 @@ def plan_warm_start(
         if len(root_priority) >= limit:
             break
 
-    seeded = 0
-    if runtime.config.eval_cache:
-        reward_cache = runtime.caches.reward
-        for signature, reward in sorted(rewards.items()):
-            key = (cache_context, signature)
-            if key not in reward_cache:
-                reward_cache.put(key, reward)
-                seeded += 1
+    seeded = runtime.caches.reward.merge_entries(seeds) if runtime.config.eval_cache else 0
 
     return WarmStartPlan(
         name=name,
@@ -180,10 +177,10 @@ def export_rewards(
 ) -> int:
     """Publish a finished search's ``signature -> reward`` samples.
 
-    Appends only rewards the sidecar does not already hold under this
-    context; returns how many were written (0 under lock contention — the
-    publish is best-effort by design).
+    Adds only rewards the sidecar does not already hold under this context;
+    returns how many were written (0 under lock contention or a write
+    failure — the publish is best-effort by design).
     """
-    runtime = runtime if runtime is not None else current()
-    sidecar = reward_sidecar(name, runtime)
-    return sidecar.publish(context_digest(cache_context), rewards)
+    entries = {(cache_context, signature): reward for signature, reward in rewards.items()}
+    status = reward_sidecar(name, runtime).publish({"reward": entries})
+    return status.entries.get("reward", 0)

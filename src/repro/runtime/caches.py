@@ -29,12 +29,13 @@ T = TypeVar("T")
 
 #: Version of the on-disk snapshot format *and* of the cache key schemas.
 #: Bump whenever a key or value type changes shape (e.g. a new field in
-#: ``TuneResult`` or an extra component in an evaluation context) *or* the
+#: ``TuneResult`` or an extra component in an evaluation context), the
 #: meaning of a cached value changes (v3: trainings reseed the parameter
-#: init RNG per work item, so rewards are order-independent): loading
-#: ignores snapshots written under any other version, so stale entries can
-#: never alias fresh ones.
-CACHE_FORMAT_VERSION = 3
+#: init RNG per work item, so rewards are order-independent) *or* the file
+#: format changes (v4: one pickled snapshot replaced whole, not a framed
+#: log): loading ignores snapshots written under any other version, so stale
+#: entries can never alias fresh ones.
+CACHE_FORMAT_VERSION = 4
 
 
 def cache_snapshot_filename() -> str:
@@ -370,12 +371,13 @@ class CacheSet:
 
         Persistence goes through :class:`repro.runtime.store.SharedCacheStore`:
         under an advisory file lock, only this process's *delta* (entries the
-        store does not hold yet) is appended, so N concurrent processes merge
-        into one store instead of overwriting each other (status ``merged``
-        when the store already held entries, ``saved`` when it was fresh, and
-        ``locked`` when the lock was not acquired within ``lock_timeout``
-        seconds).  Writes are atomic-or-appended with fsync, so an interrupted
-        run never corrupts entries already persisted.  Persistence is
+        store does not hold yet) is merged into the stored snapshot, so N
+        concurrent processes merge into one store instead of overwriting each
+        other (status ``merged`` when the store already held entries, ``saved``
+        when it was fresh, and ``locked`` when the lock was not acquired
+        within ``lock_timeout`` seconds).  The snapshot is replaced atomically
+        (tmp file, fsync, rename), so an interrupted run never corrupts
+        entries already persisted.  Persistence is
         best-effort and never raises: entries whose key or value cannot be
         pickled are skipped, and an unwritable destination returns a
         ``write-failed`` status instead of failing the experiment.

@@ -125,7 +125,7 @@ class RuntimeContext:
 
         Created lazily (and re-created if the snapshot path moves with
         ``results_dir``); holds no open resources, just the path, the lock
-        object and the incremental-refresh offset used by live sync.
+        object and the file stat live sync last refreshed from.
         """
         if self._shared_store is None or self._shared_store.path != self.snapshot_path():
             from repro.runtime.store import SharedCacheStore  # lazy: avoids a cycle

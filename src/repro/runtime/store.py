@@ -1,42 +1,38 @@
-"""Process-safe shared cache store: a framed append/merge log behind a file lock.
+"""Process-safe shared cache store: one pickled snapshot behind a file lock.
 
-PR 5's snapshot was one pickle written at process exit — two concurrent
-``repro run``s raced and the *last* writer won, silently discarding the other
-process's rewards.  This module replaces that with a store N processes on one
-box can share:
+A whole-pickle snapshot written once at process exit loses work when two
+``repro run``s share a results dir: the *last* writer wins and silently
+discards the other process's rewards.  This module keeps the one-pickle
+format but makes every write a locked read-merge-replace, so N processes on
+one box can share a store:
 
-* **Per-entry frames, append/merge semantics.**  The store file is a log of
-  self-delimiting frames (magic + length + CRC32 + pickled
-  ``{"version": ..., "caches": {name: {key: value}}}``).  A publisher reads
-  what is already on disk, appends only its *delta* (entries the store does
-  not have yet), and rewrites the log into one compact frame only when the
-  LRU cap is exceeded or the file needs repair — so two concurrent
-  publishers both land, instead of overwriting each other.
-* **Advisory file lock.**  All writes (and consistent loads) happen under a
-  lock *directory* next to the store (``<path>.lock``), in the style of
-  Theano's compile lock: atomic ``os.mkdir`` acquisition, exponential
-  backoff while waiting, a configurable timeout
-  (``RuntimeConfig.cache_lock_timeout`` / ``REPRO_CACHE_LOCK_TIMEOUT``),
-  and stale-lock detection with forced unlock — a lock whose recorded owner
-  is a dead pid on this host is broken immediately; a foreign or unreadable
-  lock is broken after ``stale_timeout`` seconds.
-* **Crash tolerance.**  Frames are appended with flush+fsync, so a writer
-  SIGKILLed mid-write can leave at most one torn frame at the *tail* of the
-  log.  Readers stop at the first bad frame (everything before it loads
-  fine) and the next publisher truncates the torn tail before appending —
-  the store is self-repairing, and the dead writer's lock is reclaimed by
-  the stale-holder check.
-* **Versioned frames.**  Frames carrying another format version are
-  skipped (a store holding only those reports ``version-mismatch``) and
-  garbage-collected by the next publish; a file that is not a framed log
-  at all reports ``unreadable``.  Neither is ever raised.
+* **One snapshot, merge on publish.**  The store file is a single pickled
+  ``{"version": ..., "caches": {name: {key: value}}}``.  A publisher takes
+  the lock, reads the snapshot, adds only the entries it lacks (entries
+  already stored win), applies the per-cache LRU cap and replaces the file —
+  so two concurrent publishers both land instead of overwriting each other.
+* **Advisory file lock.**  Publishes and loads happen under a lock
+  *directory* next to the store (``<path>.lock``), in the style of Theano's
+  compile lock: atomic ``os.mkdir`` acquisition, exponential backoff while
+  waiting, a configurable timeout (``RuntimeConfig.cache_lock_timeout`` /
+  ``REPRO_CACHE_LOCK_TIMEOUT``), and stale-lock detection with forced
+  unlock — a lock whose recorded owner is a dead pid on this host is broken
+  immediately; a foreign or unreadable lock is broken after
+  ``stale_timeout`` seconds.
+* **Crash tolerance.**  A publish writes ``<path>.tmp``, fsyncs it and
+  renames it over the store with ``os.replace``, so the store file is always
+  either the old snapshot or the new one, never torn.  A writer SIGKILLed
+  before the replace leaves the old snapshot intact, a stray ``.tmp`` that
+  the next publish overwrites, and a dead-pid lock that the stale-holder
+  check breaks.
+* **Versioned.**  A snapshot of another format version reports
+  ``version-mismatch`` and a file that is not a snapshot at all reports
+  ``unreadable``; neither is ever raised, and the next publish replaces
+  either one.
 
-The one exception to "everything is locked" is :meth:`read_new_entries`,
-the incremental refresh used by the sharded executor's live sync at wave
-boundaries: it reads lock-free from the last seen byte offset.  Torn tails
-are benign there (the frame is picked up on the next refresh), and a
-concurrent compaction is detected by offset/parse mismatch and answered by
-re-reading from the start — merging a cache entry twice is idempotent.
+The one reader that skips the lock is :meth:`read_new_entries`, the refresh
+the sharded executor's live sync runs at wave boundaries: a replaced file is
+never torn, so it re-reads the snapshot whenever the file's stat changed.
 
 Everything here is stdlib-only, keeping :mod:`repro.runtime` import-light.
 """
@@ -48,10 +44,7 @@ import logging
 import os
 import pickle
 import socket
-import struct
 import time
-import zlib
-from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.runtime.caches import (
@@ -70,11 +63,6 @@ DEFAULT_LOCK_TIMEOUT = 10.0
 #: unreadable info) is presumed dead and forcibly broken.  Same-host holders
 #: are probed by pid and broken immediately when dead.
 DEFAULT_STALE_TIMEOUT = 300.0
-
-#: Every frame starts with this magic.
-FRAME_MAGIC = b"RPCS"
-#: magic (4s) | payload length (u32 BE) | CRC32 of the payload (u32 BE).
-FRAME_HEADER = struct.Struct(">4sII")
 
 
 class CacheLockTimeout(TimeoutError):
@@ -273,101 +261,22 @@ class FileLock:
 
 
 # ---------------------------------------------------------------------------
-# Frame parsing
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _StoreContents:
-    """What one pass over the store file saw."""
-
-    #: per-cache entries in recency order (later frames count as fresher).
-    entries: dict[str, dict] = field(default_factory=dict)
-    #: complete, version-matching frames.
-    frames: int = 0
-    #: complete frames skipped for carrying a different format version.
-    skipped_frames: int = 0
-    #: the version of the first skipped frame (for version-mismatch reports).
-    wrong_version: int | None = None
-    #: byte offset just past the last complete frame (truncation point).
-    end_offset: int = 0
-    #: description of the torn/garbage tail, if any.
-    tail_error: str | None = None
-
-
-def _parse_frames(buffer: bytes, start: int = 0) -> _StoreContents:
-    contents = _StoreContents(end_offset=start)
-    position = start
-    header_size = FRAME_HEADER.size
-    while position < len(buffer):
-        header = buffer[position : position + header_size]
-        if len(header) < header_size:
-            contents.tail_error = f"truncated frame header at byte {position}"
-            break
-        magic, length, checksum = FRAME_HEADER.unpack(header)
-        if magic != FRAME_MAGIC:
-            contents.tail_error = f"bad frame magic at byte {position}"
-            break
-        payload = buffer[position + header_size : position + header_size + length]
-        if len(payload) < length:
-            contents.tail_error = f"truncated frame payload at byte {position}"
-            break
-        if zlib.crc32(payload) != checksum:
-            contents.tail_error = f"frame checksum mismatch at byte {position}"
-            break
-        try:
-            frame = pickle.loads(payload)
-        except Exception as exc:
-            contents.tail_error = f"unpicklable frame at byte {position}: {exc}"
-            break
-        position += header_size + length
-        contents.end_offset = position
-        if not isinstance(frame, dict) or frame.get("version") != CACHE_FORMAT_VERSION:
-            contents.skipped_frames += 1
-            if contents.wrong_version is None:
-                version = frame.get("version") if isinstance(frame, dict) else None
-                contents.wrong_version = version
-            continue
-        contents.frames += 1
-        for name, cache_entries in frame.get("caches", {}).items():
-            if not isinstance(cache_entries, dict):
-                continue
-            merged = contents.entries.setdefault(name, {})
-            for key, value in cache_entries.items():
-                # Re-inserting moves the key to the end: later frames are
-                # fresher, which is what the LRU compaction cap keys off.
-                merged.pop(key, None)
-                merged[key] = value
-    return contents
-
-
-def _pack_frame(caches: Mapping[str, Mapping]) -> bytes:
-    payload = pickle.dumps(
-        {"version": CACHE_FORMAT_VERSION, "caches": {k: dict(v) for k, v in caches.items()}},
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-    return FRAME_HEADER.pack(FRAME_MAGIC, len(payload), zlib.crc32(payload)) + payload
-
-
-# ---------------------------------------------------------------------------
 # The shared store
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _DiskState:
-    """The store file as one publish/load transaction sees it (under lock)."""
+class _BadSnapshot(Exception):
+    """The store file exists but holds no current-version snapshot."""
 
-    contents: _StoreContents
-    #: the file needs a full compact rewrite (missing, torn or foreign head,
-    #: or wrong-version frames worth garbage-collecting).
-    needs_rewrite: bool
-    #: file existed at all (distinguishes ``saved`` from ``merged``).
-    existed: bool
+    def __init__(self, status: str, error: str, version: object = None) -> None:
+        super().__init__(error)
+        #: the status to report: ``unreadable`` or ``version-mismatch``.
+        self.status = status
+        self.version = version
 
 
 class SharedCacheStore:
-    """The process-safe, append/merge backing of cache persistence.
+    """The process-safe, merge-on-publish backing of cache persistence.
 
     One instance wraps one store path; the lock lives at ``<path>.lock``.
     Entry payloads are plain ``{cache name: {key: value}}`` mappings — the
@@ -385,50 +294,45 @@ class SharedCacheStore:
         self.lock = FileLock(
             self.path + ".lock", timeout=lock_timeout, stale_timeout=stale_timeout
         )
-        self._refresh_offset = 0
+        #: stat identity of the file :meth:`read_new_entries` last returned.
+        self._seen: tuple | None = None
 
-    # -- raw reading ---------------------------------------------------------
+    def _read(self) -> dict[str, dict] | None:
+        """The snapshot's caches, or ``None`` when there is no store file.
 
-    def _read_disk(self) -> _DiskState:
-        """Parse the store file (caller holds the lock)."""
+        Raises :class:`_BadSnapshot` when the file is not a snapshot of the
+        current format version; other I/O errors propagate.
+        """
         try:
             with open(self.path, "rb") as handle:
-                buffer = handle.read()
+                payload = handle.read()
         except FileNotFoundError:
-            return _DiskState(_StoreContents(), needs_rewrite=True, existed=False)
-        contents = _parse_frames(buffer)
-        # A torn or foreign head (no complete frame at all) or dead
-        # wrong-version frames are repaired/garbage-collected by rewriting
-        # compactly.
-        rewrite = contents.skipped_frames > 0 or (
-            contents.frames == 0 and contents.tail_error is not None
-        )
-        return _DiskState(contents, needs_rewrite=rewrite, existed=True)
+            return None
+        try:
+            snapshot = pickle.loads(payload)
+        except Exception as exc:  # unpickling garbage can raise almost anything
+            raise _BadSnapshot("unreadable", f"not a cache snapshot: {exc!r}") from exc
+        version = snapshot.get("version") if isinstance(snapshot, dict) else None
+        if version != CACHE_FORMAT_VERSION:
+            raise _BadSnapshot(
+                "version-mismatch",
+                f"format version {version!r} != expected {CACHE_FORMAT_VERSION}",
+                version,
+            )
+        return snapshot.get("caches", {})
 
-    # -- writing -------------------------------------------------------------
-
-    def _rewrite(self, caches: Mapping[str, Mapping]) -> int:
-        """Atomically replace the store with one compact frame; returns size."""
-        frame = _pack_frame(caches)
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        tmp_path = f"{self.path}.tmp.{os.getpid()}"
+    def _replace(self, caches: Mapping[str, Mapping]) -> None:
+        """Write ``caches`` as the new snapshot (caller holds the lock)."""
+        tmp_path = self.path + ".tmp"
         with open(tmp_path, "wb") as handle:
-            handle.write(frame)
+            pickle.dump(
+                {"version": CACHE_FORMAT_VERSION, "caches": caches},
+                handle,
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, self.path)
-        return len(frame)
-
-    def _append(self, caches: Mapping[str, Mapping], end_offset: int) -> None:
-        """Append one frame after the last good frame, dropping a torn tail."""
-        frame = _pack_frame(caches)
-        with open(self.path, "r+b") as handle:
-            handle.truncate(end_offset)
-            handle.seek(end_offset)
-            handle.write(frame)
-            handle.flush()
-            os.fsync(handle.fileno())
 
     def publish(
         self,
@@ -438,14 +342,13 @@ class SharedCacheStore:
     ) -> SnapshotStatus:
         """Merge ``entries`` into the store; other publishers' work survives.
 
-        Under the lock: read what is on disk, append only the delta (keys the
-        store lacks), and compact — one frame, ``max_entries`` most recent
-        per cache — only when the cap is exceeded or the file needs repair
-        (torn or foreign head, version-skipped frames).  Returns a
-        :class:`SnapshotStatus`: ``saved`` (store was absent or empty),
-        ``merged`` (our delta joined existing entries), ``locked`` (timeout)
-        or ``write-failed``; ``entries`` counts the delta actually appended
-        and ``store_entries`` the per-cache totals after the publish.
+        Under the lock: read the snapshot, add only the keys it lacks, keep
+        the ``max_entries`` most recent entries per cache, and replace the
+        file when that changed anything or the file was missing or unusable.
+        Returns a :class:`SnapshotStatus`: ``saved`` (store was absent or
+        empty), ``merged`` (our delta joined existing entries), ``locked``
+        (timeout) or ``write-failed``; ``entries`` counts the delta actually
+        added and ``store_entries`` the per-cache totals after the publish.
         """
         cap = max_entries if max_entries is not None and max_entries > 0 else None
         try:
@@ -455,50 +358,38 @@ class SharedCacheStore:
             # crashed publisher.
             inject(SITE_STORE_PUBLISH)
             with self.lock.acquire(timeout=lock_timeout):
-                state = self._read_disk()
-                disk = state.contents.entries
-                delta = {}
+                try:
+                    stored = self._read()
+                except _BadSnapshot as exc:
+                    log.warning("replacing cache store %s: %s", self.path, exc)
+                    stored = None
+                caches = stored if stored is not None else {}
+                had_entries = any(caches.values())
+                delta: dict[str, dict] = {}
                 for name, fresh in entries.items():
-                    present = disk.get(name, {})
-                    new = {key: value for key, value in fresh.items() if key not in present}
-                    if new:
-                        new = _picklable_entries(name, new)
+                    present = caches.get(name, {})
+                    new = _picklable_entries(
+                        name, {key: value for key, value in fresh.items() if key not in present}
+                    )
                     if new:
                         delta[name] = new
-                combined: dict[str, dict] = {name: dict(values) for name, values in disk.items()}
-                for name, new in delta.items():
-                    combined.setdefault(name, {}).update(new)
-                over_cap = cap is not None and any(
-                    len(values) > cap for values in combined.values()
-                )
-                if state.needs_rewrite or over_cap:
-                    if cap is not None:
-                        combined = {
-                            name: dict(list(values.items())[-cap:])
-                            for name, values in combined.items()
-                        }
-                    self._rewrite(combined)
-                elif delta:
-                    self._append(delta, state.contents.end_offset)
-                elif state.contents.tail_error is not None:
-                    # Nothing of ours to write, but repair the torn tail so
-                    # readers stop re-reporting it.
-                    self._append({}, state.contents.end_offset)
-                had_entries = any(disk.values())
-                status = SnapshotStatus(
+                        caches.setdefault(name, {}).update(new)
+                over_cap = [
+                    name for name, values in caches.items()
+                    if cap is not None and len(values) > cap
+                ]
+                for name in over_cap:  # LRU: the newest entries are the last ones
+                    caches[name] = dict(list(caches[name].items())[-cap:])
+                if stored is None or delta or over_cap:
+                    self._replace(caches)
+                return SnapshotStatus(
                     "save",
                     self.path,
                     "merged" if had_entries else "saved",
                     entries={name: len(new) for name, new in delta.items()},
-                    store_entries={name: len(values) for name, values in combined.items()},
+                    store_entries={name: len(values) for name, values in caches.items()},
                     lock_wait_seconds=round(self.lock.last_wait, 3),
                 )
-                if state.contents.tail_error is not None:
-                    log.warning(
-                        "repaired torn cache store %s (%s)",
-                        self.path, state.contents.tail_error,
-                    )
-                return status
         except CacheLockTimeout as exc:
             log.warning("cache store %s not published: %s", self.path, exc)
             return SnapshotStatus(
@@ -509,16 +400,14 @@ class SharedCacheStore:
             log.warning("could not persist cache store %s: %s", self.path, exc)
             return SnapshotStatus("save", self.path, "write-failed", error=str(exc))
 
-    # -- loading -------------------------------------------------------------
-
     def load(
         self, lock_timeout: float | None = None
     ) -> tuple[dict[str, dict] | None, SnapshotStatus]:
         """``(entries, status)`` — the full store contents under the lock.
 
         ``entries`` is ``None`` unless the status is ``loaded``.  Statuses:
-        ``missing``, ``unreadable`` (not a framed store, or no complete
-        frame), ``version-mismatch`` (only other-version frames),
+        ``missing``, ``unreadable`` (not a snapshot, or an I/O error),
+        ``version-mismatch`` (a snapshot of another format version),
         ``locked`` on lock timeout, plus ``loaded``.
         """
         if not os.path.exists(self.path):
@@ -528,12 +417,19 @@ class SharedCacheStore:
             # an `unreadable` status, so runs degrade to cold instead of dying.
             inject(SITE_SNAPSHOT_LOAD)
             with self.lock.acquire(timeout=lock_timeout):
-                state = self._read_disk()
+                caches = self._read()
         except CacheLockTimeout as exc:
             log.warning("cache store %s not loaded: %s", self.path, exc)
             return None, SnapshotStatus(
                 "load", self.path, "locked",
                 error=str(exc), lock_wait_seconds=round(exc.waited, 3),
+            )
+        except _BadSnapshot as exc:
+            log.warning("ignoring cache store %s: %s", self.path, exc)
+            return None, SnapshotStatus(
+                "load", self.path, exc.status,
+                error=str(exc), snapshot_version=exc.version,
+                lock_wait_seconds=round(self.lock.last_wait, 3),
             )
         except OSError as exc:
             log.warning(
@@ -541,78 +437,45 @@ class SharedCacheStore:
                 self.path, CACHE_FORMAT_VERSION, exc,
             )
             return None, SnapshotStatus("load", self.path, "unreadable", error=str(exc))
-        wait = round(self.lock.last_wait, 3)
-        contents = state.contents
-        if contents.frames == 0 and contents.skipped_frames > 0:
-            log.warning(
-                "ignoring cache store %s: format version %r != expected %d",
-                self.path, contents.wrong_version, CACHE_FORMAT_VERSION,
-            )
-            return None, SnapshotStatus(
-                "load", self.path, "version-mismatch",
-                snapshot_version=contents.wrong_version, lock_wait_seconds=wait,
-            )
-        if contents.frames == 0 and contents.tail_error is not None:
-            log.warning(
-                "ignoring unreadable cache store %s: %s", self.path, contents.tail_error
-            )
-            return None, SnapshotStatus(
-                "load", self.path, "unreadable",
-                error=contents.tail_error, lock_wait_seconds=wait,
-            )
-        status = SnapshotStatus(
+        if caches is None:  # deleted between the existence check and the read
+            return None, SnapshotStatus("load", self.path, "missing")
+        return caches, SnapshotStatus(
             "load", self.path, "loaded",
-            store_entries={name: len(values) for name, values in contents.entries.items()},
-            lock_wait_seconds=wait,
+            store_entries={name: len(values) for name, values in caches.items()},
+            lock_wait_seconds=round(self.lock.last_wait, 3),
         )
-        if contents.tail_error is not None:
-            # Everything up to the torn tail loaded; say so without failing.
-            status.error = f"ignored torn tail ({contents.tail_error})"
-            log.warning(
-                "cache store %s has a torn tail (%s); loaded %d complete frame(s)",
-                self.path, contents.tail_error, contents.frames,
-            )
-        return contents.entries, status
 
     def read_new_entries(self) -> dict[str, dict]:
-        """Frames appended since the last call (lock-free incremental refresh).
+        """The whole snapshot if the file changed since the last call, else ``{}``.
 
         Used by the sharded executor's live sync at wave boundaries.  Reading
-        without the lock is safe because frames are self-delimiting: a torn
-        or in-flight tail simply isn't consumed yet (the offset stays put and
-        the next refresh retries), and a concurrent compaction that rewrote
-        the file is detected — offset beyond EOF or no longer on a frame
-        boundary — and answered by re-reading from the start, which is
-        idempotent for cache merges.
+        without the lock is safe because publishers replace the file whole:
+        a reader sees the old snapshot or the new one, never a torn one.
+        Entries this process already holds come back again after any change,
+        which is harmless — merging a cache entry twice is idempotent.
         """
         try:
-            with open(self.path, "rb") as handle:
-                buffer = handle.read()
-        except OSError:
+            stat = os.stat(self.path)
+            seen = (stat.st_ino, stat.st_size, stat.st_mtime_ns)
+            if seen == self._seen:
+                return {}
+            caches = self._read()
+        except (OSError, _BadSnapshot):
             return {}
-        if not buffer.startswith(FRAME_MAGIC):
-            return {}
-        start = self._refresh_offset if self._refresh_offset <= len(buffer) else 0
-        contents = _parse_frames(buffer, start=start)
-        if start > 0 and contents.frames == 0 and contents.tail_error is not None:
-            contents = _parse_frames(buffer)  # compacted under us: start over
-        if contents.end_offset > 0:
-            self._refresh_offset = contents.end_offset
-        return contents.entries
+        self._seen = seen
+        return caches or {}
 
     # -- maintenance / inspection --------------------------------------------
 
     def entry_counts(self) -> dict[str, int] | None:
-        """Per-cache entry totals (lock-free), or ``None`` when absent/foreign."""
+        """Per-cache entry totals (lock-free), or ``None`` when absent/unusable."""
         try:
-            with open(self.path, "rb") as handle:
-                buffer = handle.read()
-        except OSError:
+            caches = self._read()
+        except (OSError, _BadSnapshot):
             return None
-        if not buffer.startswith(FRAME_MAGIC):
+        if caches is None:
             return None
-        contents = _parse_frames(buffer)
-        return {name: len(values) for name, values in contents.entries.items()}
+        return {name: len(values) for name, values in caches.items()}
 
     def lock_info(self) -> dict | None:
         """The current lock holder's info (pid/host/time), or ``None`` if free."""
@@ -626,5 +489,5 @@ class SharedCacheStore:
         except OSError:
             pass
         self.lock.break_lock()
-        self._refresh_offset = 0
+        self._seen = None
         return existed

@@ -574,7 +574,7 @@ def _live_refresh(runtime: RuntimeContext) -> None:
     """Absorb entries other processes published to the shared store.
 
     Best-effort and lock-free (:meth:`SharedCacheStore.read_new_entries`):
-    a torn tail or a store mid-compaction just means fewer entries this wave.
+    an unreadable store just means no new entries this wave.
     Extra warmth can never change a result — every cached value is a pure
     function of its key — so live refresh preserves serial equivalence.
     """

@@ -12,18 +12,16 @@ themselves (``main([...])``, ``RuntimeConfig.from_env()``).
 The fault-injection fixtures (:func:`lock_holder`, :func:`crashed_writer`)
 drive the shared cache store's crash/contention paths with *real* child
 processes — a genuinely held lock in another pid, a writer SIGKILLed in the
-middle of appending a frame — and are shared between ``test_cache_store.py``
-and ``test_parallel_search.py``.
+middle of a publish — and are shared between ``test_cache_store.py`` and
+``test_parallel_search.py``.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import pickle
 import signal
 import time
-import zlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -104,27 +102,20 @@ def _hold_lock_child(lock_path: str, acquired, release) -> None:
 
 
 def _crash_writer_child(store_path: str, ready) -> None:
-    """Child body: take the lock, append a *torn* frame, then hang.
+    """Child body: publish, but stop between writing ``<path>.tmp`` and the replace.
 
     The parent SIGKILLs this process once ``ready`` is set, leaving exactly
-    the on-disk state a mid-write crash produces: a dead-pid lock directory
-    plus a frame whose header promises more payload bytes than were written.
+    the on-disk state a crash mid-publish produces: a dead-pid lock
+    directory, a complete ``<path>.tmp`` and the untouched pre-crash store.
     """
-    from repro.runtime.caches import CACHE_FORMAT_VERSION
-    from repro.runtime.store import FRAME_HEADER, FRAME_MAGIC, SharedCacheStore
+    from repro.runtime.store import SharedCacheStore
 
-    store = SharedCacheStore(store_path)
-    store.lock.acquire()
-    payload = pickle.dumps(
-        {"version": CACHE_FORMAT_VERSION, "caches": {"reward": {("crash", "sig"): 1.0}}}
-    )
-    header = FRAME_HEADER.pack(FRAME_MAGIC, len(payload), zlib.crc32(payload))
-    with open(store_path, "ab") as handle:
-        handle.write(header + payload[: len(payload) // 2])
-        handle.flush()
-        os.fsync(handle.fileno())
-    ready.set()
-    time.sleep(600.0)  # killed long before this expires
+    def hang(*_args) -> None:
+        ready.set()
+        time.sleep(600.0)  # killed long before this expires
+
+    os.replace = hang  # this forked child only: the publish never renames
+    SharedCacheStore(store_path).publish({"reward": {("crash", "sig"): 1.0}})
 
 
 @pytest.fixture
@@ -174,11 +165,11 @@ def lock_holder():
 
 @pytest.fixture
 def crashed_writer():
-    """SIGKILL a child mid-append; returns its pid once the crash happened.
+    """SIGKILL a child mid-publish; returns its pid once the crash happened.
 
-    ``crashed_writer(store_path)`` leaves the store with a torn trailing
-    frame and its lock directory owned by a dead pid — the exact state the
-    store's stale-lock detection and torn-tail repair must recover from.
+    ``crashed_writer(store_path)`` leaves a stray ``<path>.tmp`` beside the
+    store and the store's lock directory owned by a dead pid — the exact
+    state the store's stale-lock detection and next publish must recover from.
     """
 
     def crash(store_path) -> int:
@@ -188,7 +179,7 @@ def crashed_writer():
             target=_crash_writer_child, args=(str(store_path), ready), daemon=True
         )
         process.start()
-        assert ready.wait(15.0), "crash-writer child never reached mid-write"
+        assert ready.wait(15.0), "crash-writer child never reached the replace"
         os.kill(process.pid, signal.SIGKILL)
         process.join(10.0)
         return process.pid

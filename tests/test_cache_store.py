@@ -5,13 +5,15 @@ style of the Theano compile-lock test contract):
 
 * lock semantics — timeout, forced unlock, stale dead-pid recovery — against
   *real* holder processes (the ``lock_holder`` fixture in ``conftest.py``);
-* append/merge store format — deltas join, existing entries win, the LRU cap
-  compacts, wrong-version and non-framed files are reported, never loaded;
+* merge-on-publish snapshot format — deltas join, existing entries win, the
+  LRU cap keeps the newest entries, missing, wrong-version and unreadable
+  files are reported, never loaded, and replaced by the next publish;
 * real multiprocess contention — N writer processes race one store and every
-  writer's delta survives (the old whole-pickle snapshot kept only the last
+  writer's delta survives (a last-writer-wins snapshot kept only the last
   writer's);
-* crash injection — a writer SIGKILLed mid-append (``crashed_writer``) leaves
-  the store loadable and its lock recoverable within the timeout;
+* crash injection — a writer SIGKILLed between writing ``<path>.tmp`` and
+  the replace (``crashed_writer``) leaves the store loadable and its lock
+  recoverable within the timeout;
 * serial-vs-concurrent parity — two concurrent ``repro run``s sharing one
   store produce the serial run's fingerprint and both publish their deltas.
 """
@@ -24,7 +26,6 @@ import os
 import pickle
 import subprocess
 import sys
-import zlib
 from pathlib import Path
 
 import pytest
@@ -38,9 +39,13 @@ from repro.runtime import (
     SharedCacheStore,
     SnapshotStatus,
 )
-from repro.runtime.store import FRAME_HEADER, FRAME_MAGIC
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: A valid current-version store file's bytes.
+_SNAPSHOT = pickle.dumps(
+    {"version": CACHE_FORMAT_VERSION, "caches": {"reward": {"k": 1.0}}}
+)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +123,7 @@ class TestFileLock:
 
 
 # ---------------------------------------------------------------------------
-# Store format: append/merge, repair, migration, cap
+# Store format: merge on publish, cap, unusable files
 # ---------------------------------------------------------------------------
 
 
@@ -161,75 +166,70 @@ class TestSharedCacheStore:
         assert set(entries["reward"]) == {"sig2", "sig3", "sig4"}  # newest survive
         assert status.store_entries == {"reward": 3}
 
-    def test_torn_tail_is_read_around_and_repaired_by_the_next_publish(self, tmp_path):
+    def test_missing_store_reports_missing_and_the_next_publish_creates_it(
+        self, tmp_path
+    ):
         path = tmp_path / "store.pkl"
-        SharedCacheStore(path).publish({"reward": {"good": 1.0}})
-        with open(path, "ab") as handle:
-            handle.write(b"\x00torn garbage from a crashed writer")
         entries, status = SharedCacheStore(path).load()
-        assert status.status == "loaded"
-        assert "torn tail" in status.error
-        assert entries["reward"] == {"good": 1.0}
-        # The next publish truncates the tail before appending.
-        SharedCacheStore(path).publish({"reward": {"after": 2.0}})
+        assert entries is None and status.status == "missing"
+        assert not path.exists()
+        assert SharedCacheStore(path).publish({}).status == "saved"
         entries, status = SharedCacheStore(path).load()
-        assert status.error == ""
-        assert entries["reward"] == {"good": 1.0, "after": 2.0}
+        assert status.status == "loaded" and entries == {}
 
-    def test_wholly_torn_store_reports_unreadable_and_recovers(self, tmp_path):
+    def test_other_version_snapshot_reports_version_mismatch_and_is_replaced(
+        self, tmp_path
+    ):
         path = tmp_path / "store.pkl"
-        path.write_bytes(FRAME_MAGIC + b"\x00\x00")  # torn before any frame
-        entries, status = SharedCacheStore(path).load()
-        assert entries is None and status.status == "unreadable"
-        publish = SharedCacheStore(path).publish({"reward": {"k": 1.0}})
-        assert publish.ok
-        entries, status = SharedCacheStore(path).load()
-        assert status.status == "loaded" and entries["reward"] == {"k": 1.0}
-
-    def test_wrong_version_frames_report_version_mismatch(self, tmp_path):
-        path = tmp_path / "store.pkl"
-        payload = pickle.dumps({"version": 999, "caches": {"reward": {"k": 1.0}}})
-        path.write_bytes(
-            FRAME_HEADER.pack(FRAME_MAGIC, len(payload), zlib.crc32(payload)) + payload
-        )
+        path.write_bytes(pickle.dumps({"version": 999, "caches": {"reward": {"k": 1.0}}}))
         entries, status = SharedCacheStore(path).load()
         assert entries is None
         assert status.status == "version-mismatch"
         assert status.snapshot_version == 999
+        publish = SharedCacheStore(path).publish({"reward": {"new": 2.0}})
+        assert publish.status == "saved"  # the stale entries are not merged
+        entries, status = SharedCacheStore(path).load()
+        assert status.status == "loaded" and entries == {"reward": {"new": 2.0}}
 
-    def test_non_framed_file_reports_unreadable_and_publish_rewrites_it(self, tmp_path):
+    @pytest.mark.parametrize(
+        "content",
+        [b"not a snapshot", b"", _SNAPSHOT[: len(_SNAPSHOT) // 2]],
+        ids=["garbage", "empty", "truncated"],
+    )
+    def test_unreadable_file_reports_unreadable_and_is_replaced(self, tmp_path, content):
         path = tmp_path / "store.pkl"
-        path.write_bytes(
-            pickle.dumps({"version": CACHE_FORMAT_VERSION, "caches": {"reward": {"old": 1.0}}})
-        )
+        path.write_bytes(content)
         entries, status = SharedCacheStore(path).load()
         assert entries is None and status.status == "unreadable"
-        # The next publish replaces the foreign file with a framed store.
-        SharedCacheStore(path).publish({"reward": {"new": 2.0}})
-        assert path.read_bytes().startswith(FRAME_MAGIC)
-        entries, _ = SharedCacheStore(path).load()
-        assert entries["reward"] == {"new": 2.0}
+        assert status.error
+        assert SharedCacheStore(path).entry_counts() is None
+        publish = SharedCacheStore(path).publish({"reward": {"new": 2.0}})
+        assert publish.status == "saved"
+        entries, status = SharedCacheStore(path).load()
+        assert status.status == "loaded" and entries == {"reward": {"new": 2.0}}
 
-    def test_read_new_entries_is_incremental(self, tmp_path):
+    def test_read_new_entries_returns_the_snapshot_only_after_a_change(self, tmp_path):
         path = tmp_path / "store.pkl"
         reader = SharedCacheStore(path)
         assert reader.read_new_entries() == {}
         SharedCacheStore(path).publish({"reward": {"a": 1.0}})
         assert reader.read_new_entries() == {"reward": {"a": 1.0}}
+        assert reader.read_new_entries() == {}  # unchanged file: nothing new
         SharedCacheStore(path).publish({"reward": {"b": 2.0}})
-        assert reader.read_new_entries() == {"reward": {"b": 2.0}}
+        assert reader.read_new_entries() == {"reward": {"a": 1.0, "b": 2.0}}
         assert reader.read_new_entries() == {}
+        # A capped publish by another process is picked up like any other.
+        SharedCacheStore(path).publish({"reward": {"c": 3.0}}, max_entries=2)
+        assert reader.read_new_entries() == {"reward": {"b": 2.0, "c": 3.0}}
 
-    def test_read_new_entries_survives_a_concurrent_compaction(self, tmp_path):
+    def test_publish_without_news_leaves_the_file_untouched(self, tmp_path):
         path = tmp_path / "store.pkl"
-        reader = SharedCacheStore(path)
-        store = SharedCacheStore(path)
-        for index in range(4):
-            store.publish({"reward": {f"sig{index}": float(index)}})
-        assert len(reader.read_new_entries()["reward"]) == 4
-        # Another process compacts the store under the reader's feet.
-        SharedCacheStore(path).publish({}, max_entries=2)
-        assert len(reader.read_new_entries().get("reward", {})) == 2
+        SharedCacheStore(path).publish({"reward": {"a": 1.0}})
+        before = os.stat(path)
+        status = SharedCacheStore(path).publish({"reward": {"a": 5.0}})
+        assert status.status == "merged" and status.entries == {}
+        after = os.stat(path)
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
     def test_entry_counts_and_clear(self, tmp_path):
         path = tmp_path / "store.pkl"
@@ -343,46 +343,52 @@ class TestMultiprocessContention:
 
 
 class TestCrashRecovery:
-    def test_sigkill_mid_write_leaves_store_loadable_and_lock_recoverable(
+    def test_sigkill_before_the_replace_leaves_the_old_snapshot_and_a_recoverable_lock(
         self, tmp_path, crashed_writer
     ):
         path = tmp_path / "store.pkl"
         SharedCacheStore(path).publish({"reward": {("pre", "crash"): 1.0}})
         dead_pid = crashed_writer(path)
 
-        # The crash left a dead-pid lock and a torn trailing frame.
+        # The crash left a dead-pid lock and a complete but unrenamed tmp file.
         lock_dir = Path(str(path) + ".lock")
         assert lock_dir.is_dir()
         assert FileLock(lock_dir).read_info()["pid"] == dead_pid
+        tmp_file = Path(str(path) + ".tmp")
+        assert tmp_file.exists()
 
-        # Loading recovers the lock (dead-pid break, well within the timeout)
-        # and reads everything up to the torn tail.
-        entries, status = SharedCacheStore(path, lock_timeout=5.0).load()
+        # Loading breaks the lock (dead-pid probe, well within the timeout)
+        # and reads the untouched pre-crash snapshot.
+        store = SharedCacheStore(path, lock_timeout=5.0)
+        entries, status = store.load()
         assert status.status == "loaded"
-        assert "torn tail" in status.error
+        assert status.error == ""
         assert entries["reward"] == {("pre", "crash"): 1.0}
+        assert store.lock.breaks == 1
 
-        # Publishing repairs the tail; subsequent loads are pristine.
+        # The next publish merges into the old snapshot and overwrites the
+        # leftover tmp file on its way to the replace.
         publish = SharedCacheStore(path, lock_timeout=5.0).publish(
             {"reward": {("post", "crash"): 2.0}}
         )
         assert publish.status == "merged"
+        assert not tmp_file.exists()
         entries, status = SharedCacheStore(path).load()
         assert status.error == ""
         assert entries["reward"] == {("pre", "crash"): 1.0, ("post", "crash"): 2.0}
 
-    def test_crash_before_any_complete_frame_still_recovers(
+    def test_crash_before_the_first_publish_leaves_a_missing_store(
         self, tmp_path, crashed_writer
     ):
         path = tmp_path / "store.pkl"
         path.parent.mkdir(parents=True, exist_ok=True)
-        crashed_writer(path)  # the torn frame is the *only* content
+        crashed_writer(path)  # the unrenamed tmp file is the *only* content
         entries, status = SharedCacheStore(path, lock_timeout=5.0).load()
-        assert entries is None and status.status == "unreadable"
+        assert entries is None and status.status == "missing"
         publish = SharedCacheStore(path, lock_timeout=5.0).publish(
             {"reward": {"fresh": 1.0}}
         )
-        assert publish.status in ("saved", "merged")
+        assert publish.status == "saved"
         entries, status = SharedCacheStore(path).load()
         assert status.status == "loaded" and entries["reward"] == {"fresh": 1.0}
 

@@ -397,6 +397,43 @@ class TestLatencyLoweringNarrowing:
             evaluator.macs(build_operator1())
 
 
+class TestFigure9LoweringNarrowing:
+    """figure9 drops a candidate from a layer only on SizeError."""
+
+    def _run(self, monkeypatch, exc):
+        from repro.experiments import figure9
+
+        victim, *others = syno_candidates()[:3]
+
+        def lower(operator, binding):
+            if operator is victim.operator:
+                raise exc
+            return cached_loopnest(operator, binding)
+
+        monkeypatch.setattr(figure9, "cached_loopnest", lower)
+        result = figure9.run(
+            layers=["L7"],
+            targets=[MOBILE_CPU],
+            backends=[TVMBackend(trials=8)],
+            syno=[victim, *others],
+            nas_pte=[],
+        )
+        return victim, others, result
+
+    def test_size_error_skips_the_candidate_at_that_layer(self, monkeypatch, caplog):
+        with caplog.at_level("DEBUG", logger="repro.experiments.figure9"):
+            victim, others, result = self._run(
+                monkeypatch, SizeError("size evaluates to non-integer 1/2")
+            )
+        (comparison,) = result.comparisons
+        assert set(comparison.candidate_ms) == {candidate.name for candidate in others}
+        assert f"{victim.name} not lowerable at layer L7" in caplog.text
+
+    def test_other_lowering_errors_propagate(self, monkeypatch):
+        with pytest.raises(RuntimeError, match="lowering bug"):
+            self._run(monkeypatch, RuntimeError("lowering bug"))
+
+
 class TestParallelMap:
     def test_serial_default(self):
         assert parallel_map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]

@@ -35,9 +35,7 @@ from repro.library.embeddings import (
 from repro.library.specs import design_spaces, space_for
 from repro.library.store import (
     GraphLibrary,
-    RewardSidecar,
     checkpoint_filename,
-    context_digest,
     library_filename,
     options_fingerprint,
     spec_key,
@@ -46,6 +44,7 @@ from repro.library.warmstart import (
     export_rewards,
     find_library_name,
     plan_warm_start,
+    reward_sidecar,
 )
 from repro.nn.models.resnet import resnet18
 from repro.runtime import RuntimeConfig, RuntimeContext, current
@@ -227,14 +226,28 @@ class TestStoreFormat:
         assert spec_key(other) != spec_key(deep.spec)
 
     def test_sidecar_round_trip_is_idempotent_and_context_scoped(self, tmp_path):
-        sidecar = RewardSidecar(str(tmp_path / "rewards-test-v1.rplb"))
-        digest = context_digest(("ctx", 1))
-        assert sidecar.load(digest) == {}
-        assert sidecar.publish(digest, {"sig-a": 0.25, "sig-b": 0.75}) == 2
-        assert sidecar.publish(digest, {"sig-a": 0.25, "sig-b": 0.75}) == 0
-        assert sidecar.publish(digest, {"sig-b": 0.75, "sig-c": 0.5}) == 1
-        assert sidecar.load(digest) == {"sig-a": 0.25, "sig-b": 0.75, "sig-c": 0.5}
-        assert sidecar.load(context_digest(("ctx", 2))) == {}
+        runtime = _runtime(tmp_path)
+        context, other = ("ctx", 1), ("ctx", 2)
+
+        def export(rewards, cache_context=context):
+            return export_rewards(
+                rewards, name="test", cache_context=cache_context, runtime=runtime
+            )
+
+        assert export({"sig-a": 0.25, "sig-b": 0.75}) == 2
+        assert export({"sig-a": 0.25, "sig-b": 0.75}) == 0
+        assert export({"sig-b": 0.5, "sig-c": 0.5}) == 1  # stored sig-b wins
+        assert export({"sig-a": 0.125}, cache_context=other) == 1
+        entries, status = reward_sidecar("test", runtime).load()
+        assert status.status == "loaded"
+        assert entries == {
+            "reward": {
+                (context, "sig-a"): 0.25,
+                (context, "sig-b"): 0.75,
+                (context, "sig-c"): 0.5,
+                (other, "sig-a"): 0.125,
+            }
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -361,7 +361,7 @@ class TestLiveStoreSync:
         assert ("live", "sig1") not in entries["reward"]
 
     def test_publish_recovers_from_a_crashed_writer(self, tmp_path, crashed_writer):
-        """A SIGKILLed writer's dead-pid lock and torn tail don't stop live sync."""
+        """A SIGKILLed writer's dead-pid lock and stray tmp file don't stop live sync."""
         ctx = _live_context(tmp_path, cache_lock_timeout=5.0)
         Path(ctx.snapshot_path()).parent.mkdir(parents=True, exist_ok=True)
         crashed_writer(ctx.snapshot_path())
@@ -369,7 +369,7 @@ class TestLiveStoreSync:
         assert results == [1.0, 2.0]
         entries, status = SharedCacheStore(ctx.snapshot_path()).load()
         assert status.status == "loaded"
-        assert status.error == ""  # the publish repaired the torn tail
+        assert status.error == ""
         assert entries["reward"][("live", "sig1")] == 1.0
 
     @pytest.mark.parametrize("max_workers", [2, 1])

@@ -7,7 +7,6 @@ import pickle
 import subprocess
 import sys
 import textwrap
-import zlib
 from pathlib import Path
 
 import pytest
@@ -20,7 +19,6 @@ from repro.runtime import (
     cache_snapshot_filename,
     current,
 )
-from repro.runtime.store import FRAME_HEADER, FRAME_MAGIC
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -151,11 +149,10 @@ def test_load_ignores_missing_and_version_mismatched_snapshots(tmp_path):
     assert runtime.load_caches(str(tmp_path / "absent.pkl")).status == "missing"
 
     stale = tmp_path / "stale.pkl"
-    payload = pickle.dumps(
-        {"version": CACHE_FORMAT_VERSION + 1, "caches": {"reward": {("k",): 1.0}}}
-    )
     stale.write_bytes(
-        FRAME_HEADER.pack(FRAME_MAGIC, len(payload), zlib.crc32(payload)) + payload
+        pickle.dumps(
+            {"version": CACHE_FORMAT_VERSION + 1, "caches": {"reward": {("k",): 1.0}}}
+        )
     )
     assert runtime.load_caches(str(stale)).status == "version-mismatch"
     assert len(runtime.caches.reward) == 0

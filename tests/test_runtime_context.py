@@ -13,7 +13,6 @@ import functools
 import os
 import pickle
 import threading
-import zlib
 
 import pytest
 
@@ -33,7 +32,6 @@ from repro.runtime import (
     current,
     default_context,
 )
-from repro.runtime.store import FRAME_HEADER, FRAME_MAGIC
 from repro.search.parallel import sharded_map
 
 
@@ -507,10 +505,7 @@ class TestSnapshotStatus:
 
     def test_version_mismatch_logs_path_and_both_versions(self, tmp_path, caplog):
         path = tmp_path / "snap.pkl"
-        payload = pickle.dumps({"version": 999, "caches": {}})
-        path.write_bytes(
-            FRAME_HEADER.pack(FRAME_MAGIC, len(payload), zlib.crc32(payload)) + payload
-        )
+        path.write_bytes(pickle.dumps({"version": 999, "caches": {}}))
         caches = CacheSet()
         with caplog.at_level("WARNING"):
             status = caches.load_snapshot(str(path))
