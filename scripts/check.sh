@@ -166,10 +166,20 @@ coalescer = entry["coalescer"]
 assert coalescer["waves"] >= 1, "the coalescer never ran a wave"
 amortized = coalescer["coalesced"] + coalescer["cache_hits"]
 assert amortized >= 1, f"no cross-client amortization recorded: {coalescer}"
+# The serial reruns repeat the served seeds in the same runtime: a children
+# miss means the MCTS legal-children memo was not shared across request
+# contexts and threads.
+children = entry["serial_children"]
+assert len(children) == 3, f"expected 3 serial legs, got {children}"
+for leg, stats in enumerate(children):
+    assert stats["hits"] >= 1 and stats["misses"] == 0, (
+        f"serial rerun {leg} did not replay the children memo: {stats}"
+    )
 locks = list(serve_dir.rglob("*.lock"))
 assert not locks, f"store lock(s) left behind: {locks}"
 print(f"OK: 3 served fingerprints match serial; "
-      f"{coalescer['waves']} wave(s), {amortized} evaluation(s) amortized")
+      f"{coalescer['waves']} wave(s), {amortized} evaluation(s) amortized; "
+      f"children memo hits per serial rerun: {[stats['hits'] for stats in children]}")
 PY
 
 echo "== library: shard-parity build + warm-started search =="

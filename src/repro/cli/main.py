@@ -832,10 +832,12 @@ def _bench_serve(args: argparse.Namespace, store: ArtifactStore, config: Experim
 
     mismatches: list[int] = []
     serial_times: list[float] = []
+    serial_children: list[dict] = []
     for index in range(clients):
         leg_start = time.perf_counter()
         record = run_experiment(experiment, _request_config(index), store=None).record
         serial_times.append(round(time.perf_counter() - leg_start, 3))
+        serial_children.append(record.cache_stats.get("children", {}))
         served = results[index]
         serial_fingerprint = record.fingerprint()
         match = served is not None and served["fingerprint"] == serial_fingerprint
@@ -869,6 +871,9 @@ def _bench_serve(args: argparse.Namespace, store: ArtifactStore, config: Experim
         "requests_per_second": round(clients / max(serve_seconds, 1e-9), 3),
         # Warm-cache parity reruns, not a fair serial baseline.
         "serial_parity_seconds": serial_times,
+        # The reruns repeat the served seeds in the same runtime, so every
+        # legal-children lookup should hit the memo the requests filled.
+        "serial_children": serial_children,
         "coalescer": coalescer_stats,
         "parity": not mismatches,
     }
@@ -1083,8 +1088,11 @@ def cmd_cache(args: argparse.Namespace) -> int:
         except OSError:  # deleted under us by a concurrent --clear
             print(f"persisted snapshot: {path}")
         print(f"load status: {status.summary()}")
-        for name, count in sorted(runtime.caches.sizes().items()):
-            print(f"  {name:10s} {count} entries ({status.entries.get(name, 0)} loaded just now)")
+        for cache in sorted(runtime.caches.persisted(), key=lambda cache: cache.name):
+            print(
+                f"  {cache.name:10s} {len(cache)} entries "
+                f"({status.entries.get(cache.name, 0)} loaded just now)"
+            )
     else:
         print(f"persisted snapshot: {path} (absent — run an experiment first)")
     lock_info = shared.lock_info()

@@ -34,6 +34,16 @@ deduplicates the recorded samples) and context-wide through
 searches sharing a context (same backbone, same evaluation settings) reuse
 each other's proxy-training results, including results reloaded from a
 persisted cache snapshot.
+
+Every expansion and rollout step draws from the same list: a graph's
+canonical children (:func:`~repro.core.enumeration.enumerate_children`)
+that shape distance still lets complete within ``max_depth``.  The list is a
+pure function of the graph's signature, its weight signature and the
+search space (spec shapes, every ``EnumerationOptions`` field, the
+canonicalizer's rules), so it is memoized context-wide too, through
+:meth:`repro.runtime.RuntimeContext.cached_children`: warm searches sharing
+a context (a serve daemon's requests, a benchmark's sessions) enumerate
+each pGraph once.
 """
 
 from __future__ import annotations
@@ -42,13 +52,14 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Hashable, Mapping, Sequence
 
 from repro.core.enumeration import Action, EnumerationOptions, enumerate_children
 from repro.core.operator import OperatorSpec, SynthesizedOperator
 from repro.core.pgraph import PGraph
 from repro.core.shape_distance import shape_distance
+from repro.runtime.context import current
 
 #: Reward function over complete operators; should return a value in [0, 1].
 RewardFn = Callable[[SynthesizedOperator], float]
@@ -144,10 +155,27 @@ def _reward_worker(
     reward_fn: RewardFn, context: Hashable, item: tuple[str, SynthesizedOperator]
 ) -> float:
     """Reward one pending (signature, operator) pair through the reward cache."""
-    from repro.runtime import current  # lazy: avoids an import cycle
-
     signature, operator = item
     return current().cached_reward(context, signature, lambda: float(reward_fn(operator)))
+
+
+def _space_key(spec: OperatorSpec, options: EnumerationOptions) -> tuple:
+    """The search space a graph's legal children depend on, as a memo key.
+
+    The spec's shape key fixes the root (and so every dim's symbolic size).
+    Every ``EnumerationOptions`` field is rendered as text in declaration
+    order, list order included: child order decides what a rollout picks.
+    The canonicalizer contributes its rule objects.  Text, unlike tuples of
+    ``Size``, compares in one step on every hit.
+    """
+    rendered = ";".join(
+        f"{f.name}={getattr(options, f.name)!r}"
+        for f in fields(options)
+        if f.name != "canonicalizer"
+    )
+    canonicalizer = options.canonicalizer
+    rules = tuple(canonicalizer.rules) if canonicalizer is not None else None
+    return (spec.shape_key, rendered, rules)
 
 
 @dataclass
@@ -158,16 +186,14 @@ class MCTS:
     options: EnumerationOptions
     reward_fn: RewardFn
     config: MCTSConfig = field(default_factory=MCTSConfig)
-    #: runtime context the rewards are computed under (its seed, shard count
-    #: and reward cache); ``None`` resolves the ambient context
-    #: (:func:`repro.runtime.current`) per wave.
+    #: runtime context the search runs under (its seed, shard count, reward
+    #: cache and children memo); ``None`` resolves the ambient context
+    #: (:func:`repro.runtime.current`) on each use.
     runtime: object | None = None
 
     def __post_init__(self) -> None:
         seed = self.config.seed
         if seed is None:
-            from repro.runtime import current  # lazy: avoids an import cycle
-
             context = self.runtime if self.runtime is not None else current()
             seed = context.config.seed
         self._rng = random.Random(seed)
@@ -184,6 +210,7 @@ class MCTS:
             if self.config.cache_context is not None
             else ("mcts-instance", next(_INSTANCE_CONTEXTS))
         )
+        self._space = _space_key(self.spec, self.options)
 
     # -- public API --------------------------------------------------------
 
@@ -266,7 +293,6 @@ class MCTS:
             self._propagate_reward(rollout.node, reward)
 
     def _evaluate_wave(self, wave: Sequence[PendingRollout]) -> Mapping[str, float]:
-        from repro.runtime import current  # lazy: avoids an import cycle
         from repro.search.parallel import sharded_map
 
         pending = self.pending_evaluations(wave)
@@ -307,8 +333,7 @@ class MCTS:
         ):
             return node
         if node.untried is None:
-            children = enumerate_children(node.graph, self.options)
-            children = self._prune_by_distance(node.graph, children)
+            children = list(self._legal_children(node.graph))
             self._rng.shuffle(children)
             if node.parent is None and self.config.root_priority:
                 node.untried = self._prioritized_root_children(children)
@@ -344,17 +369,29 @@ class MCTS:
         keep = max(self.config.max_children - len(preferred), 0)
         return rest[:keep] + [pair for _, pair in preferred]
 
-    def _prune_by_distance(
-        self, graph: PGraph, children: list[tuple[Action, PGraph]]
-    ) -> list[tuple[Action, PGraph]]:
-        if not self.options.use_shape_distance:
-            return children
-        remaining = self.options.max_depth - graph.depth - 1
-        return [
-            (action, child)
-            for action, child in children
-            if shape_distance(child.frontier_shape, child.input_shape) <= remaining
-        ]
+    def _legal_children(self, graph: PGraph) -> tuple[tuple[Action, PGraph], ...]:
+        """``graph``'s canonical children that can still complete in time.
+
+        :func:`enumerate_children` followed by the shape-distance prune,
+        memoized per runtime context under the graph's signature, its weight
+        signature and this search's space key.  The entry is shared by every
+        search in the context, so callers copy it before reordering.
+        """
+
+        def compute() -> tuple[tuple[Action, PGraph], ...]:
+            children = enumerate_children(graph, self.options)
+            if not self.options.use_shape_distance:
+                return tuple(children)
+            remaining = self.options.max_depth - graph.depth - 1
+            return tuple(
+                (action, child)
+                for action, child in children
+                if shape_distance(child.frontier_shape, child.input_shape) <= remaining
+            )
+
+        runtime = self.runtime if self.runtime is not None else current()
+        key = (graph.signature(), graph.weight_signature(), self._space)
+        return runtime.cached_children(key, compute)
 
     def _rollout_pending(self, node: _Node, iteration: int) -> PendingRollout:
         """Complete ``node``'s graph with guided random rollout, deferring the reward.
@@ -373,8 +410,7 @@ class MCTS:
         while not (graph.is_complete and graph.depth > 0):
             if graph.depth >= depth_limit:
                 return PendingRollout(iteration=iteration, node=node)
-            children = enumerate_children(graph, self.options)
-            children = self._prune_by_distance(graph, children)
+            children = self._legal_children(graph)
             if not children:
                 return PendingRollout(iteration=iteration, node=node)
             _, graph = self._rng.choice(children)

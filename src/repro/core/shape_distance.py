@@ -129,8 +129,3 @@ def _uncached_distance(current: ShapeSpec, desired: ShapeSpec) -> int:
     if current.total != desired.total:
         total += 1
     return max(total, 1)
-
-
-def remaining_budget_allows(current: ShapeSpec, desired: ShapeSpec, remaining_steps: int) -> bool:
-    """Whether a completion is still possible within ``remaining_steps`` primitives."""
-    return shape_distance(current, desired) <= remaining_steps

@@ -1,7 +1,7 @@
 """Evaluation caches as an owned object (`CacheSet`) instead of module globals.
 
-A :class:`CacheSet` bundles the six evaluation caches — reward, compile,
-baseline, plan, lowering and shape_distance.  Each
+A :class:`CacheSet` bundles the seven evaluation caches — reward, compile,
+baseline, plan, lowering, shape_distance and children.  Each
 :class:`~repro.runtime.context.RuntimeContext` owns one, so two contexts in one
 process have fully isolated caches.
 
@@ -261,7 +261,7 @@ class SnapshotStatus:
 
 
 class CacheSet:
-    """The six evaluation caches one runtime context owns.
+    """The seven evaluation caches one runtime context owns.
 
     ``reward``/``compile_``/``baseline`` persist to disk.  ``plan`` (numpy
     index arrays and contraction paths) and ``lowering`` (loop-nest programs)
@@ -269,9 +269,10 @@ class CacheSet:
     participate in shard-delta export/merge with the persisted three
     (shipping a compiled plan or a lowering saves the recompute on the next
     wave).  ``shape_distance`` (synthesis's pruning guide, keyed on two
-    shapes' size tuples) is memory-only *and* process-local: it is never
-    shard-merged, so the frontiers shard workers visit stay out of the
-    parent's memory, and it is shipped empty when the set is pickled.
+    shapes' size tuples) and ``children`` (MCTS's legal children of one
+    pGraph in one search space) are memory-only *and* process-local: they
+    are never shard-merged, so the frontiers shard workers visit stay out of
+    the parent's memory, and they are shipped empty when the set is pickled.
     """
 
     def __init__(self) -> None:
@@ -281,18 +282,21 @@ class CacheSet:
         self.plan = KeyedCache("plan")
         self.lowering = KeyedCache("lowering")
         self.shape_distance = KeyedCache("shape_distance")
+        self.children = KeyedCache("children")
         #: status of the most recent snapshot load/save through this set.
         self.last_load: SnapshotStatus | None = None
         self.last_save: SnapshotStatus | None = None
 
     def __getstate__(self) -> dict:
-        # The last_* statuses are process-local diagnostics, and so is the
-        # shape-distance memo (pickling it would copy every frontier the
-        # process has seen into each shard payload); don't ship them.
+        # The last_* statuses are process-local diagnostics, and so are the
+        # shape-distance and children memos (pickling them would copy every
+        # frontier the process has seen into each shard payload); don't ship
+        # them.
         state = dict(self.__dict__)
         state["last_load"] = None
         state["last_save"] = None
         state["shape_distance"] = KeyedCache("shape_distance")
+        state["children"] = KeyedCache("children")
         return state
 
     # -- views ---------------------------------------------------------------
@@ -313,7 +317,7 @@ class CacheSet:
     def all(self) -> tuple[KeyedCache, ...]:
         return (
             self.reward, self.compile_, self.baseline, self.plan, self.lowering,
-            self.shape_distance,
+            self.shape_distance, self.children,
         )
 
     # -- bookkeeping ---------------------------------------------------------

@@ -101,7 +101,8 @@ class RuntimeConfig:
     dtype: str | None = _knob(None, "REPRO_DTYPE", _dtype, "float32/float64")
     #: run lowered operators through compiled execution plans.
     compiled_forward: bool = _knob(True, "REPRO_COMPILED_FORWARD", _flag)
-    #: whether the reward/baseline/compile/plan/lowering caches are active.
+    #: whether the reward/baseline/compile/plan/lowering caches and the
+    #: shape-distance and MCTS children memos are active.
     eval_cache: bool = _knob(True, "REPRO_EVAL_CACHE", _flag)
     #: worker processes for the legacy candidate-evaluation fan-out.
     eval_processes: int = _knob(1, "REPRO_EVAL_PROCESSES", _at_least(int, 1), _INTEGER)

@@ -3,7 +3,7 @@
 A :class:`RuntimeContext` bundles everything that used to be process-global
 state: a frozen :class:`~repro.runtime.config.RuntimeConfig`, a
 :class:`~repro.runtime.caches.CacheSet`
-(reward/baseline/compile/plan/lowering/shape_distance), the
+(reward/baseline/compile/plan/lowering/shape_distance/children), the
 :class:`~repro.results.ArtifactStore` rooted at the config's results
 directory, and a root RNG seeded from the config.  Two contexts with
 different dtypes, budgets or shard counts coexist in one process with fully
@@ -245,6 +245,12 @@ class RuntimeContext:
     def cached_shape_distance(self, key: Hashable, compute: Callable[[], int]) -> int:
         """A shape distance for one (current sizes, desired sizes) key."""
         return self.caches.shape_distance.get_or_compute(
+            key, compute, enabled=self.config.eval_cache
+        )
+
+    def cached_children(self, key: Hashable, compute: Callable[[], T]) -> T:
+        """MCTS's legal children for one (signature, weight signature, space) key."""
+        return self.caches.children.get_or_compute(
             key, compute, enabled=self.config.eval_cache
         )
 

@@ -211,6 +211,26 @@ def test_cli_cache_shows_snapshot_stats(tmp_path, capsys):
     assert not ArtifactStore(tmp_path).cache_path.exists()
 
 
+def test_cli_cache_lists_only_persisted_caches_as_snapshot_contents(tmp_path, capsys):
+    """Memory-only caches get no snapshot line; process stats and --json keep them."""
+    assert main(["run", "search", "--results-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["cache", "--results-dir", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    listed = [line.split()[0] for line in lines if line.endswith("loaded just now)")]
+    assert listed == ["baseline", "compile", "reward"]
+    process = next(line for line in lines if line.startswith("this process:"))
+    for name in ("plan", "lowering", "shape_distance", "children"):
+        assert f"{name} " in process
+
+    assert main(["cache", "--results-dir", str(tmp_path), "--json"]) == 0
+    sizes = json.loads(capsys.readouterr().out)["sizes"]
+    assert set(sizes) == {
+        "reward", "compile", "baseline", "plan", "lowering", "shape_distance", "children"
+    }
+    assert sizes["children"] > 0
+
+
 def test_cli_cache_surfaces_version_mismatch(tmp_path, capsys):
     """A stale snapshot is reported (path + versions), never silently dropped."""
     import pickle

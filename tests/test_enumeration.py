@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -12,11 +13,18 @@ from repro.core.enumeration import (
     enumerate_children,
     synthesize,
 )
-from repro.core.library import C_IN, C_OUT, H, K, K1, M, N, OUT_FEATURES, W, conv2d_spec, matmul_spec
+from repro.core.library import (
+    C_IN, C_OUT, GROUPS, H, K, K1, M, N, OUT_FEATURES, W, conv2d_spec, matmul_spec,
+)
 from repro.core.mcts import MCTS, MCTSConfig
 from repro.core.pgraph import PGraph
 from repro.core.primitives import Reduce, Share
+from repro.core.shape_distance import _uncached_distance
+from repro.experiments.runner import ExperimentConfig, run_experiment
+from repro.ir.shape import ShapeSpec
 from repro.ir.size import Size
+from repro.library.specs import gpt2_projection_space
+from repro.runtime import current
 
 
 def _matmul_options(max_depth: int = 3) -> EnumerationOptions:
@@ -136,3 +144,123 @@ class TestMCTS:
                       config=MCTSConfig(iterations=50, seed=3))
         search.run()
         assert len(calls) == len(set(calls))
+
+
+# ---------------------------------------------------------------------------
+# MCTS's legal-children memo
+# ---------------------------------------------------------------------------
+
+
+def _uncached_legal_children(graph: PGraph, options: EnumerationOptions) -> list[PGraph]:
+    """``enumerate_children`` plus the shape-distance prune, with no memo."""
+    remaining = options.max_depth - graph.depth - 1
+    return [
+        child
+        for _, child in enumerate_children(graph, options)
+        if not options.use_shape_distance
+        or _uncached_distance(child.frontier_shape, child.input_shape) <= remaining
+    ]
+
+
+def _identity(children) -> list[tuple[str, str, str]]:
+    """Each child's signature, weight signature and frontier sizes, in order."""
+    return [
+        (child.signature(), child.weight_signature(), repr(child.frontier_shape))
+        for child in children
+    ]
+
+
+def _rebuilt_graphs(spec, options: EnumerationOptions) -> dict[tuple[str, str], PGraph]:
+    """Every graph an MCTS over the space enumerates from, grown from a fresh root."""
+    graphs: dict[tuple[str, str], PGraph] = {}
+    stack = [PGraph.root(spec.output_shape, spec.input_shape)]
+    while stack:
+        graph = stack.pop()
+        key = (graph.signature(), graph.weight_signature())
+        if key in graphs:
+            continue
+        graphs[key] = graph
+        if graph.depth < options.max_depth and not (graph.is_complete and graph.depth > 0):
+            stack.extend(_uncached_legal_children(graph, options))
+    return graphs
+
+
+def _signature_reward(operator) -> float:
+    """A deterministic synthetic reward that spreads candidates apart."""
+    return sum(map(ord, operator.graph.signature())) % 97 / 97.0
+
+
+def _gpt2_search(seed: int, runtime, spec=None, options=None) -> MCTS:
+    space = gpt2_projection_space(max_depth=3)
+    return MCTS(
+        spec=spec if spec is not None else space.spec,
+        options=options if options is not None else space.options,
+        reward_fn=_signature_reward,
+        config=MCTSConfig(iterations=40, seed=seed, batch_size=8),
+        runtime=runtime,
+    )
+
+
+def _samples(search: MCTS) -> list[tuple[str, float, int]]:
+    search.run()
+    return [
+        (sample.operator.graph.signature(), sample.reward, sample.iteration)
+        for sample in search.samples
+    ]
+
+
+class TestChildrenMemo:
+    def test_entries_equal_a_fresh_enumeration_after_a_smoke_search(self):
+        context = current().isolated()
+        with context.activate():
+            run_experiment("search", ExperimentConfig(seed=3))
+        entries = context.caches.children.export_entries()
+        assert len(entries) > 10
+        space = gpt2_projection_space(max_depth=3)
+        rebuilt = _rebuilt_graphs(space.spec, space.options)
+        for (signature, weight_signature, _), children in entries.items():
+            graph = rebuilt[(signature, weight_signature)]
+            assert _identity(child for _, child in children) == _identity(
+                _uncached_legal_children(graph, space.options)
+            ), signature
+
+    def test_a_warm_context_replays_the_cold_samples(self):
+        warm = current().isolated()
+        _samples(_gpt2_search(1, warm))
+        warm_b = _samples(_gpt2_search(2, warm))
+        assert warm_b
+        assert warm_b == _samples(_gpt2_search(2, current().isolated()))
+
+        disabled = current().isolated(eval_cache=False)
+        assert warm_b == _samples(_gpt2_search(2, disabled))
+        assert len(disabled.caches.children) == 0
+
+        before = warm.caches.stats()["children"]
+        assert warm_b == _samples(_gpt2_search(2, warm))
+        after = warm.caches.stats()["children"]
+        assert after.hits > before.hits
+        assert after.misses == before.misses
+
+    @pytest.mark.parametrize("variant", ["reduce-size-order", "max-depth", "output-sizes"])
+    def test_searches_over_different_spaces_never_alias(self, variant):
+        """Two searches share a context; each one's memo lookups are its own."""
+        space = gpt2_projection_space(max_depth=3)
+        spec, options = space.spec, dataclasses.replace(space.options)
+        if variant == "reduce-size-order":
+            options.reduce_sizes = list(reversed(options.reduce_sizes))
+            assert options.reduce_sizes != space.options.reduce_sizes
+        elif variant == "max-depth":
+            options.max_depth = 4
+        else:
+            spec = dataclasses.replace(spec, output_shape=ShapeSpec.of([M, GROUPS]))
+        context = current().isolated()
+        searches = [_gpt2_search(4, context), _gpt2_search(4, context, spec, options)]
+        for search in searches:
+            search.run()
+        for search in searches:
+            for graph in _rebuilt_graphs(search.spec, search.options).values():
+                assert _identity(
+                    child for _, child in search._legal_children(graph)
+                ) == _identity(_uncached_legal_children(graph, search.options))
+        stats = context.caches.stats()["children"]
+        assert stats.hits > 0

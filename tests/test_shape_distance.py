@@ -9,11 +9,7 @@ from hypothesis import given, strategies as st
 
 from repro.core.enumeration import enumerate_children
 from repro.core.pgraph import PGraph
-from repro.core.shape_distance import (
-    _uncached_distance,
-    remaining_budget_allows,
-    shape_distance,
-)
+from repro.core.shape_distance import _uncached_distance, shape_distance
 from repro.ir.shape import ShapeSpec
 from repro.ir.size import Size
 from repro.ir.variables import coefficient, primary
@@ -63,14 +59,6 @@ class TestBasics:
             ShapeSpec.of([Size.of(H) / S, Size.of(W) * S, K]), ShapeSpec.of([H, W])
         )
         assert different_domain == same_domain + 1
-
-
-class TestBudgetHelper:
-    def test_allows_when_within_budget(self):
-        current = ShapeSpec.of([Size.of(H) * W])
-        desired = ShapeSpec.of([H, W])
-        assert remaining_budget_allows(current, desired, 1)
-        assert not remaining_budget_allows(current, desired, 0)
 
 
 @given(
@@ -171,17 +159,23 @@ class TestMemo:
         assert len(isolated.caches.shape_distance) == 1
 
     def test_memo_is_process_local(self):
+        """So is MCTS's legal-children memo: neither ships with a pickled set."""
         context = RuntimeContext()
         caches = context.caches
-        assert "shape_distance" not in caches.mergeable()
-        assert caches.shape_distance not in caches.persisted()
-        assert caches.shape_distance in caches.all()
+        for name, memo in (("shape_distance", caches.shape_distance), ("children", caches.children)):
+            assert name not in caches.mergeable()
+            assert memo not in caches.persisted()
+            assert memo in caches.all()
         with context.activate():
             shape_distance(ShapeSpec.of([Size.of(H) * W]), ShapeSpec.of([H, W]))
+        context.cached_children(("signature", "", "space"), lambda: ())
         caches.plan.put("plan-key", "plan")
-        assert "shape_distance" not in caches.export_delta({})
+        assert len(caches.children) == 1
+        delta = caches.export_delta({})
+        assert "shape_distance" not in delta and "children" not in delta
         shipped = pickle.loads(pickle.dumps(caches))
         assert len(shipped.shape_distance) == 0 and len(shipped.plan) == 1
+        assert len(shipped.children) == 0
 
     def test_two_shard_map_exports_no_shape_distance_delta(self):
         context = RuntimeContext()
