@@ -182,44 +182,52 @@ print(f"OK: 3 served fingerprints match serial; "
       f"children memo hits per serial rerun: {[stats['hits'] for stats in children]}")
 PY
 
-echo "== library: shard-parity build + warm-started search =="
-# The graph library's determinism contract, end to end through the CLI: the
-# gpt2 design space built serially and rebuilt from scratch at 2 shards must
+echo "== library: shard-parity builds + warm-started search =="
+# The graph library's determinism contract, end to end through the CLI: each
+# design space built serially and rebuilt from scratch at 2 shards must
 # produce bit-identical artifacts (same content hash) *and* identical pruning
 # statistics (children generated, pruned by shape distance, dead ends, and
 # rejections per canonicalization rule: equal entries could still hide a
-# shard that prunes differently), and a warm-started smoke search against
-# the built library must run green (REPRO_WARM_START degrades to a cold
-# search only when no matching library exists — here one does, so this
-# exercises frontier seeding + sidecar publish for real).
+# shard that prunes differently).  Two spaces at depth 3: resnet, the conv
+# space the enumerate-conv benchmark builds, where six rules fire and most
+# children are generated at the last level (no steps left, so the prune is
+# the completeness test), and gpt2, where three rules fire.  gpt2 goes last:
+# a warm-started smoke search against its built library must run green
+# (REPRO_WARM_START degrades to a cold search only when no matching library
+# exists — here one does, so this exercises frontier seeding + sidecar
+# publish for real).
 LIB_DIR="$RESULTS_DIR/library-check"
 library_field() {
-  python -m repro.cli library stats gpt2 --json \
+  python -m repro.cli library stats "$1" --json \
     --library-dir "$LIB_DIR" --results-dir "$RESULTS_DIR" \
-    | python -c "import json,sys; v = json.load(sys.stdin)['libraries'][0]['$1']; print(v if isinstance(v, str) else json.dumps(v, sort_keys=True))"
+    | python -c "import json,sys; v = json.load(sys.stdin)['libraries'][0]['$2']; print(v if isinstance(v, str) else json.dumps(v, sort_keys=True))"
 }
-python -m repro.cli library build gpt2 --max-depth 3 --shards 1 \
-  --library-dir "$LIB_DIR" --results-dir "$RESULTS_DIR"
-HASH_SERIAL="$(library_field content_hash)"
-STATS_SERIAL="$(library_field stats)"
-rm -rf "$LIB_DIR"
-python -m repro.cli library build gpt2 --max-depth 3 --shards 2 \
-  --library-dir "$LIB_DIR" --results-dir "$RESULTS_DIR"
-HASH_SHARDED="$(library_field content_hash)"
-STATS_SHARDED="$(library_field stats)"
-if [ "$HASH_SERIAL" != "$HASH_SHARDED" ]; then
-  echo "FAIL: serial ($HASH_SERIAL) and 2-shard ($HASH_SHARDED) library builds diverge" >&2
-  exit 1
-fi
-if [ "$STATS_SERIAL" != "$STATS_SHARDED" ]; then
-  echo "FAIL: serial and 2-shard library builds prune differently:" >&2
-  echo "  serial:  $STATS_SERIAL" >&2
-  echo "  2-shard: $STATS_SHARDED" >&2
-  exit 1
-fi
+for SPACE in resnet gpt2; do
+  rm -rf "$LIB_DIR"
+  python -m repro.cli library build "$SPACE" --max-depth 3 --shards 1 \
+    --library-dir "$LIB_DIR" --results-dir "$RESULTS_DIR"
+  HASH_SERIAL="$(library_field "$SPACE" content_hash)"
+  STATS_SERIAL="$(library_field "$SPACE" stats)"
+  rm -rf "$LIB_DIR"
+  python -m repro.cli library build "$SPACE" --max-depth 3 --shards 2 \
+    --library-dir "$LIB_DIR" --results-dir "$RESULTS_DIR"
+  HASH_SHARDED="$(library_field "$SPACE" content_hash)"
+  STATS_SHARDED="$(library_field "$SPACE" stats)"
+  if [ "$HASH_SERIAL" != "$HASH_SHARDED" ]; then
+    echo "FAIL: serial ($HASH_SERIAL) and 2-shard ($HASH_SHARDED) $SPACE library builds diverge" >&2
+    exit 1
+  fi
+  if [ "$STATS_SERIAL" != "$STATS_SHARDED" ]; then
+    echo "FAIL: serial and 2-shard $SPACE library builds prune differently:" >&2
+    echo "  serial:  $STATS_SERIAL" >&2
+    echo "  2-shard: $STATS_SHARDED" >&2
+    exit 1
+  fi
+  echo "OK: $SPACE library builds bit-identical across shard counts ($HASH_SERIAL), same pruning statistics"
+done
 REPRO_WARM_START=1 REPRO_LIBRARY_DIR="$LIB_DIR" \
   python -m repro.cli run search --smoke
-echo "OK: library builds bit-identical across shard counts ($HASH_SERIAL), same pruning statistics; warm-started search green"
+echo "OK: warm-started search green"
 
 echo "== sharded sweep: bench --all at 1 and 2 shards must agree =="
 # Every registered experiment, once per shard setting, into one trajectory

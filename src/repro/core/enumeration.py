@@ -28,7 +28,7 @@ from repro.core.primitives import (
     Stride,
     Unfold,
 )
-from repro.core.shape_distance import shape_distance
+from repro.core.shape_distance import within_reach
 from repro.ir.size import Size
 from repro.ir.variables import Variable
 
@@ -166,45 +166,50 @@ def _candidate_applications(
     graph: PGraph, options: EnumerationOptions
 ) -> Iterator[tuple[Primitive, tuple[Dim, ...]]]:
     frontier = graph.frontier
+    # Primitives are immutable values: build each one once per call.
+    new_share, extend_share = Share(new_weight=True), Share(new_weight=False)
+    shift, split, expand, unfold = Shift(amount=1), Split(), Expand(), Unfold()
+    merges = [Merge(block=block) for block in options.merge_blocks]
+    strides = [Stride(stride=stride) for stride in options.strides if not stride.is_one]
 
     # Contractions -----------------------------------------------------
     for size in options.reduce_sizes:
         yield Reduce(size=size), ()
     for shared in frontier:
         # Plain share (weight indexed by one coordinate).
-        yield Share(new_weight=True), (shared,)
-        yield Share(new_weight=False), (shared,)
+        yield new_share, (shared,)
+        yield extend_share, (shared,)
         # Share + Match: move one other output dim onto the weight.
         for matched in frontier:
             if matched is shared or not matched.is_output:
                 continue
-            yield Share(new_weight=True), (shared, matched)
-            yield Share(new_weight=False), (shared, matched)
+            yield new_share, (shared, matched)
+            yield extend_share, (shared, matched)
 
     # 1-to-1 views -------------------------------------------------------
     for dim in frontier:
-        for block in options.merge_blocks:
-            if block.divides(dim.size) and not (dim.size / block).is_one:
-                yield Merge(block=block), (dim,)
-        yield Shift(amount=1), (dim,)
+        for merge in merges:
+            quotient = dim.size / merge.block
+            if quotient.is_plausible and not quotient.is_one:
+                yield merge, (dim,)
+        yield shift, (dim,)
     for major in frontier:
         for minor in frontier:
             if major is not minor:
-                yield Split(), (major, minor)
+                yield split, (major, minor)
 
     # 1-to-many / many-to-1 views ----------------------------------------
     for dim in frontier:
-        yield Expand(), (dim,)
-        for stride in options.strides:
-            if not stride.is_one:
-                yield Stride(stride=stride), (dim,)
+        yield expand, (dim,)
+        for stride in strides:
+            yield stride, (dim,)
     for main in frontier:
         for window in frontier:
             if main is window:
                 continue
             if window.size.primary_variables():
                 continue
-            yield Unfold(), (main, window)
+            yield unfold, (main, window)
 
 
 def enumerate_children(
@@ -339,12 +344,10 @@ def synthesize(
         for _, child in children:
             if len(results) >= max_results or stats.nodes_visited >= max_nodes:
                 return
-            if options.use_shape_distance:
-                distance = shape_distance(child.frontier_shape, child.input_shape)
-                if distance > remaining:
-                    stats.pruned_by_distance += 1
-                    pruned_here += 1
-                    continue
+            if options.use_shape_distance and not within_reach(child, remaining):
+                stats.pruned_by_distance += 1
+                pruned_here += 1
+                continue
             visit(child)
         if children and pruned_here == len(children):
             stats.dead_ends_by_distance += 1

@@ -58,7 +58,7 @@ from typing import Callable, Hashable, Mapping, Sequence
 from repro.core.enumeration import Action, EnumerationOptions, enumerate_children
 from repro.core.operator import OperatorSpec, SynthesizedOperator
 from repro.core.pgraph import PGraph
-from repro.core.shape_distance import shape_distance
+from repro.core.shape_distance import within_reach
 from repro.runtime.context import current
 
 #: Reward function over complete operators; should return a value in [0, 1].
@@ -384,9 +384,7 @@ class MCTS:
                 return tuple(children)
             remaining = self.options.max_depth - graph.depth - 1
             return tuple(
-                (action, child)
-                for action, child in children
-                if shape_distance(child.frontier_shape, child.input_shape) <= remaining
+                (action, child) for action, child in children if within_reach(child, remaining)
             )
 
         runtime = self.runtime if self.runtime is not None else current()

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.ir.shape import ShapeSpec
@@ -225,12 +225,18 @@ class PGraph:
                 existing = weights[weight_index]
                 weights[weight_index] = WeightTensor(existing.dims + tuple(new_weight_dims))
 
-        return replace(
-            self,
+        child = PGraph(
+            output_shape=self.output_shape,
+            input_shape=self.input_shape,
+            output_dims=self.output_dims,
             frontier=tuple(frontier),
             applications=self.applications + (application,),
             weights=tuple(weights),
         )
+        object.__setattr__(
+            child, "_signature_cache", self._extended_signatures(application, child.weights)
+        )
+        return child
 
     # -- queries -----------------------------------------------------------
 
@@ -250,7 +256,12 @@ class PGraph:
 
     @property
     def is_complete(self) -> bool:
-        """Whether the frontier matches the desired input shape (unordered)."""
+        """Whether the frontier matches the desired input shape (unordered).
+
+        Ranks are compared first, which needs no multiset key.
+        """
+        if len(self.frontier) != len(self.input_shape):
+            return False
         return self.frontier_shape.same_multiset(self.input_shape)
 
     @property
@@ -311,10 +322,14 @@ class PGraph:
     def signature(self) -> str:
         """A structural signature used for deduplication of candidates.
 
-        Computed once per graph and kept on the (immutable) instance: it is
-        the key of every evaluation cache, so lookups must cost less than
-        what they save.  ``dataclasses.replace`` builds a new instance and
-        recomputes; a pickled graph carries its signature along.
+        Each application contributes one ``;``-joined part that names its
+        dims by labels handed out in first-appearance order, starting from
+        the output dims.  So a child's signature is its parent's plus one
+        part: :meth:`replace_dims` extends the parent's cached signature
+        state instead of recomputing it from the root.  A graph built any
+        other way computes its signatures once, on first use.  They are kept
+        on the (immutable) instance, since the signature keys every
+        evaluation cache; a pickled graph carries them along.
         """
         return self._signatures()[0]
 
@@ -329,40 +344,58 @@ class PGraph:
         """
         return self._signatures()[1]
 
-    def _signatures(self) -> tuple[str, str]:
+    def _signatures(self) -> tuple[str, str, tuple[int, ...]]:
+        """(signature, weight signature, dim uids in label order after the applications)."""
         cached = self.__dict__.get("_signature_cache")
         if cached is None:
             cached = self._compute_signatures()
             object.__setattr__(self, "_signature_cache", cached)
         return cached
 
-    def _compute_signatures(self) -> tuple[str, str]:
-        parts = []
-        dim_labels: dict[int, str] = {}
-
-        def label(dim: Dim) -> str:
-            if dim.uid not in dim_labels:
-                dim_labels[dim.uid] = f"e{len(dim_labels)}"
-            return dim_labels[dim.uid]
-
+    def _compute_signatures(self) -> tuple[str, str, tuple[int, ...]]:
+        uids: list[int] = []
         for dim in self.output_dims:
-            label(dim)
-        for app in self.applications:
-            parts.append(
-                "{}[{}->{}|{}|{}]".format(
-                    app.primitive.describe(),
-                    ",".join(label(d) for d in app.consumed),
-                    ",".join(label(d) for d in app.produced),
-                    ",".join(label(d) for d in app.matched),
-                    app.weight_index if app.weight_index is not None else "",
-                )
-            )
-        weights = ";".join(
-            ",".join(label(wdim.identified_with) for wdim in weight.dims)
-            for weight in self.weights
-        )
-        return ";".join(parts), weights
+            _label(uids, dim)
+        parts = [_application_part(app, uids) for app in self.applications]
+        return ";".join(parts), _weights_part(self.weights, uids), tuple(uids)
+
+    def _extended_signatures(
+        self, application: Application, weights: tuple[WeightTensor, ...]
+    ) -> tuple[str, str, tuple[int, ...]]:
+        """The signature state of this graph plus ``application``, with ``weights``."""
+        signature, _, parent_uids = self._signatures()
+        uids = list(parent_uids)
+        part = _application_part(application, uids)
+        if self.applications:
+            part = f"{signature};{part}"
+        return part, _weights_part(weights, uids), tuple(uids)
 
     def __repr__(self) -> str:
         return f"PGraph(depth={self.depth}, frontier={self.frontier_shape!r})"
 
+
+def _label(uids: list[int], dim: Dim) -> str:
+    """``dim``'s signature label ``e<i>``, ``i`` its first-appearance index in ``uids``."""
+    uid = dim.uid
+    if uid not in uids:
+        uids.append(uid)
+    return f"e{uids.index(uid)}"
+
+
+def _application_part(app: Application, uids: list[int]) -> str:
+    return "{}[{}->{}|{}|{}]".format(
+        app.primitive.describe(),
+        ",".join(_label(uids, d) for d in app.consumed),
+        ",".join(_label(uids, d) for d in app.produced),
+        ",".join(_label(uids, d) for d in app.matched),
+        app.weight_index if app.weight_index is not None else "",
+    )
+
+
+def _weights_part(weights: tuple[WeightTensor, ...], uids: list[int]) -> str:
+    """The weight signature; labels it adds are not carried to descendants."""
+    uids = list(uids)
+    return ";".join(
+        ",".join(_label(uids, wdim.identified_with) for wdim in weight.dims)
+        for weight in weights
+    )

@@ -240,9 +240,10 @@ class Share(Primitive):
     depend on them only through the weight.
 
     ``new_weight`` controls whether a fresh weight tensor is created or the
-    axes are appended to the most recently created weight tensor — consecutive
-    Shares appending to one weight model multi-axis weights such as the
-    ``[C_out, C_in, K, K]`` tensor of a standard convolution.
+    axes are appended to the weight tensor of the most recent earlier Share,
+    whatever was applied in between — Shares appending to one weight model
+    multi-axis weights such as the ``[C_out, C_in, K, K]`` tensor of a
+    standard convolution.
     """
 
     new_weight: bool = True
@@ -263,7 +264,8 @@ class Share(Primitive):
             weight_index = graph.weight_index_of_last_share()
             if weight_index is None:
                 raise PrimitiveError(
-                    "Share(new_weight=False) must immediately follow another Share"
+                    "Share(new_weight=False) extends the weight of an earlier Share, "
+                    "and the graph has none"
                 )
         weight_dims = [
             Dim(size=shared.size, role=DimRole.WEIGHT, name=f"w_{shared.name}", identified_with=shared)

@@ -19,16 +19,26 @@ The metric follows the paper's construction:
 4. repeated dimensions / permutations are free (the final matching may
    transpose).
 
-Synthesis asks for the distance of every generated child, and many children
-share a frontier shape, so :func:`shape_distance` is memoized in the ambient
-runtime context's caches (``RuntimeContext.cached_shape_distance``).
+The distance is 0 exactly when the shapes match as multisets and at least 1
+otherwise, so with no steps left the prune needs only the completeness test.
+:func:`within_reach` is the one prune predicate synthesis, the library
+builder and MCTS apply to a generated child: below zero steps it is false, at
+zero it is ``graph.is_complete``, and above zero it compares the distance
+with the steps.  Many children that still have steps share a frontier shape,
+so :func:`shape_distance` is memoized in the ambient runtime context's caches
+(``RuntimeContext.cached_shape_distance``).
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.ir.shape import ShapeSpec
 from repro.ir.size import Size
 from repro.runtime.context import current as current_runtime
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.pgraph import PGraph
 
 
 def _union_find_groups(lhs: ShapeSpec, rhs: ShapeSpec) -> list[tuple[list[Size], list[Size]]]:
@@ -129,3 +139,16 @@ def _uncached_distance(current: ShapeSpec, desired: ShapeSpec) -> int:
     if current.total != desired.total:
         total += 1
     return max(total, 1)
+
+
+def within_reach(graph: "PGraph", steps: int) -> bool:
+    """Whether ``graph`` may still complete within ``steps`` more primitives.
+
+    Exactly ``shape_distance(graph.frontier_shape, graph.input_shape) <= steps``,
+    without computing a distance where the answer does not need one.
+    """
+    if steps < 0:
+        return False
+    if steps == 0:
+        return graph.is_complete
+    return shape_distance(graph.frontier_shape, graph.input_shape) <= steps

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from repro.core.enumeration import EnumerationOptions, default_options_for, enumerate_children
 from repro.core.library import C_IN, C_OUT, GROUPS, H, K1, N, SHRINK, W, conv2d_spec
 from repro.core.pgraph import PGraph
-from repro.core.shape_distance import shape_distance
+from repro.core.shape_distance import shape_distance, within_reach
 from repro.ir.size import Size
 from repro.runtime import current
 
@@ -71,8 +71,8 @@ def _rollout(options: EnumerationOptions, rng: random.Random, use_distance: bool
             scored = [
                 (shape_distance(child.frontier_shape, child.input_shape), action, child)
                 for action, child in children
+                if within_reach(child, remaining)
             ]
-            scored = [entry for entry in scored if entry[0] <= remaining]
             if not scored:
                 return None
             minimum = min(entry[0] for entry in scored)

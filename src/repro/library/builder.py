@@ -34,7 +34,7 @@ from typing import Callable, Mapping, Sequence
 from repro.core.enumeration import EnumerationOptions, SynthesisStats, enumerate_children
 from repro.core.operator import OperatorSpec
 from repro.core.pgraph import PGraph, reserve_dim_uids
-from repro.core.shape_distance import shape_distance
+from repro.core.shape_distance import within_reach
 from repro.ir.size import SizeError
 from repro.library.embeddings import FEATURE_NAMES, feature_vector, nearest_neighbours
 from repro.library.store import (
@@ -123,12 +123,10 @@ def _expand_graph(
     records: list[_ChildRecord] = []
     pruned_here = 0
     for action, child in children:
-        if options.use_shape_distance:
-            remaining = options.max_depth - child.depth
-            if shape_distance(child.frontier_shape, child.input_shape) > remaining:
-                stats.pruned_by_distance += 1
-                pruned_here += 1
-                continue
+        if options.use_shape_distance and not within_reach(child, options.max_depth - child.depth):
+            stats.pruned_by_distance += 1
+            pruned_here += 1
+            continue
         complete = child.is_complete and child.depth > 0
         within = options.within_budgets(child) if complete else True
         if complete:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -23,7 +24,7 @@ from repro.core.shape_distance import _uncached_distance
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.ir.shape import ShapeSpec
 from repro.ir.size import Size
-from repro.library.specs import gpt2_projection_space
+from repro.library.specs import gpt2_projection_space, space_for
 from repro.runtime import current
 
 
@@ -144,6 +145,52 @@ class TestMCTS:
                       config=MCTSConfig(iterations=50, seed=3))
         search.run()
         assert len(calls) == len(set(calls))
+
+
+# ---------------------------------------------------------------------------
+# Signatures extended from the parent
+# ---------------------------------------------------------------------------
+
+
+def _unpruned_bfs(family: str, depth: int) -> tuple[list[PGraph], EnumerationOptions]:
+    """Every node of ``family``'s space to ``depth``, nothing pruned by distance."""
+    space = space_for(family, max_depth=3)
+    level = [PGraph.root(space.spec.output_shape, space.spec.input_shape)]
+    nodes = list(level)
+    for _ in range(depth):
+        level = [child for graph in level for _, child in enumerate_children(graph, space.options)]
+        nodes.extend(level)
+    return nodes, space.options
+
+
+def _assert_signatures_match_a_recomputation(graphs: list[PGraph]) -> None:
+    for graph in graphs:
+        scratch = dataclasses.replace(graph)  # an equal graph with no cached state
+        assert (graph.signature(), graph.weight_signature()) == (
+            scratch.signature(), scratch.weight_signature()
+        )
+
+
+class TestExtendedSignatures:
+    """A child's signatures, extended from its parent's, equal a from-root computation."""
+
+    @pytest.mark.parametrize("family", ["resnet", "gpt2"])
+    def test_every_node_of_a_depth_two_bfs(self, family):
+        nodes, _ = _unpruned_bfs(family, depth=2)
+        assert any(graph.weights and len(graph.weights[0].dims) > 1 for graph in nodes)
+        _assert_signatures_match_a_recomputation(nodes)
+
+    @pytest.mark.parametrize("family, every", [("resnet", 10), ("gpt2", 1)])
+    def test_children_of_unpickled_graphs(self, family, every):
+        # Shard workers extend graphs that arrive pickled, cached state and
+        # all.  Every ``every``-th node of the BFS is extended, so depth-3
+        # children extend a state that was itself extended.
+        nodes, options = _unpruned_bfs(family, depth=2)
+        for graph in nodes[::every]:
+            loaded = pickle.loads(pickle.dumps(graph))
+            _assert_signatures_match_a_recomputation(
+                [child for _, child in enumerate_children(loaded, options)]
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -381,6 +381,39 @@ class TestSynthesisStats:
         assert result.entries == 41
         assert result.stats.to_dict() == self.RESNET_DEPTH2_STATS
 
+    #: The serial resnet build at depth 3, the depth the enumerate-conv
+    #: benchmark builds, pinned before the last-level completeness test and
+    #: the signatures extended from the parent.  Unlike depth 2 it has a
+    #: level from depth 2 to depth 3, where no steps remain and most children
+    #: are generated, and six rules fire instead of four.
+    RESNET_DEPTH3_HASH = "9c60fceabe2e9fa90ba2794b4d8e152243b40482b5d60c9a16348fe9d267aab5"
+    RESNET_DEPTH3_STATS = {
+        "nodes_visited": 886,
+        "children_generated": 18_306,
+        "pruned_by_distance": 17_405,
+        "completed": 16,
+        "rejected_by_budget": 0,
+        "canonicalization_rejections": {
+            "canonical_commuting_order": 23_480,
+            "no_expand_of_reduction": 204,
+            "no_merge_above_split": 762,
+            "no_merge_above_unfold": 180,
+            "no_shift_chains": 133,
+            "no_split_undoing_merge": 42,
+        },
+        "dead_ends_by_distance": 807,
+    }
+
+    def test_depth3_build_is_pinned(self, tmp_path):
+        space = space_for("resnet", max_depth=3)
+        result = build_library(
+            space.spec, space.options, name=space.name,
+            runtime=_runtime(tmp_path), shards=1,
+        )
+        assert result.entries == 902
+        assert result.content_hash == self.RESNET_DEPTH3_HASH
+        assert result.stats.to_dict() == self.RESNET_DEPTH3_STATS
+
     def test_stats_merge_folds_rule_counts(self):
         left = SynthesisStats(nodes_visited=2)
         left.note_canonicalization_rejection("rule_a")

@@ -150,6 +150,17 @@ class TestShare:
         with pytest.raises(PrimitiveError):
             Share(new_weight=True).apply(graph, ())
 
+    def test_append_extends_the_last_shares_weight_across_a_view(self):
+        """``Share(+)`` needs an earlier Share, not an adjacent one."""
+        graph = _root([H, C], [H, C])
+        with pytest.raises(PrimitiveError, match="earlier Share"):
+            Share(new_weight=False).apply(graph, (graph.frontier[0],))
+        graph = Share(new_weight=True).apply(graph, (graph.frontier[0],))
+        graph = Shift(amount=1).apply(graph, (graph.frontier[1],))
+        graph = Share(new_weight=False).apply(graph, (graph.frontier[1],))
+        assert len(graph.weights) == 1
+        assert [dim.identified_with for dim in graph.weights[0].dims] == list(graph.frontier)
+
 
 class TestPGraphAccounting:
     def test_depth_and_counts(self):

@@ -9,10 +9,11 @@ from hypothesis import given, strategies as st
 
 from repro.core.enumeration import enumerate_children
 from repro.core.pgraph import PGraph
-from repro.core.shape_distance import _uncached_distance, shape_distance
+from repro.core.shape_distance import _uncached_distance, shape_distance, within_reach
 from repro.ir.shape import ShapeSpec
 from repro.ir.size import Size
 from repro.ir.variables import coefficient, primary
+from repro.library import builder
 from repro.library.specs import space_for
 from repro.runtime import RuntimeConfig, RuntimeContext
 from repro.search.parallel import sharded_map
@@ -192,3 +193,51 @@ class TestMemo:
         ) == expected
         assert context.shard_failures == []
         assert len(context.caches.shape_distance) == 0
+
+
+# ---------------------------------------------------------------------------
+# The prune predicate
+# ---------------------------------------------------------------------------
+
+
+def _assert_within_reach_is_the_distance_test(graphs: list[PGraph]) -> None:
+    for graph in graphs:
+        distance = shape_distance(graph.frontier_shape, graph.input_shape)
+        for steps in range(-1, 4):
+            assert within_reach(graph, steps) == (distance <= steps), (
+                graph.signature(), distance, steps
+            )
+
+
+class TestWithinReach:
+    """``within_reach(g, s)`` is exactly ``shape_distance(...) <= s``."""
+
+    @pytest.mark.parametrize("family", ["resnet", "gpt2"])
+    def test_over_an_unpruned_depth_two_bfs(self, family):
+        # The nodes a BFS reaches with ``use_shape_distance=False``: nothing
+        # is pruned, so complete graphs and every shape on the way appear.
+        space = space_for(family, max_depth=3)
+        root = PGraph.root(space.spec.output_shape, space.spec.input_shape)
+        graphs = [root] + _depth_two_children(family)
+        assert any(graph.is_complete for graph in graphs)
+        _assert_within_reach_is_the_distance_test(graphs)
+
+    def test_over_every_child_of_the_resnet_depth3_build(self, tmp_path, monkeypatch):
+        generated: list[PGraph] = []
+
+        def recording(graph, options, stats=None):
+            children = enumerate_children(graph, options, stats=stats)
+            generated.extend(child for _, child in children)
+            return children
+
+        monkeypatch.setattr(builder, "enumerate_children", recording)
+        space = space_for("resnet", max_depth=3)
+        context = RuntimeContext(
+            RuntimeConfig(results_dir=str(tmp_path / "r"), library_dir=str(tmp_path / "l"))
+        )
+        result = builder.build_library(
+            space.spec, space.options, name=space.name, runtime=context, shards=1
+        )
+        assert len(generated) == result.stats.children_generated == 18_306
+        with context.activate():
+            _assert_within_reach_is_the_distance_test(generated)
