@@ -36,11 +36,16 @@ echo "== benchmark selftest: perfbench workloads against golden.json =="
 # load among them).  A src change that breaks the benchmark fails here.
 python3 perfbench/selftest.py
 
-echo "== examples: quickstart, and the vision search serial and at 2 shards =="
+echo "== examples: every example runs; the vision search serial and at 2 shards =="
 # The examples are the only callers of SearchSession.run() and the only MCTS
 # users outside the tests.  The vision search reads its shard count from
 # REPRO_SEARCH_SHARDS alone and must print the same report at either count.
+# The Operator 1 case study and the GPT-2 projection example drive the
+# lowering, compiler and training APIs directly; only their exit status is
+# checked.
 python examples/quickstart.py > /dev/null
+python examples/case_study_operator1.py > /dev/null
+python examples/gpt2_projection_search.py > /dev/null
 VISION_SERIAL="$(REPRO_TRAIN_STEPS=1 REPRO_MCTS_ITERATIONS=2 python examples/vision_search.py)"
 VISION_SHARDED="$(REPRO_TRAIN_STEPS=1 REPRO_MCTS_ITERATIONS=2 REPRO_SEARCH_SHARDS=2 \
   python examples/vision_search.py)"
@@ -49,7 +54,7 @@ if [ "$VISION_SERIAL" != "$VISION_SHARDED" ]; then
   diff <(echo "$VISION_SERIAL") <(echo "$VISION_SHARDED") >&2 || true
   exit 1
 fi
-echo "OK: examples ran; vision search report identical serial and at 2 shards"
+echo "OK: all four examples ran; vision search report identical serial and at 2 shards"
 
 echo "== CLI smoke: repro run figure5 --smoke && repro report =="
 python -m repro.cli run figure5 --smoke

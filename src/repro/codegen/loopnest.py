@@ -26,7 +26,7 @@ from repro.core.operator import SynthesizedOperator
 from repro.core.pgraph import Application, Dim, PGraph
 from repro.core.primitives import Expand, Merge, Reduce, Share, Shift, Split, Stride, Unfold
 from repro.ir.variables import Variable
-from repro.runtime import RuntimeContext, current
+from repro.runtime import current
 
 
 # ---------------------------------------------------------------------------
@@ -403,18 +403,15 @@ def lower_to_loopnest(
 
 
 def cached_loopnest(
-    operator: SynthesizedOperator,
-    binding: Mapping[Variable, int],
-    runtime: RuntimeContext | None = None,
+    operator: SynthesizedOperator, binding: Mapping[Variable, int]
 ) -> LoopNestProgram:
     """:func:`lower_to_loopnest` of ``(operator, binding)``, memoized per context.
 
     Lowering depends on neither the compiler backend nor the hardware target,
     so the latency evaluators, which re-lower every (operator, slot) pair for
-    each of them, pay for it once.  ``runtime`` is the
-    :class:`~repro.runtime.RuntimeContext` whose lowering cache is used;
-    ``None`` resolves the ambient context.  A :class:`~repro.ir.size.SizeError`
-    (the pairing has no integral sizes) propagates and is not cached.
+    each of them, pay for it once.  The memo is the ambient context's
+    lowering cache.  A :class:`~repro.ir.size.SizeError` (the pairing has no
+    integral sizes) propagates and is not cached.
 
     The key holds everything the lowering reads.  The canonical signature
     fixes the application structure and the weight signature the dim each
@@ -431,5 +428,4 @@ def cached_loopnest(
         operator.spec.shape_key,
         tuple(sorted((variable.name, int(value)) for variable, value in binding.items())),
     )
-    context = runtime if runtime is not None else current()
-    return context.cached_lowering(key, lambda: lower_to_loopnest(operator, binding))
+    return current().cached_lowering(key, lambda: lower_to_loopnest(operator, binding))

@@ -794,13 +794,9 @@ def plan_cache_key(operator: SynthesizedOperator, binding: Mapping[Variable, int
     )
 
 
-def cached_plan(
-    operator: SynthesizedOperator, binding: Mapping[Variable, int], runtime=None
-) -> ExecutionPlan:
-    """The compiled plan for ``(operator, binding)``, memoized per context.
-
-    ``runtime`` is the :class:`~repro.runtime.RuntimeContext` whose plan
-    cache is used; ``None`` resolves the ambient context.
+def cached_plan(operator: SynthesizedOperator, binding: Mapping[Variable, int]) -> ExecutionPlan:
+    """The compiled plan for ``(operator, binding)``, memoized in the ambient
+    context's plan cache.
 
     Under ``RuntimeConfig.verify_plans`` every freshly compiled plan is
     statically verified (:func:`repro.analysis.plan_verifier.verify_plan`)
@@ -811,7 +807,7 @@ def cached_plan(
     # a module-level import here would cycle.
     from repro.runtime import current
 
-    context = runtime if runtime is not None else current()
+    context = current()
 
     def compute() -> ExecutionPlan:
         plan = compile_plan(operator, binding)

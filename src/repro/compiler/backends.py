@@ -58,21 +58,15 @@ class CompilerBackend:
         """Hashable description of every knob that affects compile results."""
         return (self.name,)
 
-    def compile(
-        self, program: LoopNestProgram, target: HardwareTarget, runtime=None
-    ) -> TuneResult:
-        """Tune ``program`` for ``target``, memoized in the context's compile cache.
-
-        ``runtime`` is the :class:`~repro.runtime.RuntimeContext` to cache
-        into; ``None`` resolves the ambient context.
-        """
+    def compile(self, program: LoopNestProgram, target: HardwareTarget) -> TuneResult:
+        """Tune ``program`` for ``target``, memoized in the ambient context's
+        compile cache."""
         # Imported lazily: repro.search re-exports modules that import this
         # one, so a module-level import would form a cycle.
         from repro.runtime import current
 
-        context = runtime if runtime is not None else current()
         key = (self.config_key(), program.structural_key(), target)
-        return context.cached_compile(
+        return current().cached_compile(
             key, lambda: self._compile_uncached(program, target)
         )
 

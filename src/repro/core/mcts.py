@@ -186,16 +186,9 @@ class MCTS:
     options: EnumerationOptions
     reward_fn: RewardFn
     config: MCTSConfig = field(default_factory=MCTSConfig)
-    #: runtime context the search runs under (its seed, shard count, reward
-    #: cache and children memo); ``None`` resolves the ambient context
-    #: (:func:`repro.runtime.current`) on each use.
-    runtime: object | None = None
 
     def __post_init__(self) -> None:
-        seed = self.config.seed
-        if seed is None:
-            context = self.runtime if self.runtime is not None else current()
-            seed = context.config.seed
+        seed = self.config.seed if self.config.seed is not None else current().config.seed
         self._rng = random.Random(seed)
         self._root = _Node(PGraph.root(self.spec.output_shape, self.spec.input_shape), None, None)
         self.samples: list[SampleRecord] = []
@@ -298,15 +291,15 @@ class MCTS:
         pending = self.pending_evaluations(wave)
         if not pending:
             return {}
-        runtime = self.runtime if self.runtime is not None else current()
-        if runtime.wave_evaluator is not None:
+        wave_evaluator = current().wave_evaluator
+        if wave_evaluator is not None:
             # The serving layer installed a coalescer on this context: hand
             # the whole wave over so concurrent searches share one fan-out.
             # Wave *composition* already happened (propose_batch), so where
             # the rewards come from cannot change the sample sequence.
-            return dict(runtime.wave_evaluator(pending, self.reward_fn, self._context, runtime))
+            return dict(wave_evaluator(pending, self.reward_fn, self._context))
         worker = functools.partial(_reward_worker, self.reward_fn, self._context)
-        values = sharded_map(worker, pending, runtime=self.runtime)
+        values = sharded_map(worker, pending)
         return {signature: value for (signature, _), value in zip(pending, values)}
 
     def best_samples(self, top_k: int | None = None) -> list[SampleRecord]:
@@ -387,9 +380,8 @@ class MCTS:
                 (action, child) for action, child in children if within_reach(child, remaining)
             )
 
-        runtime = self.runtime if self.runtime is not None else current()
         key = (graph.signature(), graph.weight_signature(), self._space)
-        return runtime.cached_children(key, compute)
+        return current().cached_children(key, compute)
 
     def _rollout_pending(self, node: _Node, iteration: int) -> PendingRollout:
         """Complete ``node``'s graph with guided random rollout, deferring the reward.

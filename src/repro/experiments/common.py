@@ -92,21 +92,15 @@ def evaluate_model(
 ) -> ModelEvaluation:
     """Latency of the baseline model and of every candidate substitution.
 
-    ``runtime`` is the :class:`~repro.runtime.RuntimeContext` evaluated
-    under (``None`` resolves the ambient context).  The per-candidate tuning
-    fans out through :func:`repro.search.parallel.fan_out`: over the
-    context's shards, merging their compile-cache entries back, or else over
-    its ``eval_processes`` (the cache-discarding parallel map); the serial
+    The evaluation runs under ``runtime``, activated once here (``None``:
+    the ambient context).  The per-candidate tuning fans out through
+    :func:`repro.search.parallel.fan_out`: over the context's shards,
+    merging their compile-cache entries back, or else over its
+    ``eval_processes`` (the cache-discarding parallel map); the serial
     default warms the context's compile cache directly.
     """
-    # The whole evaluation runs under the context so nested ambient lookups
-    # (plan compilation, dtype resolution) land in the same CacheSet the
-    # threaded `runtime` argument targets.
-    scope = runtime.activate() if runtime is not None else contextlib.nullcontext()
-    with scope:
-        baseline_evaluator = LatencyEvaluator(
-            slots=slots, backend=backend, target=target, batch=batch, runtime=runtime
-        )
+    with runtime.activate() if runtime is not None else contextlib.nullcontext():
+        baseline_evaluator = LatencyEvaluator(slots=slots, backend=backend, target=target, batch=batch)
         evaluation = ModelEvaluation(
             model=model,
             backend=backend.name,
@@ -114,7 +108,7 @@ def evaluate_model(
             baseline_ms=baseline_evaluator.baseline_latency() * 1e3,
         )
         worker = functools.partial(_candidate_latency_ms, tuple(slots), backend, target, batch)
-        latencies = fan_out(worker, candidates, runtime=runtime)
+        latencies = fan_out(worker, candidates)
     for candidate, latency_ms in zip(candidates, latencies):
         evaluation.candidate_ms[candidate.name] = latency_ms
     return evaluation

@@ -23,6 +23,7 @@ frames and therefore the same library content hash.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import logging
 import os
@@ -250,146 +251,148 @@ def build_library(
 ) -> BuildResult:
     """Enumerate ``spec``'s space under ``options`` into a library artifact.
 
-    The artifact lands under ``runtime.library_path()`` as
-    ``{name}-v{version}.rplb``.  If a matching artifact (same spec key and
-    options fingerprint) already exists it is returned untouched unless
-    ``force`` is set.  ``on_level`` is invoked after each level's checkpoint
-    is on disk — the hook the crash-resume tests drive SIGKILL through.
+    The build runs under ``runtime``, activated once here (``None``: the
+    ambient context), so its shape-distance memo, shard fan-out and library
+    root all come from that one context.  The artifact lands under its
+    ``library_path()`` as ``{name}-v{version}.rplb``.  If a matching artifact
+    (same spec key and options fingerprint) already exists it is returned
+    untouched unless ``force`` is set.  ``on_level`` is invoked after each
+    level's checkpoint is on disk — the hook the crash-resume tests drive
+    SIGKILL through.
     """
-    runtime = runtime if runtime is not None else current()
-    root_dir = runtime.library_path()
-    artifact_path = os.path.join(root_dir, library_filename(name))
-    checkpoint_path = os.path.join(root_dir, checkpoint_filename(name))
-    key = spec_key(spec)
-    fingerprint = options_fingerprint(options)
+    with runtime.activate() if runtime is not None else contextlib.nullcontext():
+        root_dir = current().library_path()
+        artifact_path = os.path.join(root_dir, library_filename(name))
+        checkpoint_path = os.path.join(root_dir, checkpoint_filename(name))
+        key = spec_key(spec)
+        fingerprint = options_fingerprint(options)
 
-    if not force:
-        existing = GraphLibrary.load(artifact_path)
-        if (
-            existing is not None
-            and existing.meta.get("spec_key") == key
-            and existing.meta.get("options_fingerprint") == fingerprint
-        ):
-            return BuildResult(
-                library=existing,
-                path=artifact_path,
-                content_hash=existing.content_hash(),
-                entries=len(existing),
-                complete=existing.meta.get("complete", 0),
-                levels=existing.meta.get("levels", 0),
-                resumed_from_level=0,
-                reused=True,
-                stats=SynthesisStats(),
-            )
-
-    root = PGraph.root(spec.output_shape, spec.input_shape)
-    binding = options.budget_binding or {}
-    entries: list[LibraryEntry] = [
-        LibraryEntry(
-            signature=root.signature(),
-            depth=0,
-            complete=False,
-            parent_signature=None,
-            primitive=None,
-            macs=0,
-            params=0,
-            features=feature_vector(root, binding),
-        )
-    ]
-    frontier: list[PGraph] = [root]
-    stats = SynthesisStats()
-    level = 0
-    resumed_from_level = 0
-
-    if checkpoint:
-        restored = _load_checkpoint(checkpoint_path, key, fingerprint)
-        if restored is not None:
-            level, entries, frontier, stats = restored
-            resumed_from_level = level
-            log.info(
-                "resuming library %s from level %d (%d entries, %d frontier graphs)",
-                name, level, len(entries), len(frontier),
-            )
-
-    seen = {entry.signature for entry in entries}
-    expand = functools.partial(_expand_graph, options)
-
-    while frontier and level < options.max_depth:
-        # A signature appears at most once in the frontier, so sorting by it
-        # is a total order — level results never depend on arrival order.
-        frontier.sort(key=lambda graph: graph.signature())
-        expansions = sharded_map(expand, frontier, shards=shards, runtime=runtime)
-        next_frontier: list[PGraph] = []
-        for parent_signature, records, worker_stats in expansions:
-            stats.merge(worker_stats)
-            for record in records:
-                if record.signature in seen:
-                    continue
-                seen.add(record.signature)
-                entries.append(
-                    LibraryEntry(
-                        signature=record.signature,
-                        depth=record.depth,
-                        complete=record.complete,
-                        parent_signature=parent_signature,
-                        primitive=record.primitive,
-                        macs=record.macs,
-                        params=record.params,
-                        features=record.features,
-                    )
+        if not force:
+            existing = GraphLibrary.load(artifact_path)
+            if (
+                existing is not None
+                and existing.meta.get("spec_key") == key
+                and existing.meta.get("options_fingerprint") == fingerprint
+            ):
+                return BuildResult(
+                    library=existing,
+                    path=artifact_path,
+                    content_hash=existing.content_hash(),
+                    entries=len(existing),
+                    complete=existing.meta.get("complete", 0),
+                    levels=existing.meta.get("levels", 0),
+                    resumed_from_level=0,
+                    reused=True,
+                    stats=SynthesisStats(),
                 )
-                if record.graph is not None:
-                    next_frontier.append(record.graph)
-        frontier = next_frontier
-        level += 1
-        if checkpoint:
-            _save_checkpoint(
-                checkpoint_path, name, key, fingerprint, level, entries, frontier, stats
+
+        root = PGraph.root(spec.output_shape, spec.input_shape)
+        binding = options.budget_binding or {}
+        entries: list[LibraryEntry] = [
+            LibraryEntry(
+                signature=root.signature(),
+                depth=0,
+                complete=False,
+                parent_signature=None,
+                primitive=None,
+                macs=0,
+                params=0,
+                features=feature_vector(root, binding),
             )
-        if on_level is not None:
-            on_level(level)
-
-    # Nearest-neighbour lists for the complete entries, in a sharded pass.
-    complete_items = [(e.signature, e.features) for e in entries if e.complete]
-    if complete_items:
-        ranked = sharded_map(
-            functools.partial(_rank_neighbours, complete_items, neighbours),
-            complete_items,
-            shards=shards,
-            runtime=runtime,
-        )
-        by_signature = dict(zip((s for s, _ in complete_items), ranked))
-        entries = [
-            entry.with_neighbours(by_signature[entry.signature])
-            if entry.signature in by_signature
-            else entry
-            for entry in entries
         ]
+        frontier: list[PGraph] = [root]
+        stats = SynthesisStats()
+        level = 0
+        resumed_from_level = 0
 
-    meta_stats = stats.to_dict()
-    meta_stats["feature_names"] = list(FEATURE_NAMES)
-    library = GraphLibrary.build(
-        name=name,
-        spec_key_=key,
-        options_fingerprint_=fingerprint,
-        entries=entries,
-        stats=meta_stats,
-        levels=level,
-    )
-    library.save(artifact_path)
-    if checkpoint:
-        try:
-            os.remove(checkpoint_path)
-        except FileNotFoundError:
-            pass
-    return BuildResult(
-        library=library,
-        path=artifact_path,
-        content_hash=library.content_hash(),
-        entries=len(library),
-        complete=library.meta.get("complete", 0),
-        levels=level,
-        resumed_from_level=resumed_from_level,
-        reused=False,
-        stats=stats,
-    )
+        if checkpoint:
+            restored = _load_checkpoint(checkpoint_path, key, fingerprint)
+            if restored is not None:
+                level, entries, frontier, stats = restored
+                resumed_from_level = level
+                log.info(
+                    "resuming library %s from level %d (%d entries, %d frontier graphs)",
+                    name, level, len(entries), len(frontier),
+                )
+
+        seen = {entry.signature for entry in entries}
+        expand = functools.partial(_expand_graph, options)
+
+        while frontier and level < options.max_depth:
+            # A signature appears at most once in the frontier, so sorting by it
+            # is a total order — level results never depend on arrival order.
+            frontier.sort(key=lambda graph: graph.signature())
+            expansions = sharded_map(expand, frontier, shards=shards)
+            next_frontier: list[PGraph] = []
+            for parent_signature, records, worker_stats in expansions:
+                stats.merge(worker_stats)
+                for record in records:
+                    if record.signature in seen:
+                        continue
+                    seen.add(record.signature)
+                    entries.append(
+                        LibraryEntry(
+                            signature=record.signature,
+                            depth=record.depth,
+                            complete=record.complete,
+                            parent_signature=parent_signature,
+                            primitive=record.primitive,
+                            macs=record.macs,
+                            params=record.params,
+                            features=record.features,
+                        )
+                    )
+                    if record.graph is not None:
+                        next_frontier.append(record.graph)
+            frontier = next_frontier
+            level += 1
+            if checkpoint:
+                _save_checkpoint(
+                    checkpoint_path, name, key, fingerprint, level, entries, frontier, stats
+                )
+            if on_level is not None:
+                on_level(level)
+
+        # Nearest-neighbour lists for the complete entries, in a sharded pass.
+        complete_items = [(e.signature, e.features) for e in entries if e.complete]
+        if complete_items:
+            ranked = sharded_map(
+                functools.partial(_rank_neighbours, complete_items, neighbours),
+                complete_items,
+                shards=shards,
+            )
+            by_signature = dict(zip((s for s, _ in complete_items), ranked))
+            entries = [
+                entry.with_neighbours(by_signature[entry.signature])
+                if entry.signature in by_signature
+                else entry
+                for entry in entries
+            ]
+
+        meta_stats = stats.to_dict()
+        meta_stats["feature_names"] = list(FEATURE_NAMES)
+        library = GraphLibrary.build(
+            name=name,
+            spec_key_=key,
+            options_fingerprint_=fingerprint,
+            entries=entries,
+            stats=meta_stats,
+            levels=level,
+        )
+        library.save(artifact_path)
+        if checkpoint:
+            try:
+                os.remove(checkpoint_path)
+            except FileNotFoundError:
+                pass
+        return BuildResult(
+            library=library,
+            path=artifact_path,
+            content_hash=library.content_hash(),
+            entries=len(library),
+            complete=library.meta.get("complete", 0),
+            levels=level,
+            resumed_from_level=resumed_from_level,
+            reused=False,
+            stats=stats,
+        )

@@ -36,7 +36,7 @@ from repro.library.store import (
     sidecar_filename,
     spec_key,
 )
-from repro.runtime.context import RuntimeContext, current
+from repro.runtime.context import current
 from repro.runtime.store import SharedCacheStore
 
 log = logging.getLogger(__name__)
@@ -58,20 +58,18 @@ class WarmStartPlan:
     seeded_rewards: int
 
 
-def library_artifact_path(name: str, runtime: RuntimeContext | None = None) -> str:
-    runtime = runtime if runtime is not None else current()
-    return os.path.join(runtime.library_path(), library_filename(name))
+def library_artifact_path(name: str) -> str:
+    return os.path.join(current().library_path(), library_filename(name))
 
 
-def find_library_name(spec: OperatorSpec, runtime: RuntimeContext | None = None) -> str | None:
+def find_library_name(spec: OperatorSpec) -> str | None:
     """The name of a library covering ``spec``, discovered by spec key.
 
     Scans the library root for current-version artifacts (sorted, so the
     result is deterministic when several match) and returns the first whose
     spec key matches.  ``None`` when nothing on disk covers the spec.
     """
-    runtime = runtime if runtime is not None else current()
-    root = runtime.library_path()
+    root = current().library_path()
     try:
         filenames = sorted(os.listdir(root))
     except (FileNotFoundError, NotADirectoryError):
@@ -87,11 +85,9 @@ def find_library_name(spec: OperatorSpec, runtime: RuntimeContext | None = None)
     return None
 
 
-def load_library(
-    name: str, spec: OperatorSpec | None = None, runtime: RuntimeContext | None = None
-) -> GraphLibrary | None:
+def load_library(name: str, spec: OperatorSpec | None = None) -> GraphLibrary | None:
     """The named library, or ``None`` if absent or built for another spec."""
-    library = GraphLibrary.load(library_artifact_path(name, runtime))
+    library = GraphLibrary.load(library_artifact_path(name))
     if library is None:
         return None
     if spec is not None and library.meta.get("spec_key") != spec_key(spec):
@@ -102,9 +98,8 @@ def load_library(
     return library
 
 
-def reward_sidecar(name: str, runtime: RuntimeContext | None = None) -> SharedCacheStore:
-    runtime = runtime if runtime is not None else current()
-    return SharedCacheStore(os.path.join(runtime.library_path(), sidecar_filename(name)))
+def reward_sidecar(name: str) -> SharedCacheStore:
+    return SharedCacheStore(os.path.join(current().library_path(), sidecar_filename(name)))
 
 
 def plan_warm_start(
@@ -112,26 +107,25 @@ def plan_warm_start(
     *,
     cache_context: Hashable,
     name: str | None = None,
-    runtime: RuntimeContext | None = None,
     limit: int = 8,
 ) -> WarmStartPlan | None:
     """Resolve a warm-start plan for searching ``spec``, or ``None``.
 
     ``None`` means "run cold": no matching library on disk.  Otherwise the
     returned plan carries the root expansion priority and has already seeded
-    the runtime's reward cache from the sidecar (when the cache is enabled).
-    ``name`` defaults to spec-key auto-discovery (:func:`find_library_name`).
+    the ambient context's reward cache from the sidecar (when the cache is
+    enabled).  ``name`` defaults to spec-key auto-discovery
+    (:func:`find_library_name`).
     """
-    runtime = runtime if runtime is not None else current()
     if name is None:
-        name = find_library_name(spec, runtime)
+        name = find_library_name(spec)
         if name is None:
             return None
-    library = load_library(name, spec, runtime)
+    library = load_library(name, spec)
     if library is None:
         return None
 
-    stored, _ = reward_sidecar(name, runtime).load()
+    stored, _ = reward_sidecar(name).load()
     seeds = {
         key: reward
         for key, reward in (stored or {}).get("reward", {}).items()
@@ -157,6 +151,7 @@ def plan_warm_start(
         if len(root_priority) >= limit:
             break
 
+    runtime = current()
     seeded = runtime.caches.reward.merge_entries(seeds) if runtime.config.eval_cache else 0
 
     return WarmStartPlan(
@@ -173,7 +168,6 @@ def export_rewards(
     *,
     name: str,
     cache_context: Hashable,
-    runtime: RuntimeContext | None = None,
 ) -> int:
     """Publish a finished search's ``signature -> reward`` samples.
 
@@ -182,5 +176,5 @@ def export_rewards(
     failure — the publish is best-effort by design).
     """
     entries = {(cache_context, signature): reward for signature, reward in rewards.items()}
-    status = reward_sidecar(name, runtime).publish({"reward": entries})
+    status = reward_sidecar(name).publish({"reward": entries})
     return status.entries.get("reward", 0)

@@ -9,15 +9,16 @@ and module-global caches with two objects:
   :meth:`RuntimeConfig.from_env` is the *only* place ``REPRO_*`` variables
   are read, called once at each process edge (CLI entry, first build of the
   process-default context).
-* :class:`RuntimeContext` — owns a :class:`CacheSet` (the reward / baseline
-  / compile / plan caches plus snapshot persistence), the artifact store and
-  the root RNG.  Thread it explicitly (``SearchSession(..., runtime=ctx)``),
-  or scope it ambiently with ``with ctx.activate():`` — two contexts with
-  different configs run concurrently in one process with fully isolated
-  caches.
+* :class:`RuntimeContext` — owns a :class:`CacheSet` (the reward, baseline,
+  compile, plan, lowering, shape-distance and children caches, plus snapshot
+  persistence), the artifact store and the root RNG.  Choose one with
+  ``with ctx.activate():`` — two contexts with different configs run
+  concurrently in one process with fully isolated caches.
 
-:func:`current` resolves the ambient context: the innermost activation,
-else the process default, whose config is parsed from the environment once.
+Library code reads :func:`current`, the ambient context: the innermost
+activation, else the process default, whose config is parsed from the
+environment once.  Only ``evaluate_model`` and ``build_library`` also take a
+``runtime`` argument, which they activate on entry.
 Changing a ``REPRO_*`` variable after that edge steers nothing; derive and
 activate a context instead (``with current().derive(smoke=True).activate():``).
 """

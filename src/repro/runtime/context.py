@@ -10,13 +10,17 @@ different dtypes, budgets or shard counts coexist in one process with fully
 isolated caches — the property every future scaling direction (multi-host
 sharding, async serving, shared pools) builds on.
 
-Resolution rules:
+Resolution rule: library code reads :func:`current`, and activation is the
+one way to choose a context.
 
-* **Explicit beats ambient** — APIs take an optional ``runtime`` argument;
-  passing a context always wins.
 * **Ambient** — :func:`current` returns the innermost context activated via
   ``with ctx.activate():`` (a :mod:`contextvars` variable, so concurrent
-  threads each see their own activation).
+  threads each see their own activation).  Objects that key work by the
+  context's config (a ``SearchSession`` or an evaluator takes its reward
+  key's dtype at construction) must be built under the context they run in.
+* **Two entry points** — :func:`repro.experiments.common.evaluate_model` and
+  :func:`repro.library.builder.build_library` take an optional ``runtime``
+  and activate it once on entry; ``None`` keeps the ambient context.
 * **Process default** — with nothing active, :func:`current` returns the
   process-default context, whose config is parsed from the ``REPRO_*``
   environment exactly once, when it is first built (the process edge).
@@ -66,12 +70,13 @@ class RuntimeContext:
         #: into the run record's environment.
         self.shard_failures: list = []
         #: batched reward-evaluation hook installed by the serving layer
-        #: (see :mod:`repro.serve`): ``(pending, reward_fn, cache_context,
-        #: runtime) -> Mapping[signature, reward]``.  When set, MCTS hands
-        #: each frontier wave to it instead of mapping the wave through
-        #: ``sharded_map`` itself, which is how concurrent searches coalesce
-        #: their waves.  Deliberately not pickled: a shard worker
-        #: must never recurse into the parent's coalescer.
+        #: (see :mod:`repro.serve`): ``(pending, reward_fn, cache_context)
+        #: -> Mapping[signature, reward]``, called under the searching
+        #: context.  When set, MCTS hands each frontier wave to it instead of
+        #: mapping the wave through ``sharded_map`` itself, which is how
+        #: concurrent searches coalesce their waves.  Deliberately not
+        #: pickled: a shard worker must never recurse into the parent's
+        #: coalescer.
         self.wave_evaluator: Callable | None = None
         #: how many contexts :meth:`derive` has produced from this one — the
         #: serving layer's per-request accounting (`repro serve` reports it).

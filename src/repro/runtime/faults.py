@@ -271,23 +271,20 @@ def disarm_worker() -> None:
     _WORKER_ATTEMPT = None
 
 
-def inject(site: str, runtime=None) -> None:
+def inject(site: str) -> None:
     """Fire the active plan's first matching rule at ``site``, if any.
 
-    ``runtime`` is the context whose config carries the plan; ``None``
-    resolves the ambient context.  With an empty plan this is a fast no-op —
-    the hot paths (per-item evaluation) pay one attribute read.  Raises
-    :class:`FaultInjected` for ``raise`` rules and :class:`FaultPlanError`
-    for malformed specs (callers validate upfront via :meth:`FaultPlan.parse`
-    when the spec is user input).
+    The plan is the ambient context's ``fault_plan``.  With an empty plan
+    this is a fast no-op — the hot paths (per-item evaluation) pay one
+    attribute read.  Raises :class:`FaultInjected` for ``raise`` rules and
+    :class:`FaultPlanError` for malformed specs (callers validate upfront via
+    :meth:`FaultPlan.parse` when the spec is user input).
     """
     if site not in _SITES:
         raise ValueError(f"unregistered fault site {site!r}")
-    if runtime is None:
-        from repro.runtime.context import current  # lazy: avoids an import cycle
+    from repro.runtime.context import current  # lazy: avoids an import cycle
 
-        runtime = current()
-    spec = getattr(runtime.config, "fault_plan", "")
+    spec = getattr(current().config, "fault_plan", "")
     if not spec:
         return
     rule = plan_from(spec).rule_for(site, _WORKER_SHARD, _WORKER_ATTEMPT)

@@ -11,7 +11,6 @@ into an end-to-end estimate.
 
 from __future__ import annotations
 
-import contextlib
 import logging
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -20,7 +19,7 @@ import numpy as np
 
 from repro.codegen.eager import LoweringError
 from repro.codegen.loopnest import cached_loopnest
-from repro.compiler.backends import CompilerBackend, TuneResult, loopnest_for_slot
+from repro.compiler.backends import CompilerBackend, loopnest_for_slot
 from repro.compiler.targets import HardwareTarget
 from repro.core.operator import SynthesizedOperator
 from repro.ir.size import SizeError
@@ -29,7 +28,7 @@ from repro.nn.data import SyntheticImageDataset
 from repro.nn.layers import seed_all
 from repro.nn.models.common import ConvSlot
 from repro.nn.trainer import Trainer, TrainingConfig
-from repro.runtime import RuntimeContext, current
+from repro.runtime import current
 from repro.search.extraction import (
     DEFAULT_COEFFICIENT_VALUES,
     binding_for_slot,
@@ -82,17 +81,14 @@ class EvaluationSettings:
 
 
 class AccuracyEvaluator:
-    """Trains a backbone with the candidate operator substituted into it."""
+    """Trains a backbone with the candidate operator substituted into it.
 
-    def __init__(
-        self,
-        model_builder: Callable,
-        settings: EvaluationSettings | None = None,
-        runtime: RuntimeContext | None = None,
-    ) -> None:
-        #: the runtime context this evaluator caches into; ``None`` resolves
-        #: the ambient context per call (so ``with ctx.activate():`` works).
-        self.runtime = runtime
+    Build it under the context it evaluates in: the reward key takes the
+    ambient context's dtype at construction, while training and the reward
+    cache read the ambient context at each call.
+    """
+
+    def __init__(self, model_builder: Callable, settings: EvaluationSettings | None = None) -> None:
         self.model_builder = model_builder
         self.settings = settings or EvaluationSettings()
         dataset = SyntheticImageDataset(
@@ -107,27 +103,7 @@ class AccuracyEvaluator:
         builder_module = getattr(model_builder, "__module__", "")
         # The dtype is baked into the evaluation context at construction so
         # rewards computed by this instance never alias across dtypes.
-        self._context = (
-            "accuracy", builder_module, builder_name,
-            self.settings.cache_key(self._rt().config.dtype_name()),
-        )
-
-    def _rt(self) -> RuntimeContext:
-        return self.runtime if self.runtime is not None else current()
-
-    def _scope(self):
-        """Evaluation scope: an explicitly threaded runtime becomes ambient.
-
-        Training resolves the compute dtype (and plan compilation) through
-        the ambient context, while this evaluator keys its rewards by its
-        *own* context's dtype — so a threaded ``runtime`` must be active
-        while the work runs, or the cached value and its key would disagree
-        (and serial evaluation would diverge from sharded workers, which
-        always activate the shipped context).
-        """
-        if self.runtime is None:
-            return contextlib.nullcontext()
-        return self.runtime.activate()
+        self._context = ("accuracy", builder_module, builder_name, self.settings.cache_key())
 
     def _train(self, conv_factory) -> float:
         # Each training run reseeds the substrate's parameter-initialization
@@ -153,10 +129,9 @@ class AccuracyEvaluator:
         if self._baseline_accuracy is None:
             from repro.nn.models.common import default_conv_factory
 
-            with self._scope():
-                self._baseline_accuracy = self._rt().cached_baseline(
-                    self._context, lambda: self._train(default_conv_factory)
-                )
+            self._baseline_accuracy = current().cached_baseline(
+                self._context, lambda: self._train(default_conv_factory)
+            )
         return self._baseline_accuracy
 
     def evaluate(self, operator: SynthesizedOperator, seed: int = 0) -> float:
@@ -167,11 +142,9 @@ class AccuracyEvaluator:
         backbone never re-train the same candidate.
         """
         signature = operator.graph.signature()
-        with self._scope():
-            return self._rt().cached_reward(
-                (self._context, seed), signature,
-                lambda: self._evaluate_uncached(operator, seed),
-            )
+        return current().cached_reward(
+            (self._context, seed), signature, lambda: self._evaluate_uncached(operator, seed)
+        )
 
     def _evaluate_uncached(self, operator: SynthesizedOperator, seed: int) -> float:
         factory = synthesized_conv_factory(
@@ -206,22 +179,7 @@ class LatencyEvaluator:
     coefficients: Mapping[Variable, int] = field(
         default_factory=lambda: dict(DEFAULT_COEFFICIENT_VALUES)
     )
-    #: runtime context to cache into; ``None`` resolves the ambient one per call.
-    runtime: RuntimeContext | None = field(default=None, repr=False, compare=False)
     _baseline_latency: float | None = field(default=None, init=False, repr=False, compare=False)
-
-    def _rt(self) -> RuntimeContext:
-        return self.runtime if self.runtime is not None else current()
-
-    def _scope(self):
-        """Make a threaded ``runtime`` ambient while evaluating (see
-        :meth:`AccuracyEvaluator._scope`)."""
-        if self.runtime is None:
-            return contextlib.nullcontext()
-        return self.runtime.activate()
-
-    def _compile(self, program) -> TuneResult:
-        return self.backend.compile(program, self.target, runtime=self.runtime)
 
     def baseline_latency(self) -> float:
         """Latency (seconds) of the original model: every slot is a standard conv.
@@ -238,17 +196,16 @@ class LatencyEvaluator:
                 self.target,
                 self.batch,
             )
-            with self._scope():
-                self._baseline_latency = self._rt().cached_baseline(
-                    context, self._baseline_latency_uncached
-                )
+            self._baseline_latency = current().cached_baseline(
+                context, self._baseline_latency_uncached
+            )
         return self._baseline_latency
 
     def _baseline_latency_uncached(self) -> float:
         total = 0.0
         for slot in self.slots:
             program = loopnest_for_slot(slot, batch=self.batch)
-            total += self._compile(program).latency_seconds
+            total += self.backend.compile(program, self.target).latency_seconds
         return total
 
     def _slot_program(self, slot: ConvSlot, operator: SynthesizedOperator | None):
@@ -261,7 +218,7 @@ class LatencyEvaluator:
         if operator is not None and slot_is_substitutable(slot):
             binding = binding_for_slot(slot, self.batch, self.coefficients)
             try:
-                return cached_loopnest(operator, binding, runtime=self.runtime)
+                return cached_loopnest(operator, binding)
             except SizeError as exc:
                 # The (operator, slot) pairing has no integral sizes — e.g. a
                 # coefficient that does not divide this slot's channels.  The
@@ -278,24 +235,13 @@ class LatencyEvaluator:
     def substituted_latency(self, operator: SynthesizedOperator) -> float:
         """Latency with ``operator`` substituted into every standard 3x3 slot."""
         total = 0.0
-        with self._scope():
-            for slot in self.slots:
-                program = self._slot_program(slot, operator)
-                total += self._compile(program).latency_seconds
+        for slot in self.slots:
+            program = self._slot_program(slot, operator)
+            total += self.backend.compile(program, self.target).latency_seconds
         return total
 
     def speedup(self, operator: SynthesizedOperator) -> float:
         return self.baseline_latency() / max(self.substituted_latency(operator), 1e-12)
-
-    def layerwise(self, operator: SynthesizedOperator) -> list[tuple[ConvSlot, TuneResult, TuneResult]]:
-        """Per-slot (baseline, substituted) tuning results — used by Figure 9."""
-        results = []
-        for slot in substitutable_slots(self.slots):
-            baseline = self._compile(loopnest_for_slot(slot, batch=self.batch))
-            binding = binding_for_slot(slot, self.batch, self.coefficients)
-            substituted = self._compile(cached_loopnest(operator, binding, runtime=self.runtime))
-            results.append((slot, baseline, substituted))
-        return results
 
     def macs(self, operator: SynthesizedOperator | None = None) -> int:
         """Total MACs of the substitutable slots (original or substituted)."""
@@ -306,7 +252,7 @@ class LatencyEvaluator:
                 continue
             binding = binding_for_slot(slot, self.batch, self.coefficients)
             try:
-                total += cached_loopnest(operator, binding, runtime=self.runtime).macs
+                total += cached_loopnest(operator, binding).macs
             except SizeError:
                 # Slots the coefficients do not divide keep their standard conv.
                 total += slot.macs(self.batch)

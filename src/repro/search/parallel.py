@@ -16,24 +16,26 @@ worker processes:
   Because every cached value is a pure function of its key, the merge order
   cannot change any value — fixing it anyway makes the executor's behaviour
   reproducible down to cache-iteration order.
-* **Context bootstrap** — each worker runs under the same
-  :class:`~repro.runtime.RuntimeContext` as the caller: the ambient default
-  context is inherited through fork, while an explicit context is pickled
-  into the worker and activated there (the worker-side process edge),
-  replacing the old implicit environment-variable inheritance.
-* **Serial equivalence** — with ``shards <= 1``, a single item, or no spare
-  cores, the map degrades to the plain in-process loop.  Results are
-  bit-identical either way: work items must not depend on process-global
-  mutable state, which is why the evaluators reseed the substrate's
-  parameter-initialization RNG per item (see
+* **Context bootstrap** — each worker runs under the caller's ambient
+  :class:`~repro.runtime.RuntimeContext` (:func:`repro.runtime.current`):
+  the process-default context is inherited through fork, while any other
+  context is shipped into the worker and activated there (the worker-side
+  process edge), replacing the old implicit environment-variable
+  inheritance.
+* **Serial equivalence** — with ``shards <= 1``, a single item, or an
+  explicit ``max_workers=1``, the map degrades to the plain in-process loop.
+  Results are bit-identical either way: work items must not depend on
+  process-global mutable state, which is why the evaluators reseed the
+  substrate's parameter-initialization RNG per item (see
   :meth:`repro.search.evaluator.AccuracyEvaluator._train`).
 
 Worker processes are forked (never spawned), so they inherit the parent's
-warm caches for free; the number of live workers is additionally capped by
-``os.cpu_count()`` — on a single-core machine a sharded run executes the
-serial path and pays zero fork overhead, while the *results* stay a pure
-function of the shard knob.  Any failure to fork or pickle falls back to the
-serial map, so callers never handle parallelism errors.
+warm caches for free.  The number of live workers is capped by
+``os.cpu_count()``, floored at 2, so a requested shard count forks and is
+supervised even on a single-core machine; the cap changes scheduling only,
+and the *results* stay a pure function of the shard knob.  Any failure to
+fork or pickle falls back to the serial map, so callers never handle
+parallelism errors.
 
 * **Supervision** — each shard runs in its own child process, tracked by pid
   over a result pipe with heartbeats.  A worker that dies (signal, nonzero
@@ -56,7 +58,6 @@ when the context shards, else the older :func:`parallel_map`.
 
 from __future__ import annotations
 
-import contextlib
 import logging
 import multiprocessing
 import multiprocessing.connection
@@ -112,13 +113,6 @@ def shard_partition(count: int, shards: int) -> list[list[int]]:
     return [list(range(shard, count, shards)) for shard in range(shards)]
 
 
-def _maybe_activate(runtime: RuntimeContext):
-    """Activate ``runtime`` unless it is already the ambient resolution."""
-    if runtime is current():
-        return contextlib.nullcontext(runtime)
-    return runtime.activate()
-
-
 def _ship_context(runtime: RuntimeContext) -> RuntimeContext | None:
     """What to put in a worker payload so the worker runs under ``runtime``.
 
@@ -126,7 +120,7 @@ def _ship_context(runtime: RuntimeContext) -> RuntimeContext | None:
     * derived from the default (shared caches, own config) → a context whose
       caches slot is the :class:`_InheritDefaultCaches` marker, so only the
       config crosses the pipe;
-    * a fully explicit context → the context itself (config + caches; cache
+    * any other context → the context itself (config + caches; cache
       entries are filtered best-effort during pickling).
     """
     if runtime is default_context():
@@ -160,12 +154,12 @@ def _run_shard(
     """
     fn, items, shipped = payload
     runtime = _worker_context(shipped)
-    with _maybe_activate(runtime):
-        inject(SITE_SHARD_ENTRY, runtime=runtime)
+    with runtime.activate():
+        inject(SITE_SHARD_ENTRY)
         before = runtime.caches.key_snapshots()
         results = []
         for done, item in enumerate(items, start=1):
-            inject(SITE_ITEM_EVAL, runtime=runtime)
+            inject(SITE_ITEM_EVAL)
             results.append(fn(item))
             if progress is not None:
                 progress(done)
@@ -307,17 +301,17 @@ class _ActiveShard:
 def _serial_shard(payload, runtime: RuntimeContext) -> ShardOutcome:
     """The degradation ladder's floor: run one partition in-process.
 
-    No fault injection fires here (the worker sites only arm inside forked
-    children), so the fallback always completes — which is what lets the
-    executor guarantee a result for every partition under any plan.
+    ``runtime`` is the caller's ambient context.  No fault injection fires
+    here (the worker sites only arm inside forked children), so the fallback
+    always completes — which is what lets the executor guarantee a result
+    for every partition under any plan.
     """
     fn, items, _ = payload
-    with _maybe_activate(runtime):
-        before = runtime.caches.key_snapshots()
-        results = [fn(item) for item in items]
-        entries: dict[str, dict] = {}
-        if runtime.config.eval_cache:
-            entries = runtime.caches.export_delta(before)
+    before = runtime.caches.key_snapshots()
+    results = [fn(item) for item in items]
+    entries: dict[str, dict] = {}
+    if runtime.config.eval_cache:
+        entries = runtime.caches.export_delta(before)
     return ShardOutcome(results=results, cache_entries=entries)
 
 
@@ -554,15 +548,13 @@ def _supervise_shards(
     return [outcomes[index] for index in range(len(payloads))], failures
 
 
-def merge_shard_caches(
-    outcomes: Sequence[ShardOutcome], runtime: RuntimeContext | None = None
-) -> dict[str, int]:
-    """Merge worker cache deltas into the parent context, in shard order.
+def merge_shard_caches(outcomes: Sequence[ShardOutcome]) -> dict[str, int]:
+    """Merge worker cache deltas into the ambient context, in shard order.
 
     Returns entries added per cache.  Already-present keys are kept (the
     parent's value is at least as fresh), mirroring snapshot loading.
     """
-    caches = (runtime if runtime is not None else current()).caches
+    caches = current().caches
     added: dict[str, int] = {}
     for outcome in outcomes:
         for name, count in caches.merge_delta(outcome.cache_entries).items():
@@ -659,15 +651,14 @@ def sharded_map(
     items: Iterable[T],
     shards: int | None = None,
     max_workers: int | None = None,
-    runtime: RuntimeContext | None = None,
 ) -> list[R]:
     """``[fn(x) for x in items]`` executed across shard worker processes.
 
-    ``shards`` defaults to the context's ``RuntimeConfig.shards``; ``runtime``
-    defaults to the ambient context (:func:`repro.runtime.current`).  Results
-    come back in input order and each worker's freshly cached evaluations are
-    merged into the context's caches (shard order), so a sharded run leaves
-    the parent process exactly as warm as the serial run would have.
+    Runs under the ambient context (:func:`repro.runtime.current`);
+    ``shards`` defaults to its ``RuntimeConfig.shards``.  Results come back
+    in input order and each worker's freshly cached evaluations are merged
+    into the context's caches (shard order), so a sharded run leaves the
+    parent process exactly as warm as the serial run would have.
 
     ``max_workers`` bounds the live worker processes (default: the machine's
     core count, floored at 2 so a requested shard count still forks — and is
@@ -684,8 +675,7 @@ def sharded_map(
     best-effort and value-preserving, so results stay bit-identical.
     """
     work = list(items)
-    context_given = runtime is not None
-    runtime = runtime if runtime is not None else current()
+    runtime = current()
     count = shards if shards is not None else max(runtime.config.shards, 1)
     count = max(count, 1)
     workers = max_workers if max_workers is not None else max(os.cpu_count() or 1, 2)
@@ -696,17 +686,11 @@ def sharded_map(
 
     def serial() -> list[R]:
         if not live:
-            return _serial_plain()
+            return [fn(item) for item in work]
         before = runtime.caches.key_snapshots()
-        results = _serial_plain()
+        results = [fn(item) for item in work]
         _live_publish(runtime, [runtime.caches.export_delta(before)])
         return results
-
-    def _serial_plain() -> list[R]:
-        if context_given:
-            with _maybe_activate(runtime):
-                return [fn(item) for item in work]
-        return [fn(item) for item in work]
 
     if count <= 1 or len(work) <= 1 or workers <= 1:
         return serial()
@@ -734,7 +718,7 @@ def sharded_map(
             "sharded execution degraded (results unaffected): %s",
             "; ".join(failure.describe() for failure in failures),
         )
-    merged = merge_shard_caches(outcomes, runtime=runtime)
+    merged = merge_shard_caches(outcomes)
     if merged:
         log.info(
             "merged shard caches: %s",
@@ -749,17 +733,15 @@ def sharded_map(
     return results
 
 
-def fan_out(
-    fn: Callable[[T], R], items: Iterable[T], runtime: RuntimeContext | None = None
-) -> list[R]:
-    """``[fn(x) for x in items]`` through the context's configured fan-out.
+def fan_out(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
+    """``[fn(x) for x in items]`` through the ambient context's configured fan-out.
 
     With ``RuntimeConfig.shards > 1`` the items go through :func:`sharded_map`
     (worker caches merge back); otherwise through :func:`parallel_map` at
     ``RuntimeConfig.eval_processes`` workers.  Sharding wins when both are
     set, and the ignored process count is logged.
     """
-    config = (runtime if runtime is not None else current()).config
+    config = current().config
     processes = max(config.eval_processes, 1)
     if config.shards > 1:
         if processes > 1:
@@ -767,5 +749,5 @@ def fan_out(
                 "sharded execution (shards=%d) takes precedence: ignoring processes=%d",
                 config.shards, processes,
             )
-        return sharded_map(fn, items, runtime=runtime)
+        return sharded_map(fn, items)
     return parallel_map(fn, items, processes=processes)

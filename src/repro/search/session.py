@@ -27,11 +27,11 @@ does not merge caches back); the experiment runner and CLI
 (:mod:`repro.experiments.runner`, :mod:`repro.cli`) persist the caches
 across processes.
 
-A session accepts an explicit :class:`repro.runtime.RuntimeContext`
-(``SearchSession(..., runtime=ctx)``); without one it resolves the ambient
-context (:func:`repro.runtime.current`), so ``with ctx.activate():`` scopes
-a whole session.  Two sessions with different contexts coexist in one
-process with fully isolated caches.
+A session runs under the ambient :class:`repro.runtime.RuntimeContext`
+(:func:`repro.runtime.current`): ``with ctx.activate():`` scopes a whole
+session.  Build the session under the context it runs in, because its
+reward key takes that context's dtype at construction.  Two sessions under
+different contexts coexist in one process with fully isolated caches.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from repro.compiler.targets import HardwareTarget, MOBILE_CPU
 from repro.core.enumeration import EnumerationOptions, default_options_for
 from repro.core.mcts import MCTS, MCTSConfig, SampleRecord
 from repro.core.operator import OperatorSpec, SynthesizedOperator
-from repro.runtime import RuntimeContext, current
+from repro.runtime import current
 from repro.search.evaluator import AccuracyEvaluator, EvaluationSettings, LatencyEvaluator
 from repro.search.parallel import fan_out
 from repro.search.extraction import (
@@ -99,11 +99,7 @@ class SearchSession:
         config: SearchConfig | None = None,
         backends: Sequence[CompilerBackend] | None = None,
         targets: Sequence[HardwareTarget] | None = None,
-        runtime: RuntimeContext | None = None,
     ) -> None:
-        #: the runtime context this session evaluates and caches under;
-        #: ``None`` resolves the ambient context per call.
-        self.runtime = runtime
         self.model_builder = model_builder
         self.config = config or SearchConfig()
         self.backends = list(backends) if backends is not None else [TVMBackend(trials=32)]
@@ -119,16 +115,11 @@ class SearchSession:
             batch=self.config.evaluation.batch_size,
             coefficients=self.config.evaluation.coefficients,
         )
-        self.accuracy_evaluator = AccuracyEvaluator(
-            model_builder, self.config.evaluation, runtime=runtime
-        )
+        self.accuracy_evaluator = AccuracyEvaluator(model_builder, self.config.evaluation)
         self.original_macs = original_macs(self.slots, batch=self.config.evaluation.batch_size)
         #: one latency evaluator per (backend, target), created on first use so
         #: the baseline latency is compiled exactly once per pair per session.
         self._latency_evaluators: dict[tuple[str, str], LatencyEvaluator] = {}
-
-    def _rt(self) -> RuntimeContext:
-        return self.runtime if self.runtime is not None else current()
 
     # -- synthesis ----------------------------------------------------------
 
@@ -152,32 +143,29 @@ class SearchSession:
         context's ``warm_start`` on, the root frontier is seeded from a graph
         library covering the spec, when one exists.
         """
-        runtime = self._rt()
+        runtime_config = current().config
         # The bound method (not a lambda) so the reward function can cross
         # the process boundary when reward waves are sharded.
         reward_fn = self.accuracy_evaluator.evaluate
         plan = None
-        if runtime.config.warm_start:
+        if runtime_config.warm_start:
             # Lazy import: repro.library.builder pulls the shard executor,
             # whose module chain imports this one.
             from repro.library.warmstart import plan_warm_start
 
-            plan = plan_warm_start(
-                self.spec, cache_context=self.accuracy_evaluator._context, runtime=runtime
-            )
+            plan = plan_warm_start(self.spec, cache_context=self.accuracy_evaluator._context)
         search = MCTS(
             spec=self.spec,
             options=self.enumeration_options(),
             reward_fn=reward_fn,
             config=MCTSConfig(
                 iterations=iterations if iterations is not None else self.config.mcts_iterations,
-                batch_size=runtime.config.frontier_width,
+                batch_size=runtime_config.frontier_width,
                 # Share rewards with every search over the same backbone and
                 # evaluation settings (the evaluator's cache context).
                 cache_context=self.accuracy_evaluator._context,
                 root_priority=plan.root_priority if plan is not None else (),
             ),
-            runtime=self.runtime,
         )
         samples = search.run()
         if plan is not None:
@@ -189,7 +177,6 @@ class SearchSession:
                 {record.operator.graph.signature(): record.reward for record in samples},
                 name=plan.name,
                 cache_context=self.accuracy_evaluator._context,
-                runtime=runtime,
             )
         return self.evaluate_candidates(samples)
 
@@ -212,7 +199,7 @@ class SearchSession:
         # ``partial`` keeps the session on the callable, so it crosses the
         # process boundary once per worker chunk instead of once per record.
         worker = functools.partial(_evaluate_sample, self)
-        results = fan_out(worker, qualified, runtime=self.runtime)
+        results = fan_out(worker, qualified)
         results.sort(key=lambda result: min(result.latencies.values(), default=float("inf")))
         return results
 
@@ -226,7 +213,6 @@ class SearchSession:
                 target=target,
                 batch=1,
                 coefficients=self.config.evaluation.coefficients,
-                runtime=self.runtime,
             )
             # Hoisted out of the per-candidate loop: the baseline is a property
             # of the (backend, target) pair, so compile it exactly once here.

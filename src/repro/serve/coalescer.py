@@ -120,12 +120,11 @@ class _Submission:
 class WaveCoalescer:
     """Batches concurrent searches' reward waves into shared fan-outs."""
 
-    def __init__(
-        self, runtime: RuntimeContext | None = None, window_seconds: float = 0.05
-    ) -> None:
-        #: the server's root context: its caches are the shared substrate and
-        #: its ``shards`` knob sizes every coalesced fan-out.
-        self._runtime = runtime if runtime is not None else current()
+    def __init__(self, runtime: RuntimeContext, window_seconds: float = 0.05) -> None:
+        #: the server's root context, activated around every coalesced
+        #: fan-out: its caches are the shared substrate and its ``shards``
+        #: knob sizes the fan-out.
+        self._runtime = runtime
         #: how long a lone submission waits for company before its wave fires.
         self.window_seconds = max(window_seconds, 0.0)
         self._cond = threading.Condition()
@@ -167,16 +166,16 @@ class WaveCoalescer:
         pending: Sequence[tuple[str, object]],
         reward_fn: Callable,
         cache_context: Hashable,
-        runtime: RuntimeContext,
         on_wave: Callable[[WaveStats], None] | None = None,
     ) -> Mapping[str, float]:
         """Submit one search's wave and block until its rewards are ready.
 
         Matches the :attr:`repro.runtime.RuntimeContext.wave_evaluator`
         signature (plus the optional ``on_wave`` progress callback the
-        serving layer threads in).  The calling thread either waits for a
-        leader to deliver its rewards or becomes the leader itself and runs
-        the merged wave.
+        serving layer threads in); the rewards are computed under the
+        calling search's ambient config.  The calling thread either waits
+        for a leader to deliver its rewards or becomes the leader itself and
+        runs the merged wave.
         """
         if not pending:
             return {}
@@ -184,7 +183,7 @@ class WaveCoalescer:
             pending=list(pending),
             reward_fn=reward_fn,
             cache_context=cache_context,
-            config=runtime.config,
+            config=current().config,
             deadline=time.monotonic() + self.window_seconds,
             on_wave=on_wave,
         )
@@ -248,7 +247,8 @@ class WaveCoalescer:
         hits = sum(1 for key in index if key in reward_cache)
         failures_before = len(self._runtime.shard_failures)
         try:
-            values = sharded_map(_coalesced_task, tasks, runtime=self._runtime)
+            with self._runtime.activate():
+                values = sharded_map(_coalesced_task, tasks)
         except BaseException as exc:
             # A genuine reward failure poisons every search in the wave; each
             # waiter re-raises it from its own evaluate() call.

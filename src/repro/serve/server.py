@@ -26,7 +26,7 @@ import threading
 from typing import Callable
 
 from repro.experiments.runner import CONTEXT_STORE, experiment_names, run_experiment
-from repro.runtime import RuntimeContext, current
+from repro.runtime import RuntimeContext
 from repro.serve import protocol
 from repro.serve.coalescer import WaveCoalescer, WaveStats
 
@@ -36,14 +36,10 @@ log = logging.getLogger(__name__)
 class SearchServer:
     """Coalescing search service over one warm runtime context."""
 
-    def __init__(
-        self,
-        runtime: RuntimeContext | None = None,
-        window_seconds: float = 0.05,
-    ) -> None:
+    def __init__(self, runtime: RuntimeContext, window_seconds: float = 0.05) -> None:
         #: the root context every request derives from; its caches are the
         #: shared substrate and its store is where records land.
-        self.runtime = runtime if runtime is not None else current()
+        self.runtime = runtime
         self.coalescer = WaveCoalescer(self.runtime, window_seconds=window_seconds)
         self.address: str | None = None
         self.port: int | None = None
@@ -208,10 +204,8 @@ class SearchServer:
         context = self.runtime.derive(**request.overrides)
         coalescer = self.coalescer
 
-        def wave_evaluator(pending, reward_fn, cache_context, runtime):
-            return coalescer.evaluate(
-                pending, reward_fn, cache_context, runtime=runtime, on_wave=notify
-            )
+        def wave_evaluator(pending, reward_fn, cache_context):
+            return coalescer.evaluate(pending, reward_fn, cache_context, on_wave=notify)
 
         context.wave_evaluator = wave_evaluator
         with context.activate():

@@ -568,16 +568,15 @@ class TestVerifyPlansKnob:
         monkeypatch.setattr(pv, "verify_plan", lambda plan: calls.append(plan))
         operator = build_operator1()
 
-        off = RuntimeContext(current().config.with_overrides(verify_plans=False))
-        cached_plan(operator, CONV_BINDING, runtime=off)
+        with current().isolated(verify_plans=False).activate():
+            cached_plan(operator, CONV_BINDING)
         assert calls == []
 
-        on = RuntimeContext(current().config.with_overrides(verify_plans=True))
-        plan = cached_plan(operator, CONV_BINDING, runtime=on)
-        assert calls == [plan]
-
-        # Memoized: a second lookup re-verifies nothing.
-        cached_plan(operator, CONV_BINDING, runtime=on)
+        with current().isolated(verify_plans=True).activate():
+            plan = cached_plan(operator, CONV_BINDING)
+            assert calls == [plan]
+            # Memoized: a second lookup re-verifies nothing.
+            cached_plan(operator, CONV_BINDING)
         assert calls == [plan]
 
 

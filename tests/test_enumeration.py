@@ -237,19 +237,19 @@ def _signature_reward(operator) -> float:
     return sum(map(ord, operator.graph.signature())) % 97 / 97.0
 
 
-def _gpt2_search(seed: int, runtime, spec=None, options=None) -> MCTS:
+def _gpt2_search(seed: int, spec=None, options=None) -> MCTS:
     space = gpt2_projection_space(max_depth=3)
     return MCTS(
         spec=spec if spec is not None else space.spec,
         options=options if options is not None else space.options,
         reward_fn=_signature_reward,
         config=MCTSConfig(iterations=40, seed=seed, batch_size=8),
-        runtime=runtime,
     )
 
 
-def _samples(search: MCTS) -> list[tuple[str, float, int]]:
-    search.run()
+def _samples(search: MCTS, runtime) -> list[tuple[str, float, int]]:
+    with runtime.activate():
+        search.run()
     return [
         (sample.operator.graph.signature(), sample.reward, sample.iteration)
         for sample in search.samples
@@ -273,17 +273,17 @@ class TestChildrenMemo:
 
     def test_a_warm_context_replays_the_cold_samples(self):
         warm = current().isolated()
-        _samples(_gpt2_search(1, warm))
-        warm_b = _samples(_gpt2_search(2, warm))
+        _samples(_gpt2_search(1), warm)
+        warm_b = _samples(_gpt2_search(2), warm)
         assert warm_b
-        assert warm_b == _samples(_gpt2_search(2, current().isolated()))
+        assert warm_b == _samples(_gpt2_search(2), current().isolated())
 
         disabled = current().isolated(eval_cache=False)
-        assert warm_b == _samples(_gpt2_search(2, disabled))
+        assert warm_b == _samples(_gpt2_search(2), disabled)
         assert len(disabled.caches.children) == 0
 
         before = warm.caches.stats()["children"]
-        assert warm_b == _samples(_gpt2_search(2, warm))
+        assert warm_b == _samples(_gpt2_search(2), warm)
         after = warm.caches.stats()["children"]
         assert after.hits > before.hits
         assert after.misses == before.misses
@@ -301,13 +301,14 @@ class TestChildrenMemo:
         else:
             spec = dataclasses.replace(spec, output_shape=ShapeSpec.of([M, GROUPS]))
         context = current().isolated()
-        searches = [_gpt2_search(4, context), _gpt2_search(4, context, spec, options)]
-        for search in searches:
-            search.run()
-        for search in searches:
-            for graph in _rebuilt_graphs(search.spec, search.options).values():
-                assert _identity(
-                    child for _, child in search._legal_children(graph)
-                ) == _identity(_uncached_legal_children(graph, search.options))
+        searches = [_gpt2_search(4), _gpt2_search(4, spec, options)]
+        with context.activate():
+            for search in searches:
+                search.run()
+            for search in searches:
+                for graph in _rebuilt_graphs(search.spec, search.options).values():
+                    assert _identity(
+                        child for _, child in search._legal_children(graph)
+                    ) == _identity(_uncached_legal_children(graph, search.options))
         stats = context.caches.stats()["children"]
         assert stats.hits > 0

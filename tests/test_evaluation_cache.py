@@ -356,15 +356,16 @@ class TestLatencyLoweringNarrowing:
 
     SLOTS = (ConvSlot("c1", 16, 16, 8, 3, 1), ConvSlot("c2", 16, 32, 8, 3, 1))
 
-    def _evaluator(self):
+    @pytest.fixture
+    def isolated(self):
         # An isolated context: a lowering memoized earlier would be served
         # without ever reaching the patched function.
-        return LatencyEvaluator(
-            slots=self.SLOTS,
-            backend=TVMBackend(trials=8),
-            target=MOBILE_CPU,
-            runtime=current().isolated(),
-        )
+        context = current().isolated()
+        with context.activate():
+            yield context
+
+    def _evaluator(self):
+        return LatencyEvaluator(slots=self.SLOTS, backend=TVMBackend(trials=8), target=MOBILE_CPU)
 
     def _lowering_raises(self, monkeypatch, exc):
         def lower(operator, binding):
@@ -373,7 +374,7 @@ class TestLatencyLoweringNarrowing:
         # The lowering behind the evaluators' entry point, cached_loopnest.
         monkeypatch.setattr("repro.codegen.loopnest.lower_to_loopnest", lower)
 
-    def test_size_error_keeps_the_standard_convolution(self, monkeypatch, caplog):
+    def test_size_error_keeps_the_standard_convolution(self, isolated, monkeypatch, caplog):
         from repro.core.library import build_operator1
 
         evaluator = self._evaluator()
@@ -384,9 +385,9 @@ class TestLatencyLoweringNarrowing:
             assert evaluator.substituted_latency(build_operator1()) == baseline
         assert "operator not lowerable at slot" in caplog.text
         assert evaluator.macs(build_operator1()) == standard_macs
-        assert len(evaluator.runtime.caches.lowering) == 0  # failures are not memoized
+        assert len(isolated.caches.lowering) == 0  # failures are not memoized
 
-    def test_other_lowering_errors_propagate(self, monkeypatch):
+    def test_other_lowering_errors_propagate(self, isolated, monkeypatch):
         from repro.core.library import build_operator1
 
         evaluator = self._evaluator()
@@ -449,14 +450,14 @@ class TestParallelMap:
 class TestFanOut:
     def test_sharding_wins_over_processes_and_says_so(self, caplog):
         ctx = RuntimeContext(RuntimeConfig(shards=2, eval_processes=3))
-        with caplog.at_level("WARNING", logger="repro.search.parallel"):
-            assert fan_out(_square, [1, 2, 3], runtime=ctx) == [1, 4, 9]
+        with ctx.activate(), caplog.at_level("WARNING", logger="repro.search.parallel"):
+            assert fan_out(_square, [1, 2, 3]) == [1, 4, 9]
         assert "shards=2" in caplog.text and "ignoring processes=3" in caplog.text
 
     def test_unsharded_uses_the_process_fan_out_quietly(self, caplog):
         ctx = RuntimeContext(RuntimeConfig(eval_processes=2))
-        with caplog.at_level("WARNING", logger="repro.search.parallel"):
-            assert fan_out(_square, [1, 2, 3, 4], runtime=ctx) == [1, 4, 9, 16]
+        with ctx.activate(), caplog.at_level("WARNING", logger="repro.search.parallel"):
+            assert fan_out(_square, [1, 2, 3, 4]) == [1, 4, 9, 16]
         assert caplog.text == ""
 
 
@@ -488,9 +489,10 @@ class TestLoweringMemo:
     def test_repeated_lowering_is_a_hit_returning_the_same_object(self):
         ctx = RuntimeContext(RuntimeConfig())
         operator = build_operator1()
-        first = cached_loopnest(operator, LOWERING_BINDING, runtime=ctx)
-        # A rebuilt operator (fresh dim uids, same structure) hits too.
-        assert cached_loopnest(build_operator1(), dict(LOWERING_BINDING), runtime=ctx) is first
+        with ctx.activate():
+            first = cached_loopnest(operator, LOWERING_BINDING)
+            # A rebuilt operator (fresh dim uids, same structure) hits too.
+            assert cached_loopnest(build_operator1(), dict(LOWERING_BINDING)) is first
         assert first == lower_to_loopnest(operator, LOWERING_BINDING)
         stats = ctx.caches.stats()["lowering"]
         assert (stats.hits, stats.misses) == (1, 1)
@@ -511,7 +513,8 @@ class TestLoweringMemo:
             (reshaped, LOWERING_BINDING),
             (operator, {**LOWERING_BINDING, H: 7, W: 7}),
         ]
-        programs = [cached_loopnest(op, binding, runtime=ctx) for op, binding in variants]
+        with ctx.activate():
+            programs = [cached_loopnest(op, binding) for op, binding in variants]
         assert len(ctx.caches.lowering) == len(variants)
         assert ctx.caches.stats()["lowering"].hits == 0
         for program, (op, binding) in zip(programs, variants):
@@ -531,7 +534,8 @@ class TestLoweringMemo:
         assert operators[0].graph.signature() == operators[1].graph.signature()
         ctx = RuntimeContext(RuntimeConfig())
         binding = {C_IN: 8, H: 5}
-        programs = [cached_loopnest(op, binding, runtime=ctx) for op in operators]
+        with ctx.activate():
+            programs = [cached_loopnest(op, binding) for op in operators]
         assert [program.parameter_count for program in programs] == [8, 5]
         for program, op in zip(programs, operators):
             assert program == lower_to_loopnest(op, binding)
@@ -540,8 +544,9 @@ class TestLoweringMemo:
     def test_eval_cache_off_bypasses_the_memo(self):
         ctx = RuntimeContext(RuntimeConfig(eval_cache=False))
         operator = build_operator1()
-        first = cached_loopnest(operator, LOWERING_BINDING, runtime=ctx)
-        second = cached_loopnest(operator, LOWERING_BINDING, runtime=ctx)
+        with ctx.activate():
+            first = cached_loopnest(operator, LOWERING_BINDING)
+            second = cached_loopnest(operator, LOWERING_BINDING)
         assert first == second and first is not second
         assert len(ctx.caches.lowering) == 0
         assert ctx.caches.stats()["lowering"].lookups == 0
@@ -549,19 +554,22 @@ class TestLoweringMemo:
     def test_isolated_contexts_share_nothing(self):
         ctx = RuntimeContext(RuntimeConfig())
         operator = build_operator1()
-        warm = cached_loopnest(operator, LOWERING_BINDING, runtime=ctx)
+        with ctx.activate():
+            warm = cached_loopnest(operator, LOWERING_BINDING)
         isolated = ctx.isolated()
-        assert cached_loopnest(operator, LOWERING_BINDING, runtime=isolated) is not warm
+        with isolated.activate():
+            assert cached_loopnest(operator, LOWERING_BINDING) is not warm
         assert isolated.caches.stats()["lowering"].misses == 1
         # A derived context shares the caches, so it hits.
-        assert cached_loopnest(operator, LOWERING_BINDING, runtime=ctx.derive()) is warm
+        with ctx.derive().activate():
+            assert cached_loopnest(operator, LOWERING_BINDING) is warm
 
     def test_size_errors_propagate_uncached(self):
         ctx = RuntimeContext(RuntimeConfig())
         indivisible = {**LOWERING_BINDING, C_IN: 6}
         for _ in range(2):
-            with pytest.raises(SizeError):
-                cached_loopnest(build_operator1(), indivisible, runtime=ctx)
+            with ctx.activate(), pytest.raises(SizeError):
+                cached_loopnest(build_operator1(), indivisible)
         assert len(ctx.caches.lowering) == 0
         assert ctx.caches.stats()["lowering"].misses == 2
 

@@ -141,13 +141,13 @@ class TestFaultPlan:
 
 class TestInjectionConfinement:
     def test_inject_is_a_noop_without_a_plan(self):
-        ctx = RuntimeContext(RuntimeConfig())
-        inject(SITE_SHARD_ENTRY, runtime=ctx)  # must not raise
+        with RuntimeContext(RuntimeConfig()).activate():
+            inject(SITE_SHARD_ENTRY)  # must not raise
 
     def test_raise_rule_fires_as_fault_injected(self):
         ctx = RuntimeContext(RuntimeConfig(fault_plan="raise:store-publish"))
-        with pytest.raises(FaultInjected):
-            inject(SITE_STORE_PUBLISH, runtime=ctx)
+        with ctx.activate(), pytest.raises(FaultInjected):
+            inject(SITE_STORE_PUBLISH)
 
     def test_fault_injected_is_an_os_error(self):
         # The store's existing `except OSError` envelopes are the recovery
@@ -159,13 +159,15 @@ class TestInjectionConfinement:
         # A kill rule matching this (unarmed, parent) process must not fire —
         # otherwise `repro chaos` would kill the supervisor itself.
         ctx = RuntimeContext(RuntimeConfig(fault_plan="kill:shard-entry"))
-        inject(SITE_SHARD_ENTRY, runtime=ctx)  # still alive ⇒ confinement held
+        with ctx.activate():
+            inject(SITE_SHARD_ENTRY)  # still alive ⇒ confinement held
 
     def test_destructive_rules_honor_armed_identity_matchers(self):
         ctx = RuntimeContext(RuntimeConfig(fault_plan="kill:shard-entry:shard=7"))
         arm_worker(shard=3, attempt=1)
         try:
-            inject(SITE_SHARD_ENTRY, runtime=ctx)  # shard 3 ≠ 7: no fire
+            with ctx.activate():
+                inject(SITE_SHARD_ENTRY)  # shard 3 ≠ 7: no fire
         finally:
             disarm_worker()
 
@@ -178,9 +180,8 @@ class TestInjectionConfinement:
 class TestSupervisedExecution:
     def test_killed_worker_is_retried_transparently(self):
         ctx = current().derive(fault_plan="kill:shard-entry:shard=1,attempt=1")
-        assert sharded_map(_double, [1, 2, 3, 4, 5], shards=2, runtime=ctx) == [
-            2, 4, 6, 8, 10,
-        ]
+        with ctx.activate():
+            assert sharded_map(_double, [1, 2, 3, 4, 5], shards=2) == [2, 4, 6, 8, 10]
         failures = ctx.drain_shard_failures()
         assert [f.kind for f in failures] == ["signal"]
         assert failures[0].shard == 1 and failures[0].attempt == 1
@@ -190,14 +191,16 @@ class TestSupervisedExecution:
         ctx = current().derive(
             fault_plan="exit:shard-entry:shard=0,attempt=1,exitcode=7"
         )
-        assert sharded_map(_double, [1, 2, 3, 4], shards=2, runtime=ctx) == [2, 4, 6, 8]
+        with ctx.activate():
+            assert sharded_map(_double, [1, 2, 3, 4], shards=2) == [2, 4, 6, 8]
         failures = ctx.drain_shard_failures()
         assert [f.kind for f in failures] == ["exit"]
         assert failures[0].exitcode == 7
 
     def test_item_eval_fault_is_surfaced_cooperatively(self):
         ctx = current().derive(fault_plan="raise:item-eval:shard=0,attempt=1")
-        assert sharded_map(_double, [1, 2, 3, 4], shards=2, runtime=ctx) == [2, 4, 6, 8]
+        with ctx.activate():
+            assert sharded_map(_double, [1, 2, 3, 4], shards=2) == [2, 4, 6, 8]
         failures = ctx.drain_shard_failures()
         assert [f.kind for f in failures] == ["fault"]
         assert "injected fault" in failures[0].detail
@@ -207,7 +210,8 @@ class TestSupervisedExecution:
             fault_plan="hang:shard-entry:shard=0,attempt=1", shard_timeout=1.0
         )
         start = time.monotonic()
-        assert sharded_map(_double, [1, 2, 3, 4], shards=2, runtime=ctx) == [2, 4, 6, 8]
+        with ctx.activate():
+            assert sharded_map(_double, [1, 2, 3, 4], shards=2) == [2, 4, 6, 8]
         wall = time.monotonic() - start
         failures = ctx.drain_shard_failures()
         assert [f.kind for f in failures] == ["timeout"]
@@ -219,7 +223,8 @@ class TestSupervisedExecution:
         ctx = current().derive(
             fault_plan="kill:shard-entry:shard=1", shard_retries=1
         )
-        results = sharded_map(_pid_probe, [1, 2, 3, 4], shards=2, runtime=ctx)
+        with ctx.activate():
+            results = sharded_map(_pid_probe, [1, 2, 3, 4], shards=2)
         assert [value for _, value in results] == [2, 4, 6, 8]
         failures = ctx.drain_shard_failures()
         assert [f.kind for f in failures] == ["signal", "signal"]
@@ -243,7 +248,8 @@ class TestSupervisedExecution:
         thread.start()
         ctx = current().derive(shard_timeout=60.0)
         worker = functools.partial(_block_first_attempt, str(tmp_path))
-        assert sharded_map(worker, [1, 2, 3, 4], shards=2, runtime=ctx) == [2, 4, 6, 8]
+        with ctx.activate():
+            assert sharded_map(worker, [1, 2, 3, 4], shards=2) == [2, 4, 6, 8]
         thread.join(timeout=30.0)
         failures = ctx.drain_shard_failures()
         assert [f.kind for f in failures] == ["signal"]
@@ -251,12 +257,13 @@ class TestSupervisedExecution:
 
     def test_genuine_exceptions_still_propagate_first_class(self):
         ctx = current().derive(shards=2)
-        with pytest.raises(ValueError, match="genuine failure"):
-            sharded_map(_boom, [1, 2, 3, 4], shards=2, runtime=ctx)
+        with ctx.activate(), pytest.raises(ValueError, match="genuine failure"):
+            sharded_map(_boom, [1, 2, 3, 4], shards=2)
 
     def test_fault_free_runs_record_no_failures(self):
         ctx = current().derive(shards=2)
-        assert sharded_map(_double, [1, 2, 3, 4], shards=2, runtime=ctx) == [2, 4, 6, 8]
+        with ctx.activate():
+            assert sharded_map(_double, [1, 2, 3, 4], shards=2) == [2, 4, 6, 8]
         assert ctx.drain_shard_failures() == []
 
 

@@ -230,15 +230,15 @@ class TestStoreFormat:
         context, other = ("ctx", 1), ("ctx", 2)
 
         def export(rewards, cache_context=context):
-            return export_rewards(
-                rewards, name="test", cache_context=cache_context, runtime=runtime
-            )
+            with runtime.activate():
+                return export_rewards(rewards, name="test", cache_context=cache_context)
 
         assert export({"sig-a": 0.25, "sig-b": 0.75}) == 2
         assert export({"sig-a": 0.25, "sig-b": 0.75}) == 0
         assert export({"sig-b": 0.5, "sig-c": 0.5}) == 1  # stored sig-b wins
         assert export({"sig-a": 0.125}, cache_context=other) == 1
-        entries, status = reward_sidecar("test", runtime).load()
+        with runtime.activate():
+            entries, status = reward_sidecar("test").load()
         assert status.status == "loaded"
         assert entries == {
             "reward": {
@@ -449,18 +449,19 @@ def _sample_keys(samples):
 
 class TestWarmStart:
     def test_plan_is_none_without_a_library(self, tmp_path):
-        runtime = _runtime(tmp_path)
         space = _gpt2_space()
-        assert find_library_name(space.spec, runtime) is None
-        assert plan_warm_start(space.spec, cache_context="c", runtime=runtime) is None
+        with _runtime(tmp_path).activate():
+            assert find_library_name(space.spec) is None
+            assert plan_warm_start(space.spec, cache_context="c") is None
 
     def test_find_library_name_discovers_by_spec_key(self, tmp_path):
         runtime = _runtime(tmp_path)
         _build_gpt2(runtime)
         space = _gpt2_space()
-        assert find_library_name(space.spec, runtime) == "gpt2"
         other = matmul_spec(bindings=({M: 4, K: 6, OUT_FEATURES: 5},))
-        assert find_library_name(other, runtime) is None
+        with runtime.activate():
+            assert find_library_name(space.spec) == "gpt2"
+            assert find_library_name(other) is None
 
     def test_plan_ranks_rewarded_entries_first_and_seeds_the_cache(self, tmp_path):
         runtime = _runtime(tmp_path)
@@ -468,13 +469,9 @@ class TestWarmStart:
         complete = sorted(e.signature for e in built.library.complete_entries())
         rewarded = complete[-1]  # last alphabetically: rank must beat the order
         context = ("proxy", 3)
-        assert export_rewards(
-            {rewarded: 0.9}, name="gpt2", cache_context=context, runtime=runtime
-        ) == 1
-
-        plan = plan_warm_start(
-            _gpt2_space().spec, cache_context=context, runtime=runtime
-        )
+        with runtime.activate():
+            assert export_rewards({rewarded: 0.9}, name="gpt2", cache_context=context) == 1
+            plan = plan_warm_start(_gpt2_space().spec, cache_context=context)
         assert plan is not None
         assert plan.name == "gpt2"
         assert plan.content_hash == built.content_hash
@@ -490,9 +487,8 @@ class TestWarmStart:
         )
 
         # Re-planning seeds nothing new: the cache already holds the reward.
-        again = plan_warm_start(
-            _gpt2_space().spec, cache_context=context, runtime=runtime
-        )
+        with runtime.activate():
+            again = plan_warm_start(_gpt2_space().spec, cache_context=context)
         assert again is not None and again.seeded_rewards == 0
 
     def test_root_priority_expands_the_preferred_child_first(self, tmp_path):
@@ -530,20 +526,18 @@ class TestWarmStart:
         cold_entries = cold_rt.caches.reward.export_entries()
         assert cold_entries, "the cold search must proxy-train candidates"
         context = next(iter(cold_entries))[0]
-        exported = export_rewards(
-            {sig: reward for (_, sig), reward in cold_entries.items()},
-            name="gpt2",
-            cache_context=context,
-            runtime=cold_rt,
-        )
+        with cold_rt.activate():
+            exported = export_rewards(
+                {sig: reward for (_, sig), reward in cold_entries.items()},
+                name="gpt2",
+                cache_context=context,
+            )
         assert exported == len(cold_entries)
         _build_gpt2(cold_rt)  # the artifact the warm run auto-discovers
 
         warm_rt = _runtime(tmp_path, warm_start=True)
         with warm_rt.activate():
-            plan = plan_warm_start(
-                _gpt2_space().spec, cache_context=context, runtime=warm_rt
-            )
+            plan = plan_warm_start(_gpt2_space().spec, cache_context=context)
             assert plan is not None and plan.seeded_rewards == len(cold_entries)
             warm = run_experiment("search", config, store=None)
         warm_entries = warm_rt.caches.reward.export_entries()
@@ -562,8 +556,8 @@ class TestWarmStart:
 
         seen: dict[str, list] = {"plans": [], "waves": [], "shards": []}
 
-        def plan(spec, cache_context, runtime=None):
-            seen["plans"].append(runtime)
+        def plan(spec, cache_context):
+            seen["plans"].append(current())
             return None  # no library on disk: a cold search
 
         propose = MCTS.propose_batch
@@ -574,23 +568,23 @@ class TestWarmStart:
 
         real_map = parallel.sharded_map
 
-        def spy_map(fn, items, shards=None, max_workers=None, runtime=None):
-            seen["shards"].append(shards or (runtime or current()).config.shards)
-            return real_map(fn, items, runtime=runtime, max_workers=1)
+        def spy_map(fn, items, shards=None, max_workers=None):
+            seen["shards"].append(shards or current().config.shards)
+            return real_map(fn, items, max_workers=1)
 
         monkeypatch.setattr(warmstart, "plan_warm_start", plan)
         monkeypatch.setattr(MCTS, "propose_batch", spy_propose)
         monkeypatch.setattr(parallel, "sharded_map", spy_map)
         runtime = _runtime(tmp_path, shards=3, frontier_width=3, warm_start=True)
-        session = SearchSession(
-            resnet18,
-            config=SearchConfig(
-                mcts_iterations=4,
-                evaluation=EvaluationSettings(train_steps=1, dataset_size=16, batch_size=8),
-            ),
-            runtime=runtime,
-        )
-        session.run()
+        with runtime.activate():
+            session = SearchSession(
+                resnet18,
+                config=SearchConfig(
+                    mcts_iterations=4,
+                    evaluation=EvaluationSettings(train_steps=1, dataset_size=16, batch_size=8),
+                ),
+            )
+            session.run()
         assert seen["plans"] == [runtime]
         assert seen["waves"] == [3, 1]
         # Candidate evaluation (and every non-empty reward wave) fanned out

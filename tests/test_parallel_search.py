@@ -35,9 +35,7 @@ def _sample_key(record):
     return (record.operator.graph.signature(), record.reward, record.iteration)
 
 
-def _matmul_search(
-    reward_fn, *, seed=1, iterations=40, batch_size=4, cache_context=None, runtime=None
-):
+def _matmul_search(reward_fn, *, seed=1, iterations=40, batch_size=4, cache_context=None):
     spec = matmul_spec(bindings=({M: 4, K: 6, OUT_FEATURES: 5},))
     options = default_options_for(spec, coefficients=[], max_depth=3)
     return MCTS(
@@ -50,7 +48,6 @@ def _matmul_search(
             batch_size=batch_size,
             cache_context=cache_context,
         ),
-        runtime=runtime,
     )
 
 
@@ -209,7 +206,7 @@ class TestMCTSDeterminism:
         assert [_sample_key(s) for s in first] == [_sample_key(s) for s in second]
 
     def test_rewards_are_computed_with_an_explicit_runtime_active(self):
-        """A serial wave runs like a shard worker: under the search's context."""
+        """A serial wave runs like a shard worker: under the activated context."""
         ctx = RuntimeContext(RuntimeConfig())
         active = []
 
@@ -217,7 +214,8 @@ class TestMCTSDeterminism:
             active.append(current())
             return _signature_reward(operator)
 
-        samples = _matmul_search(reward, iterations=12, runtime=ctx).run()
+        with ctx.activate():
+            samples = _matmul_search(reward, iterations=12).run()
         assert samples and active
         assert all(context is ctx for context in active)
         assert len(ctx.caches.reward) == len(active)
@@ -319,7 +317,8 @@ class TestLiveStoreSync:
         SharedCacheStore(ctx.snapshot_path()).publish(
             {"reward": {("live", "foreign"): 7.25}}
         )
-        results = sharded_map(_live_probe, [1, 2, 3, 4], shards=2, max_workers=2, runtime=ctx)
+        with ctx.activate():
+            results = sharded_map(_live_probe, [1, 2, 3, 4], shards=2, max_workers=2)
         assert results == [1.0, 2.0, 3.0, 4.0]
         # Absorbed before the fan-out: a lookup is a hit, not a recompute.
         assert ctx.cached_reward("live", "foreign", lambda: 0.0) == 7.25
@@ -331,9 +330,10 @@ class TestLiveStoreSync:
             assert entries["reward"][("live", f"sig{item}")] == float(item)
 
     def test_serial_fallback_path_syncs_too(self, tmp_path):
-        """On a one-core box sharded_map degrades to serial; sync must survive."""
+        """At ``max_workers=1`` sharded_map runs serially; sync must survive."""
         ctx = _live_context(tmp_path)
-        results = sharded_map(_live_probe, [5, 6], shards=4, max_workers=1, runtime=ctx)
+        with ctx.activate():
+            results = sharded_map(_live_probe, [5, 6], shards=4, max_workers=1)
         assert results == [5.0, 6.0]
         entries, status = SharedCacheStore(ctx.snapshot_path()).load()
         assert status.status == "loaded"
@@ -347,10 +347,8 @@ class TestLiveStoreSync:
             {"reward": {("live", "foreign"): 7.25}}
         )
         holder = lock_holder(ctx.snapshot_path() + ".lock")
-        with caplog.at_level(logging.WARNING, logger="repro.search.parallel"):
-            results = sharded_map(
-                _live_probe, [1, 2, 3, 4], shards=2, max_workers=2, runtime=ctx
-            )
+        with ctx.activate(), caplog.at_level(logging.WARNING, logger="repro.search.parallel"):
+            results = sharded_map(_live_probe, [1, 2, 3, 4], shards=2, max_workers=2)
         assert results == [1.0, 2.0, 3.0, 4.0]  # live sync never gates results
         # The refresh is lock-free and still absorbed the foreign entry...
         assert ctx.cached_reward("live", "foreign", lambda: 0.0) == 7.25
@@ -365,7 +363,8 @@ class TestLiveStoreSync:
         ctx = _live_context(tmp_path, cache_lock_timeout=5.0)
         Path(ctx.snapshot_path()).parent.mkdir(parents=True, exist_ok=True)
         crashed_writer(ctx.snapshot_path())
-        results = sharded_map(_live_probe, [1, 2], shards=2, max_workers=2, runtime=ctx)
+        with ctx.activate():
+            results = sharded_map(_live_probe, [1, 2], shards=2, max_workers=2)
         assert results == [1.0, 2.0]
         entries, status = SharedCacheStore(ctx.snapshot_path()).load()
         assert status.status == "loaded"
@@ -375,9 +374,10 @@ class TestLiveStoreSync:
     @pytest.mark.parametrize("max_workers", [2, 1])
     def test_memory_only_caches_never_reach_the_store(self, tmp_path, max_workers):
         ctx = _live_context(tmp_path)
-        results = sharded_map(
-            _live_probe_with_lowering, [1, 2], shards=2, max_workers=max_workers, runtime=ctx
-        )
+        with ctx.activate():
+            results = sharded_map(
+                _live_probe_with_lowering, [1, 2], shards=2, max_workers=max_workers
+            )
         assert results == [1.0, 2.0]
         assert len(ctx.caches.lowering) == 2  # computed (and merged back) ...
         entries, status = SharedCacheStore(ctx.snapshot_path()).load()
@@ -387,5 +387,6 @@ class TestLiveStoreSync:
 
     def test_live_sync_is_off_by_default(self, tmp_path):
         ctx = RuntimeContext(RuntimeConfig(results_dir=str(tmp_path / "results")))
-        assert sharded_map(_live_probe, [1, 2], shards=2, max_workers=2, runtime=ctx) == [1.0, 2.0]
+        with ctx.activate():
+            assert sharded_map(_live_probe, [1, 2], shards=2, max_workers=2) == [1.0, 2.0]
         assert not Path(ctx.snapshot_path()).exists()

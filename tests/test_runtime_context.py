@@ -1,21 +1,24 @@
 """Tests for the scoped runtime API (:mod:`repro.runtime`).
 
 Covers: `RuntimeConfig` provenance (default/env/explicit), the once-per-
-process env edge, activation scoping, concurrent contexts with isolated
-caches (sequentially interleaved *and* in threads), record parity between
-explicit contexts and env-parsed edge contexts, and the structured snapshot
-load/save status.
+process env edge, activation scoping, the two entry points that take a
+context argument, concurrent contexts with isolated caches (sequentially
+interleaved *and* in threads), record parity between explicit contexts and
+env-parsed edge contexts, and the structured snapshot load/save status.
 """
 
 from __future__ import annotations
 
+import ast
 import functools
 import os
 import pickle
 import threading
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.compiler.backends import TVMBackend
 from repro.compiler.targets import MOBILE_CPU
 from repro.experiments.common import evaluate_model, syno_candidates
@@ -277,6 +280,69 @@ class TestActivation:
 
 
 # ---------------------------------------------------------------------------
+# Entry points: the only APIs that take a context argument
+# ---------------------------------------------------------------------------
+
+_SRC = Path(repro.__file__).parent
+
+
+def _defaults_to_none(node: ast.expr | None) -> bool:
+    """``None``, or a dataclass ``field(default=None, ...)``."""
+    if isinstance(node, ast.Constant):
+        return node.value is None
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "field":
+        return any(kw.arg == "default" and _defaults_to_none(kw.value) for kw in node.keywords)
+    return False
+
+
+def _optional_runtime_owners(tree: ast.Module) -> list[str]:
+    """Functions with a ``runtime=None`` parameter and classes with such a field."""
+    owners = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+            pairs += list(zip(args.kwonlyargs, args.kw_defaults))
+            if any(arg.arg == "runtime" and _defaults_to_none(d) for arg, d in pairs):
+                owners.append(node.name)
+        elif isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if (
+                    isinstance(stmt, ast.AnnAssign)
+                    and getattr(stmt.target, "id", None) == "runtime"
+                    and _defaults_to_none(stmt.value)
+                ):
+                    owners.append(f"{node.name}.runtime")
+    return owners
+
+
+class TestEntryPoints:
+    def test_only_evaluate_model_and_build_library_take_an_optional_runtime(self):
+        owners = []
+        for path in sorted(_SRC.rglob("*.py")):
+            owners += _optional_runtime_owners(ast.parse(path.read_text(encoding="utf-8")))
+        assert sorted(owners) == ["build_library", "evaluate_model"]
+
+    def test_build_library_activates_its_runtime(self, tmp_path):
+        """A context passed without activation still owns the whole build."""
+        from repro.library.builder import build_library
+        from repro.library.specs import space_for
+
+        space = space_for("gpt2", max_depth=2)
+        ctx = RuntimeContext(
+            RuntimeConfig(
+                results_dir=str(tmp_path / "results"), library_dir=str(tmp_path / "library")
+            )
+        )
+        result = build_library(space.spec, space.options, name=space.name, runtime=ctx, shards=1)
+        assert len(ctx.caches.shape_distance) > 0
+        assert len(default_context().caches.shape_distance) == 0
+        assert Path(result.path).parent == tmp_path / "library"
+        assert Path(result.path).is_file()
+
+
+# ---------------------------------------------------------------------------
 # Concurrent contexts: isolation and parity (the acceptance scenario)
 # ---------------------------------------------------------------------------
 
@@ -409,36 +475,30 @@ class TestConcurrentContexts:
         assert env_fast.environment["provenance"]["dtype"] == "env"
 
 
-class TestThreadedRuntimeMatchesActivation:
-    """`runtime=ctx` must behave exactly like `with ctx.activate():`."""
+class TestActivatedEvaluator:
+    """An evaluator built and run under ``ctx.activate()`` belongs to ``ctx``."""
 
     def _settings(self):
         from repro.search.evaluator import EvaluationSettings
 
         return EvaluationSettings(train_steps=2, dataset_size=32, batch_size=8)
 
-    def test_threaded_evaluator_trains_under_its_own_dtype(self):
-        """The reward key bakes ctx's dtype, so training must run under ctx
-        even when the caller never activates it (else serial evaluation would
-        diverge from sharded workers, which do activate)."""
+    def test_float32_key_and_caches_differ_from_the_float64_default(self):
         from repro.nn.models.resnet import resnet18
         from repro.search.evaluator import AccuracyEvaluator
 
         # Ambient default is float64 (pinned by tests/conftest.py).
-        f32 = RuntimeConfig(dtype="float32")
-        threaded = AccuracyEvaluator(resnet18, self._settings(), runtime=RuntimeContext(f32))
-        threaded_baseline = threaded.baseline_accuracy()
-
-        activation_ctx = RuntimeContext(f32)
+        activation_ctx = RuntimeContext(RuntimeConfig(dtype="float32"))
         with activation_ctx.activate():
             activated = AccuracyEvaluator(resnet18, self._settings())
-            activated_baseline = activated.baseline_accuracy()
+            activated.baseline_accuracy()
 
         ambient = AccuracyEvaluator(resnet18, self._settings())  # float64
-        assert threaded.runtime is not None
-        assert threaded._context == activated._context  # same float32 key
-        assert threaded_baseline == activated_baseline  # same float32 numbers
-        assert threaded._context != ambient._context  # never aliases float64
+        assert activated._context[-1][-1] == "float32"
+        assert activated._context != ambient._context  # never aliases float64
+        # The baseline landed in the activated context's cache alone.
+        assert len(activation_ctx.caches.baseline) == 1
+        assert len(current().caches.baseline) == 0
 
 
 def _context_cached_value(context_tag: str, value: int) -> float:
@@ -450,9 +510,10 @@ class TestShardedContextBootstrap:
     def test_explicit_context_ships_to_workers_and_merges_back(self):
         ctx = RuntimeContext(RuntimeConfig(shards=2))
         worker = functools.partial(_context_cached_value, "ship-test")
-        results = sharded_map(worker, [1, 2, 3, 4], max_workers=2, runtime=ctx)
+        with ctx.activate():
+            results = sharded_map(worker, [1, 2, 3, 4], max_workers=2)
         assert results == [1.0, 4.0, 9.0, 16.0]
-        # The workers' rewards merged into the explicit context's caches —
+        # The workers' rewards merged into the activated context's caches —
         # not into the process-default ones.
         assert len(ctx.caches.reward) == 4
         assert len(current().caches.reward) == 0
@@ -461,7 +522,8 @@ class TestShardedContextBootstrap:
         current().caches.reward.put(("pre",), 0.0)  # pre-existing warmth to inherit
         ctx = default_context().derive(shards=2)
         worker = functools.partial(_context_cached_value, "derive-test")
-        results = sharded_map(worker, [1, 2, 3, 4], max_workers=2, runtime=ctx)
+        with ctx.activate():
+            results = sharded_map(worker, [1, 2, 3, 4], max_workers=2)
         assert results == [1.0, 4.0, 9.0, 16.0]
         # Derived contexts share the default cache set, so the merge lands there.
         assert len(current().caches.reward) == 5

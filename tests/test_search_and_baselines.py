@@ -125,13 +125,6 @@ class TestLatencyEvaluator:
         substituted = evaluator.substituted_latency(build_operator2())
         assert baseline > 0 and substituted > 0
 
-    def test_layerwise_returns_substitutable_slots_only(self):
-        evaluator = LatencyEvaluator(
-            slots=RESNET18_PROFILE, backend=TVMBackend(trials=16), target=MOBILE_CPU
-        )
-        rows = evaluator.layerwise(build_operator2())
-        assert len(rows) == len(substitutable_slots(RESNET18_PROFILE))
-
     def test_macs_accounting(self):
         evaluator = LatencyEvaluator(
             slots=RESNET18_PROFILE, backend=TVMBackend(trials=8), target=MOBILE_CPU

@@ -99,7 +99,7 @@ class TestWaveCoalescer:
             computed.append(operator)
             return 1.0
 
-        rewards = coalescer.evaluate(_pending("a", "b"), reward, "lone-ctx", runtime=current())
+        rewards = coalescer.evaluate(_pending("a", "b"), reward, "lone-ctx")
         assert rewards == {"a": 1.0, "b": 1.0}
         assert sorted(computed) == ["a", "b"]
         stats = coalescer.stats()
@@ -123,9 +123,7 @@ class TestWaveCoalescer:
         def search(name, pending):
             with coalescer.search_scope():
                 barrier.wait()  # both searches registered before either submits
-                results[name] = dict(
-                    coalescer.evaluate(pending, reward, "shared-ctx", runtime=current())
-                )
+                results[name] = dict(coalescer.evaluate(pending, reward, "shared-ctx"))
 
         threads = [
             threading.Thread(target=search, args=("one", _pending("x", "shared"))),
@@ -157,9 +155,7 @@ class TestWaveCoalescer:
 
         current().cached_reward("hit-ctx", "warm", lambda: 0.25)
         coalescer = WaveCoalescer(current(), window_seconds=0.0)
-        rewards = coalescer.evaluate(
-            _pending("warm", "cold"), reward, "hit-ctx", runtime=current()
-        )
+        rewards = coalescer.evaluate(_pending("warm", "cold"), reward, "hit-ctx")
         assert rewards == {"warm": 0.25, "cold": 0.5}
         assert computed == ["cold"]
         stats = coalescer.stats()
@@ -171,23 +167,17 @@ class TestWaveCoalescer:
 
         coalescer = WaveCoalescer(current(), window_seconds=0.0)
         with pytest.raises(RuntimeError, match="proxy training crashed"):
-            coalescer.evaluate(_pending("a"), reward, "err-ctx", runtime=current())
+            coalescer.evaluate(_pending("a"), reward, "err-ctx")
 
     def test_empty_wave_is_a_no_op(self):
         coalescer = WaveCoalescer(current(), window_seconds=0.0)
-        assert coalescer.evaluate([], lambda op: 1.0, "ctx", runtime=current()) == {}
+        assert coalescer.evaluate([], lambda op: 1.0, "ctx") == {}
         assert coalescer.stats()["waves"] == 0
 
     def test_on_wave_reports_the_stats_every_participant_sees(self):
         seen = []
         coalescer = WaveCoalescer(current(), window_seconds=0.0)
-        coalescer.evaluate(
-            _pending("a", "a", "b"),
-            lambda op: 1.0,
-            "cb-ctx",
-            runtime=current(),
-            on_wave=seen.append,
-        )
+        coalescer.evaluate(_pending("a", "a", "b"), lambda op: 1.0, "cb-ctx", on_wave=seen.append)
         (stats,) = seen
         assert stats.pending == 3 and stats.tasks == 2 and stats.coalesced == 1
         assert stats.to_dict()["wave"] == 1
@@ -219,7 +209,7 @@ def test_mcts_routes_waves_through_the_context_wave_evaluator():
 
     waves = []
 
-    def hook(pending, reward_fn, cache_context, runtime):
+    def hook(pending, reward_fn, cache_context):
         waves.append(len(pending))
         return {signature: reward_fn(operator) for signature, operator in pending}
 

@@ -188,9 +188,8 @@ class TestMemo:
             (ShapeSpec.of([H, Size.of(W) * K]), desired),
         ]
         expected = [_uncached_distance(*item) for item in items]
-        assert sharded_map(
-            _distance_probe, items, shards=2, max_workers=2, runtime=context
-        ) == expected
+        with context.activate():
+            assert sharded_map(_distance_probe, items, shards=2, max_workers=2) == expected
         assert context.shard_failures == []
         assert len(context.caches.shape_distance) == 0
 
