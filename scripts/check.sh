@@ -202,9 +202,9 @@ echo "== library: shard-parity builds + warm-started search =="
 # exists — here one does, so this exercises frontier seeding + sidecar
 # publish for real).
 LIB_DIR="$RESULTS_DIR/library-check"
-library_field() {
+library_field() {  # family, field[, library dir]
   python -m repro.cli library stats "$1" --json \
-    --library-dir "$LIB_DIR" --results-dir "$RESULTS_DIR" \
+    --library-dir "${3:-$LIB_DIR}" --results-dir "$RESULTS_DIR" \
     | python -c "import json,sys; v = json.load(sys.stdin)['libraries'][0]['$2']; print(v if isinstance(v, str) else json.dumps(v, sort_keys=True))"
 }
 for SPACE in resnet gpt2; do
@@ -229,7 +229,28 @@ for SPACE in resnet gpt2; do
     exit 1
   fi
   echo "OK: $SPACE library builds bit-identical across shard counts ($HASH_SERIAL), same pruning statistics"
+  if [ "$SPACE" = resnet ]; then RESNET_HASH="$HASH_SERIAL"; fi
 done
+# The enumerate-conv benchmark builds four conv families at depth 3, and
+# perfbench/golden.json pins their content hashes.  The loop above builds
+# only resnet, so build the other three at 2 shards and compare all four
+# with the golden file (read here, never written).
+CONV_DIR="$RESULTS_DIR/library-conv"
+for SPACE in resnext densenet efficientnet; do
+  python -m repro.cli library build "$SPACE" --max-depth 3 --shards 2 \
+    --library-dir "$CONV_DIR" --results-dir "$RESULTS_DIR"
+done
+python - "$RESNET_HASH" \
+  "$(library_field resnext content_hash "$CONV_DIR")" \
+  "$(library_field densenet content_hash "$CONV_DIR")" \
+  "$(library_field efficientnet content_hash "$CONV_DIR")" <<'PY'
+import json, sys
+built = dict(zip(("resnet", "resnext", "densenet", "efficientnet"), sys.argv[1:]))
+with open("perfbench/golden.json", encoding="utf-8") as handle:
+    golden = json.load(handle)["enumerate-conv"]
+assert built == golden, f"depth-3 conv libraries diverge from perfbench/golden.json: {built} != {golden}"
+print("OK: depth-3 resnet, resnext, densenet and efficientnet libraries match perfbench/golden.json")
+PY
 REPRO_WARM_START=1 REPRO_LIBRARY_DIR="$LIB_DIR" \
   python -m repro.cli run search --smoke
 echo "OK: warm-started search green"

@@ -23,7 +23,13 @@ The rule set mirrors the paper:
 * weight tensors receive coordinates only through ``Share`` (structural).
 
 The engine is extensible: new rules are plain callables and can be added by
-client code, as the paper advertises for Syno.
+client code, as the paper advertises for Syno.  A rule that can reject only
+applications of certain primitive types says so with the :func:`rejects`
+decorator (or by giving the callable a ``rejects`` attribute holding a tuple
+of types); the engine then calls it only for those types and their
+subclasses.  A rule without the declaration is called for every application.
+Rules read a graph's history through :meth:`PGraph.rule_state`, which is
+derived once per graph rather than once per candidate.
 """
 
 from __future__ import annotations
@@ -49,14 +55,26 @@ from repro.core.primitives import (
 Rule = Callable[[PGraph, Primitive, Sequence[Dim]], bool]
 
 
+def rejects(*primitive_types: type) -> Callable[[Rule], Rule]:
+    """Declare the only primitive types a rule can reject.
+
+    :class:`CanonicalizationEngine` skips the rule for applications of any
+    other type, which it would accept anyway.
+    """
+
+    def declare(rule: Rule) -> Rule:
+        rule.rejects = primitive_types  # type: ignore[attr-defined]
+        return rule
+
+    return declare
+
+
 def _producer_of(graph: PGraph, dim: Dim) -> Application | None:
     """The application that produced ``dim``, or None for output dims."""
-    for app in graph.applications:
-        if dim in app.produced:
-            return app
-    return None
+    return graph.rule_state().producers.get(dim)
 
 
+@rejects(Merge)
 def no_merge_above_split(graph: PGraph, primitive: Primitive, operands: Sequence[Dim]) -> bool:
     """A ``Merge`` may not transform a coordinate produced by a ``Split``.
 
@@ -69,6 +87,7 @@ def no_merge_above_split(graph: PGraph, primitive: Primitive, operands: Sequence
     return not (producer is not None and isinstance(producer.primitive, Split))
 
 
+@rejects(Split)
 def no_split_undoing_merge(graph: PGraph, primitive: Primitive, operands: Sequence[Dim]) -> bool:
     """A ``Split`` may not recombine exactly the two dims of one ``Merge``."""
     if not isinstance(primitive, Split):
@@ -79,6 +98,7 @@ def no_split_undoing_merge(graph: PGraph, primitive: Primitive, operands: Sequen
     return tuple(operands) != producer.produced
 
 
+@rejects(Merge)
 def no_merge_above_unfold(graph: PGraph, primitive: Primitive, operands: Sequence[Dim]) -> bool:
     """Approximate simplification (Figure 3c): don't ``Merge`` an unfolded dim.
 
@@ -92,6 +112,7 @@ def no_merge_above_unfold(graph: PGraph, primitive: Primitive, operands: Sequenc
     return not (producer is not None and isinstance(producer.primitive, Unfold))
 
 
+@rejects(Shift)
 def no_shift_chains(graph: PGraph, primitive: Primitive, operands: Sequence[Dim]) -> bool:
     """Consecutive ``Shift``s of the same coordinate collapse to one."""
     if not isinstance(primitive, Shift):
@@ -100,6 +121,7 @@ def no_shift_chains(graph: PGraph, primitive: Primitive, operands: Sequence[Dim]
     return not (producer is not None and isinstance(producer.primitive, Shift))
 
 
+@rejects(Expand)
 def no_expand_of_reduction(graph: PGraph, primitive: Primitive, operands: Sequence[Dim]) -> bool:
     """``Expand`` + ``Reduce`` only multiplies the result by a constant.
 
@@ -119,6 +141,7 @@ def no_expand_of_reduction(graph: PGraph, primitive: Primitive, operands: Sequen
     return False
 
 
+@rejects(Unfold)
 def unfold_single_reduction(graph: PGraph, primitive: Primitive, operands: Sequence[Dim]) -> bool:
     """``Unfold`` allows at most one of its coordinates to be a reduction."""
     if not isinstance(primitive, Unfold):
@@ -126,6 +149,7 @@ def unfold_single_reduction(graph: PGraph, primitive: Primitive, operands: Seque
     return sum(1 for dim in operands if dim.is_reduction) <= 1
 
 
+@rejects(Stride)
 def stride_paired_with_one_to_many(
     graph: PGraph, primitive: Primitive, operands: Sequence[Dim]
 ) -> bool:
@@ -137,6 +161,7 @@ def stride_paired_with_one_to_many(
     return strides < one_to_many + 1  # allow one Stride "in flight"
 
 
+@rejects(Share)
 def share_matches_move_non_reductions(
     graph: PGraph, primitive: Primitive, operands: Sequence[Dim]
 ) -> bool:
@@ -150,26 +175,6 @@ def share_matches_move_non_reductions(
     return not any(dim.is_reduction for dim in operands[1:])
 
 
-def _application_key(primitive: Primitive, operands: Sequence[Dim]) -> tuple:
-    """Total order on applications used to canonicalize commuting neighbours."""
-    if primitive.is_view and not primitive.is_one_to_many and not isinstance(primitive, Stride):
-        priority = 0  # 1-to-1 views come first (pushed below contractions)
-    elif primitive.is_view:
-        priority = 1
-    else:
-        priority = 2  # contractions last
-    min_uid = min((dim.uid for dim in operands), default=-1)
-    return (priority, type(primitive).__name__, min_uid)
-
-
-def _commutes_with_last(graph: PGraph, operands: Sequence[Dim]) -> bool:
-    last = graph.last_application
-    if last is None:
-        return False
-    touched = set(last.produced) | set(last.weight_dims)
-    return not any(dim in touched for dim in operands)
-
-
 def canonical_commuting_order(
     graph: PGraph, primitive: Primitive, operands: Sequence[Dim]
 ) -> bool:
@@ -177,15 +182,14 @@ def canonical_commuting_order(
 
     If the proposed application does not touch anything the previous
     application produced, the two could be swapped without changing the
-    operator; we keep only the ordering where the smaller key comes first.
-    In particular this pushes 1-to-1 views below contractions (Figure 3b).
+    operator; we keep only the ordering where the smaller key
+    (:meth:`Primitive.order_key`) comes first.  In particular this pushes
+    1-to-1 views below contractions (Figure 3b).
     """
-    last = graph.last_application
-    if last is None or not _commutes_with_last(graph, operands):
+    state = graph.rule_state()
+    if state.last_order_key is None or not state.last_footprint.isdisjoint(operands):
         return True
-    last_key = _application_key(last.primitive, last.consumed or last.produced)
-    new_key = _application_key(primitive, operands)
-    return new_key >= last_key
+    return primitive.order_key(operands) >= state.last_order_key
 
 
 def default_rules() -> list[Rule]:
@@ -205,13 +209,44 @@ def default_rules() -> list[Rule]:
 
 @dataclass
 class CanonicalizationEngine:
-    """Applies a configurable list of canonicalization rules."""
+    """Applies a configurable list of canonicalization rules.
+
+    For each primitive type the engine keeps the ordered sublist of
+    :attr:`rules` that can reject it (see :func:`rejects`), rebuilt whenever
+    :attr:`rules` changes, so a check runs only the rules that apply and the
+    first rule to reject is the one a full pass would find.
+    """
 
     rules: list[Rule] = field(default_factory=default_rules)
 
+    #: (the rules it was built from, primitive type -> the rules that apply).
+    _dispatch = None
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_dispatch", None)
+        return state
+
+    def _rules_for(self, primitive: Primitive) -> tuple[Rule, ...]:
+        """The rules, in order, that can reject an application of ``primitive``."""
+        dispatch = self._dispatch
+        if dispatch is None or dispatch[0] != self.rules:
+            dispatch = (list(self.rules), {})
+            self._dispatch = dispatch
+        kind = type(primitive)
+        applicable = dispatch[1].get(kind)
+        if applicable is None:
+            applicable = tuple(
+                rule
+                for rule in dispatch[0]
+                if getattr(rule, "rejects", None) is None or issubclass(kind, rule.rejects)
+            )
+            dispatch[1][kind] = applicable
+        return applicable
+
     def is_canonical(self, graph: PGraph, primitive: Primitive, operands: Sequence[Dim]) -> bool:
         """Whether applying ``primitive`` to ``operands`` keeps the graph canonical."""
-        return all(rule(graph, primitive, operands) for rule in self.rules)
+        return all(rule(graph, primitive, operands) for rule in self._rules_for(primitive))
 
     def rejecting_rule(
         self, graph: PGraph, primitive: Primitive, operands: Sequence[Dim]
@@ -222,7 +257,7 @@ class CanonicalizationEngine:
         statistics attribute each pruned application to the rule that pruned
         it (``SynthesisStats.canonicalization_rejections``).
         """
-        for rule in self.rules:
+        for rule in self._rules_for(primitive):
             if not rule(graph, primitive, operands):
                 return getattr(rule, "__name__", repr(rule))
         return None

@@ -100,8 +100,7 @@ class EnumerationOptions:
         if isinstance(primitive, Reduce) and graph.count_primitive(Reduce) >= self.max_reductions:
             return False
         if isinstance(primitive, Share):
-            total_weight_dims = sum(len(w.dims) for w in graph.weights)
-            if total_weight_dims + len(operands) > self.max_weight_dims:
+            if graph.rule_state().weight_dims + len(operands) > self.max_weight_dims:
                 return False
             if primitive.new_weight and len(graph.weights) >= self.max_weights:
                 return False
@@ -115,13 +114,21 @@ class EnumerationOptions:
                 return False
         return True
 
-    def within_budgets(self, graph: PGraph) -> bool:
-        """Whether a (complete) graph satisfies the MACs / parameter budgets."""
+    def within_budgets(self, graph: PGraph, costs: tuple[int, int] | None = None) -> bool:
+        """Whether a (complete) graph satisfies the MACs / parameter budgets.
+
+        ``costs`` is the graph's (MACs, parameter count) under
+        :attr:`budget_binding`, for a caller that already computed them.
+        """
         binding = self.budget_binding or {}
-        if self.max_macs is not None and graph.macs(binding) > self.max_macs:
-            return False
-        if self.max_params is not None and graph.parameter_count(binding) > self.max_params:
-            return False
+        if self.max_macs is not None:
+            macs = costs[0] if costs is not None else graph.macs(binding)
+            if macs > self.max_macs:
+                return False
+        if self.max_params is not None:
+            params = costs[1] if costs is not None else graph.parameter_count(binding)
+            if params > self.max_params:
+                return False
         return True
 
 
@@ -217,8 +224,10 @@ def enumerate_children(
 ) -> list[tuple[Action, PGraph]]:
     """All canonical one-primitive extensions of a partial pGraph.
 
-    ``stats`` (optional) accumulates per-rule canonicalization rejections —
-    see :meth:`EnumerationOptions.allows`.
+    A child is built only when its signature, derived from the graph and the
+    application, is new among its siblings; the first application to reach a
+    signature wins.  ``stats`` (optional) accumulates per-rule
+    canonicalization rejections — see :meth:`EnumerationOptions.allows`.
     """
     children: list[tuple[Action, PGraph]] = []
     seen_signatures: set[str] = set()
@@ -226,15 +235,15 @@ def enumerate_children(
         if not options.allows(graph, primitive, operands, stats=stats):
             continue
         try:
-            child = primitive.apply(graph, operands)
+            application = primitive.application(graph, operands)
         except PrimitiveError:
             continue
-        signature = child.signature()
-        if signature in seen_signatures:
+        child_signature = graph.child_signature(application)
+        if child_signature[0] in seen_signatures:
             continue
-        seen_signatures.add(signature)
+        seen_signatures.add(child_signature[0])
         action = Action(primitive=primitive, operand_uids=tuple(d.uid for d in operands))
-        children.append((action, child))
+        children.append((action, graph.extend(application, child_signature)))
     return children
 
 

@@ -185,45 +185,43 @@ class PGraph:
             frontier=output_dims,
         )
 
-    # -- frontier editing (used by primitives) ------------------------------
+    # -- extension ---------------------------------------------------------
 
-    def replace_dims(
+    def extend(
         self,
-        consumed: Sequence[Dim],
-        produced: Sequence[Dim],
         application: Application,
-        new_weight_dims: Sequence[Dim] = (),
-        weight_index: int | None = None,
+        child_signature: tuple[str, tuple[int, ...]] | None = None,
     ) -> "PGraph":
-        """Return a new graph with ``consumed`` dims swapped for ``produced``.
+        """Return the graph with ``application`` applied.
 
-        The produced dims are inserted at the position of the first consumed
-        dim (or appended, if nothing was consumed).  ``new_weight_dims`` are
-        appended to the weight tensor at ``weight_index`` (or to a fresh
-        weight tensor when the index equals ``len(self.weights)``).
+        Its consumed dims leave the frontier, and its produced dims take the
+        place of the first consumed dim (or are appended, if nothing was
+        consumed).  Its weight dims are appended to the weight tensor at its
+        ``weight_index`` (or make a fresh weight tensor when the index equals
+        ``len(self.weights)``).  ``child_signature`` is
+        :meth:`child_signature`'s result for ``application``, for a caller
+        that already computed it.
         """
         frontier = list(self.frontier)
+        consumed = application.consumed
         for dim in consumed:
             if dim not in frontier:
                 raise ValueError(f"dim {dim!r} is not in the frontier")
-        if consumed:
-            insert_at = frontier.index(consumed[0])
-        else:
-            insert_at = len(frontier)
+        insert_at = frontier.index(consumed[0]) if consumed else len(frontier)
         for dim in consumed:
             frontier.remove(dim)
-        for offset, dim in enumerate(produced):
-            frontier.insert(insert_at + offset, dim)
+        frontier[insert_at:insert_at] = application.produced
 
         weights = list(self.weights)
-        if new_weight_dims:
+        if application.weight_dims:
+            weight_index = application.weight_index
             if weight_index is None:
                 raise ValueError("weight dims provided without a weight index")
             if weight_index == len(weights):
-                weights.append(WeightTensor(tuple(new_weight_dims)))
+                weights.append(WeightTensor(application.weight_dims))
             else:
                 existing = weights[weight_index]
-                weights[weight_index] = WeightTensor(existing.dims + tuple(new_weight_dims))
+                weights[weight_index] = WeightTensor(existing.dims + application.weight_dims)
 
         child = PGraph(
             output_shape=self.output_shape,
@@ -233,8 +231,9 @@ class PGraph:
             applications=self.applications + (application,),
             weights=tuple(weights),
         )
+        signature, uids = child_signature or self.child_signature(application)
         object.__setattr__(
-            child, "_signature_cache", self._extended_signatures(application, child.weights)
+            child, "_signature_cache", (signature, _weights_part(child.weights, uids), uids)
         )
         return child
 
@@ -275,15 +274,36 @@ class PGraph:
     def last_application(self) -> Application | None:
         return self.applications[-1] if self.applications else None
 
+    def rule_state(self) -> "RuleState":
+        """What the canonicalization rules and occurrence limits read, derived once.
+
+        Computed from ``applications`` and ``weights`` on first use and kept
+        on the (immutable) instance, so checking many candidate applications
+        against one graph scans its history once.  Never pickled: a loaded
+        graph derives it afresh.
+        """
+        state = self.__dict__.get("_rule_state")
+        if state is None:
+            state = RuleState.of(self)
+            object.__setattr__(self, "_rule_state", state)
+        return state
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__
+        if "_rule_state" in state:
+            state = {key: value for key, value in state.items() if key != "_rule_state"}
+        return state
+
     def count_primitive(self, primitive_type: type) -> int:
-        return sum(1 for app in self.applications if isinstance(app.primitive, primitive_type))
+        total = 0
+        for kind, count in self.rule_state().type_counts.items():
+            if issubclass(kind, primitive_type):
+                total += count
+        return total
 
     def weight_index_of_last_share(self) -> int | None:
         """Index of the most recently extended weight tensor, if any."""
-        for app in reversed(self.applications):
-            if app.weight_index is not None:
-                return app.weight_index
-        return None
+        return self.rule_state().last_share_weight_index
 
     # -- cost accounting ---------------------------------------------------
 
@@ -325,8 +345,8 @@ class PGraph:
         Each application contributes one ``;``-joined part that names its
         dims by labels handed out in first-appearance order, starting from
         the output dims.  So a child's signature is its parent's plus one
-        part: :meth:`replace_dims` extends the parent's cached signature
-        state instead of recomputing it from the root.  A graph built any
+        part: :meth:`extend` extends the parent's cached signature state
+        instead of recomputing it from the root.  A graph built any
         other way computes its signatures once, on first use.  They are kept
         on the (immutable) instance, since the signature keys every
         evaluation cache; a pickled graph carries them along.
@@ -359,19 +379,72 @@ class PGraph:
         parts = [_application_part(app, uids) for app in self.applications]
         return ";".join(parts), _weights_part(self.weights, uids), tuple(uids)
 
-    def _extended_signatures(
-        self, application: Application, weights: tuple[WeightTensor, ...]
-    ) -> tuple[str, str, tuple[int, ...]]:
-        """The signature state of this graph plus ``application``, with ``weights``."""
+    def child_signature(self, application: Application) -> tuple[str, tuple[int, ...]]:
+        """The signature of ``extend(application)`` and its dim uids in label order.
+
+        Computed without building the child, so enumeration can drop a
+        duplicate before paying for its construction.
+        """
         signature, _, parent_uids = self._signatures()
         uids = list(parent_uids)
         part = _application_part(application, uids)
         if self.applications:
             part = f"{signature};{part}"
-        return part, _weights_part(weights, uids), tuple(uids)
+        return part, tuple(uids)
 
     def __repr__(self) -> str:
         return f"PGraph(depth={self.depth}, frontier={self.frontier_shape!r})"
+
+
+@dataclass(frozen=True)
+class RuleState:
+    """The facts about a graph's history that candidate checks read.
+
+    Canonicalization rules and enumeration's occurrence limits ask the same
+    questions of a graph for every candidate application; this answers them
+    once per graph (:meth:`PGraph.rule_state`).
+    """
+
+    #: exact primitive type -> number of applications of that type.
+    type_counts: Mapping[type, int]
+    #: dim -> the application that produced it (output dims are absent).
+    producers: Mapping[Dim, Application]
+    #: the dims the last application produced or put on a weight.
+    last_footprint: frozenset[Dim]
+    #: the last application's place in the canonical order of commuting
+    #: neighbours (``Primitive.order_key``), or None at the root.
+    last_order_key: tuple | None
+    #: the weight index of the most recent ``Share``, or None.
+    last_share_weight_index: int | None
+    #: the number of weight dims over all weight tensors.
+    weight_dims: int
+
+    @staticmethod
+    def of(graph: PGraph) -> "RuleState":
+        type_counts: dict[type, int] = {}
+        producers: dict[Dim, Application] = {}
+        last_share_weight_index = None
+        for app in graph.applications:
+            kind = type(app.primitive)
+            type_counts[kind] = type_counts.get(kind, 0) + 1
+            for dim in app.produced:
+                producers.setdefault(dim, app)
+            if app.weight_index is not None:
+                last_share_weight_index = app.weight_index
+        last = graph.last_application
+        footprint: frozenset[Dim] = frozenset()
+        order_key = None
+        if last is not None:
+            footprint = frozenset(last.produced + last.weight_dims)
+            order_key = last.primitive.order_key(last.consumed or last.produced)
+        return RuleState(
+            type_counts=type_counts,
+            producers=producers,
+            last_footprint=footprint,
+            last_order_key=order_key,
+            last_share_weight_index=last_share_weight_index,
+            weight_dims=sum(len(weight.dims) for weight in graph.weights),
+        )
 
 
 def _label(uids: list[int], dim: Dim) -> str:

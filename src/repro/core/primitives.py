@@ -50,8 +50,33 @@ class Primitive:
     def describe(self) -> str:
         return type(self).__name__
 
-    def apply(self, graph: PGraph, operands: Sequence[Dim]) -> PGraph:
+    def application(self, graph: PGraph, operands: Sequence[Dim]) -> Application:
+        """This primitive applied to ``operands`` of ``graph``, with its new dims.
+
+        Raises :class:`PrimitiveError` for invalid operands.  The graph is not
+        changed: :meth:`PGraph.extend` builds the resulting graph.
+        """
         raise NotImplementedError
+
+    def apply(self, graph: PGraph, operands: Sequence[Dim]) -> PGraph:
+        """The graph that results from applying this primitive to ``operands``."""
+        return graph.extend(self.application(graph, operands))
+
+    def order_key(self, operands: Sequence[Dim]) -> tuple:
+        """This application's place in the canonical order of commuting neighbours.
+
+        1-to-1 views come first (pushed below contractions), then the other
+        views, then contractions; ties break on the type name and the
+        smallest operand uid.  See ``canonicalize.canonical_commuting_order``.
+        """
+        if self.is_view and not self.is_one_to_many and not isinstance(self, Stride):
+            priority = 0
+        elif self.is_view:
+            priority = 1
+        else:
+            priority = 2
+        min_uid = min((dim.uid for dim in operands), default=-1)
+        return (priority, type(self).__name__, min_uid)
 
     def _check_operands(self, graph: PGraph, operands: Sequence[Dim], expected: int) -> None:
         if len(operands) != expected:
@@ -79,7 +104,7 @@ class Split(Primitive):
     arity: int = 2
     is_view: bool = True
 
-    def apply(self, graph: PGraph, operands: Sequence[Dim]) -> PGraph:
+    def application(self, graph: PGraph, operands: Sequence[Dim]) -> Application:
         self._check_operands(graph, operands, 2)
         major, minor = operands
         produced = Dim(
@@ -87,8 +112,7 @@ class Split(Primitive):
             role=DimRole.INTERMEDIATE,
             name=f"{major.name}*{minor.name}",
         )
-        app = Application(primitive=self, consumed=tuple(operands), produced=(produced,))
-        return graph.replace_dims(operands, (produced,), app)
+        return Application(primitive=self, consumed=tuple(operands), produced=(produced,))
 
 
 @dataclass(frozen=True)
@@ -106,7 +130,7 @@ class Merge(Primitive):
     def describe(self) -> str:
         return f"Merge({self.block!r})"
 
-    def apply(self, graph: PGraph, operands: Sequence[Dim]) -> PGraph:
+    def application(self, graph: PGraph, operands: Sequence[Dim]) -> Application:
         self._check_operands(graph, operands, 1)
         (dim,) = operands
         if self.block.is_one:
@@ -116,8 +140,7 @@ class Merge(Primitive):
             raise PrimitiveError(f"block {self.block!r} does not divide {dim.size!r}")
         outer = Dim(size=quotient, role=DimRole.INTERMEDIATE, name=f"{dim.name}/b")
         inner = Dim(size=self.block, role=DimRole.INTERMEDIATE, name=f"{dim.name}%b")
-        app = Application(primitive=self, consumed=(dim,), produced=(outer, inner))
-        return graph.replace_dims((dim,), (outer, inner), app)
+        return Application(primitive=self, consumed=(dim,), produced=(outer, inner))
 
 
 @dataclass(frozen=True)
@@ -131,12 +154,11 @@ class Shift(Primitive):
     def describe(self) -> str:
         return f"Shift({self.amount})"
 
-    def apply(self, graph: PGraph, operands: Sequence[Dim]) -> PGraph:
+    def application(self, graph: PGraph, operands: Sequence[Dim]) -> Application:
         self._check_operands(graph, operands, 1)
         (dim,) = operands
         produced = Dim(size=dim.size, role=DimRole.INTERMEDIATE, name=f"{dim.name}+{self.amount}")
-        app = Application(primitive=self, consumed=(dim,), produced=(produced,))
-        return graph.replace_dims((dim,), (produced,), app)
+        return Application(primitive=self, consumed=(dim,), produced=(produced,))
 
 
 @dataclass(frozen=True)
@@ -147,11 +169,10 @@ class Expand(Primitive):
     is_view: bool = True
     is_one_to_many: bool = True
 
-    def apply(self, graph: PGraph, operands: Sequence[Dim]) -> PGraph:
+    def application(self, graph: PGraph, operands: Sequence[Dim]) -> Application:
         self._check_operands(graph, operands, 1)
         (dim,) = operands
-        app = Application(primitive=self, consumed=(dim,), produced=())
-        return graph.replace_dims((dim,), (), app)
+        return Application(primitive=self, consumed=(dim,), produced=())
 
 
 @dataclass(frozen=True)
@@ -167,7 +188,7 @@ class Unfold(Primitive):
     is_view: bool = True
     is_one_to_many: bool = True
 
-    def apply(self, graph: PGraph, operands: Sequence[Dim]) -> PGraph:
+    def application(self, graph: PGraph, operands: Sequence[Dim]) -> Application:
         self._check_operands(graph, operands, 2)
         main, window = operands
         if window.size.primary_variables():
@@ -175,8 +196,7 @@ class Unfold(Primitive):
                 f"Unfold window {window.size!r} must not contain primary variables"
             )
         produced = Dim(size=main.size, role=DimRole.INTERMEDIATE, name=f"{main.name}~{window.name}")
-        app = Application(primitive=self, consumed=(main, window), produced=(produced,))
-        return graph.replace_dims((main, window), (produced,), app)
+        return Application(primitive=self, consumed=(main, window), produced=(produced,))
 
 
 @dataclass(frozen=True)
@@ -190,7 +210,7 @@ class Stride(Primitive):
     def describe(self) -> str:
         return f"Stride({self.stride!r})"
 
-    def apply(self, graph: PGraph, operands: Sequence[Dim]) -> PGraph:
+    def application(self, graph: PGraph, operands: Sequence[Dim]) -> Application:
         self._check_operands(graph, operands, 1)
         (dim,) = operands
         if self.stride.is_one:
@@ -200,8 +220,7 @@ class Stride(Primitive):
             role=DimRole.INTERMEDIATE,
             name=f"{dim.name}*s",
         )
-        app = Application(primitive=self, consumed=(dim,), produced=(produced,))
-        return graph.replace_dims((dim,), (produced,), app)
+        return Application(primitive=self, consumed=(dim,), produced=(produced,))
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +239,12 @@ class Reduce(Primitive):
     def describe(self) -> str:
         return f"Reduce({self.size!r})"
 
-    def apply(self, graph: PGraph, operands: Sequence[Dim]) -> PGraph:
+    def application(self, graph: PGraph, operands: Sequence[Dim]) -> Application:
         self._check_operands(graph, operands, 0)
         if self.size.is_one:
             raise PrimitiveError("Reduce over a size-1 dimension is the identity")
         produced = Dim(size=self.size, role=DimRole.REDUCTION, name="r")
-        app = Application(primitive=self, consumed=(), produced=(produced,))
-        return graph.replace_dims((), (produced,), app)
+        return Application(primitive=self, consumed=(), produced=(produced,))
 
 
 @dataclass(frozen=True)
@@ -253,7 +271,7 @@ class Share(Primitive):
     def describe(self) -> str:
         return "Share" if self.new_weight else "Share(+)"
 
-    def apply(self, graph: PGraph, operands: Sequence[Dim]) -> PGraph:
+    def application(self, graph: PGraph, operands: Sequence[Dim]) -> Application:
         if not operands:
             raise PrimitiveError("Share requires at least the shared dim")
         self._check_operands(graph, operands, len(operands))
@@ -274,16 +292,13 @@ class Share(Primitive):
             weight_dims.append(
                 Dim(size=dim.size, role=DimRole.WEIGHT, name=f"w_{dim.name}", identified_with=dim)
             )
-        app = Application(
+        return Application(
             primitive=self,
             consumed=tuple(matched),
             produced=(),
             weight_dims=tuple(weight_dims),
             matched=tuple(matched),
             weight_index=weight_index,
-        )
-        return graph.replace_dims(
-            tuple(matched), (), app, new_weight_dims=tuple(weight_dims), weight_index=weight_index
         )
 
 

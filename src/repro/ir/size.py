@@ -20,6 +20,10 @@ class SizeError(ValueError):
     """Raised for invalid symbolic size manipulations (e.g. inexact division)."""
 
 
+#: marks a variable that ``Size.evaluate``'s bindings leave unbound.
+_UNBOUND = object()
+
+
 def _power_order(item: tuple[Variable, int]) -> tuple[str, str]:
     return (item[0].kind.value, item[0].name)
 
@@ -28,6 +32,25 @@ def _normalize_powers(powers: Mapping[Variable, int]) -> tuple[tuple[Variable, i
     items = [(v, int(p)) for v, p in powers.items() if int(p) != 0]
     items.sort(key=_power_order)
     return tuple(items)
+
+
+def _integer_ratio(value) -> tuple[int, int]:
+    """A binding value as an exact integer ratio: an int as is, else as ``Fraction`` reads it."""
+    if type(value) is int:
+        return value, 1
+    exact = Fraction(value)
+    return int(exact.numerator), int(exact.denominator)
+
+
+def _same_variables(left: "Size", right: "Size") -> bool:
+    """Whether two equal sizes hold the very same variable objects.
+
+    Variables compare by name and kind only, so equal sizes can carry
+    variables with different defaults, which a product keeps.
+    """
+    return left is right or all(
+        mine is theirs for (mine, _), (theirs, _) in zip(left.powers, right.powers)
+    )
 
 
 def _combine_powers(
@@ -55,10 +78,11 @@ class Size:
     keys and compared structurally (two sizes are equal iff they have the same
     normalized factor and variable powers).
 
-    The hash and the repr are computed once and kept on the instance, since
-    enumeration hashes and prints the same sizes many times over.  Neither
-    is pickled: a ``str`` hash is salted per process, so a size loaded in
-    another process must hash afresh.
+    The hash, the repr, the primary variables and the results of ``*`` and
+    ``/`` are computed once and kept on the instance, since enumeration
+    hashes, prints and combines the same sizes many times over.  None of
+    them is pickled: a ``str`` hash is salted per process, so a size loaded
+    in another process must hash afresh.
     """
 
     factor: Fraction
@@ -67,6 +91,10 @@ class Size:
     # Per-instance caches (class-level defaults, not dataclass fields).
     _hash = None
     _repr = None
+    _primary = None
+    #: other size -> (that size, self * it); likewise for ``/``.
+    _products = None
+    _quotients = None
 
     # -- constructors ------------------------------------------------------
 
@@ -119,18 +147,26 @@ class Size:
     # -- algebra -----------------------------------------------------------
 
     def __mul__(self, other: "Size | Variable | int") -> "Size":
-        other = Size.of(other)
-        return Size._normalized(
-            self.factor * other.factor, _combine_powers(self.powers, other.powers, 1)
-        )
+        return self._combined("_products", Size.of(other), 1)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "Size | Variable | int") -> "Size":
-        other = Size.of(other)
-        return Size._normalized(
-            self.factor / other.factor, _combine_powers(self.powers, other.powers, -1)
-        )
+        return self._combined("_quotients", Size.of(other), -1)
+
+    def _combined(self, memo_name: str, other: "Size", sign: int) -> "Size":
+        """``self * other`` (sign 1) or ``self / other`` (sign -1), memoized on ``self``."""
+        memo = getattr(self, memo_name)
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, memo_name, memo)
+        known = memo.get(other)
+        if known is not None and _same_variables(known[0], other):
+            return known[1]
+        factor = self.factor * other.factor if sign == 1 else self.factor / other.factor
+        result = Size._normalized(factor, _combine_powers(self.powers, other.powers, sign))
+        memo[other] = (other, result)
+        return result
 
     def pow(self, exponent: int) -> "Size":
         powers = {var: power * exponent for var, power in self.powers}
@@ -152,7 +188,11 @@ class Size:
         return frozenset(var for var, _ in self.powers if var.kind is kind)
 
     def primary_variables(self) -> frozenset[Variable]:
-        return self.variables(VariableKind.PRIMARY)
+        cached = self._primary
+        if cached is None:
+            cached = self.variables(VariableKind.PRIMARY)
+            object.__setattr__(self, "_primary", cached)
+        return cached
 
     def coefficient_variables(self) -> frozenset[Variable]:
         return self.variables(VariableKind.COEFFICIENT)
@@ -208,23 +248,28 @@ class Size:
 
         Variables missing from ``bindings`` fall back to their declared
         default values.  Raises :class:`SizeError` if the result is not a
-        positive integer.
+        positive integer.  The value is kept as an integer numerator and
+        denominator; a ``Fraction`` is built only for the error text.
         """
-        bindings = dict(bindings or {})
-        value = Fraction(self.factor)
+        numerator = self.factor.numerator
+        denominator = self.factor.denominator
         for var, power in self.powers:
-            if var in bindings:
-                concrete = bindings[var]
-            elif var.default is not None:
+            concrete = bindings.get(var, _UNBOUND) if bindings else _UNBOUND
+            if concrete is _UNBOUND:
+                if var.default is None:
+                    raise SizeError(f"no binding for variable {var.name}")
                 concrete = var.default
-            else:
-                raise SizeError(f"no binding for variable {var.name}")
             if concrete <= 0:
                 raise SizeError(f"variable {var.name} bound to non-positive {concrete}")
-            value *= Fraction(concrete) ** power
-        if value.denominator != 1 or value <= 0:
+            top, bottom = _integer_ratio(concrete)
+            if power < 0:
+                top, bottom, power = bottom, top, -power
+            numerator *= top**power
+            denominator *= bottom**power
+        if numerator % denominator or numerator <= 0:
+            value = Fraction(numerator, denominator)
             raise SizeError(f"size {self} evaluates to non-integer {value}")
-        return int(value)
+        return numerator // denominator
 
     def evaluates_to_integer(self, bindings: Mapping[Variable, int] | None = None) -> bool:
         try:

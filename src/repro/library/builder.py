@@ -36,8 +36,12 @@ from repro.core.enumeration import EnumerationOptions, SynthesisStats, enumerate
 from repro.core.operator import OperatorSpec
 from repro.core.pgraph import PGraph, reserve_dim_uids
 from repro.core.shape_distance import within_reach
-from repro.ir.size import SizeError
-from repro.library.embeddings import FEATURE_NAMES, feature_vector, nearest_neighbours
+from repro.library.embeddings import (
+    FEATURE_NAMES,
+    feature_vector,
+    graph_costs,
+    nearest_neighbours,
+)
 from repro.library.store import (
     GraphLibrary,
     LibraryEntry,
@@ -100,13 +104,6 @@ def _highest_uid(graph: PGraph) -> int:
     return highest
 
 
-def _safe_costs(graph: PGraph, binding) -> tuple[int, int]:
-    try:
-        return graph.macs(binding), graph.parameter_count(binding)
-    except SizeError:
-        return 0, 0  # symbolic size under a partial binding
-
-
 def _expand_graph(
     options: EnumerationOptions, graph: PGraph
 ) -> tuple[str, list[_ChildRecord], SynthesisStats]:
@@ -114,6 +111,9 @@ def _expand_graph(
 
     Runs inside shard workers; everything returned is picklable and free of
     worker-local state (signatures and primitive descriptions are uid-free).
+    Each child's MACs and parameter count are computed once, for its record,
+    its budget check and its features.  Under a partial budget binding a
+    count that stays symbolic reads 0, so it passes the budget.
     """
     reserve_dim_uids(_highest_uid(graph))
     stats = SynthesisStats()
@@ -129,13 +129,13 @@ def _expand_graph(
             pruned_here += 1
             continue
         complete = child.is_complete and child.depth > 0
-        within = options.within_budgets(child) if complete else True
+        macs, params = graph_costs(child, binding)
+        within = options.within_budgets(child, costs=(macs, params)) if complete else True
         if complete:
             if within:
                 stats.completed += 1
             else:
                 stats.rejected_by_budget += 1
-        macs, params = _safe_costs(child, binding)
         expandable = not complete and child.depth < options.max_depth
         records.append(
             _ChildRecord(
@@ -145,7 +145,7 @@ def _expand_graph(
                 complete=complete and within,
                 macs=macs,
                 params=params,
-                features=feature_vector(child, binding),
+                features=feature_vector(child, binding, costs=(macs, params)),
                 graph=child if expandable else None,
             )
         )

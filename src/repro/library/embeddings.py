@@ -49,11 +49,39 @@ FEATURE_NAMES: tuple[str, ...] = (
 )
 
 
-def feature_vector(
+def graph_costs(
     graph: PGraph, binding: Mapping[Variable, int] | None = None
-) -> tuple[float, ...]:
-    """The structural embedding of one pGraph (see :data:`FEATURE_NAMES`)."""
+) -> tuple[int, int]:
+    """``graph``'s MACs and parameter count under ``binding``.
+
+    Either count reads 0 when a size it needs stays symbolic under a partial
+    binding.
+    """
     binding = binding or {}
+    try:
+        macs = graph.macs(binding)
+    except SizeError:
+        macs = 0
+    try:
+        params = graph.parameter_count(binding)
+    except SizeError:
+        params = 0
+    return macs, params
+
+
+def feature_vector(
+    graph: PGraph,
+    binding: Mapping[Variable, int] | None = None,
+    costs: tuple[int, int] | None = None,
+) -> tuple[float, ...]:
+    """The structural embedding of one pGraph (see :data:`FEATURE_NAMES`).
+
+    ``costs`` is :func:`graph_costs` for ``graph`` and ``binding``, for a
+    caller that already has it.  A symbolic MACs or parameter count counts
+    as 0, as a symbolic reduction extent counts as 1.
+    """
+    binding = binding or {}
+    macs, params = costs if costs is not None else graph_costs(graph, binding)
     reduction_dims = graph.reduction_dims
     reduction_extent = 1
     for dim in reduction_dims:
@@ -69,8 +97,8 @@ def feature_vector(
         float(len(reduction_dims)),
         math.log1p(float(reduction_extent)),
         float(len(graph.frontier)),
-        math.log1p(float(graph.macs(binding))),
-        math.log1p(float(graph.parameter_count(binding))),
+        math.log1p(float(macs)),
+        math.log1p(float(params)),
     )
 
 

@@ -198,7 +198,9 @@ class LibraryEntry:
     The signature is the bucket identity (every uid relabelling and commuting
     application order collapses to it); ``parent_signature``/``primitive``
     record the canonical edge the builder reached it through, which is how
-    warm-starting walks an entry back to its depth-1 root action.
+    warm-starting walks an entry back to its depth-1 root action.  Its
+    payload bytes are encoded once and kept on the (immutable) instance, since
+    every checkpoint, the content hash and the artifact all write them.
     """
 
     signature: str
@@ -214,21 +216,25 @@ class LibraryEntry:
 
     def to_payload(self) -> bytes:
         """Canonical JSON bytes (the unit the content hash is computed over)."""
-        return json.dumps(
-            {
-                "signature": self.signature,
-                "depth": self.depth,
-                "complete": self.complete,
-                "parent_signature": self.parent_signature,
-                "primitive": self.primitive,
-                "macs": self.macs,
-                "params": self.params,
-                "features": list(self.features),
-                "neighbours": list(self.neighbours),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode("utf-8")
+        payload = self.__dict__.get("_payload")
+        if payload is None:
+            payload = json.dumps(
+                {
+                    "signature": self.signature,
+                    "depth": self.depth,
+                    "complete": self.complete,
+                    "parent_signature": self.parent_signature,
+                    "primitive": self.primitive,
+                    "macs": self.macs,
+                    "params": self.params,
+                    "features": list(self.features),
+                    "neighbours": list(self.neighbours),
+                },
+                sort_keys=True,
+                separators=(",", ":"),
+            ).encode("utf-8")
+            object.__setattr__(self, "_payload", payload)
+        return payload
 
     @classmethod
     def from_payload(cls, payload: bytes) -> "LibraryEntry":

@@ -85,12 +85,12 @@ class KeyedCache:
         return key in self._data
 
     def __getstate__(self) -> dict:
-        # Caches cross the process boundary when a sharded map runs under a
-        # context other than the process default, which ships that context
-        # to its workers.  Only the lock needs special handling: entries
-        # ship as-is (pre-testing each one would pickle everything twice).
-        # A rare unpicklable entry fails the executor's payload guard, which
-        # degrades to the result-identical serial map.
+        # A cache pickles when something holding its runtime context does
+        # (a context is picklable); the sharded executor never pickles one,
+        # since its forked workers inherit their payloads.  Only the lock
+        # needs special handling: entries go as-is (pre-testing each one
+        # would pickle everything twice), so a rare unpicklable entry makes
+        # that pickling fail.
         return {
             "name": self.name,
             "stats": self.stats.snapshot(),

@@ -33,9 +33,11 @@ Worker processes are forked (never spawned), so they inherit the parent's
 warm caches for free.  The number of live workers is capped by
 ``os.cpu_count()``, floored at 2, so a requested shard count forks and is
 supervised even on a single-core machine; the cap changes scheduling only,
-and the *results* stay a pure function of the shard knob.  Any failure to
-fork or pickle falls back to the serial map, so callers never handle
-parallelism errors.
+and the *results* stay a pure function of the shard knob.  Workers inherit
+their payloads through the fork, so work items, ``fn`` and the shipped
+context are never pickled (a closure works); only results cross the pipe.
+A platform without fork, or a result that cannot be pickled, falls back to
+the serial map, so callers never handle parallelism errors.
 
 * **Supervision** — each shard runs in its own child process, tracked by pid
   over a result pipe with heartbeats.  A worker that dies (signal, nonzero
@@ -700,15 +702,13 @@ def sharded_map(
         (fn, [work[index] for index in partition], shipped) for partition in partitions
     ]
     try:
-        # Setup-only guard, as in parallel_map: prove one full payload (work
-        # items, fn and any shipped context) can cross the process boundary
-        # and that fork exists.  Every payload shares fn and the shipped
-        # context, and partition 0 holds work items, so one probe covers the
-        # lot.  Errors raised by ``fn`` during the map are genuine work
-        # failures and propagate first-class.
-        pickle.dumps(payloads[0])
+        # Setup-only guard: fork must exist.  Forked workers inherit their
+        # payloads (work items, fn and any shipped context), so nothing of it
+        # is pickled; only results cross the pipe, and an unpicklable result
+        # has its own rung.  Errors raised by ``fn`` during the map are
+        # genuine work failures and propagate first-class.
         multiprocessing.get_context("fork")
-    except Exception as exc:  # unpicklable payloads, missing fork, ...
+    except ValueError as exc:  # no fork on this platform
         log.warning("sharded execution unavailable (%s); falling back to serial", exc)
         return serial()
     outcomes, failures = _supervise_shards(payloads, runtime=runtime, workers=workers)

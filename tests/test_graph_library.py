@@ -8,7 +8,9 @@ knobs, and the `repro library` / `repro list --json` CLI surface.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import os
 import signal
 
@@ -33,6 +35,7 @@ from repro.library.embeddings import (
     nearest_neighbours,
 )
 from repro.library.specs import design_spaces, space_for
+from repro.library import store as store_module
 from repro.library.store import (
     GraphLibrary,
     checkpoint_filename,
@@ -94,6 +97,33 @@ class TestBuildDeterminism:
         with open(sharded.path, "rb") as handle:
             sharded_bytes = handle.read()
         assert serial_bytes == sharded_bytes
+
+    def test_build_under_a_partial_budget_binding_completes(self, tmp_path):
+        # Without a budget binding no MACs or parameter count can be
+        # evaluated: each reads 0, in the entries and in the features.
+        space = _gpt2_space()
+        options = dataclasses.replace(space.options, budget_binding=None)
+        result = build_library(
+            space.spec, options, name=space.name, runtime=_runtime(tmp_path), shards=1
+        )
+        entries = result.library.entries()
+        assert len(entries) == result.entries > 1 and result.complete > 0
+        assert all(entry.macs == entry.params == 0 for entry in entries)
+        assert all(math.isfinite(value) for entry in entries for value in entry.features)
+
+    def test_each_entry_is_encoded_once_per_build(self, tmp_path, monkeypatch):
+        encoded: list[str] = []
+        dumps = json.dumps
+
+        def counting_dumps(obj, *args, **kwargs):
+            if isinstance(obj, dict) and "neighbours" in obj:
+                encoded.append(obj["signature"])
+            return dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(store_module.json, "dumps", counting_dumps)
+        result = _build_gpt2(_runtime(tmp_path), shards=1)
+        # Complete entries are encoded again once they carry neighbours.
+        assert len(encoded) == result.entries + result.complete
 
     def test_matching_artifact_is_reused_and_force_rebuilds(self, tmp_path):
         runtime = _runtime(tmp_path)
@@ -262,6 +292,15 @@ class TestEmbeddings:
         features = feature_vector(root, space.binding)
         assert len(features) == len(FEATURE_NAMES)
         assert all(isinstance(value, float) for value in features)
+
+    def test_symbolic_costs_count_as_zero(self):
+        # The warm-start planner embeds the root the same way.
+        space = _gpt2_space()
+        root = PGraph.root(space.spec.output_shape, space.spec.input_shape)
+        costs = dict(zip(FEATURE_NAMES, feature_vector(root, {})))
+        assert costs["log_macs"] == costs["log_params"] == 0.0
+        bound = dict(zip(FEATURE_NAMES, feature_vector(root, space.binding)))
+        assert bound["log_macs"] > 0.0
 
     def test_distance_is_a_metric_on_identical_vectors(self):
         assert distance((1.0, 2.0), (1.0, 2.0)) == 0.0

@@ -9,8 +9,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.ir.shape import ShapeSpec
 from repro.ir.size import Size, SizeError
@@ -85,11 +86,12 @@ class TestCachedValues:
 
     def test_size_pickles_only_its_fields(self):
         size = Size.of(H) * W / S
-        hash(size), repr(size)
-        assert {"_hash", "_repr"} <= set(vars(size))
+        hash(size), repr(size), size.primary_variables(), size * S, size / W
+        assert {"_hash", "_repr", "_primary", "_products", "_quotients"} <= set(vars(size))
         loaded = pickle.loads(pickle.dumps(size))
         assert set(vars(loaded)) == {"factor", "powers"}
         assert loaded == size and hash(loaded) == hash(size) and repr(loaded) == repr(size)
+        assert pickle.dumps(size) == pickle.dumps(Size(size.factor, size.powers))
 
     def test_shape_spec_pickles_only_its_sizes(self):
         shape = ShapeSpec.of([H, Size.of(W) * S, 3])
@@ -195,3 +197,116 @@ def test_property_mul_div_roundtrip(a: int, b: int, c: int):
 @given(st.integers(min_value=1, max_value=1000))
 def test_property_constant_roundtrip(value: int):
     assert Size.of(value).evaluate({}) == value
+
+
+# ---------------------------------------------------------------------------
+# Integer evaluation and memoized products against a Fraction reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_evaluate(size: Size, bindings) -> int:
+    """``Size.evaluate`` computed over ``Fraction`` values."""
+    bindings = dict(bindings or {})
+    value = Fraction(size.factor)
+    for var, power in size.powers:
+        if var in bindings:
+            concrete = bindings[var]
+        elif var.default is not None:
+            concrete = var.default
+        else:
+            raise SizeError(f"no binding for variable {var.name}")
+        if concrete <= 0:
+            raise SizeError(f"variable {var.name} bound to non-positive {concrete}")
+        value *= Fraction(concrete) ** power
+    if value.denominator != 1 or value <= 0:
+        raise SizeError(f"size {size} evaluates to non-integer {value}")
+    return int(value)
+
+
+def _reference_combine(left: Size, right: Size, sign: int) -> Size:
+    """``left * right`` (sign 1) or ``left / right`` (sign -1), built from scratch."""
+    powers = dict(left.powers)
+    for var, power in right.powers:
+        powers[var] = powers.get(var, 0) + sign * power
+    factor = left.factor * right.factor if sign == 1 else left.factor / right.factor
+    return Size(factor, tuple(powers.items()))
+
+
+def _outcome(size: Size, bindings, evaluate) -> tuple:
+    try:
+        value = evaluate(size, bindings)
+    except SizeError as exc:
+        return ("error", str(exc))
+    return ("value", type(value), value)
+
+
+def _structure(size: Size) -> tuple:
+    """The factor and the very variable objects (defaults included) with their powers."""
+    return size.factor, [(id(var), power) for var, power in size.powers]
+
+
+_VARIABLES = st.tuples(
+    st.sampled_from("abc"),
+    st.sampled_from(list(VariableKind)),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
+)
+_BINDING_VALUES = st.one_of(
+    st.integers(min_value=-2, max_value=6),
+    st.integers(min_value=-2, max_value=6).map(np.int64),
+    st.sampled_from([0.5, 1.5, 2.0, 3.0, 0.0, -1.0]),
+)
+
+
+@st.composite
+def _sizes(draw, pool):
+    numerator = draw(st.integers(min_value=-2, max_value=12))
+    factor = Fraction(numerator, draw(st.integers(min_value=1, max_value=4)))
+    terms = draw(
+        st.lists(
+            st.tuples(st.sampled_from(pool), st.integers(min_value=-2, max_value=3)),
+            max_size=3,
+        )
+    )
+    return Size(factor, tuple(terms))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_property_integer_arithmetic_matches_a_fraction_reference(data):
+    """Values, ``SizeError`` texts and product variables equal the Fraction reference.
+
+    Variables of one name and kind may carry different defaults, so equal
+    sizes can differ in what they evaluate to; each operation runs twice so
+    the second pass is served from the product memos.
+    """
+    pool = [Variable(*spec) for spec in data.draw(st.lists(_VARIABLES, min_size=1, max_size=6))]
+    sizes = data.draw(st.lists(_sizes(pool), min_size=1, max_size=3))
+    # An equal twin of each size whose variables default to other values.
+    sizes += [
+        Size(
+            size.factor,
+            tuple((Variable(var.name, var.kind, (var.default or 0) + 1), power)
+                  for var, power in size.powers),
+        )
+        for size in sizes
+    ]
+    bindings = data.draw(
+        st.one_of(st.none(), st.dictionaries(st.sampled_from(pool), _BINDING_VALUES, max_size=4))
+    )
+    for size in sizes:
+        assert _outcome(size, bindings, Size.evaluate) == _outcome(
+            size, bindings, _reference_evaluate
+        )
+    for _ in range(2):
+        for left in sizes:
+            for right in sizes:
+                results = [(1, left * right)]
+                if right.factor != 0:
+                    results.append((-1, left / right))
+                for sign, result in results:
+                    expected = _reference_combine(left, right, sign)
+                    assert result == expected
+                    assert _structure(result) == _structure(expected)
+                    assert _outcome(result, bindings, Size.evaluate) == _outcome(
+                        expected, bindings, _reference_evaluate
+                    )

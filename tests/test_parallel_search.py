@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import os
 from pathlib import Path
 
 import pytest
@@ -83,9 +84,14 @@ class TestShardedMap:
         assert sharded_map(_double, [1, 2], shards=1) == [2, 4]
         assert sharded_map(_double, [1, 2], shards=4, max_workers=1) == [2, 4]
 
-    def test_unpicklable_work_falls_back_to_serial(self):
+    def test_unpicklable_work_runs_in_forked_workers(self):
+        # A closure cannot be pickled, but forked workers inherit it.
         local = 10
-        assert sharded_map(lambda x: x + local, [1, 2, 3], shards=2, max_workers=2) == [11, 12, 13]
+        results = sharded_map(
+            lambda x: (x + local, os.getpid()), [1, 2, 3], shards=2, max_workers=2
+        )
+        assert [value for value, _ in results] == [11, 12, 13]
+        assert all(pid != os.getpid() for _, pid in results)
 
     def test_unpicklable_results_fall_back_to_serial(self):
         results = sharded_map(_make_closure, [1, 2, 3], shards=2, max_workers=2)
