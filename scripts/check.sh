@@ -67,6 +67,30 @@ ls "$RESULTS_DIR"/runs/*/record.json > /dev/null || {
 }
 echo "OK: result artifacts present"
 
+echo "== process fan-out: --processes 2 must reproduce the serial record =="
+# --processes sizes candidate evaluation's fan-out through the same sharded
+# executor, and the count stays out of the fingerprint, so the record must
+# carry the serial run's identity.  It gets its own results dir: the
+# concurrency leg below reads exactly one figure5 record from
+# $RESULTS_DIR/runs.
+PROCESSES_DIR="$RESULTS_DIR/processes"
+python -m repro.cli run figure5 --smoke --processes 2 --no-cache-persist \
+  --results-dir "$PROCESSES_DIR" > /dev/null
+python - "$RESULTS_DIR" "$PROCESSES_DIR" <<'PY'
+import json, sys
+from pathlib import Path
+
+def fingerprint(root):
+    (record,) = [
+        json.loads(path.read_text()) for path in sorted(Path(root).glob("runs/*/record.json"))
+    ]
+    return record["fingerprint"]
+
+serial, forked = fingerprint(sys.argv[1]), fingerprint(sys.argv[2])
+assert forked == serial, f"--processes 2 fingerprint {forked} != serial {serial}"
+print(f"OK: --processes 2 record matches the serial fingerprint {serial}")
+PY
+
 echo "== concurrency stress: two parallel runs race one shared store =="
 # Two `repro run`s into one results dir, concurrently.  Both must complete,
 # both must publish their cache delta into the shared store (the pre-store

@@ -427,39 +427,49 @@ def _store(args: argparse.Namespace) -> ArtifactStore:
 # ---------------------------------------------------------------------------
 
 
+def _load_snapshot(runtime: RuntimeContext, store: ArtifactStore) -> bool:
+    """Load the store's cache snapshot; False if a held lock refuses the command."""
+    status = runtime.load_caches(str(store.cache_path))
+    if status.status == "locked":
+        # Refusing up front beats running: the save at the end would hit the
+        # same held lock and this command's work would never be shared.
+        _print_lock_advice(status.error, store.cache_path)
+        return False
+    if status.status == "loaded" and any(status.entries.values()):
+        print(f"cache snapshot {status.summary()}")
+    elif not status.ok:
+        # Version mismatch or corruption: the command proceeds cold, but say
+        # so instead of silently retraining everything.
+        print(f"cache snapshot {status.summary()}", file=sys.stderr)
+    return True
+
+
+def _save_snapshot(runtime: RuntimeContext, store: ArtifactStore) -> None:
+    """Publish the context's caches to the store's snapshot and report how."""
+    status = runtime.save_caches(str(store.cache_path))
+    if status.status in ("saved", "merged"):
+        # `merged` means other processes' entries were already in the shared
+        # store and our delta joined them; the summary carries the
+        # merged-entry counts and any lock wait.
+        print(f"cache snapshot saved to {store.cache_path}: {status.summary()}")
+    else:
+        # Caches disabled, the store lock timed out, or the write failed —
+        # the status (and the log) carry the details; don't claim success.
+        print(f"cache snapshot not written ({status.summary()})")
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     runtime = _command_runtime(args)
     store = runtime.store
     config = config_from_args(args)
     persist = not args.no_cache_persist
 
-    if persist:
-        status = runtime.load_caches(str(store.cache_path))
-        if status.status == "locked":
-            # Refusing up front beats running: the save at the end would hit
-            # the same held lock and this run's work would never be shared.
-            _print_lock_advice(status.error, store.cache_path)
-            return EXIT_STORE_LOCKED
-        if status.status == "loaded" and any(status.entries.values()):
-            print(f"cache snapshot {status.summary()}")
-        elif not status.ok:
-            # Version mismatch or corruption: the run proceeds cold, but say
-            # so instead of silently retraining everything.
-            print(f"cache snapshot {status.summary()}", file=sys.stderr)
+    if persist and not _load_snapshot(runtime, store):
+        return EXIT_STORE_LOCKED
 
-    def _save_snapshot() -> None:
-        if not persist:
-            return
-        status = runtime.save_caches(str(store.cache_path))
-        if status.status in ("saved", "merged"):
-            # `merged` means other processes' entries were already in the
-            # shared store and our delta joined them; the summary carries the
-            # merged-entry counts and any lock wait.
-            print(f"cache snapshot saved to {store.cache_path}: {status.summary()}")
-        else:
-            # Caches disabled, the store lock timed out, or the write failed —
-            # the status (and the log) carry the details; don't claim success.
-            print(f"cache snapshot not written ({status.summary()})")
+    def save() -> None:
+        if persist:
+            _save_snapshot(runtime, store)
 
     try:
         with runtime.activate():
@@ -471,7 +481,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         # it mid-critical-section and strand the shared store lock for every
         # other process.
         with _deferred_interrupts():
-            _save_snapshot()
+            save()
         print(
             f"\ninterrupted — rerun `repro run {args.experiment}` to resume "
             "from the persisted caches",
@@ -484,7 +494,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         _print_lock_advice(str(exc), store.cache_path)
         return EXIT_STORE_LOCKED
     except Exception as exc:
-        _save_snapshot()
+        save()
         log.debug("experiment %s failed", args.experiment, exc_info=True)
         if getattr(args, "debug", False):
             raise
@@ -505,7 +515,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     print("cache activity:", _format_cache_delta(record.cache_stats))
     _print_shard_failures(record)
     print(f"record stored in {store.run_dir(record.run_id)}")
-    _save_snapshot()
+    save()
     return 0
 
 
@@ -606,15 +616,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     store = runtime.store
     persist = not args.no_cache_persist
 
-    if persist:
-        status = runtime.load_caches(str(store.cache_path))
-        if status.status == "locked":
-            _print_lock_advice(status.error, store.cache_path)
-            return EXIT_STORE_LOCKED
-        if status.status == "loaded" and any(status.entries.values()):
-            print(f"cache snapshot {status.summary()}")
-        elif not status.ok:
-            print(f"cache snapshot {status.summary()}", file=sys.stderr)
+    if persist and not _load_snapshot(runtime, store):
+        return EXIT_STORE_LOCKED
 
     server = SearchServer(runtime, window_seconds=max(args.window_ms, 0.0) / 1000.0)
 
@@ -641,11 +644,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             Path(args.socket).unlink(missing_ok=True)
         if persist:
             with _deferred_interrupts():
-                status = runtime.save_caches(str(store.cache_path))
-            if status.status in ("saved", "merged"):
-                print(f"cache snapshot saved to {store.cache_path}: {status.summary()}")
-            else:
-                print(f"cache snapshot not written ({status.summary()})")
+                _save_snapshot(runtime, store)
 
     summary = server.status()
     requests = summary["requests"]

@@ -94,10 +94,10 @@ def evaluate_model(
 
     The evaluation runs under ``runtime``, activated once here (``None``:
     the ambient context).  The per-candidate tuning fans out through
-    :func:`repro.search.parallel.fan_out`: over the context's shards,
-    merging their compile-cache entries back, or else over its
-    ``eval_processes`` (the cache-discarding parallel map); the serial
-    default warms the context's compile cache directly.
+    :func:`repro.search.parallel.fan_out`, over the context's shards or
+    else its ``eval_processes``; the workers' compile and lowering entries
+    merge back into the context, so the context ends as warm as a serial
+    run leaves it.
     """
     with runtime.activate() if runtime is not None else contextlib.nullcontext():
         baseline_evaluator = LatencyEvaluator(slots=slots, backend=backend, target=target, batch=batch)
@@ -121,7 +121,7 @@ def _candidate_latency_ms(
     batch: int,
     candidate: Candidate,
 ) -> float:
-    """Module-level worker so the parallel map can pickle it under fork."""
+    """Latency of one candidate substitution, in milliseconds."""
     evaluator = LatencyEvaluator(
         slots=slots,
         backend=backend,

@@ -74,10 +74,11 @@ class ExperimentConfig:
     #: worker processes for candidate evaluation (``RuntimeConfig.eval_processes``).
     processes: int | None = None
     #: worker shards for sharded search execution (``RuntimeConfig.shards``).
-    #: Results are bit-identical at any shard count, so the runner excludes
-    #: this field from the *fingerprinted* config — a sharded run and its
-    #: serial sibling must agree on the fingerprint.  ``repro report`` reads
-    #: the shard count from the record's captured environment instead.
+    #: Results are bit-identical at any shard or process count, so the
+    #: runner excludes this field and ``processes`` from the *fingerprinted*
+    #: config — a parallel run and its serial sibling must agree on the
+    #: fingerprint.  ``repro report`` reads both counts from the record's
+    #: captured environment instead.
     shards: int | None = None
     #: random seed passed to experiments that accept one; None → their default.
     seed: int | None = None
@@ -435,12 +436,14 @@ def run_experiment(
     applied_config = config.to_dict()
     if "seed" in dropped:
         applied_config["seed"] = None
-    # The shard count never changes results (that's the sharded executor's
-    # guarantee), so it must not change the fingerprint either — `repro run
-    # --shards 4` and the serial run produce the same record identity.  The
-    # count itself is still recorded: the resolved config lands in the
-    # record's environment, which is where `repro report` reads it from.
+    # Shard and process counts never change results (that's the sharded
+    # executor's guarantee), so they must not change the fingerprint either —
+    # `repro run --shards 4` or `--processes 2` and the serial run produce
+    # the same record identity.  The counts themselves are still recorded:
+    # the resolved config lands in the record's environment, which is where
+    # `repro report` reads them from.
     applied_config["shards"] = None
+    applied_config["processes"] = None
     applied_config["options"] = {
         key: value for key, value in applied_config["options"].items() if key not in dropped
     }

@@ -3,7 +3,10 @@
 A :class:`CacheSet` bundles the seven evaluation caches — reward, compile,
 baseline, plan, lowering, shape_distance and children.  Each
 :class:`~repro.runtime.context.RuntimeContext` owns one, so two contexts in one
-process have fully isolated caches.
+process have fully isolated caches.  A cache set never crosses a process
+boundary whole: forked shard workers inherit their copy, and only the
+entries a worker adds come back (:meth:`CacheSet.export_delta` /
+:meth:`CacheSet.merge_delta`).
 
 Snapshot persistence (:meth:`CacheSet.save_snapshot` /
 :meth:`CacheSet.load_snapshot`) returns a structured :class:`SnapshotStatus`
@@ -83,25 +86,6 @@ class KeyedCache:
 
     def __contains__(self, key: Hashable) -> bool:
         return key in self._data
-
-    def __getstate__(self) -> dict:
-        # A cache pickles when something holding its runtime context does
-        # (a context is picklable); the sharded executor never pickles one,
-        # since its forked workers inherit their payloads.  Only the lock
-        # needs special handling: entries go as-is (pre-testing each one
-        # would pickle everything twice), so a rare unpicklable entry makes
-        # that pickling fail.
-        return {
-            "name": self.name,
-            "stats": self.stats.snapshot(),
-            "data": self.export_entries(),
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.name = state["name"]
-        self.stats = state["stats"]
-        self._data = dict(state["data"])
-        self._lock = threading.Lock()
 
     def lookup(self, key: Hashable) -> tuple[bool, object]:
         """``(found, value)`` for ``key``, updating the hit/miss counters."""
@@ -273,7 +257,7 @@ class CacheSet:
     shapes' size tuples) and ``children`` (MCTS's legal children of one
     pGraph in one search space) are memory-only *and* process-local: they
     are never shard-merged, so the frontiers shard workers visit stay out of
-    the parent's memory, and they are shipped empty when the set is pickled.
+    the parent's memory.
     """
 
     def __init__(self) -> None:
@@ -287,18 +271,6 @@ class CacheSet:
         #: status of the most recent snapshot load/save through this set.
         self.last_load: SnapshotStatus | None = None
         self.last_save: SnapshotStatus | None = None
-
-    def __getstate__(self) -> dict:
-        # The last_* statuses are process-local diagnostics, and so are the
-        # shape-distance and children memos (pickling them would copy every
-        # frontier the process has seen into each shard payload); don't ship
-        # them.
-        state = dict(self.__dict__)
-        state["last_load"] = None
-        state["last_save"] = None
-        state["shape_distance"] = KeyedCache("shape_distance")
-        state["children"] = KeyedCache("children")
-        return state
 
     # -- views ---------------------------------------------------------------
 

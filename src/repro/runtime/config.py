@@ -104,7 +104,8 @@ class RuntimeConfig:
     #: whether the reward/baseline/compile/plan/lowering caches and the
     #: shape-distance and MCTS children memos are active.
     eval_cache: bool = _knob(True, "REPRO_EVAL_CACHE", _flag)
-    #: worker processes for the legacy candidate-evaluation fan-out.
+    #: worker processes for candidate evaluation when ``shards`` is 1 (the
+    #: same sharded executor; ``shards`` wins when both are above 1).
     eval_processes: int = _knob(1, "REPRO_EVAL_PROCESSES", _at_least(int, 1), _INTEGER)
     #: worker shards for MCTS reward waves and every other sharded map
     #: (1 = serial, in process).

@@ -27,10 +27,11 @@ one way to choose a context.
   Changing a ``REPRO_*`` variable afterwards does not steer the running
   process; derive and activate a context instead.
 
-Contexts are picklable (config + caches; the store and RNG are recreated
-lazily), which is how the sharded executor boots a worker: the context is
-shipped into the forked process, activated there, and its cache deltas are
-merged back into the parent — replacing the old implicit env inheritance.
+A context never crosses a process boundary.  The sharded executor forks its
+workers, and each activates a context with the caller's config and its
+fork-copied caches; only the cache entries a worker adds come back, merged
+into the parent's caches.  A context pickled by mistake fails loudly
+(``TypeError``: its caches hold locks).
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ class RuntimeContext:
         #: -> Mapping[signature, reward]``, called under the searching
         #: context.  When set, MCTS hands each frontier wave to it instead of
         #: mapping the wave through ``sharded_map`` itself, which is how
-        #: concurrent searches coalesce their waves.  Deliberately not
-        #: pickled: a shard worker must never recurse into the parent's
+        #: concurrent searches coalesce their waves.  Shard workers run
+        #: without it: a worker must never recurse into the parent's
         #: coalescer.
         self.wave_evaluator: Callable | None = None
         #: how many contexts :meth:`derive` has produced from this one — the
@@ -83,24 +84,6 @@ class RuntimeContext:
         self.derived_count = 0
         self._derived_ids = itertools.count(1)
         self._store = store
-        self._shared_store = None
-        self._rng = None
-        self._param_rng = None
-
-    def __getstate__(self) -> dict:
-        # The store and RNGs are recreated lazily on the other side; config and
-        # caches are the identity of the context.  Failure diagnostics are
-        # parent-side observations and stay behind.
-        return {"config": self.config, "caches": self.caches}
-
-    def __setstate__(self, state: dict) -> None:
-        self.config = state["config"]
-        self.caches = state["caches"]
-        self.shard_failures = []
-        self.wave_evaluator = None
-        self.derived_count = 0
-        self._derived_ids = itertools.count(1)
-        self._store = None
         self._shared_store = None
         self._rng = None
         self._param_rng = None

@@ -7,7 +7,7 @@ the surviving candidates' end-to-end latency with the simulated tensor
 compiler on each hardware target.
 """
 
-from repro.search.parallel import parallel_map, sharded_map
+from repro.search.parallel import sharded_map
 from repro.search.substitution import SynthesizedConv2d, SynthesizedLinear, synthesized_conv_factory
 from repro.search.extraction import extract_conv_slots, conv_spec_from_slots, VISION_COEFFICIENTS
 from repro.search.evaluator import AccuracyEvaluator, LatencyEvaluator, EvaluationSettings
@@ -26,6 +26,5 @@ __all__ = [
     "SearchSession",
     "SearchConfig",
     "CandidateResult",
-    "parallel_map",
     "sharded_map",
 ]

@@ -18,10 +18,8 @@ worker processes:
   reproducible down to cache-iteration order.
 * **Context bootstrap** — each worker runs under the caller's ambient
   :class:`~repro.runtime.RuntimeContext` (:func:`repro.runtime.current`):
-  the process-default context is inherited through fork, while any other
-  context is shipped into the worker and activated there (the worker-side
-  process edge), replacing the old implicit environment-variable
-  inheritance.
+  it activates a context with the caller's config and its fork-copied
+  caches, without the parent's serving hook or failure diagnostics.
 * **Serial equivalence** — with ``shards <= 1``, a single item, or an
   explicit ``max_workers=1``, the map degrades to the plain in-process loop.
   Results are bit-identical either way: work items must not depend on
@@ -34,9 +32,9 @@ warm caches for free.  The number of live workers is capped by
 ``os.cpu_count()``, floored at 2, so a requested shard count forks and is
 supervised even on a single-core machine; the cap changes scheduling only,
 and the *results* stay a pure function of the shard knob.  Workers inherit
-their payloads through the fork, so work items, ``fn`` and the shipped
-context are never pickled (a closure works); only results cross the pipe.
-A platform without fork, or a result that cannot be pickled, falls back to
+``fn``, their work items and the caller's context through the fork, so none
+of them is pickled (a closure works); only results cross the pipe.  A
+platform without fork, or a result that cannot be pickled, falls back to
 the serial map, so callers never handle parallelism errors.
 
 * **Supervision** — each shard runs in its own child process, tracked by pid
@@ -55,7 +53,7 @@ the serial map, so callers never handle parallelism errors.
 Every MCTS reward wave goes through :func:`sharded_map` too
 (:meth:`repro.core.mcts.MCTS.run`), in process at one shard.
 :func:`fan_out` is the candidate-evaluation entry point: :func:`sharded_map`
-when the context shards, else the older :func:`parallel_map`.
+at the context's ``shards``, or at its ``eval_processes`` when unsharded.
 """
 
 from __future__ import annotations
@@ -64,14 +62,13 @@ import logging
 import multiprocessing
 import multiprocessing.connection
 import os
-import pickle
 import signal as _signal
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from repro.runtime import RuntimeContext, current, default_context
+from repro.runtime import RuntimeContext, current
 from repro.runtime.faults import (
     SITE_ITEM_EVAL,
     SITE_SHARD_ENTRY,
@@ -84,17 +81,6 @@ log = logging.getLogger(__name__)
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-
-class _InheritDefaultCaches:
-    """Pickle-by-reference marker: "use the worker's inherited default caches".
-
-    A context *derived* from the default one (same cache set, different
-    config — what the experiment runner builds per run) must not ship a copy
-    of the whole warm cache set to every worker: the fork already carried it.
-    The class object itself is used as the marker because classes pickle by
-    qualified name, so identity survives the process boundary.
-    """
 
 
 @dataclass
@@ -115,59 +101,33 @@ def shard_partition(count: int, shards: int) -> list[list[int]]:
     return [list(range(shard, count, shards)) for shard in range(shards)]
 
 
-def _ship_context(runtime: RuntimeContext) -> RuntimeContext | None:
-    """What to put in a worker payload so the worker runs under ``runtime``.
-
-    * the process-default context → ``None`` (forked workers inherit it);
-    * derived from the default (shared caches, own config) → a context whose
-      caches slot is the :class:`_InheritDefaultCaches` marker, so only the
-      config crosses the pipe;
-    * any other context → the context itself (config + caches; cache
-      entries are filtered best-effort during pickling).
-    """
-    if runtime is default_context():
-        return None
-    if runtime.caches is default_context().caches:
-        marker = RuntimeContext(runtime.config, caches=_InheritDefaultCaches)  # type: ignore[arg-type]
-        return marker
-    return runtime
-
-
-def _worker_context(shipped: RuntimeContext | None) -> RuntimeContext:
-    """Rebuild the worker-side context from a shipped payload (process edge)."""
-    if shipped is None:
-        return default_context()
-    if shipped.caches is _InheritDefaultCaches:
-        return RuntimeContext(shipped.config, caches=default_context().caches)
-    return shipped
-
-
-def _run_shard(
-    payload: tuple[Callable, list, RuntimeContext | None],
-    progress: Callable[[int], None] | None = None,
+def _run_partition(
+    fn: Callable,
+    items: Sequence,
+    runtime: RuntimeContext,
+    heartbeat: Callable[[int], None] | None = None,
 ) -> ShardOutcome:
-    """Worker body: run one shard's items under the caller's context.
+    """Run one partition's items under ``runtime``; export the entries they add.
 
-    The worker forked with a copy of the parent's caches, so only entries
-    *added* while running this shard are exported — re-shipping the inherited
-    ones would be wasted pickling (the parent's merge skips present keys
-    anyway).  ``progress`` (supervised workers: the heartbeat sender) is
-    called with the count of completed items after each one.
+    Only *added* entries are exported: a forked worker already holds the
+    parent's, whose merge skips present keys anyway.  ``heartbeat`` (called
+    with the count of completed items) is given only inside a forked worker,
+    and only there do the fault sites fire — so the parent's serial fallback,
+    the floor of the degradation ladder, always completes.
     """
-    fn, items, shipped = payload
-    runtime = _worker_context(shipped)
+    in_worker = heartbeat is not None
     with runtime.activate():
-        inject(SITE_SHARD_ENTRY)
+        if in_worker:
+            inject(SITE_SHARD_ENTRY)
         before = runtime.caches.key_snapshots()
         results = []
         for done, item in enumerate(items, start=1):
-            inject(SITE_ITEM_EVAL)
+            if in_worker:
+                inject(SITE_ITEM_EVAL)
             results.append(fn(item))
-            if progress is not None:
-                progress(done)
-        entries: dict[str, dict] = {}
-        if runtime.config.eval_cache:
-            entries = runtime.caches.export_delta(before)
+            if in_worker:
+                heartbeat(done)
+        entries = runtime.caches.export_delta(before) if runtime.config.eval_cache else {}
     return ShardOutcome(results=results, cache_entries=entries)
 
 
@@ -209,16 +169,7 @@ class ShardFailure:
     elapsed: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "shard": self.shard,
-            "attempt": self.attempt,
-            "kind": self.kind,
-            "detail": self.detail,
-            "pid": self.pid,
-            "exitcode": self.exitcode,
-            "signal": self.signal,
-            "elapsed": self.elapsed,
-        }
+        return asdict(self)
 
     def describe(self) -> str:
         return (
@@ -234,8 +185,17 @@ def _signal_name(signum: int) -> str:
         return f"signal {signum}"
 
 
-def _supervised_worker(conn, payload, shard: int, attempt: int) -> None:
-    """Child body: hello → heartbeats → exactly one terminal message.
+def _supervised_worker(
+    conn, fn: Callable, items: list, runtime: RuntimeContext, shard: int, attempt: int
+) -> None:
+    """Child body: heartbeats, then exactly one terminal message.
+
+    ``fn``, ``items`` and the caller's context ``runtime`` arrive through the
+    fork, never pickled.  The items run under the caller's config and its
+    fork-copied caches, in a fresh context: it carries neither the parent's
+    failure diagnostics nor its serving hook
+    (:attr:`~repro.runtime.RuntimeContext.wave_evaluator`), so a worker
+    never recurses into the parent's coalescer.
 
     Terminal messages: ``result`` (the :class:`ShardOutcome`), ``fault``
     (an injected fault surfaced cooperatively), ``unpicklable-result`` (the
@@ -254,9 +214,9 @@ def _supervised_worker(conn, payload, shard: int, attempt: int) -> None:
             _quiet_send(conn, ("progress", done))
 
     try:
-        conn.send(("hello", os.getpid()))
         arm_worker(shard=shard, attempt=attempt)
-        outcome = _run_shard(payload, progress=heartbeat)
+        runtime = RuntimeContext(runtime.config, caches=runtime.caches)
+        outcome = _run_partition(fn, items, runtime, heartbeat=heartbeat)
         try:
             conn.send(("result", outcome))
         except Exception as exc:
@@ -288,39 +248,22 @@ def _quiet_send(conn, message) -> None:
 
 @dataclass
 class _ActiveShard:
-    """Parent-side tracking state of one live worker attempt."""
+    """Parent-side tracking state of one worker attempt."""
 
     shard: int
     attempt: int
-    process: multiprocessing.process.BaseProcess
-    conn: multiprocessing.connection.Connection
     started: float
+    process: multiprocessing.process.BaseProcess | None = None
+    conn: multiprocessing.connection.Connection | None = None
     pid: int | None = None
     items_done: int = 0
     last_heartbeat: float | None = None
 
 
-def _serial_shard(payload, runtime: RuntimeContext) -> ShardOutcome:
-    """The degradation ladder's floor: run one partition in-process.
-
-    ``runtime`` is the caller's ambient context.  No fault injection fires
-    here (the worker sites only arm inside forked children), so the fallback
-    always completes — which is what lets the executor guarantee a result
-    for every partition under any plan.
-    """
-    fn, items, _ = payload
-    before = runtime.caches.key_snapshots()
-    results = [fn(item) for item in items]
-    entries: dict[str, dict] = {}
-    if runtime.config.eval_cache:
-        entries = runtime.caches.export_delta(before)
-    return ShardOutcome(results=results, cache_entries=entries)
-
-
 def _supervise_shards(
-    payloads: list, runtime: RuntimeContext, workers: int
+    fn: Callable, partitions: list[list], runtime: RuntimeContext, workers: int
 ) -> tuple[list[ShardOutcome], list[ShardFailure]]:
-    """Run every shard payload under supervision; one outcome per payload.
+    """Run every partition under supervision; one outcome per partition.
 
     Dead, hung and crashing workers are retried (identical partition,
     exponential backoff) up to ``config.shard_retries`` times, then the
@@ -335,29 +278,35 @@ def _supervise_shards(
 
     outcomes: dict[int, ShardOutcome] = {}
     failures: list[ShardFailure] = []
-    attempts = dict.fromkeys(range(len(payloads)), 0)
+    attempts = dict.fromkeys(range(len(partitions)), 0)
     #: (ready_at, shard) attempts waiting to launch (retries carry backoff).
     runnable: list[tuple[float, int]] = []
     active: dict[int, _ActiveShard] = {}
 
-    for index, payload in enumerate(payloads):
-        if payload[1]:
-            runnable.append((0.0, index))
+    for shard, items in enumerate(partitions):
+        if items:
+            runnable.append((0.0, shard))
         else:
-            outcomes[index] = ShardOutcome()  # empty partition: nothing to fork
+            outcomes[shard] = ShardOutcome()  # empty partition: nothing to fork
 
     def fall_back(shard: int) -> None:
         log.warning(
             "shard %d: %d attempt(s) exhausted; running its partition serially "
             "in-process", shard, attempts[shard],
         )
-        outcomes[shard] = _serial_shard(payloads[shard], runtime)
+        outcomes[shard] = _run_partition(fn, partitions[shard], runtime)
 
-    def resolve_failure(failure: ShardFailure) -> None:
+    def fail(entry: _ActiveShard, kind: str, detail: str, **fields) -> None:
+        """Record one failed attempt, then retry its shard or fall back."""
+        failure = ShardFailure(
+            shard=entry.shard, attempt=entry.attempt, kind=kind, detail=detail,
+            pid=entry.pid, elapsed=round(time.monotonic() - entry.started, 3),
+            **fields,
+        )
         failures.append(failure)
         log.warning("%s", failure.describe())
-        shard = failure.shard
-        if failure.kind == "unpicklable-result":
+        shard = entry.shard
+        if kind == "unpicklable-result":
             # Retrying cannot make the result picklable; go straight to the
             # ladder's floor.
             fall_back(shard)
@@ -370,48 +319,37 @@ def _supervise_shards(
             )
             runnable.append((time.monotonic() + delay, shard))
 
-    def finish(entry: _ActiveShard) -> None:
+    def retire(entry: _ActiveShard, kill: bool = False) -> None:
+        """Stop tracking a live attempt: kill it if asked, join it, close its pipe."""
+        del active[entry.shard]
+        if kill:
+            entry.process.kill()
+        entry.process.join(_JOIN_GRACE_SECONDS)
         try:
             entry.conn.close()
         except OSError as exc:
             log.debug("supervisor pipe close failed: %s", exc)
-        entry.process.join(_JOIN_GRACE_SECONDS)
 
     def reap_death(entry: _ActiveShard) -> None:
         """Pipe EOF without a terminal message: the worker died."""
-        del active[entry.shard]
-        entry.process.join(_JOIN_GRACE_SECONDS)
-        try:
-            entry.conn.close()
-        except OSError as exc:
-            log.debug("supervisor pipe close failed: %s", exc)
-        elapsed = time.monotonic() - entry.started
+        retire(entry)
         code = entry.process.exitcode
         if code is not None and code < 0:
-            resolve_failure(ShardFailure(
-                shard=entry.shard, attempt=entry.attempt, kind="signal",
-                detail=f"worker pid {entry.pid} killed by {_signal_name(-code)}",
-                pid=entry.pid, signal=-code, elapsed=round(elapsed, 3),
-            ))
+            fail(
+                entry, "signal",
+                f"worker pid {entry.pid} killed by {_signal_name(-code)}",
+                signal=-code,
+            )
         else:
-            resolve_failure(ShardFailure(
-                shard=entry.shard, attempt=entry.attempt, kind="exit",
-                detail=(
-                    f"worker pid {entry.pid} exited with code {code} "
-                    "before reporting a result"
-                ),
-                pid=entry.pid, exitcode=code, elapsed=round(elapsed, 3),
-            ))
+            fail(
+                entry, "exit",
+                f"worker pid {entry.pid} exited with code {code} "
+                "before reporting a result",
+                exitcode=code,
+            )
 
     def reap_timeout(entry: _ActiveShard) -> None:
-        del active[entry.shard]
-        entry.process.kill()
-        entry.process.join(_JOIN_GRACE_SECONDS)
-        try:
-            entry.conn.close()
-        except OSError as exc:
-            log.debug("supervisor pipe close failed: %s", exc)
-        elapsed = time.monotonic() - entry.started
+        retire(entry, kill=True)
         if entry.last_heartbeat is None:
             beat = "no heartbeat received"
         else:
@@ -419,14 +357,12 @@ def _supervise_shards(
                 f"last heartbeat {time.monotonic() - entry.last_heartbeat:.1f}s "
                 f"ago, {entry.items_done} item(s) done"
             )
-        resolve_failure(ShardFailure(
-            shard=entry.shard, attempt=entry.attempt, kind="timeout",
-            detail=(
-                f"worker pid {entry.pid} exceeded the {timeout:.1f}s shard "
-                f"timeout and was killed ({beat})"
-            ),
-            pid=entry.pid, signal=int(_signal.SIGKILL), elapsed=round(elapsed, 3),
-        ))
+        fail(
+            entry, "timeout",
+            f"worker pid {entry.pid} exceeded the {timeout:.1f}s shard "
+            f"timeout and was killed ({beat})",
+            signal=int(_signal.SIGKILL),
+        )
 
     def drain(entry: _ActiveShard) -> None:
         """Consume every queued message from one ready pipe."""
@@ -440,40 +376,24 @@ def _supervise_shards(
                 reap_death(entry)
                 return
             tag = message[0]
-            if tag == "hello":
-                entry.pid = message[1]
-            elif tag == "progress":
+            if tag == "progress":
                 entry.items_done = message[1]
                 entry.last_heartbeat = time.monotonic()
-            elif tag == "result":
+                continue
+            retire(entry)  # every other message is the attempt's last
+            if tag == "result":
                 outcomes[entry.shard] = message[1]
-                del active[entry.shard]
-                finish(entry)
             elif tag == "fault":
-                del active[entry.shard]
-                finish(entry)
-                resolve_failure(ShardFailure(
-                    shard=entry.shard, attempt=entry.attempt, kind="fault",
-                    detail=f"worker pid {entry.pid} surfaced an injected fault: {message[1]}",
-                    pid=entry.pid,
-                    elapsed=round(time.monotonic() - entry.started, 3),
-                ))
+                fail(
+                    entry, "fault",
+                    f"worker pid {entry.pid} surfaced an injected fault: {message[1]}",
+                )
             elif tag == "unpicklable-result":
-                del active[entry.shard]
-                finish(entry)
-                resolve_failure(ShardFailure(
-                    shard=entry.shard, attempt=entry.attempt,
-                    kind="unpicklable-result",
-                    detail=(
-                        "worker result could not cross the process boundary: "
-                        f"{message[1]}"
-                    ),
-                    pid=entry.pid,
-                    elapsed=round(time.monotonic() - entry.started, 3),
-                ))
+                fail(
+                    entry, "unpicklable-result",
+                    f"worker result could not cross the process boundary: {message[1]}",
+                )
             else:  # "exception": a genuine fn failure — propagate first-class.
-                del active[entry.shard]
-                finish(entry)
                 exc, tb = message[1], message[2]
                 if exc is not None:
                     raise exc
@@ -482,7 +402,7 @@ def _supervise_shards(
                 )
 
     try:
-        while len(outcomes) < len(payloads):
+        while len(outcomes) < len(partitions):
             now = time.monotonic()
             for item in sorted(runnable):
                 if len(active) >= workers:
@@ -492,25 +412,23 @@ def _supervise_shards(
                     break  # sorted: everything later is also not due
                 runnable.remove(item)
                 attempts[shard] += 1
+                entry = _ActiveShard(
+                    shard=shard, attempt=attempts[shard], started=time.monotonic()
+                )
                 try:
-                    parent_conn, child_conn = mp.Pipe(duplex=False)
-                    process = mp.Process(
+                    entry.conn, child_conn = mp.Pipe(duplex=False)
+                    entry.process = mp.Process(
                         target=_supervised_worker,
-                        args=(child_conn, payloads[shard], shard, attempts[shard]),
+                        args=(child_conn, fn, partitions[shard], runtime, shard, entry.attempt),
                         daemon=True,
                     )
-                    process.start()
+                    entry.process.start()
                     child_conn.close()  # parent's copy; EOF now tracks the child
                 except OSError as exc:
-                    resolve_failure(ShardFailure(
-                        shard=shard, attempt=attempts[shard], kind="spawn-failed",
-                        detail=f"worker process failed to start: {exc}",
-                    ))
+                    fail(entry, "spawn-failed", f"worker process failed to start: {exc}")
                     continue
-                active[shard] = _ActiveShard(
-                    shard=shard, attempt=attempts[shard], process=process,
-                    conn=parent_conn, started=time.monotonic(), pid=process.pid,
-                )
+                entry.pid = entry.process.pid
+                active[shard] = entry
             if not active:
                 if runnable:
                     pause = min(ready_at for ready_at, _ in runnable) - time.monotonic()
@@ -538,30 +456,14 @@ def _supervise_shards(
                         reap_timeout(entry)
     except BaseException:
         # A genuine work exception (or an interrupt): take the remaining
-        # children down with us, exactly as the pool executor did.
+        # children down with us.
         for entry in list(active.values()):
             try:
-                entry.process.kill()
-                entry.process.join(_JOIN_GRACE_SECONDS)
-                entry.conn.close()
+                retire(entry, kill=True)
             except OSError as exc:
                 log.debug("supervisor cleanup failed for shard %d: %s", entry.shard, exc)
         raise
-    return [outcomes[index] for index in range(len(payloads))], failures
-
-
-def merge_shard_caches(outcomes: Sequence[ShardOutcome]) -> dict[str, int]:
-    """Merge worker cache deltas into the ambient context, in shard order.
-
-    Returns entries added per cache.  Already-present keys are kept (the
-    parent's value is at least as fresh), mirroring snapshot loading.
-    """
-    caches = current().caches
-    added: dict[str, int] = {}
-    for outcome in outcomes:
-        for name, count in caches.merge_delta(outcome.cache_entries).items():
-            added[name] = added.get(name, 0) + count
-    return added
+    return [outcomes[shard] for shard in range(len(partitions))], failures
 
 
 def _live_refresh(runtime: RuntimeContext) -> None:
@@ -613,41 +515,6 @@ def _live_publish(runtime: RuntimeContext, deltas: Sequence[dict]) -> None:
         log.warning("live cache publish skipped: %s", status.summary())
 
 
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    processes: int | None = None,
-) -> list[R]:
-    """``[fn(x) for x in items]``, fanned out over worker processes when asked.
-
-    The older, cache-discarding fan-out beside :func:`sharded_map`.
-    Parallelism is strictly opt-in: with ``processes`` (or the ambient
-    context's ``eval_processes``) at 1 the map runs serially in process,
-    which is also the only path that warms the context's caches.  Any failure
-    to fork or pickle falls back to the serial map so callers never have to
-    handle parallelism errors.
-    """
-    work: Sequence[T] = list(items)
-    count = processes if processes is not None else max(current().config.eval_processes, 1)
-    if count <= 1 or len(work) <= 1:
-        return [fn(item) for item in work]
-    try:
-        # Setup-only guard: prove the payload can cross the process boundary
-        # and that fork is available.  Failures here mean "parallelism is not
-        # possible", so falling back to serial is correct.  Errors raised by
-        # ``fn`` itself during the map are genuine work failures and
-        # propagate to the caller first-class.
-        pickle.dumps(fn)
-        pickle.dumps(work)
-        context = multiprocessing.get_context("fork")
-        pool = context.Pool(min(count, len(work)))
-    except Exception as exc:  # unpicklable payloads, missing fork, ...
-        log.warning("parallel evaluation unavailable (%s); falling back to serial", exc)
-        return [fn(item) for item in work]
-    with pool:
-        return pool.map(fn, work)
-
-
 def sharded_map(
     fn: Callable[[T], R],
     items: Iterable[T],
@@ -680,8 +547,6 @@ def sharded_map(
     runtime = current()
     count = shards if shards is not None else max(runtime.config.shards, 1)
     count = max(count, 1)
-    workers = max_workers if max_workers is not None else max(os.cpu_count() or 1, 2)
-    workers = min(count, max(workers, 1), len(work))
     live = runtime.config.cache_live_sync and runtime.config.eval_cache
     if live and work:
         _live_refresh(runtime)
@@ -689,36 +554,40 @@ def sharded_map(
     def serial() -> list[R]:
         if not live:
             return [fn(item) for item in work]
-        before = runtime.caches.key_snapshots()
-        results = [fn(item) for item in work]
-        _live_publish(runtime, [runtime.caches.export_delta(before)])
-        return results
+        outcome = _run_partition(fn, work, runtime)
+        _live_publish(runtime, [outcome.cache_entries])
+        return outcome.results
 
-    if count <= 1 or len(work) <= 1 or workers <= 1:
+    if count <= 1 or len(work) <= 1 or (max_workers is not None and max_workers <= 1):
         return serial()
+    workers = min(count, max_workers or max(os.cpu_count() or 1, 2), len(work))
     partitions = shard_partition(len(work), count)
-    shipped = _ship_context(runtime)
-    payloads = [
-        (fn, [work[index] for index in partition], shipped) for partition in partitions
-    ]
     try:
-        # Setup-only guard: fork must exist.  Forked workers inherit their
-        # payloads (work items, fn and any shipped context), so nothing of it
-        # is pickled; only results cross the pipe, and an unpicklable result
-        # has its own rung.  Errors raised by ``fn`` during the map are
-        # genuine work failures and propagate first-class.
+        # Setup-only guard: fork must exist.  Forked workers inherit ``fn``,
+        # their items and the caller's context, so none of them is pickled;
+        # only results cross the pipe, and an unpicklable result has its own
+        # rung.  Errors raised by ``fn`` during the map are genuine work
+        # failures and propagate first-class.
         multiprocessing.get_context("fork")
     except ValueError as exc:  # no fork on this platform
         log.warning("sharded execution unavailable (%s); falling back to serial", exc)
         return serial()
-    outcomes, failures = _supervise_shards(payloads, runtime=runtime, workers=workers)
+    outcomes, failures = _supervise_shards(
+        fn,
+        [[work[index] for index in partition] for partition in partitions],
+        runtime=runtime,
+        workers=workers,
+    )
     if failures:
         runtime.record_shard_failures(failures)
         log.warning(
             "sharded execution degraded (results unaffected): %s",
             "; ".join(failure.describe() for failure in failures),
         )
-    merged = merge_shard_caches(outcomes)
+    merged: dict[str, int] = {}
+    for outcome in outcomes:  # shard order
+        for name, added in runtime.caches.merge_delta(outcome.cache_entries).items():
+            merged[name] = merged.get(name, 0) + added
     if merged:
         log.info(
             "merged shard caches: %s",
@@ -734,20 +603,19 @@ def sharded_map(
 
 
 def fan_out(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-    """``[fn(x) for x in items]`` through the ambient context's configured fan-out.
+    """``[fn(x) for x in items]`` through :func:`sharded_map`, sized for candidate evaluation.
 
-    With ``RuntimeConfig.shards > 1`` the items go through :func:`sharded_map`
-    (worker caches merge back); otherwise through :func:`parallel_map` at
-    ``RuntimeConfig.eval_processes`` workers.  Sharding wins when both are
-    set, and the ignored process count is logged.
+    Maps over ``RuntimeConfig.shards`` workers when above 1, otherwise over
+    ``RuntimeConfig.eval_processes``.  Sharding wins when both are set, and
+    the ignored process count is logged.
     """
     config = current().config
     processes = max(config.eval_processes, 1)
-    if config.shards > 1:
-        if processes > 1:
-            log.warning(
-                "sharded execution (shards=%d) takes precedence: ignoring processes=%d",
-                config.shards, processes,
-            )
-        return sharded_map(fn, items)
-    return parallel_map(fn, items, processes=processes)
+    if config.shards <= 1:
+        return sharded_map(fn, items, shards=processes)
+    if processes > 1:
+        log.warning(
+            "sharded execution (shards=%d) takes precedence: ignoring processes=%d",
+            config.shards, processes,
+        )
+    return sharded_map(fn, items, shards=config.shards)

@@ -22,10 +22,9 @@ across its ``shards`` worker processes: MCTS reward waves and candidate
 latency evaluation go through :func:`repro.search.parallel.sharded_map`,
 with worker caches merged back deterministically — a sharded session's
 results are bit-identical to the serial ones.  Unsharded, candidate latency
-evaluation can fan out through the older ``eval_processes`` fan-out (which
-does not merge caches back); the experiment runner and CLI
-(:mod:`repro.experiments.runner`, :mod:`repro.cli`) persist the caches
-across processes.
+evaluation maps over ``eval_processes`` workers through the same executor;
+the experiment runner and CLI (:mod:`repro.experiments.runner`,
+:mod:`repro.cli`) persist the caches across processes.
 
 A session runs under the ambient :class:`repro.runtime.RuntimeContext`
 (:func:`repro.runtime.current`): ``with ctx.activate():`` scopes a whole
@@ -186,9 +185,9 @@ class SearchSession:
         """Latency-evaluate the accuracy-qualified samples.
 
         The per-candidate evaluation fans out through
-        :func:`repro.search.parallel.fan_out` under the session's context:
-        over its shards, merging their compile-cache entries back, or else
-        over its ``eval_processes``, whose workers' caches are discarded.
+        :func:`repro.search.parallel.fan_out` under the session's context,
+        over its shards or else its ``eval_processes``; the workers'
+        compile-cache entries merge back either way.
         """
         baseline = self.accuracy_evaluator.baseline_accuracy()
         qualified = [
@@ -196,8 +195,6 @@ class SearchSession:
             for record in samples
             if baseline - record.reward <= self.config.accuracy_margin
         ]
-        # ``partial`` keeps the session on the callable, so it crosses the
-        # process boundary once per worker chunk instead of once per record.
         worker = functools.partial(_evaluate_sample, self)
         results = fan_out(worker, qualified)
         results.sort(key=lambda result: min(result.latencies.values(), default=float("inf")))
@@ -246,5 +243,5 @@ class SearchSession:
 
 
 def _evaluate_sample(session: "SearchSession", record: SampleRecord) -> CandidateResult:
-    """Module-level worker so the parallel map can pickle it under fork."""
+    """Latency-evaluate one sample; forked workers inherit the session."""
     return session.evaluate_operator(record.operator, accuracy=record.reward)

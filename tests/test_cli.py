@@ -599,6 +599,28 @@ def test_cli_run_refuses_a_held_store_lock(tmp_path, capsys, monkeypatch, lock_h
     assert ArtifactStore(tmp_path).list_runs() == []  # nothing half-ran
 
 
+def test_cli_serve_refuses_a_held_store_lock(tmp_path, capsys, monkeypatch, lock_holder):
+    """`repro serve` loads the snapshot as `repro run` does: a held lock refuses it."""
+    import repro.serve
+    from repro.cli.main import EXIT_STORE_LOCKED
+
+    served = []
+    monkeypatch.setattr(repro.serve, "run_server", lambda *args, **kwargs: served.append(1))
+    monkeypatch.setenv("REPRO_CACHE_LOCK_TIMEOUT", "0.2")
+    store = ArtifactStore(tmp_path)
+    SharedCacheStore(store.cache_path).publish({"reward": {"warm": 1.0}})
+    lock_holder(str(store.cache_path) + ".lock")
+
+    exit_code = main(["serve", "--results-dir", str(tmp_path)])
+    assert exit_code == EXIT_STORE_LOCKED
+    assert served == []  # refused before it bound anything
+    captured = capsys.readouterr()
+    assert "run refused" in captured.err and "locked" in captured.err
+    assert "REPRO_CACHE_LOCK_TIMEOUT" in captured.err
+    assert "--no-cache-persist" in captured.err
+    assert "serving on" not in captured.out
+
+
 def test_cli_run_with_no_cache_persist_ignores_the_held_lock(
     tmp_path, monkeypatch, lock_holder
 ):

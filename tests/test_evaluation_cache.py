@@ -10,6 +10,7 @@ lowering memo with the cached ``PGraph.signature()`` it keys on.
 from __future__ import annotations
 
 import dataclasses
+import os
 import pickle
 
 import pytest
@@ -41,13 +42,14 @@ from repro.core.pgraph import PGraph
 from repro.core.primitives import Share
 from repro.experiments.common import evaluate_model, syno_candidates
 from repro.nn.models.common import ConvSlot
+from repro.nn.models.profiles import MODEL_PROFILES
 from repro.nn.models.resnet import resnet18
 from repro.ir.shape import ShapeSpec
 from repro.ir.size import SizeError
 from repro.runtime import KeyedCache, RuntimeConfig, RuntimeContext, current
 from repro.search import SearchConfig, SearchSession
 from repro.search.evaluator import AccuracyEvaluator, EvaluationSettings, LatencyEvaluator
-from repro.search.parallel import fan_out, parallel_map
+from repro.search.parallel import fan_out
 
 
 @pytest.fixture(autouse=True)
@@ -435,18 +437,6 @@ class TestFigure9LoweringNarrowing:
             self._run(monkeypatch, RuntimeError("lowering bug"))
 
 
-class TestParallelMap:
-    def test_serial_default(self):
-        assert parallel_map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
-
-    def test_parallel_processes(self):
-        assert parallel_map(_square, [1, 2, 3, 4], processes=2) == [1, 4, 9, 16]
-
-    def test_unpicklable_work_falls_back_to_serial(self):
-        local = 10
-        assert parallel_map(lambda x: x + local, [1, 2], processes=2) == [11, 12]
-
-
 class TestFanOut:
     def test_sharding_wins_over_processes_and_says_so(self, caplog):
         ctx = RuntimeContext(RuntimeConfig(shards=2, eval_processes=3))
@@ -459,6 +449,34 @@ class TestFanOut:
         with ctx.activate(), caplog.at_level("WARNING", logger="repro.search.parallel"):
             assert fan_out(_square, [1, 2, 3, 4]) == [1, 4, 9, 16]
         assert caplog.text == ""
+
+    def test_closures_run_in_the_process_workers(self):
+        """Unpicklable work still forks: workers inherit it instead of unpickling it."""
+        offset = 10
+        ctx = RuntimeContext(RuntimeConfig(eval_processes=2))
+        with ctx.activate():
+            results = fan_out(lambda x: (os.getpid(), x + offset), [1, 2, 3, 4])
+        assert [value for _, value in results] == [11, 12, 13, 14]
+        assert all(pid != os.getpid() for pid, _ in results)
+        assert ctx.shard_failures == []
+
+    def test_process_fan_out_of_evaluate_model_leaves_the_serial_warmth(self):
+        """``eval_processes`` maps through the sharded executor: workers' caches merge back."""
+        slots = MODEL_PROFILES["resnet18"][:4]
+        results, contexts = {}, {}
+        for processes in (1, 2):
+            contexts[processes] = RuntimeContext(RuntimeConfig(eval_processes=processes))
+            results[processes] = evaluate_model(
+                "resnet18", slots, TVMBackend(trials=8), MOBILE_CPU,
+                syno_candidates(), runtime=contexts[processes],
+            )
+        assert results[2] == results[1]
+        assert contexts[2].shard_failures == []
+        for name in ("compile", "lowering"):
+            serial = contexts[1].caches.mergeable()[name]
+            forked = contexts[2].caches.mergeable()[name]
+            assert len(serial) > 1
+            assert forked.key_snapshot() == serial.key_snapshot()
 
 
 def _square(x):

@@ -11,6 +11,7 @@ results (and experiment fingerprints) are bit-identical to the fault-free run.
 from __future__ import annotations
 
 import functools
+import json
 import os
 import signal
 import threading
@@ -52,6 +53,12 @@ def _fresh_state():
 
 def _double(x):
     return x * 2
+
+
+def _worker_context_probe(x):
+    """The worker's pid, and what its ambient context kept of the parent's."""
+    runtime = current()
+    return (os.getpid(), len(runtime.shard_failures), runtime.wave_evaluator is None)
 
 
 def _pid_probe(x):
@@ -196,6 +203,23 @@ class TestSupervisedExecution:
         failures = ctx.drain_shard_failures()
         assert [f.kind for f in failures] == ["exit"]
         assert failures[0].exitcode == 7
+
+    def test_failure_dicts_keep_the_record_keys_in_order(self):
+        """``record.environment["shard_failures"]`` stores these dicts as they are."""
+        ctx = current().derive(
+            fault_plan="exit:shard-entry:shard=0,attempt=1,exitcode=7"
+        )
+        with ctx.activate():
+            assert sharded_map(_double, [1, 2, 3, 4], shards=2) == [2, 4, 6, 8]
+        (failure,) = ctx.drain_shard_failures()
+        report = failure.to_dict()
+        assert list(report) == [
+            "shard", "attempt", "kind", "detail", "pid", "exitcode", "signal", "elapsed",
+        ]
+        assert report["shard"] == 0 and report["attempt"] == 1
+        assert report["kind"] == "exit" and report["exitcode"] == 7
+        assert report["pid"] not in (None, os.getpid())
+        assert json.loads(json.dumps(report)) == report
 
     def test_item_eval_fault_is_surfaced_cooperatively(self):
         ctx = current().derive(fault_plan="raise:item-eval:shard=0,attempt=1")
@@ -372,14 +396,15 @@ class TestKnobPlumbing:
         assert len(drained) == 1000 and drained[-1].detail == "f1199"
         assert ctx.drain_shard_failures() == []
 
-    def test_shard_failures_do_not_cross_the_fork_payload(self):
-        import pickle
-
+    def test_workers_start_without_the_parents_failures_or_serving_hook(self):
         from repro.search.parallel import ShardFailure
 
-        ctx = RuntimeContext(RuntimeConfig())
-        ctx.record_shard_failures(
-            [ShardFailure(shard=0, attempt=1, kind="exit", detail="x")]
-        )
-        clone = pickle.loads(pickle.dumps(ctx))
-        assert clone.shard_failures == []
+        ctx = RuntimeContext(RuntimeConfig(shards=2))
+        recorded = ShardFailure(shard=0, attempt=1, kind="exit", detail="x")
+        ctx.record_shard_failures([recorded])
+        ctx.wave_evaluator = lambda pending, reward_fn, cache_context: {}
+        with ctx.activate():
+            probes = sharded_map(_worker_context_probe, [1, 2, 3, 4], max_workers=2)
+        assert all(pid != os.getpid() for pid, _, _ in probes)  # really forked
+        assert [probe[1:] for probe in probes] == [(0, True)] * 4
+        assert ctx.shard_failures == [recorded]

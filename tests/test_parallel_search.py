@@ -277,6 +277,17 @@ class TestExperimentParity:
         assert sharded.record.environment["runtime"]["shards"] == 4
         assert sharded.record.environment["provenance"]["shards"] == "explicit"
 
+    def test_explicit_processes_config_shares_the_serial_fingerprint(self):
+        """`repro run figure5 --processes 2` keeps the serial record identity."""
+        serial = run_experiment("figure5", ExperimentConfig(smoke=True))
+        current().caches.clear()
+        forked = run_experiment("figure5", ExperimentConfig(smoke=True, processes=2))
+        assert forked.record.metrics == serial.record.metrics
+        assert forked.record.fingerprint() == serial.record.fingerprint()
+        assert forked.record.config["processes"] is None
+        assert forked.record.environment["runtime"]["eval_processes"] == 2
+        assert forked.record.environment["provenance"]["eval_processes"] == "explicit"
+
     def test_figure8_variants_identical_across_forked_workers(self):
         """Force real worker processes (even on one core) and compare."""
         from repro.compiler.targets import MOBILE_CPU

@@ -271,13 +271,6 @@ class TestActivation:
         assert str(derived.snapshot_path()).startswith(str(tmp_path / "b"))
         assert derived.caches is ctx.caches  # caches still shared
 
-    def test_context_pickles_without_store_and_lock_state(self):
-        ctx = RuntimeContext(RuntimeConfig(smoke=True))
-        ctx.caches.reward.put("k", 0.5)
-        clone = pickle.loads(pickle.dumps(ctx))
-        assert clone.config == ctx.config
-        assert clone.caches.reward.lookup("k") == (True, 0.5)
-
 
 # ---------------------------------------------------------------------------
 # Entry points: the only APIs that take a context argument
@@ -502,7 +495,7 @@ class TestActivatedEvaluator:
 
 
 def _context_cached_value(context_tag: str, value: int) -> float:
-    """Picklable shard worker that caches through the ambient context."""
+    """Shard worker that caches through the ambient context."""
     return current().cached_reward(context_tag, str(value), lambda: float(value * value))
 
 
@@ -528,16 +521,18 @@ class TestShardedContextBootstrap:
         # Derived contexts share the default cache set, so the merge lands there.
         assert len(current().caches.reward) == 5
 
-    def test_contexts_sharing_default_caches_ship_config_only(self):
-        """Payloads for CLI-style contexts must not pickle the warm cache set."""
-        from repro.search.parallel import _InheritDefaultCaches, _ship_context
-
-        assert _ship_context(default_context()) is None
-        edge = RuntimeContext(RuntimeConfig(shards=2), caches=default_context().caches)
-        shipped = _ship_context(edge)
-        assert shipped is not None and shipped.caches is _InheritDefaultCaches
-        isolated = RuntimeContext(RuntimeConfig(shards=2))
-        assert _ship_context(isolated) is isolated
+    def test_contexts_do_not_pickle_and_workers_still_run_under_them(self):
+        """Forked workers inherit the context, so pickling one is a mistake."""
+        ctx = RuntimeContext(RuntimeConfig(shards=2))
+        for owner in (ctx, ctx.caches):
+            with pytest.raises(TypeError, match="pickle"):
+                pickle.dumps(owner)
+        worker = functools.partial(_context_cached_value, "fork-test")
+        with ctx.activate():
+            results = sharded_map(worker, [1, 2, 3, 4], max_workers=2)
+        assert results == [1.0, 4.0, 9.0, 16.0]
+        assert ctx.shard_failures == []
+        assert len(ctx.caches.reward) == 4
 
 
 # ---------------------------------------------------------------------------
