@@ -16,7 +16,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.compiler import MOBILE_CPU, InductorBackend, TVMBackend
 from repro.nn.models.resnet import resnet18
-from repro.search import EvaluationSettings, SearchConfig, SearchSession
+from repro.search.evaluator import EvaluationSettings
+from repro.search.session import SearchConfig, SearchSession
 
 
 def main() -> None:

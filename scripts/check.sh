@@ -70,7 +70,9 @@ echo "OK: result artifacts present"
 echo "== process fan-out: --processes 2 must reproduce the serial record =="
 # --processes sizes candidate evaluation's fan-out through the same sharded
 # executor, and the count stays out of the fingerprint, so the record must
-# carry the serial run's identity.  It gets its own results dir: the
+# carry the serial run's identity.  Both runs start cold and the workers'
+# cache lookups are counted into the record, so its cache activity must
+# equal the serial run's too.  It gets its own results dir: the
 # concurrency leg below reads exactly one figure5 record from
 # $RESULTS_DIR/runs.
 PROCESSES_DIR="$RESULTS_DIR/processes"
@@ -80,15 +82,23 @@ python - "$RESULTS_DIR" "$PROCESSES_DIR" <<'PY'
 import json, sys
 from pathlib import Path
 
-def fingerprint(root):
+def record(root):
     (record,) = [
         json.loads(path.read_text()) for path in sorted(Path(root).glob("runs/*/record.json"))
     ]
-    return record["fingerprint"]
+    return record
 
-serial, forked = fingerprint(sys.argv[1]), fingerprint(sys.argv[2])
-assert forked == serial, f"--processes 2 fingerprint {forked} != serial {serial}"
-print(f"OK: --processes 2 record matches the serial fingerprint {serial}")
+serial, forked = record(sys.argv[1]), record(sys.argv[2])
+assert forked["fingerprint"] == serial["fingerprint"], (
+    f"--processes 2 fingerprint {forked['fingerprint']} != serial {serial['fingerprint']}"
+)
+assert forked["cache_stats"] == serial["cache_stats"], (
+    f"--processes 2 cache activity {forked['cache_stats']} != serial {serial['cache_stats']}"
+)
+print(
+    f"OK: --processes 2 record matches the serial fingerprint {serial['fingerprint']} "
+    "and cache activity"
+)
 PY
 
 echo "== concurrency stress: two parallel runs race one shared store =="

@@ -11,28 +11,6 @@
   other accuracy-for-latency trade in Figure 8);
 * :mod:`repro.baselines.alphanas` — an αNAS-style coarse-grained subgraph
   substituter, used for the FLOPs-reduction comparison of Section 9.2.
+
+Nothing is re-exported, so the NAS-PTE pGraphs load without numpy.
 """
-
-from repro.baselines.nas_pte import (
-    NAS_PTE_SEQUENCES,
-    build_bottleneck_conv,
-    build_group_bottleneck_conv,
-    build_grouped_conv,
-)
-from repro.baselines.stacked_conv import StackedConvolution, stacked_conv_program
-from repro.baselines.quantization import QuantizationResult, quantize_model, quantized_latency
-from repro.baselines.alphanas import AlphaNASResult, alphanas_substitution
-
-__all__ = [
-    "NAS_PTE_SEQUENCES",
-    "build_grouped_conv",
-    "build_bottleneck_conv",
-    "build_group_bottleneck_conv",
-    "StackedConvolution",
-    "stacked_conv_program",
-    "QuantizationResult",
-    "quantize_model",
-    "quantized_latency",
-    "AlphaNASResult",
-    "alphanas_substitution",
-]

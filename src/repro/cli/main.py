@@ -33,7 +33,6 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-from repro.analysis.rules import ALL_RULES
 from repro.experiments.runner import (
     ExperimentConfig,
     experiment_descriptions,
@@ -41,6 +40,7 @@ from repro.experiments.runner import (
     run_experiment,
 )
 from repro.results import ArtifactStore, ResultRecord
+from repro.results.store import append_bench_entry
 from repro.runtime import (
     ENV_KNOBS,
     CacheLockTimeout,
@@ -359,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         dest="rules",
         metavar="RULE_ID",
-        choices=sorted(cls.rule_id for cls in ALL_RULES),
         help="run only this rule (repeatable; default: every rule)",
     )
     lint.add_argument("--json", action="store_true", help="machine-readable findings")
@@ -698,31 +697,6 @@ def _bench_leg(
     }
 
 
-def _append_bench_record(path: Path, entry: dict, name: str | None = None) -> None:
-    """Append one entry to the machine-readable perf trajectory file."""
-    history: list = []
-    if path.exists():
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            if isinstance(payload, dict) and isinstance(payload.get("entries"), list):
-                history = payload["entries"]
-        except (OSError, ValueError) as exc:
-            log.warning("starting a fresh bench record (unreadable %s: %s)", path, exc)
-    history.append(entry)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # Atomic replace: a reader (or a crash) never sees a half-written
-    # trajectory file.
-    tmp_path = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    tmp_path.write_text(
-        json.dumps(
-            {"experiment": name or entry["experiment"], "entries": history}, indent=2
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-    os.replace(tmp_path, path)
-
-
 def _bench_one(experiment: str, config, repeats: int, no_compare: bool, dtype: str) -> dict:
     """Time one experiment's compiled (and optionally reference) legs."""
     print(f"benchmarking {experiment} (repeats={repeats}, compiled dtype={dtype}) ...")
@@ -763,134 +737,6 @@ def _bench_one(experiment: str, config, repeats: int, no_compare: bool, dtype: s
     }
 
 
-def _bench_serve(args: argparse.Namespace, store: ArtifactStore, config: ExperimentConfig) -> int:
-    """Benchmark the coalescing search service against serial parity runs.
-
-    Starts an in-process server on an ephemeral port, drives ``--clients``
-    concurrent ``search`` requests (distinct seeds) through real sockets,
-    then re-runs every request serially through the same runner and compares
-    fingerprints.  The serve leg goes first, from cold caches, so its waves
-    measure real coalescing; the serial legs then run warm — which *is* the
-    parity claim: a reward's value cannot depend on where or when it was
-    computed, only on its cache key.
-    """
-    from repro.serve import SearchServer, ServeClient, start_server_thread
-
-    clients = max(args.clients, 1)
-    base_seed = config.seed if config.seed is not None else current().config.seed
-    experiment = "search"
-
-    def _request_config(index: int) -> ExperimentConfig:
-        return ExperimentConfig(
-            smoke=config.smoke,
-            train_steps=config.train_steps,
-            seed=base_seed + index,
-            options=dict(config.options),
-        )
-
-    runtime = current()
-    runtime.caches.clear()
-    server = SearchServer(runtime)
-    server_thread, address = start_server_thread(server)
-    print(f"bench serve: {clients} client(s) against {address} running `{experiment}`")
-
-    results: list[dict | None] = [None] * clients
-    failures: list[tuple[int, Exception]] = []
-
-    def _drive(index: int) -> None:
-        try:
-            with ServeClient(port=server.port) as client:
-                results[index] = client.run(
-                    experiment, _request_config(index), request_id=f"client-{index}"
-                )
-        except Exception as exc:
-            failures.append((index, exc))
-            log.warning("bench serve client %d failed", index, exc_info=True)
-
-    start = time.perf_counter()
-    workers = [
-        threading.Thread(target=_drive, args=(index,), name=f"bench-client-{index}")
-        for index in range(clients)
-    ]
-    for worker in workers:
-        worker.start()
-    for worker in workers:
-        worker.join()
-    serve_seconds = round(time.perf_counter() - start, 3)
-    coalescer_stats = server.coalescer.stats()
-
-    server.request_shutdown()
-    server_thread.join(timeout=30.0)
-    if server_thread.is_alive():
-        print("FAIL: the server did not shut down cleanly", file=sys.stderr)
-        return 1
-    if failures:
-        for index, exc in failures:
-            print(f"client {index} failed: {exc}", file=sys.stderr)
-        return 1
-
-    mismatches: list[int] = []
-    serial_times: list[float] = []
-    serial_children: list[dict] = []
-    for index in range(clients):
-        leg_start = time.perf_counter()
-        record = run_experiment(experiment, _request_config(index), store=None).record
-        serial_times.append(round(time.perf_counter() - leg_start, 3))
-        serial_children.append(record.cache_stats.get("children", {}))
-        served = results[index]
-        serial_fingerprint = record.fingerprint()
-        match = served is not None and served["fingerprint"] == serial_fingerprint
-        if not match:
-            mismatches.append(index)
-        print(
-            f"  client {index} (seed {base_seed + index}): "
-            f"serve {served['fingerprint'][:16] if served else '<missing>'}  "
-            f"serial {serial_fingerprint[:16]}  "
-            f"{'ok' if match else 'MISMATCH'}"
-        )
-
-    print(
-        f"  serve leg: {clients} request(s) in {serve_seconds:.2f}s "
-        f"({clients / max(serve_seconds, 1e-9):.2f} req/s)"
-    )
-    print(
-        f"  coalescer: {coalescer_stats['waves']} wave(s), "
-        f"{coalescer_stats['pending']} evaluation(s) -> "
-        f"{coalescer_stats['tasks']} task(s) "
-        f"({coalescer_stats['coalesced']} coalesced across clients, "
-        f"{coalescer_stats['cache_hits']} cache hit(s))"
-    )
-
-    entry = {
-        "experiment": "serve",
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "config": config.to_dict(),
-        "clients": clients,
-        "serve_wall_seconds": serve_seconds,
-        "requests_per_second": round(clients / max(serve_seconds, 1e-9), 3),
-        # Warm-cache parity reruns, not a fair serial baseline.
-        "serial_parity_seconds": serial_times,
-        # The reruns repeat the served seeds in the same runtime, so every
-        # legal-children lookup should hit the memo the requests filled.
-        "serial_children": serial_children,
-        "coalescer": coalescer_stats,
-        "parity": not mismatches,
-    }
-    output = Path(args.output) if args.output else store.root / "BENCH_serve.json"
-    _append_bench_record(output, entry, name="serve")
-    print(f"bench record appended to {output}")
-
-    if mismatches:
-        print(
-            f"FAIL: serve/serial fingerprints diverge for client(s) "
-            f"{', '.join(map(str, mismatches))}",
-            file=sys.stderr,
-        )
-        return 1
-    print(f"OK: {clients}/{clients} client fingerprint(s) identical to serial runs")
-    return 0
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     store = _store(args)
     config = config_from_args(args)
@@ -909,7 +755,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        return _bench_serve(args, store, config)
+        from repro.serve.bench import bench_serve
+
+        output = Path(args.output) if args.output else store.root / "BENCH_serve.json"
+        return bench_serve(max(args.clients, 1), config, output)
 
     if args.all_experiments:
         if args.experiment is not None:
@@ -930,7 +779,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     over_threshold: list[str] = []
     for experiment in experiments:
         entry = _bench_one(experiment, config, repeats, args.no_compare, dtype)
-        _append_bench_record(output, entry, name=trajectory)
+        append_bench_entry(output, entry, name=trajectory)
         if args.max_seconds is not None and entry["compiled"]["mean_seconds"] > args.max_seconds:
             over_threshold.append(experiment)
     print(f"bench record appended to {output}")
@@ -1625,11 +1474,16 @@ def cmd_lint(args: argparse.Namespace) -> int:
     )
 
     try:
+        rules = make_rules(args.rules)
+    except ValueError as exc:  # an unknown --rule
+        print(f"lint: {exc}", file=sys.stderr)
+        return 2
+    try:
         modules = collect_modules(paths, root)
     except LintSyntaxError as exc:
         print(f"lint: {exc}", file=sys.stderr)
         return 2
-    engine = LintEngine(make_rules(args.rules))
+    engine = LintEngine(rules)
     findings = engine.run(modules)
 
     if args.write_baseline:

@@ -8,29 +8,15 @@ Two backends mirror the paper's:
 * :mod:`repro.codegen.loopnest` — the TVM-TE-like generator: lowers the
   pGraph bottom-up into a loop-nest IR (with the materialized-reduction
   optimization of Figure 4) that the simulated tensor compiler schedules and
-  costs; :func:`cached_loopnest` memoizes it per ``(graph, binding)`` in the
-  runtime context.
+  costs; :func:`~repro.codegen.loopnest.cached_loopnest` memoizes it per
+  ``(graph, binding)`` in the runtime context.
 
 :mod:`repro.codegen.plan` compiles the eager lowering once per
-``(graph, binding)`` into a flat :class:`ExecutionPlan` of primitive numpy
-steps with a matching hand-derived backward plan; ``EagerOperator.forward``
-runs through it by default (``REPRO_COMPILED_FORWARD=0`` restores the
-per-call interpreter).
+``(graph, binding)`` into a flat :class:`~repro.codegen.plan.ExecutionPlan`
+of primitive numpy steps with a matching hand-derived backward plan;
+``EagerOperator.forward`` runs through it by default
+(``REPRO_COMPILED_FORWARD=0`` restores the per-call interpreter).
+
+Nothing is re-exported, so the loop-nest generator loads without numpy and
+the eager and plan generators.
 """
-
-from repro.codegen.eager import EagerOperator, lower_to_module
-from repro.codegen.loopnest import LoopNest, LoopNestProgram, cached_loopnest, lower_to_loopnest
-from repro.codegen.plan import ExecutionPlan, cached_plan, compile_plan, plan_cache_key
-
-__all__ = [
-    "EagerOperator",
-    "lower_to_module",
-    "LoopNest",
-    "LoopNestProgram",
-    "lower_to_loopnest",
-    "cached_loopnest",
-    "ExecutionPlan",
-    "cached_plan",
-    "compile_plan",
-    "plan_cache_key",
-]

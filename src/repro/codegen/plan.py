@@ -37,6 +37,7 @@ from repro.core.operator import SynthesizedOperator
 from repro.core.pgraph import Dim
 from repro.core.primitives import Expand, Merge, Reduce, Share, Shift, Split, Stride, Unfold
 from repro.ir.variables import Variable
+from repro.runtime import current
 
 
 class PlanError(RuntimeError):
@@ -803,10 +804,6 @@ def cached_plan(operator: SynthesizedOperator, binding: Mapping[Variable, int]) 
     before it enters the cache — verification happens once per memoized plan,
     never per forward call, so the knob is safe to leave on in tests and CI.
     """
-    # Lazy import: repro.search.__init__ pulls in codegen via substitution, so
-    # a module-level import here would cycle.
-    from repro.runtime import current
-
     context = current()
 
     def compute() -> ExecutionPlan:

@@ -26,15 +26,30 @@ from repro.compiler.targets import A100, HardwareTarget
 from repro.experiments.common import Candidate, syno_candidates
 from repro.nn.data import SyntheticImageDataset
 from repro.nn.layers import seed_all
-from repro.nn.models import MODEL_BUILDERS
 from repro.nn.models.common import default_conv_factory
+from repro.nn.models.densenet import densenet121
+from repro.nn.models.efficientnet import efficientnet_v2_s
+from repro.nn.models.gpt2 import gpt2_tiny
 from repro.nn.models.profiles import MODEL_PROFILES
+from repro.nn.models.resnet import resnet18, resnet34
+from repro.nn.models.resnext import resnext29
 from repro.nn.trainer import Trainer, TrainingConfig
 from repro.runtime import current
 from repro.search.evaluator import LatencyEvaluator
 from repro.search.extraction import DEFAULT_COEFFICIENT_VALUES
 from repro.search.parallel import sharded_map
 from repro.search.substitution import synthesized_conv_factory
+
+
+#: Backbone name -> builder of its tiny, trainable instance.
+MODEL_BUILDERS = {
+    "resnet18": resnet18,
+    "resnet34": resnet34,
+    "densenet121": densenet121,
+    "resnext29_2x64d": resnext29,
+    "efficientnet_v2_s": efficientnet_v2_s,
+    "gpt2": gpt2_tiny,
+}
 
 
 def _train_steps(default: int = 40) -> int:

@@ -6,9 +6,10 @@ regenerated from the command line go through *identical* code and produce
 directly comparable :class:`~repro.results.ResultRecord` artifacts.
 
 The registry maps each experiment name (``figure5`` ... ``alphanas``) to the
-module-level ``run()`` function it has always had, plus a small metrics
-extractor that flattens the experiment's result dataclass into the record's
-``metrics`` dict.  Configuration flows two ways:
+module whose ``run()`` function runs it, plus a small metrics extractor that
+flattens the experiment's result dataclass into the record's ``metrics``
+dict.  Listing the registry imports no experiment module; a run imports only
+its own.  Configuration flows two ways:
 
 * **Runtime overrides** — ``smoke``/``train_steps``/``processes``/``shards``
   become explicit field overrides on a :class:`repro.runtime.RuntimeContext`
@@ -29,12 +30,14 @@ finished.
 
 from __future__ import annotations
 
+import importlib
 import inspect
 import logging
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
 from repro.results.records import (
@@ -129,10 +132,10 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Registry entry: how to run one experiment and read out its metrics."""
+    """Registry entry: the module whose ``run()`` runs one experiment, and its metrics."""
 
     name: str
-    runner: Callable[..., Any]
+    module: str
     metrics: Callable[[Any], dict]
     description: str
 
@@ -279,65 +282,61 @@ def _alphanas_metrics(result) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _registry() -> dict[str, ExperimentSpec]:
-    # Imported lazily so ``repro.experiments.runner`` stays cheap to import
-    # (the CLI needs the registry names before any experiment code runs).
-    from repro.experiments import (
-        ablation_materialization,
-        ablation_shape_distance,
-        alphanas_comparison,
-        figure5,
-        figure6,
-        figure8,
-        figure9,
-        figure10,
-        search,
-        table3,
-    )
-
-    specs = [
+#: Every experiment, in registry order.  A spec names its module instead of
+#: holding its ``run()``, so listing names and descriptions imports no
+#: experiment; :func:`run_experiment` imports the one it runs.
+_EXPERIMENTS: Mapping[str, ExperimentSpec] = MappingProxyType({
+    spec.name: spec
+    for spec in (
         ExperimentSpec(
-            "figure5", figure5.run, _figure5_metrics,
+            "figure5", "repro.experiments.figure5", _figure5_metrics,
             "End-to-end speedups of Syno-optimized models (5 models x 3 targets x 2 compilers)",
         ),
         ExperimentSpec(
-            "figure6", figure6.run, _figure6_metrics,
+            "figure6", "repro.experiments.figure6", _figure6_metrics,
             "Accuracy-vs-latency Pareto curves (baseline vs Syno candidates)",
         ),
         ExperimentSpec(
-            "figure8", figure8.run, _figure8_metrics,
+            "figure8", "repro.experiments.figure8", _figure8_metrics,
             "Case study: Operator 1 vs stacked convolution vs INT8 quantization",
         ),
         ExperimentSpec(
-            "figure9", figure9.run, _figure9_metrics,
+            "figure9", "repro.experiments.figure9", _figure9_metrics,
             "Layer-wise comparison against NAS-PTE on ResNet-34",
         ),
         ExperimentSpec(
-            "figure10", figure10.run, _figure10_metrics,
+            "figure10", "repro.experiments.figure10", _figure10_metrics,
             "GPT-2 perplexity and training speedup with grouped QKV projections",
         ),
         ExperimentSpec(
-            "table3", table3.run, _table3_metrics,
+            "table3", "repro.experiments.table3", _table3_metrics,
             "Canonicalization ablation: canonical rates by pGraph size",
         ),
         ExperimentSpec(
-            "ablation-materialization", ablation_materialization.run, _materialization_metrics,
+            "ablation-materialization", "repro.experiments.ablation_materialization",
+            _materialization_metrics,
             "Materialized-reduction ablation: naive vs staged lowering MACs",
         ),
         ExperimentSpec(
-            "ablation-shape-distance", ablation_shape_distance.run, _shape_distance_metrics,
+            "ablation-shape-distance", "repro.experiments.ablation_shape_distance",
+            _shape_distance_metrics,
             "Shape-distance ablation: guided vs unguided random synthesis yield",
         ),
         ExperimentSpec(
-            "alphanas", alphanas_comparison.run, _alphanas_metrics,
+            "alphanas", "repro.experiments.alphanas_comparison", _alphanas_metrics,
             "Comparison with aNAS: FLOPs reduction and inference speedup",
         ),
         ExperimentSpec(
-            "search", search.run, _search_metrics,
+            "search", "repro.experiments.search", _search_metrics,
             "End-to-end MCTS search over the GPT-2 QKV projection slot (the serve workload)",
         ),
-    ]
-    return {spec.name: spec for spec in specs}
+    )
+})
+
+
+def _registry() -> Mapping[str, ExperimentSpec]:
+    """The experiment table every lookup reads (tests substitute their own)."""
+    return _EXPERIMENTS
 
 
 def experiment_names() -> list[str]:
@@ -388,18 +387,6 @@ def _new_run_id(experiment: str) -> str:
     return f"{experiment}-{stamp}-{uuid.uuid4().hex[:6]}"
 
 
-def _stats_delta(before: dict, after: dict) -> dict:
-    """Per-cache hit/miss activity between two ``cache_stats()`` snapshots."""
-    delta: dict[str, dict[str, int]] = {}
-    for name, stats in after.items():
-        prior = before.get(name)
-        delta[name] = {
-            "hits": stats.hits - (prior.hits if prior else 0),
-            "misses": stats.misses - (prior.misses if prior else 0),
-        }
-    return delta
-
-
 def run_experiment(
     name: str,
     config: ExperimentConfig | None = None,
@@ -418,11 +405,14 @@ def run_experiment(
     """
     spec = get_experiment(name)
     config = config or ExperimentConfig()
+    # Only this experiment is imported, and before the record is built:
+    # which options its run() accepts decides the fingerprinted config.
+    run = importlib.import_module(spec.module).run
 
     requested = dict(config.options)
     if config.seed is not None:
         requested["seed"] = config.seed
-    kwargs = _accepted_kwargs(spec.runner, requested)
+    kwargs = _accepted_kwargs(run, requested)
     dropped = sorted(set(requested) - set(kwargs))
     if dropped:
         log.warning(
@@ -474,7 +464,7 @@ def run_experiment(
     start = time.perf_counter()
     try:
         with runtime.activate():
-            result = spec.runner(**kwargs)
+            result = run(**kwargs)
     except BaseException as exc:
         interrupted = isinstance(exc, KeyboardInterrupt)
         record.status = STATUS_INTERRUPTED if interrupted else STATUS_FAILED
@@ -497,7 +487,9 @@ def _finalize(
 ) -> None:
     record.finished_at = datetime.now(timezone.utc).isoformat(timespec="microseconds")
     record.duration_seconds = round(time.perf_counter() - start, 3)
-    record.cache_stats = _stats_delta(stats_before, runtime.caches.stats())
+    record.cache_stats = {
+        name: asdict(lookups) for name, lookups in runtime.caches.stats_since(stats_before).items()
+    }
     # Supervised-executor diagnostics: every worker death/timeout the run
     # survived, as structured data.  Lives in `environment` (not fingerprinted
     # — a degraded-but-recovered run is result-identical to a clean one) and

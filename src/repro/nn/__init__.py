@@ -5,52 +5,6 @@ on GPUs; this package provides the equivalent capability at laptop scale: a
 reverse-mode autograd engine over numpy arrays, a module system, common
 layers, tiny configurations of the paper's six backbone models, optimizers,
 synthetic datasets and a trainer.
+
+Nothing is re-exported, so importing a light submodule loads no numpy.
 """
-
-from repro.nn.tensor import Tensor, no_grad
-from repro.nn import functional
-from repro.nn.module import Module, Parameter, Sequential
-from repro.nn.layers import (
-    AdaptiveAvgPool2d,
-    AvgPool2d,
-    BatchNorm2d,
-    Conv2d,
-    Dropout,
-    Embedding,
-    GELU,
-    LayerNorm,
-    Linear,
-    MaxPool2d,
-    ReLU,
-)
-from repro.nn.optim import SGD, Adam
-from repro.nn.data import SyntheticImageDataset, SyntheticLanguageDataset, DataLoader
-from repro.nn.trainer import Trainer, TrainingConfig, TrainingResult
-
-__all__ = [
-    "Tensor",
-    "no_grad",
-    "functional",
-    "Module",
-    "Parameter",
-    "Sequential",
-    "Linear",
-    "Conv2d",
-    "BatchNorm2d",
-    "LayerNorm",
-    "ReLU",
-    "GELU",
-    "Dropout",
-    "Embedding",
-    "MaxPool2d",
-    "AvgPool2d",
-    "AdaptiveAvgPool2d",
-    "SGD",
-    "Adam",
-    "SyntheticImageDataset",
-    "SyntheticLanguageDataset",
-    "DataLoader",
-    "Trainer",
-    "TrainingConfig",
-    "TrainingResult",
-]

@@ -4,38 +4,7 @@ Each vision model takes a ``conv_factory`` callable so that the search can
 substitute synthesized operators for the standard convolutions (the paper
 substitutes *all* standard convolutions); GPT-2 takes a ``projection_factory``
 for its QKV projections.  The default factories build the standard layers.
+
+Nothing is re-exported: :mod:`~repro.nn.models.common` (``ConvSlot``) and
+:mod:`~repro.nn.models.profiles` load no numpy; the model modules do.
 """
-
-from repro.nn.models.common import ConvSlot, default_conv_factory, RecordingFactory
-from repro.nn.models.resnet import ResNet, resnet18, resnet34
-from repro.nn.models.densenet import DenseNet, densenet121
-from repro.nn.models.resnext import ResNeXt, resnext29
-from repro.nn.models.efficientnet import EfficientNetV2, efficientnet_v2_s
-from repro.nn.models.gpt2 import GPT2, gpt2_tiny
-
-MODEL_BUILDERS = {
-    "resnet18": resnet18,
-    "resnet34": resnet34,
-    "densenet121": densenet121,
-    "resnext29_2x64d": resnext29,
-    "efficientnet_v2_s": efficientnet_v2_s,
-    "gpt2": gpt2_tiny,
-}
-
-__all__ = [
-    "ConvSlot",
-    "RecordingFactory",
-    "default_conv_factory",
-    "ResNet",
-    "resnet18",
-    "resnet34",
-    "DenseNet",
-    "densenet121",
-    "ResNeXt",
-    "resnext29",
-    "EfficientNetV2",
-    "efficientnet_v2_s",
-    "GPT2",
-    "gpt2_tiny",
-    "MODEL_BUILDERS",
-]

@@ -11,10 +11,10 @@ provides a factory that instantiates synthesized operators instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import TYPE_CHECKING, Callable
 
-from repro.nn.layers import Conv2d
-from repro.nn.module import Module
+if TYPE_CHECKING:
+    from repro.nn.module import Module
 
 
 @dataclass(frozen=True)
@@ -50,11 +50,15 @@ class ConvSlot:
 
 
 #: A conv factory maps a slot description to a module implementing it.
-ConvFactory = Callable[[ConvSlot], Module]
+ConvFactory = Callable[[ConvSlot], "Module"]
 
 
 def default_conv_factory(slot: ConvSlot) -> Module:
     """The standard convolution for a slot (the paper's baseline operator)."""
+    # Imported here so slot descriptions load without numpy: latency
+    # evaluation and the library specs use ConvSlot but build no layers.
+    from repro.nn.layers import Conv2d
+
     return Conv2d(
         slot.in_channels,
         slot.out_channels,

@@ -54,6 +54,26 @@ def _write_text_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def append_bench_entry(path: Path, entry: dict, name: str | None = None) -> None:
+    """Append one entry to a ``repro bench`` perf trajectory file (``BENCH_*.json``).
+
+    An unreadable file starts a fresh trajectory; the rewrite is atomic, so
+    a reader (or a crash) never sees a half-written one.
+    """
+    history: list = []
+    if path.exists():
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            if isinstance(payload, dict) and isinstance(payload.get("entries"), list):
+                history = payload["entries"]
+        except (OSError, ValueError) as exc:
+            log.warning("starting a fresh bench record (unreadable %s: %s)", path, exc)
+    history.append(entry)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    payload = {"experiment": name or entry["experiment"], "entries": history}
+    _write_text_atomic(path, json.dumps(payload, indent=2) + "\n")
+
+
 class ArtifactStore:
     """Persistent store of :class:`ResultRecord` artifacts and cache snapshots."""
 

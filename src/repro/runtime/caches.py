@@ -125,6 +125,12 @@ class KeyedCache:
             self._data.clear()
             self.stats = CacheStats()
 
+    def count_lookups(self, lookups: CacheStats) -> None:
+        """Add lookups made on a forked copy of this cache to its counters."""
+        with self._lock:
+            self.stats.hits += lookups.hits
+            self.stats.misses += lookups.misses
+
     def key_snapshot(self) -> set:
         """The set of keys currently cached (used for shard-delta exports)."""
         with self._lock:
@@ -301,6 +307,19 @@ class CacheSet:
 
     def stats(self) -> dict[str, CacheStats]:
         return {cache.name: cache.stats.snapshot() for cache in self.all()}
+
+    def stats_since(self, before: Mapping[str, CacheStats]) -> dict[str, CacheStats]:
+        """Per-cache lookups made since ``before``, a :meth:`stats` snapshot."""
+        return {
+            name: CacheStats(hits=now.hits - before[name].hits, misses=now.misses - before[name].misses)
+            for name, now in self.stats().items()
+        }
+
+    def count_lookups(self, lookups: Mapping[str, CacheStats]) -> None:
+        """Add per-cache lookups a forked shard worker made to these counters."""
+        for cache in self.all():
+            if cache.name in lookups:
+                cache.count_lookups(lookups[cache.name])
 
     def sizes(self) -> dict[str, int]:
         return {cache.name: len(cache) for cache in self.all()}

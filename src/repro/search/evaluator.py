@@ -15,19 +15,13 @@ import logging
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
-from repro.codegen.eager import LoweringError
 from repro.codegen.loopnest import cached_loopnest
 from repro.compiler.backends import CompilerBackend, loopnest_for_slot
 from repro.compiler.targets import HardwareTarget
 from repro.core.operator import SynthesizedOperator
 from repro.ir.size import SizeError
 from repro.ir.variables import Variable
-from repro.nn.data import SyntheticImageDataset
-from repro.nn.layers import seed_all
-from repro.nn.models.common import ConvSlot
-from repro.nn.trainer import Trainer, TrainingConfig
+from repro.nn.models.common import ConvSlot, default_conv_factory
 from repro.runtime import current
 from repro.search.extraction import (
     DEFAULT_COEFFICIENT_VALUES,
@@ -35,7 +29,6 @@ from repro.search.extraction import (
     slot_is_substitutable,
     substitutable_slots,
 )
-from repro.search.substitution import synthesized_conv_factory
 
 log = logging.getLogger(__name__)
 
@@ -86,9 +79,15 @@ class AccuracyEvaluator:
     Build it under the context it evaluates in: the reward key takes the
     ambient context's dtype at construction, while training and the reward
     cache read the ambient context at each call.
+
+    The training stack (numpy, the nn substrate, the eager generator) is
+    imported by the methods that train, so :class:`LatencyEvaluator` users
+    never load it.
     """
 
     def __init__(self, model_builder: Callable, settings: EvaluationSettings | None = None) -> None:
+        from repro.nn.data import SyntheticImageDataset
+
         self.model_builder = model_builder
         self.settings = settings or EvaluationSettings()
         dataset = SyntheticImageDataset(
@@ -106,6 +105,9 @@ class AccuracyEvaluator:
         self._context = ("accuracy", builder_module, builder_name, self.settings.cache_key())
 
     def _train(self, conv_factory) -> float:
+        from repro.nn.layers import seed_all
+        from repro.nn.trainer import Trainer, TrainingConfig
+
         # Each training run reseeds the substrate's parameter-initialization
         # RNG, making the result a pure function of (builder, factory,
         # settings) rather than of how many models were built earlier in the
@@ -127,8 +129,6 @@ class AccuracyEvaluator:
     def baseline_accuracy(self) -> float:
         """Accuracy of the unmodified backbone (computed once per context)."""
         if self._baseline_accuracy is None:
-            from repro.nn.models.common import default_conv_factory
-
             self._baseline_accuracy = current().cached_baseline(
                 self._context, lambda: self._train(default_conv_factory)
             )
@@ -147,6 +147,9 @@ class AccuracyEvaluator:
         )
 
     def _evaluate_uncached(self, operator: SynthesizedOperator, seed: int) -> float:
+        from repro.codegen.eager import LoweringError
+        from repro.search.substitution import synthesized_conv_factory
+
         factory = synthesized_conv_factory(
             operator, coefficients=self.settings.coefficients, seed=seed
         )

@@ -68,7 +68,7 @@ import traceback
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from repro.runtime import RuntimeContext, current
+from repro.runtime import CacheStats, RuntimeContext, current
 from repro.runtime.faults import (
     SITE_ITEM_EVAL,
     SITE_SHARD_ENTRY,
@@ -89,6 +89,9 @@ class ShardOutcome:
 
     results: list = field(default_factory=list)
     cache_entries: dict[str, dict] = field(default_factory=dict)
+    #: per-cache hits and misses made in a forked worker.  Empty for a
+    #: partition run in the calling process, whose counters already hold them.
+    cache_lookups: dict[str, CacheStats] = field(default_factory=dict)
 
 
 def shard_partition(count: int, shards: int) -> list[list[int]]:
@@ -113,13 +116,15 @@ def _run_partition(
     parent's, whose merge skips present keys anyway.  ``heartbeat`` (called
     with the count of completed items) is given only inside a forked worker,
     and only there do the fault sites fire — so the parent's serial fallback,
-    the floor of the degradation ladder, always completes.
+    the floor of the degradation ladder, always completes.  Only a forked
+    worker reports its cache lookups: the parent's counters hold the rest.
     """
     in_worker = heartbeat is not None
     with runtime.activate():
         if in_worker:
             inject(SITE_SHARD_ENTRY)
         before = runtime.caches.key_snapshots()
+        stats_before = runtime.caches.stats()
         results = []
         for done, item in enumerate(items, start=1):
             if in_worker:
@@ -128,7 +133,8 @@ def _run_partition(
             if in_worker:
                 heartbeat(done)
         entries = runtime.caches.export_delta(before) if runtime.config.eval_cache else {}
-    return ShardOutcome(results=results, cache_entries=entries)
+    lookups = runtime.caches.stats_since(stats_before) if in_worker else {}
+    return ShardOutcome(results=results, cache_entries=entries, cache_lookups=lookups)
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +594,7 @@ def sharded_map(
     for outcome in outcomes:  # shard order
         for name, added in runtime.caches.merge_delta(outcome.cache_entries).items():
             merged[name] = merged.get(name, 0) + added
+        runtime.caches.count_lookups(outcome.cache_lookups)
     if merged:
         log.info(
             "merged shard caches: %s",

@@ -480,6 +480,14 @@ class TestLintCli:
         assert payload["findings"][0]["key"] == "_CACHE"
         assert payload["stale_baseline"] == []
 
+    def test_unknown_rule_exits_2_before_linting(self, capsys):
+        """`--rule` is checked by the rule catalog, which only `repro lint` loads."""
+        assert main(["lint", "--rule", "no-such-rule"]) == 2
+        captured = capsys.readouterr()
+        assert "unknown rule 'no-such-rule'" in captured.err
+        assert "nondeterminism" in captured.err  # the known rules are listed
+        assert captured.out == ""
+
     def test_write_baseline_then_clean(self, tmp_path, capsys):
         bad = tmp_path / "repro" / "search" / "bad.py"
         bad.parent.mkdir(parents=True)

@@ -8,7 +8,7 @@ import signal
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
 import pytest
 
@@ -406,6 +406,22 @@ def test_cli_bench_compare_reports_speedup(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def _register_stub(monkeypatch, name, run_fn, metrics=lambda result: {}):
+    """Register experiment ``name``, run by ``run_fn`` from a stand-in module.
+
+    Registry specs name the module whose ``run()`` they call, so the stub
+    gets a module of its own in ``sys.modules``.
+    """
+    module = ModuleType(f"repro_test_stub_{name}")
+    module.run = run_fn
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    spec = ExperimentSpec(name, module.__name__, metrics, "test stub")
+    real_registry = runner_module._registry
+    monkeypatch.setattr(
+        runner_module, "_registry", lambda: {**real_registry(), name: spec}
+    )
+
+
 @pytest.fixture
 def fake_experiment(monkeypatch):
     """Register a two-item experiment whose first run dies after item 'a'."""
@@ -423,11 +439,7 @@ def fake_experiment(monkeypatch):
                 raise KeyboardInterrupt
         return SimpleNamespace(to_table=lambda: f"items={len(values)}")
 
-    spec = ExperimentSpec("fake", fake_run, lambda result: {"done": 1}, "resume test stub")
-    real_registry = runner_module._registry
-    monkeypatch.setattr(
-        runner_module, "_registry", lambda: {**real_registry(), "fake": spec}
-    )
+    _register_stub(monkeypatch, "fake", fake_run, metrics=lambda result: {"done": 1})
     return work_log
 
 
@@ -459,11 +471,7 @@ def test_failed_run_still_produces_a_record(tmp_path, monkeypatch):
     def broken_run():
         raise ValueError("boom")
 
-    spec = ExperimentSpec("broken", broken_run, lambda result: {}, "failure stub")
-    real_registry = runner_module._registry
-    monkeypatch.setattr(
-        runner_module, "_registry", lambda: {**real_registry(), "broken": spec}
-    )
+    _register_stub(monkeypatch, "broken", broken_run)
     store = ArtifactStore(tmp_path)
     with pytest.raises(ValueError):
         run_experiment("broken", store=store)
@@ -471,12 +479,6 @@ def test_failed_run_still_produces_a_record(tmp_path, monkeypatch):
     assert record.status == "failed" and "boom" in record.error
 
 
-def _register_stub(monkeypatch, name, run_fn):
-    spec = ExperimentSpec(name, run_fn, lambda result: {}, "test stub")
-    real_registry = runner_module._registry
-    monkeypatch.setattr(
-        runner_module, "_registry", lambda: {**real_registry(), name: spec}
-    )
 
 
 def test_cli_run_failure_points_at_debug_and_debug_reraises(

@@ -47,7 +47,7 @@ from repro.nn.models.resnet import resnet18
 from repro.ir.shape import ShapeSpec
 from repro.ir.size import SizeError
 from repro.runtime import KeyedCache, RuntimeConfig, RuntimeContext, current
-from repro.search import SearchConfig, SearchSession
+from repro.search.session import SearchConfig, SearchSession
 from repro.search.evaluator import AccuracyEvaluator, EvaluationSettings, LatencyEvaluator
 from repro.search.parallel import fan_out
 

@@ -8,16 +8,13 @@ import pytest
 from repro.nn import functional as F
 from repro.nn.data import DataLoader, SyntheticImageDataset, SyntheticLanguageDataset
 from repro.nn.layers import AvgPool2d, BatchNorm2d, Conv2d, LayerNorm, Linear, MaxPool2d
-from repro.nn.models import (
-    MODEL_BUILDERS,
-    densenet121,
-    efficientnet_v2_s,
-    gpt2_tiny,
-    resnet18,
-    resnet34,
-    resnext29,
-)
+from repro.experiments.figure6 import MODEL_BUILDERS
 from repro.nn.models.common import RecordingFactory
+from repro.nn.models.densenet import densenet121
+from repro.nn.models.efficientnet import efficientnet_v2_s
+from repro.nn.models.gpt2 import gpt2_tiny
+from repro.nn.models.resnet import resnet18, resnet34
+from repro.nn.models.resnext import resnext29
 from repro.nn.module import Module, Parameter, Sequential
 from repro.nn.optim import SGD, Adam, CosineSchedule
 from repro.nn.tensor import Tensor

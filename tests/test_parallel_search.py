@@ -278,12 +278,17 @@ class TestExperimentParity:
         assert sharded.record.environment["provenance"]["shards"] == "explicit"
 
     def test_explicit_processes_config_shares_the_serial_fingerprint(self):
-        """`repro run figure5 --processes 2` keeps the serial record identity."""
+        """`repro run figure5 --processes 2` keeps the serial record identity.
+
+        Its record also counts the lookups the forked workers made, so a
+        cold fanned-out run reports the serial run's cache activity.
+        """
         serial = run_experiment("figure5", ExperimentConfig(smoke=True))
         current().caches.clear()
         forked = run_experiment("figure5", ExperimentConfig(smoke=True, processes=2))
         assert forked.record.metrics == serial.record.metrics
         assert forked.record.fingerprint() == serial.record.fingerprint()
+        assert forked.record.cache_stats == serial.record.cache_stats
         assert forked.record.config["processes"] is None
         assert forked.record.environment["runtime"]["eval_processes"] == 2
         assert forked.record.environment["provenance"]["eval_processes"] == "explicit"

@@ -5,14 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    NAS_PTE_SEQUENCES,
-    StackedConvolution,
-    alphanas_substitution,
-    quantize_model,
-    quantized_latency,
-    stacked_conv_program,
-)
+from repro.baselines.alphanas import alphanas_substitution
+from repro.baselines.nas_pte import NAS_PTE_SEQUENCES
+from repro.baselines.quantization import quantize_model, quantized_latency
+from repro.baselines.stacked_conv import StackedConvolution, stacked_conv_program
 from repro.codegen.eager import lower_to_module
 from repro.codegen.loopnest import lower_to_loopnest
 from repro.compiler import MOBILE_CPU, TVMBackend
@@ -36,15 +32,15 @@ from repro.nn.models.profiles import MODEL_PROFILES, RESNET18_PROFILE
 from repro.nn.models.resnet import resnet18
 from repro.nn.layers import Linear
 from repro.nn.tensor import Tensor
-from repro.search import (
-    LatencyEvaluator,
-    SynthesizedConv2d,
-    SynthesizedLinear,
-    extract_conv_slots,
+from repro.search.evaluator import LatencyEvaluator
+from repro.search.extraction import (
     conv_spec_from_slots,
-    synthesized_conv_factory,
+    extract_conv_slots,
+    original_macs,
+    slot_is_substitutable,
+    substitutable_slots,
 )
-from repro.search.extraction import original_macs, slot_is_substitutable, substitutable_slots
+from repro.search.substitution import SynthesizedConv2d, SynthesizedLinear, synthesized_conv_factory
 from repro.nn.models.common import ConvSlot
 
 
