@@ -36,6 +36,38 @@ echo "== benchmark selftest: perfbench workloads against golden.json =="
 # load among them).  A src change that breaks the benchmark fails here.
 python3 perfbench/selftest.py
 
+echo "== smoke fingerprints: every experiment against scripts/smoke_fingerprints.txt =="
+# Each registered experiment runs once at --smoke from cold caches, and its
+# record fingerprint must equal the one pinned in
+# scripts/smoke_fingerprints.txt (one `<experiment> <fingerprint>` line
+# each).  A change that moves a fingerprint on purpose re-pins it there, so
+# the re-pin is a diff of that one file.  The runs get their own results
+# dir: the concurrency leg below reads exactly one figure5 record from
+# $RESULTS_DIR/runs.
+FINGERPRINT_DIR="$RESULTS_DIR/fingerprints"
+PINNED_NAMES="$(cut -d' ' -f1 scripts/smoke_fingerprints.txt | LC_ALL=C sort)"
+REGISTERED_NAMES="$(python -c 'from repro.experiments.runner import experiment_names
+print(*experiment_names(), sep="\n")' | LC_ALL=C sort)"
+if [ "$PINNED_NAMES" != "$REGISTERED_NAMES" ]; then
+  echo "FAIL: scripts/smoke_fingerprints.txt must pin every registered experiment once" >&2
+  diff <(echo "$PINNED_NAMES") <(echo "$REGISTERED_NAMES") >&2 || true
+  exit 1
+fi
+FINGERPRINT_MISMATCHES=0
+while read -r EXPERIMENT PINNED; do
+  GOT="$(python -m repro.cli run "$EXPERIMENT" --smoke --no-cache-persist \
+    --results-dir "$FINGERPRINT_DIR" < /dev/null | sed -n 's/^fingerprint //p')"
+  if [ "$GOT" != "$PINNED" ]; then
+    echo "$EXPERIMENT: pinned $PINNED, got $GOT" >&2
+    FINGERPRINT_MISMATCHES=$((FINGERPRINT_MISMATCHES + 1))
+  fi
+done < scripts/smoke_fingerprints.txt
+if [ "$FINGERPRINT_MISMATCHES" -ne 0 ]; then
+  echo "FAIL: $FINGERPRINT_MISMATCHES smoke fingerprint(s) differ from scripts/smoke_fingerprints.txt" >&2
+  exit 1
+fi
+echo "OK: every experiment's smoke fingerprint matches scripts/smoke_fingerprints.txt"
+
 echo "== examples: every example runs; the vision search serial and at 2 shards =="
 # The examples are the only callers of SearchSession.run() and the only MCTS
 # users outside the tests.  The vision search reads its shard count from

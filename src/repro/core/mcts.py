@@ -9,7 +9,10 @@ model with the candidate operator substituted in, see
 
 The implementation is a standard UCT tree search with random rollouts that are
 *guided* by the shape-distance metric, mirroring the paper's combination of
-stochastic tree search and guided synthesis.
+stochastic tree search and guided synthesis.  Selection descends through
+fully expanded nodes to the child with the highest score ``total_reward /
+visits + exploration * sqrt(log(parent visits + 1) / visits)``; an unvisited
+child scores infinity, and ties go to the first child in expansion order.
 
 The search loop is **batched**: :meth:`MCTS.propose_batch` runs the tree
 policy for a wave of iterations (recording every pending terminal rollout
@@ -26,6 +29,11 @@ bit-identical across serial runs, sharded runs and cache round-trips.
 context's ``shards`` (in process at one shard), unless the serving layer
 installed a ``wave_evaluator`` on the context.  ``batch_size=1`` (the
 default) reproduces the classic one-sample-at-a-time UCT loop exactly.
+
+A search costs each distinct terminal graph once, however often rollouts
+reach it: per (signature, weight signature) it keeps the budget verdict and
+the :class:`~repro.core.operator.SynthesizedOperator`.  The first rollout
+to reach a signature supplies the operator that is rewarded and recorded.
 
 Rewards are memoized twice: per instance (``_local_rewards``, which also
 deduplicates the recorded samples) and context-wide through
@@ -114,18 +122,6 @@ class _Node:
         self.visits = 0
         self.total_reward = 0.0
 
-    @property
-    def mean_reward(self) -> float:
-        return self.total_reward / self.visits if self.visits else 0.0
-
-    def uct_score(self, exploration: float) -> float:
-        if self.visits == 0:
-            return math.inf
-        assert self.parent is not None
-        return self.mean_reward + exploration * math.sqrt(
-            math.log(self.parent.visits + 1) / self.visits
-        )
-
 
 @dataclass
 class SampleRecord:
@@ -204,6 +200,9 @@ class MCTS:
             else ("mcts-instance", next(_INSTANCE_CONTEXTS))
         )
         self._space = _space_key(self.spec, self.options)
+        #: (signature, weight signature) of every terminal graph a rollout
+        #: reached -> its operator, or None when it is over budget.
+        self._terminals: dict[tuple[str, str], SynthesizedOperator | None] = {}
 
     # -- public API --------------------------------------------------------
 
@@ -313,12 +312,28 @@ class MCTS:
     # -- MCTS phases -------------------------------------------------------
 
     def _select(self, node: _Node) -> _Node:
-        while True:
-            if node.untried is None or node.untried:
-                return node
-            if not node.children:
-                return node
-            node = max(node.children, key=lambda child: child.uct_score(self.config.exploration))
+        """Descend from ``node`` by UCT to a node with untried or no children.
+
+        One loop per level scores every child (the rule is in the module
+        docstring), taking the parent's log once.  The first child stands
+        until a later one scores strictly higher, as with ``max()``.
+        """
+        exploration = self.config.exploration
+        while node.untried is not None and not node.untried and node.children:
+            log_visits = math.log(node.visits + 1)
+            best, best_score = None, -math.inf
+            for child in node.children:
+                visits = child.visits
+                if visits:
+                    score = child.total_reward / visits + exploration * math.sqrt(
+                        log_visits / visits
+                    )
+                else:
+                    score = math.inf
+                if best is None or score > best_score:
+                    best, best_score = child, score
+            node = best
+        return node
 
     def _expand(self, node: _Node) -> _Node:
         if node.graph.depth >= self.options.max_depth or (
@@ -388,6 +403,8 @@ class MCTS:
 
         Consumes exactly the RNG the classic rollout did; the terminal
         operator (or the invalid outcome) is recorded for wave evaluation.
+        A terminal graph's budget verdict and operator come from the
+        search's terminal memo.
         """
         graph = node.graph
         # ``rollout_depth=0`` is a legitimate setting (no random completion
@@ -404,11 +421,18 @@ class MCTS:
             if not children:
                 return PendingRollout(iteration=iteration, node=node)
             _, graph = self._rng.choice(children)
-        if not self.options.within_budgets(graph):
+        key = (graph.signature(), graph.weight_signature())
+        if key not in self._terminals:
+            self._terminals[key] = (
+                SynthesizedOperator.from_graph(graph, self.spec)
+                if self.options.within_budgets(graph)
+                else None
+            )
+        operator = self._terminals[key]
+        if operator is None:
             return PendingRollout(iteration=iteration, node=node)
-        operator = SynthesizedOperator.from_graph(graph, self.spec)
         return PendingRollout(
-            iteration=iteration, node=node, operator=operator, signature=graph.signature()
+            iteration=iteration, node=node, operator=operator, signature=key[0]
         )
 
     def _propagate_visit(self, node: _Node | None) -> None:

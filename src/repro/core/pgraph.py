@@ -32,6 +32,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _DIM_COUNTER = itertools.count()
 
+#: per-instance state a graph derives on demand and never pickles.
+_DERIVED = frozenset({"_rule_state", "_is_complete"})
+
 
 def reserve_dim_uids(highest: int) -> None:
     """Advance the global dim uid counter strictly past ``highest``.
@@ -257,11 +260,17 @@ class PGraph:
     def is_complete(self) -> bool:
         """Whether the frontier matches the desired input shape (unordered).
 
-        Ranks are compared first, which needs no multiset key.
+        Ranks are compared first, which needs no multiset key.  Derived once
+        per (immutable) graph, since rollouts test it at every step, and like
+        :meth:`rule_state` never pickled.
         """
-        if len(self.frontier) != len(self.input_shape):
-            return False
-        return self.frontier_shape.same_multiset(self.input_shape)
+        complete = self.__dict__.get("_is_complete")
+        if complete is None:
+            complete = len(self.frontier) == len(self.input_shape) and (
+                self.frontier_shape.same_multiset(self.input_shape)
+            )
+            object.__setattr__(self, "_is_complete", complete)
+        return complete
 
     @property
     def reduction_dims(self) -> tuple[Dim, ...]:
@@ -290,8 +299,8 @@ class PGraph:
 
     def __getstate__(self) -> dict:
         state = self.__dict__
-        if "_rule_state" in state:
-            state = {key: value for key, value in state.items() if key != "_rule_state"}
+        if not _DERIVED.isdisjoint(state):
+            state = {key: value for key, value in state.items() if key not in _DERIVED}
         return state
 
     def count_primitive(self, primitive_type: type) -> int:

@@ -39,6 +39,7 @@ from repro.compiler.targets import A100
 from repro.core.library import GROUPS
 from repro.core.mcts import MCTS, MCTSConfig
 from repro.core.operator import SynthesizedOperator
+from repro.ir.size import SizeError
 from repro.library.specs import gpt2_projection_space
 from repro.library.warmstart import export_rewards, plan_warm_start
 from repro.nn.data import SyntheticLanguageDataset
@@ -299,7 +300,10 @@ def run(
         operator = sample.operator
         try:
             program = cached_loopnest(operator, binding)
-        except LoweringError as exc:
+        except SizeError as exc:
+            # The candidate has no integral sizes at this slot, so it gets no
+            # latency row.  Any other exception is a lowering bug and
+            # propagates.
             log.warning(
                 "qualified candidate %s does not lower to a loop nest: %s",
                 operator.graph.signature(),

@@ -437,6 +437,38 @@ class TestFigure9LoweringNarrowing:
             self._run(monkeypatch, RuntimeError("lowering bug"))
 
 
+class TestSearchLoweringNarrowing:
+    """The search experiment drops a qualified candidate only on SizeError."""
+
+    def _run(self, monkeypatch, victim=None, exc=None):
+        from repro.experiments import search
+
+        def lower(operator, binding):
+            if operator.graph.signature() == victim:
+                raise exc
+            return cached_loopnest(operator, binding)
+
+        monkeypatch.setattr(search, "cached_loopnest", lower)
+        with current().isolated().activate():
+            return search.run(iterations=16, max_depth=3, seed=0)
+
+    def test_size_error_drops_that_candidate_and_logs_it(self, monkeypatch, caplog):
+        clean = self._run(monkeypatch)
+        victim, *others = clean.candidates
+        with caplog.at_level("WARNING", logger="repro.experiments.search"):
+            result = self._run(
+                monkeypatch, victim.signature, SizeError("size evaluates to non-integer 1/2")
+            )
+        assert result.candidates == others
+        assert result.evaluations == clean.evaluations
+        assert f"qualified candidate {victim.signature} does not lower" in caplog.text
+
+    def test_other_lowering_errors_propagate(self, monkeypatch):
+        victim = self._run(monkeypatch).candidates[0]
+        with pytest.raises(RuntimeError, match="lowering bug"):
+            self._run(monkeypatch, victim.signature, RuntimeError("lowering bug"))
+
+
 class TestFanOut:
     def test_sharding_wins_over_processes_and_says_so(self, caplog):
         ctx = RuntimeContext(RuntimeConfig(shards=2, eval_processes=3))
