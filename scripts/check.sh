@@ -259,10 +259,13 @@ echo "== library: shard-parity builds + warm-started search =="
 # produce bit-identical artifacts (same content hash) *and* identical pruning
 # statistics (children generated, pruned by shape distance, dead ends, and
 # rejections per canonicalization rule: equal entries could still hide a
-# shard that prunes differently).  Two spaces at depth 3: resnet, the conv
+# shard that prunes differently).  Three builds: resnet at depth 3, the conv
 # space the enumerate-conv benchmark builds, where six rules fire and most
 # children are generated at the last level (no steps left, so the prune is
-# the completeness test), and gpt2, where three rules fire.  gpt2 goes last:
+# the completeness test); gpt2 at depth 4, the space perfbench's search-gpt2
+# and the full-budget searches explore, and the only depth where the prune
+# runs at every steps count from 0 to 3 (built into its own directory); and
+# gpt2 at depth 3, where three rules fire.  gpt2 at depth 3 goes last:
 # a warm-started smoke search against its built library must run green
 # (REPRO_WARM_START degrades to a cold search only when no matching library
 # exists — here one does, so this exercises frontier seeding + sidecar
@@ -273,33 +276,36 @@ library_field() {  # family, field[, library dir]
     --library-dir "${3:-$LIB_DIR}" --results-dir "$RESULTS_DIR" \
     | python -c "import json,sys; v = json.load(sys.stdin)['libraries'][0]['$2']; print(v if isinstance(v, str) else json.dumps(v, sort_keys=True))"
 }
-for SPACE in resnet gpt2; do
-  rm -rf "$LIB_DIR"
-  python -m repro.cli library build "$SPACE" --max-depth 3 --shards 1 \
-    --library-dir "$LIB_DIR" --results-dir "$RESULTS_DIR"
-  HASH_SERIAL="$(library_field "$SPACE" content_hash)"
-  STATS_SERIAL="$(library_field "$SPACE" stats)"
-  rm -rf "$LIB_DIR"
-  python -m repro.cli library build "$SPACE" --max-depth 3 --shards 2 \
-    --library-dir "$LIB_DIR" --results-dir "$RESULTS_DIR"
-  HASH_SHARDED="$(library_field "$SPACE" content_hash)"
-  STATS_SHARDED="$(library_field "$SPACE" stats)"
+shard_parity() {  # family, max depth, library dir; sets HASH_SERIAL
+  rm -rf "$3"
+  python -m repro.cli library build "$1" --max-depth "$2" --shards 1 \
+    --library-dir "$3" --results-dir "$RESULTS_DIR"
+  HASH_SERIAL="$(library_field "$1" content_hash "$3")"
+  STATS_SERIAL="$(library_field "$1" stats "$3")"
+  rm -rf "$3"
+  python -m repro.cli library build "$1" --max-depth "$2" --shards 2 \
+    --library-dir "$3" --results-dir "$RESULTS_DIR"
+  HASH_SHARDED="$(library_field "$1" content_hash "$3")"
+  STATS_SHARDED="$(library_field "$1" stats "$3")"
   if [ "$HASH_SERIAL" != "$HASH_SHARDED" ]; then
-    echo "FAIL: serial ($HASH_SERIAL) and 2-shard ($HASH_SHARDED) $SPACE library builds diverge" >&2
+    echo "FAIL: serial ($HASH_SERIAL) and 2-shard ($HASH_SHARDED) depth-$2 $1 library builds diverge" >&2
     exit 1
   fi
   if [ "$STATS_SERIAL" != "$STATS_SHARDED" ]; then
-    echo "FAIL: serial and 2-shard $SPACE library builds prune differently:" >&2
+    echo "FAIL: serial and 2-shard depth-$2 $1 library builds prune differently:" >&2
     echo "  serial:  $STATS_SERIAL" >&2
     echo "  2-shard: $STATS_SHARDED" >&2
     exit 1
   fi
-  echo "OK: $SPACE library builds bit-identical across shard counts ($HASH_SERIAL), same pruning statistics"
-  if [ "$SPACE" = resnet ]; then RESNET_HASH="$HASH_SERIAL"; fi
-done
+  echo "OK: depth-$2 $1 library builds bit-identical across shard counts ($HASH_SERIAL), same pruning statistics"
+}
+shard_parity resnet 3 "$LIB_DIR"
+RESNET_HASH="$HASH_SERIAL"
+shard_parity gpt2 4 "$RESULTS_DIR/library-gpt2-depth4"
+shard_parity gpt2 3 "$LIB_DIR"
 # The enumerate-conv benchmark builds four conv families at depth 3, and
-# perfbench/golden.json pins their content hashes.  The loop above builds
-# only resnet, so build the other three at 2 shards and compare all four
+# perfbench/golden.json pins their content hashes.  The parity builds above
+# cover only resnet, so build the other three at 2 shards and compare all four
 # with the golden file (read here, never written).
 CONV_DIR="$RESULTS_DIR/library-conv"
 for SPACE in resnext densenet efficientnet; do

@@ -5,6 +5,18 @@ from a partial pGraph; ``synthesize`` performs the depth-bounded guided DFS of
 Algorithm 1, backtracking whenever the shape distance exceeds the remaining
 primitive budget and collecting complete operators that satisfy the
 user-provided budgets (FLOPs, parameters, primitive counts).
+
+``enumerate_children`` settles each candidate on its :class:`Application`
+before it builds a child: occurrence limits are decided once per graph,
+duplicate siblings are dropped on :func:`~repro.core.pgraph.sibling_key`, and
+given the steps left (``steps=``) the shape-distance prune runs on the
+application too.  The library builder and MCTS pass ``steps``, so of the
+children a build generates only the ~5% it keeps are ever built.
+``synthesize`` and the shape-distance ablation instead build every child and
+test it with :func:`~repro.core.shape_distance.within_reach`: ``synthesize``
+shuffles the unpruned list before it prunes, so its random stream depends on
+the unpruned count, and the ablation's guided and unguided arms draw from the
+same unpruned list, scoring each kept child by its distance.
 """
 
 from __future__ import annotations
@@ -15,7 +27,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.core.canonicalize import CanonicalizationEngine
 from repro.core.operator import OperatorSpec, SynthesizedOperator
-from repro.core.pgraph import Dim, PGraph
+from repro.core.pgraph import Dim, PGraph, sibling_key
 from repro.core.primitives import (
     Expand,
     Merge,
@@ -28,7 +40,7 @@ from repro.core.primitives import (
     Stride,
     Unfold,
 )
-from repro.core.shape_distance import within_reach
+from repro.core.shape_distance import application_within_reach, within_reach
 from repro.ir.size import Size
 from repro.ir.variables import Variable
 
@@ -90,6 +102,9 @@ class EnumerationOptions:
         With ``stats`` given, canonicalization rejections are attributed to
         the rule that fired (``stats.canonicalization_rejections``) — the
         pruning detail the library builder and ``repro library stats`` report.
+        Enumeration decides the occurrence limits once per graph instead (no
+        candidate of a blocked kind is generated) and asks only
+        :meth:`is_canonical`; this per-candidate form is its reference.
         """
         if isinstance(primitive, Expand) and graph.count_primitive(Expand) >= self.max_expands:
             return False
@@ -104,15 +119,25 @@ class EnumerationOptions:
                 return False
             if primitive.new_weight and len(graph.weights) >= self.max_weights:
                 return False
-        if self.canonicalizer is not None:
-            if stats is not None:
-                rule = self.canonicalizer.rejecting_rule(graph, primitive, operands)
-                if rule is not None:
-                    stats.note_canonicalization_rejection(rule)
-                    return False
-            elif not self.canonicalizer.is_canonical(graph, primitive, operands):
-                return False
-        return True
+        return self.is_canonical(graph, primitive, operands, stats)
+
+    def is_canonical(
+        self,
+        graph: PGraph,
+        primitive: Primitive,
+        operands: Sequence[Dim],
+        stats: "SynthesisStats | None" = None,
+    ) -> bool:
+        """The canonicalization half of :meth:`allows`."""
+        if self.canonicalizer is None:
+            return True
+        if stats is None:
+            return self.canonicalizer.is_canonical(graph, primitive, operands)
+        rule = self.canonicalizer.rejecting_rule(graph, primitive, operands)
+        if rule is None:
+            return True
+        stats.note_canonicalization_rejection(rule)
+        return False
 
     def within_budgets(self, graph: PGraph, costs: tuple[int, int] | None = None) -> bool:
         """Whether a (complete) graph satisfies the MACs / parameter budgets.
@@ -172,26 +197,48 @@ def default_options_for(
 def _candidate_applications(
     graph: PGraph, options: EnumerationOptions
 ) -> Iterator[tuple[Primitive, tuple[Dim, ...]]]:
+    """The applications to check against ``graph``, in enumeration order.
+
+    The occurrence limits (Section 5.2) are decided once per graph, and a
+    kind they block is never yielded: what :meth:`EnumerationOptions.allows`
+    would reject for its limits is left out, and every other candidate keeps
+    its place in the order.
+    """
     frontier = graph.frontier
+    reduces = graph.count_primitive(Reduce) < options.max_reductions
+    weight_room = options.max_weight_dims - graph.rule_state().weight_dims
+    new_weights = len(graph.weights) < options.max_weights
+    shifts = graph.count_primitive(Shift) < options.max_shifts
+    expands = graph.count_primitive(Expand) < options.max_expands
     # Primitives are immutable values: build each one once per call.
     new_share, extend_share = Share(new_weight=True), Share(new_weight=False)
     shift, split, expand, unfold = Shift(amount=1), Split(), Expand(), Unfold()
     merges = [Merge(block=block) for block in options.merge_blocks]
-    strides = [Stride(stride=stride) for stride in options.strides if not stride.is_one]
+    strides = (
+        [Stride(stride=stride) for stride in options.strides if not stride.is_one]
+        if graph.count_primitive(Stride) < options.max_strides
+        else []
+    )
 
     # Contractions -----------------------------------------------------
-    for size in options.reduce_sizes:
-        yield Reduce(size=size), ()
-    for shared in frontier:
-        # Plain share (weight indexed by one coordinate).
-        yield new_share, (shared,)
-        yield extend_share, (shared,)
-        # Share + Match: move one other output dim onto the weight.
-        for matched in frontier:
-            if matched is shared or not matched.is_output:
+    if reduces:
+        for size in options.reduce_sizes:
+            yield Reduce(size=size), ()
+    if weight_room >= 1:
+        for shared in frontier:
+            # Plain share (weight indexed by one coordinate).
+            if new_weights:
+                yield new_share, (shared,)
+            yield extend_share, (shared,)
+            if weight_room < 2:
                 continue
-            yield new_share, (shared, matched)
-            yield extend_share, (shared, matched)
+            # Share + Match: move one other output dim onto the weight.
+            for matched in frontier:
+                if matched is shared or not matched.is_output:
+                    continue
+                if new_weights:
+                    yield new_share, (shared, matched)
+                yield extend_share, (shared, matched)
 
     # 1-to-1 views -------------------------------------------------------
     for dim in frontier:
@@ -199,7 +246,8 @@ def _candidate_applications(
             quotient = dim.size / merge.block
             if quotient.is_plausible and not quotient.is_one:
                 yield merge, (dim,)
-        yield shift, (dim,)
+        if shifts:
+            yield shift, (dim,)
     for major in frontier:
         for minor in frontier:
             if major is not minor:
@@ -207,7 +255,8 @@ def _candidate_applications(
 
     # 1-to-many / many-to-1 views ----------------------------------------
     for dim in frontier:
-        yield expand, (dim,)
+        if expands:
+            yield expand, (dim,)
         for stride in strides:
             yield stride, (dim,)
     for main in frontier:
@@ -220,30 +269,53 @@ def _candidate_applications(
 
 
 def enumerate_children(
-    graph: PGraph, options: EnumerationOptions, stats: "SynthesisStats | None" = None
+    graph: PGraph,
+    options: EnumerationOptions,
+    stats: "SynthesisStats | None" = None,
+    *,
+    steps: int | None = None,
 ) -> list[tuple[Action, PGraph]]:
     """All canonical one-primitive extensions of a partial pGraph.
 
-    A child is built only when its signature, derived from the graph and the
-    application, is new among its siblings; the first application to reach a
-    signature wins.  ``stats`` (optional) accumulates per-rule
+    Each candidate is settled on its :class:`Application` before any child
+    is built.  Siblings are deduplicated on :func:`sibling_key`, which is
+    equal exactly when the children's signatures are; the first application
+    to reach a signature wins.  ``stats`` (optional) accumulates per-rule
     canonicalization rejections — see :meth:`EnumerationOptions.allows`.
+
+    ``steps`` is the number of primitives left after the child.  When it is
+    given and ``options.use_shape_distance`` is on, a child that cannot
+    complete in time (``within_reach(child, steps)`` is false; see
+    :func:`application_within_reach`) is counted but never built.  With
+    ``steps`` and ``stats`` both given, the children generated, those pruned
+    by distance and a dead end (every child pruned) are counted too.
     """
+    prune = steps is not None and options.use_shape_distance
     children: list[tuple[Action, PGraph]] = []
-    seen_signatures: set[str] = set()
+    seen: set[tuple] = set()
+    pruned = 0
     for primitive, operands in _candidate_applications(graph, options):
-        if not options.allows(graph, primitive, operands, stats=stats):
+        if not options.is_canonical(graph, primitive, operands, stats):
             continue
         try:
             application = primitive.application(graph, operands)
         except PrimitiveError:
             continue
-        child_signature = graph.child_signature(application)
-        if child_signature[0] in seen_signatures:
+        key = sibling_key(application)
+        if key in seen:
             continue
-        seen_signatures.add(child_signature[0])
+        seen.add(key)
+        if prune and not application_within_reach(graph, application, steps):
+            pruned += 1
+            continue
         action = Action(primitive=primitive, operand_uids=tuple(d.uid for d in operands))
-        children.append((action, graph.extend(application, child_signature)))
+        children.append((action, graph.extend(application)))
+    if steps is not None and stats is not None:
+        generated = len(children) + pruned
+        stats.children_generated += generated
+        stats.pruned_by_distance += pruned
+        if generated and pruned == generated:
+            stats.dead_ends_by_distance += 1
     return children
 
 

@@ -66,7 +66,6 @@ from typing import Callable, Hashable, Mapping, Sequence
 from repro.core.enumeration import Action, EnumerationOptions, enumerate_children
 from repro.core.operator import OperatorSpec, SynthesizedOperator
 from repro.core.pgraph import PGraph
-from repro.core.shape_distance import within_reach
 from repro.runtime.context import current
 
 #: Reward function over complete operators; should return a value in [0, 1].
@@ -380,20 +379,17 @@ class MCTS:
     def _legal_children(self, graph: PGraph) -> tuple[tuple[Action, PGraph], ...]:
         """``graph``'s canonical children that can still complete in time.
 
-        :func:`enumerate_children` followed by the shape-distance prune,
-        memoized per runtime context under the graph's signature, its weight
-        signature and this search's space key.  The entry is shared by every
-        search in the context, so callers copy it before reordering.
+        :func:`enumerate_children` with the steps left after the child, so
+        the shape-distance prune runs on each candidate's application and no
+        pruned child is built.  Memoized per runtime context under the
+        graph's signature, its weight signature and this search's space key.
+        The entry is shared by every search in the context, so callers copy
+        it before reordering.
         """
 
         def compute() -> tuple[tuple[Action, PGraph], ...]:
-            children = enumerate_children(graph, self.options)
-            if not self.options.use_shape_distance:
-                return tuple(children)
-            remaining = self.options.max_depth - graph.depth - 1
-            return tuple(
-                (action, child) for action, child in children if within_reach(child, remaining)
-            )
+            steps = self.options.max_depth - graph.depth - 1
+            return tuple(enumerate_children(graph, self.options, steps=steps))
 
         key = (graph.signature(), graph.weight_signature(), self._space)
         return current().cached_children(key, compute)

@@ -190,30 +190,18 @@ class PGraph:
 
     # -- extension ---------------------------------------------------------
 
-    def extend(
-        self,
-        application: Application,
-        child_signature: tuple[str, tuple[int, ...]] | None = None,
-    ) -> "PGraph":
+    def extend(self, application: Application) -> "PGraph":
         """Return the graph with ``application`` applied.
 
-        Its consumed dims leave the frontier, and its produced dims take the
-        place of the first consumed dim (or are appended, if nothing was
-        consumed).  Its weight dims are appended to the weight tensor at its
-        ``weight_index`` (or make a fresh weight tensor when the index equals
-        ``len(self.weights)``).  ``child_signature`` is
-        :meth:`child_signature`'s result for ``application``, for a caller
-        that already computed it.
+        Its frontier is :meth:`frontier_after`'s.  Its weight dims are
+        appended to the weight tensor at its ``weight_index`` (or make a fresh
+        weight tensor when the index equals ``len(self.weights)``).  The child
+        gets its signatures here, extended from this graph's (see
+        :meth:`signature`).
         """
-        frontier = list(self.frontier)
-        consumed = application.consumed
-        for dim in consumed:
-            if dim not in frontier:
+        for dim in application.consumed:
+            if dim not in self.frontier:
                 raise ValueError(f"dim {dim!r} is not in the frontier")
-        insert_at = frontier.index(consumed[0]) if consumed else len(frontier)
-        for dim in consumed:
-            frontier.remove(dim)
-        frontier[insert_at:insert_at] = application.produced
 
         weights = list(self.weights)
         if application.weight_dims:
@@ -230,15 +218,38 @@ class PGraph:
             output_shape=self.output_shape,
             input_shape=self.input_shape,
             output_dims=self.output_dims,
-            frontier=tuple(frontier),
+            frontier=self.frontier_after(application),
             applications=self.applications + (application,),
             weights=tuple(weights),
         )
-        signature, uids = child_signature or self.child_signature(application)
+        signature, _, parent_uids = self._signatures()
+        uids = list(parent_uids)
+        part = _application_part(application, uids)
+        if self.applications:
+            part = f"{signature};{part}"
         object.__setattr__(
-            child, "_signature_cache", (signature, _weights_part(child.weights, uids), uids)
+            child, "_signature_cache", (part, _weights_part(child.weights, uids), tuple(uids))
         )
         return child
+
+    def frontier_after(self, application: Application) -> tuple[Dim, ...]:
+        """The frontier of ``extend(application)``, without building the child.
+
+        The consumed dims leave the frontier, and the produced dims go in at
+        the index the first consumed dim had before the removal, counted in
+        the frontier after it (or at the end, if nothing was consumed).
+        Enumeration's prune reads a candidate child's frontier sizes from
+        here, so they reach the shape-distance memo in :meth:`extend`'s order.
+        """
+        consumed = application.consumed
+        if not consumed:
+            return self.frontier + application.produced
+        frontier = list(self.frontier)
+        insert_at = frontier.index(consumed[0])
+        for dim in consumed:
+            frontier.remove(dim)
+        frontier[insert_at:insert_at] = application.produced
+        return tuple(frontier)
 
     # -- queries -----------------------------------------------------------
 
@@ -388,19 +399,6 @@ class PGraph:
         parts = [_application_part(app, uids) for app in self.applications]
         return ";".join(parts), _weights_part(self.weights, uids), tuple(uids)
 
-    def child_signature(self, application: Application) -> tuple[str, tuple[int, ...]]:
-        """The signature of ``extend(application)`` and its dim uids in label order.
-
-        Computed without building the child, so enumeration can drop a
-        duplicate before paying for its construction.
-        """
-        signature, _, parent_uids = self._signatures()
-        uids = list(parent_uids)
-        part = _application_part(application, uids)
-        if self.applications:
-            part = f"{signature};{part}"
-        return part, tuple(uids)
-
     def __repr__(self) -> str:
         return f"PGraph(depth={self.depth}, frontier={self.frontier_shape!r})"
 
@@ -471,6 +469,26 @@ def _application_part(app: Application, uids: list[int]) -> str:
         ",".join(_label(uids, d) for d in app.produced),
         ",".join(_label(uids, d) for d in app.matched),
         app.weight_index if app.weight_index is not None else "",
+    )
+
+
+def sibling_key(app: Application) -> tuple:
+    """A key two applications of one graph share exactly when their children's signatures do.
+
+    It holds :func:`_application_part`'s fields, with dims as uids instead
+    of labels; the parent's signature is common to all siblings.  The
+    consumed and matched dims are already in the graph, and its dims map
+    one-to-one to labels.  The produced dims are new, and take the next
+    labels in order, so only their count matters.  A ``Share``'s shared dim
+    is in neither part nor key.  Enumeration drops duplicate siblings on
+    this key, so only a child it keeps gets a signature string.
+    """
+    return (
+        app.primitive.describe(),
+        tuple([dim.uid for dim in app.consumed]),
+        len(app.produced),
+        tuple([dim.uid for dim in app.matched]),
+        app.weight_index,
     )
 
 

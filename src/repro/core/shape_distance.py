@@ -21,12 +21,17 @@ The metric follows the paper's construction:
 
 The distance is 0 exactly when the shapes match as multisets and at least 1
 otherwise, so with no steps left the prune needs only the completeness test.
-:func:`within_reach` is the one prune predicate synthesis, the library
-builder and MCTS apply to a generated child: below zero steps it is false, at
-zero it is ``graph.is_complete``, and above zero it compares the distance
-with the steps.  Many children that still have steps share a frontier shape,
-so :func:`shape_distance` is memoized in the ambient runtime context's caches
-(``RuntimeContext.cached_shape_distance``).
+:func:`within_reach` is the prune predicate: below zero steps it is false,
+at zero it is ``graph.is_complete``, and above zero it compares the distance
+with the steps.  :func:`application_within_reach` decides the same question
+for a candidate application before its child is built.  The library builder
+and MCTS prune that way, through ``enumerate_children(..., steps=)``, because
+at a build's last level almost every generated child is pruned, and building
+one costs more than deciding it.  ``synthesize`` and the shape-distance
+ablation test built children with :func:`within_reach`, since they need the
+unpruned list (see :mod:`repro.core.enumeration`).  Many children that still
+have steps share a frontier shape, so :func:`shape_distance` is memoized in
+the ambient runtime context's caches (``RuntimeContext.cached_shape_distance``).
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from repro.ir.size import Size
 from repro.runtime.context import current as current_runtime
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.pgraph import PGraph
+    from repro.core.pgraph import Application, PGraph
 
 
 def _union_find_groups(lhs: ShapeSpec, rhs: ShapeSpec) -> list[tuple[list[Size], list[Size]]]:
@@ -152,3 +157,25 @@ def within_reach(graph: "PGraph", steps: int) -> bool:
     if steps == 0:
         return graph.is_complete
     return shape_distance(graph.frontier_shape, graph.input_shape) <= steps
+
+
+def application_within_reach(graph: "PGraph", application: "Application", steps: int) -> bool:
+    """``within_reach(graph.extend(application), steps)``, decided without building the child.
+
+    At zero steps the child's rank is checked first, from the counts of
+    consumed and produced dims; only a child of the input's rank gets its
+    frontier sizes.  Those come from :meth:`PGraph.frontier_after`, the order
+    :meth:`PGraph.extend` builds, so the shape-distance memo sees the keys
+    that built children would give it.
+    """
+    if steps < 0:
+        return False
+    desired = graph.input_shape
+    if steps == 0:
+        rank = len(graph.frontier) - len(application.consumed) + len(application.produced)
+        if rank != len(desired):
+            return False
+    shape = ShapeSpec(tuple(dim.size for dim in graph.frontier_after(application)))
+    if steps == 0:
+        return shape.same_multiset(desired)
+    return shape_distance(shape, desired) <= steps

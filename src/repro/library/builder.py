@@ -35,7 +35,6 @@ from typing import Callable, Mapping, Sequence
 from repro.core.enumeration import EnumerationOptions, SynthesisStats, enumerate_children
 from repro.core.operator import OperatorSpec
 from repro.core.pgraph import PGraph, reserve_dim_uids
-from repro.core.shape_distance import within_reach
 from repro.library.embeddings import (
     FEATURE_NAMES,
     feature_vector,
@@ -118,16 +117,12 @@ def _expand_graph(
     reserve_dim_uids(_highest_uid(graph))
     stats = SynthesisStats()
     stats.nodes_visited += 1
-    children = enumerate_children(graph, options, stats=stats)
-    stats.children_generated += len(children)
+    children = enumerate_children(
+        graph, options, stats=stats, steps=options.max_depth - graph.depth - 1
+    )
     binding = options.budget_binding or {}
     records: list[_ChildRecord] = []
-    pruned_here = 0
     for action, child in children:
-        if options.use_shape_distance and not within_reach(child, options.max_depth - child.depth):
-            stats.pruned_by_distance += 1
-            pruned_here += 1
-            continue
         complete = child.is_complete and child.depth > 0
         macs, params = graph_costs(child, binding)
         within = options.within_budgets(child, costs=(macs, params)) if complete else True
@@ -149,8 +144,6 @@ def _expand_graph(
                 graph=child if expandable else None,
             )
         )
-    if children and pruned_here == len(children):
-        stats.dead_ends_by_distance += 1
     return graph.signature(), records, stats
 
 

@@ -1,16 +1,18 @@
-"""Exactness of enumeration's per-graph rule state, rule dispatch and child building.
+"""Exactness of enumeration's per-graph rule state, rule dispatch, child building and prune.
 
 ``enumerate_children`` checks every candidate application against state it
-derives once per graph (:meth:`PGraph.rule_state`), runs only the rules that
-can reject the candidate's primitive type, and builds a child only when its
-signature is new.  Each shortcut is compared here against a from-scratch
-reference kept in this file, over the graphs of unpruned depth-2 BFSs of the
-resnet and gpt2 slots and over every graph a resnet depth-3 library build
-expands.
+derives once per graph (:meth:`PGraph.rule_state`), generates no candidate an
+occurrence limit blocks, runs only the rules that can reject the candidate's
+primitive type, and builds a child only when its sibling key is new and,
+given the steps left, when the child can still complete.  Each shortcut is
+compared here against a from-scratch reference kept in this file, over the
+graphs of unpruned depth-2 BFSs of the resnet and gpt2 slots and over every
+graph a resnet depth-3 library build expands.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import pickle
 
@@ -24,7 +26,7 @@ from repro.core.enumeration import (
     _candidate_applications,
     enumerate_children,
 )
-from repro.core.pgraph import PGraph, WeightTensor
+from repro.core.pgraph import Application, Dim, DimRole, PGraph, WeightTensor, sibling_key
 from repro.core.primitives import (
     Expand,
     Merge,
@@ -37,11 +39,13 @@ from repro.core.primitives import (
     Stride,
     Unfold,
 )
+from repro.core.shape_distance import within_reach
 from repro.library import builder
 from repro.library.specs import space_for
 from repro.runtime import RuntimeConfig, RuntimeContext
 
 PRIMITIVE_TYPES = (Primitive, Split, Merge, Shift, Expand, Unfold, Stride, Reduce, Share)
+UNLIMITED = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -70,9 +74,9 @@ def build_graphs(tmp_path_factory) -> list[PGraph]:
     """The graphs a serial resnet depth-3 library build expands, in order."""
     expanded: list[PGraph] = []
 
-    def recording(graph, options, stats=None):
+    def recording(graph, options, stats=None, *, steps=None):
         expanded.append(graph)
-        return enumerate_children(graph, options, stats=stats)
+        return enumerate_children(graph, options, stats=stats, steps=steps)
 
     space = space_for("resnet", max_depth=3)
     runtime = RuntimeContext(
@@ -190,7 +194,9 @@ def _assert_dispatch_exact(engine: CanonicalizationEngine, graphs, options) -> i
 class TestRuleDispatch:
     def test_build_candidates_match_a_loop_over_every_rule(self, build_graphs):
         options = space_for("resnet", max_depth=3).options
-        assert _assert_dispatch_exact(options.canonicalizer, build_graphs, options) > 60_000
+        # Occurrence limits are decided per graph, so the 4,974 candidates
+        # they block are never generated.
+        assert _assert_dispatch_exact(options.canonicalizer, build_graphs, options) == 58_737
 
     def test_bfs_candidates_match_a_loop_over_every_rule(self, bfs_graphs):
         for family, graphs in bfs_graphs.items():
@@ -266,10 +272,18 @@ def _rebuilt(graph: PGraph, application) -> PGraph:
     )
 
 
+def _unlimited(options):
+    """``options`` without occurrence limits: candidates of every kind are generated."""
+    return dataclasses.replace(
+        options, max_expands=UNLIMITED, max_strides=UNLIMITED, max_shifts=UNLIMITED,
+        max_reductions=UNLIMITED, max_weights=UNLIMITED, max_weight_dims=UNLIMITED,
+    )
+
+
 def _reference_children(graph: PGraph, options, stats: SynthesisStats) -> list:
-    """Build every allowed child with ``apply``, then drop repeated signatures."""
+    """Check every candidate with ``allows``, build it with ``apply``, then drop repeated signatures."""
     built = []
-    for primitive, operands in _candidate_applications(graph, options):
+    for primitive, operands in _candidate_applications(graph, _unlimited(options)):
         if not options.allows(graph, primitive, operands, stats=stats):
             continue
         try:
@@ -325,3 +339,146 @@ class TestChildren:
             # The depth-2 leaves are covered through the build graphs.
             inner = [graph for graph in graphs if graph.depth < 2] + graphs[-25:]
             _assert_children_exact(inner, space_for(family).options, monkeypatch)
+
+
+# ---------------------------------------------------------------------------
+# The prune on the application
+# ---------------------------------------------------------------------------
+
+
+def _assert_pruned_children_exact(graphs, options, monkeypatch) -> None:
+    """``steps=k`` keeps exactly the unpruned children ``within_reach(child, k)`` keeps.
+
+    The statistics are the accounting the library builder did after an
+    unpruned call: children generated, pruned by distance, a dead end when
+    every child is pruned, and the same per-rule rejections.
+    """
+    base = 10**6 + max(dim.uid for graph in graphs for dim in graph.frontier + graph.output_dims)
+    for graph in graphs:
+        monkeypatch.setattr(pgraph_module, "_DIM_COUNTER", itertools.count(base))
+        unpruned_stats = SynthesisStats()
+        unpruned = enumerate_children(graph, options, stats=unpruned_stats)
+        for steps in range(-1, 4):
+            kept = [(action, child) for action, child in unpruned if within_reach(child, steps)]
+            expected = SynthesisStats(
+                children_generated=len(unpruned),
+                pruned_by_distance=len(unpruned) - len(kept),
+                dead_ends_by_distance=int(bool(unpruned) and not kept),
+                canonicalization_rejections=dict(unpruned_stats.canonicalization_rejections),
+            )
+            monkeypatch.setattr(pgraph_module, "_DIM_COUNTER", itertools.count(base))
+            stats = SynthesisStats()
+            children = enumerate_children(graph, options, stats=stats, steps=steps)
+            assert _describe(children) == _describe(kept), (graph.signature(), steps)
+            assert stats == expected, (graph.signature(), steps)
+
+
+#: Each graph is enumerated six times, so the larger graph sets are checked
+#: in strided parts, one test each.
+BUILD_PARTS, RESNET_BFS_PARTS = 4, 10
+
+
+class TestPruneOnTheApplication:
+    @pytest.mark.parametrize("part", range(BUILD_PARTS))
+    def test_build_graphs(self, build_graphs, part, monkeypatch):
+        options = space_for("resnet", max_depth=3).options
+        _assert_pruned_children_exact(build_graphs[part::BUILD_PARTS], options, monkeypatch)
+
+    @pytest.mark.parametrize("part", range(RESNET_BFS_PARTS))
+    def test_resnet_bfs_graphs(self, bfs_graphs, part, monkeypatch):
+        graphs = bfs_graphs["resnet"][part::RESNET_BFS_PARTS]
+        _assert_pruned_children_exact(graphs, space_for("resnet").options, monkeypatch)
+
+    def test_gpt2_bfs_graphs(self, bfs_graphs, monkeypatch):
+        _assert_pruned_children_exact(bfs_graphs["gpt2"], space_for("gpt2").options, monkeypatch)
+
+    def test_steps_without_shape_distance_only_count(self, bfs_graphs, monkeypatch):
+        graphs = bfs_graphs["gpt2"]
+        options = dataclasses.replace(space_for("gpt2").options, use_shape_distance=False)
+        base = 10**6 + max(dim.uid for graph in graphs for dim in graph.frontier + graph.output_dims)
+        for graph in graphs:
+            monkeypatch.setattr(pgraph_module, "_DIM_COUNTER", itertools.count(base))
+            unpruned = enumerate_children(graph, options)
+            monkeypatch.setattr(pgraph_module, "_DIM_COUNTER", itertools.count(base))
+            stats = SynthesisStats()
+            children = enumerate_children(graph, options, stats=stats, steps=-1)
+            assert _describe(children) == _describe(unpruned)
+            assert (stats.children_generated, stats.pruned_by_distance) == (len(unpruned), 0)
+            assert stats.dead_ends_by_distance == 0
+
+
+# ---------------------------------------------------------------------------
+# Sibling keys
+# ---------------------------------------------------------------------------
+
+
+def _assert_keys_match_signatures(graph: PGraph, applications) -> int:
+    """Equal sibling keys exactly when the children's signatures are equal."""
+    pairs = {(sibling_key(app), graph.extend(app).signature()) for app in applications}
+    assert len(pairs) == len({key for key, _ in pairs}) == len({sig for _, sig in pairs})
+    return len(pairs)
+
+
+def _applications(graph: PGraph, options) -> list:
+    """Every candidate application of ``graph``, canonical or not, limits lifted."""
+    applications = []
+    for primitive, operands in _candidate_applications(graph, _unlimited(options)):
+        try:
+            applications.append(primitive.application(graph, operands))
+        except PrimitiveError:
+            continue
+    return applications
+
+
+class TestSiblingKeys:
+    def test_build_graphs(self, build_graphs):
+        options = space_for("resnet", max_depth=3).options
+        for graph in build_graphs:
+            _assert_keys_match_signatures(graph, _applications(graph, options))
+
+    @pytest.mark.parametrize("family, part, parts", [("resnet", 0, 2), ("resnet", 1, 2), ("gpt2", 0, 1)])
+    def test_bfs_graphs(self, bfs_graphs, family, part, parts):
+        options = space_for(family).options
+        for graph in bfs_graphs[family][part::parts]:
+            _assert_keys_match_signatures(graph, _applications(graph, options))
+
+    def test_every_field_of_the_key_reaches_the_signature(self):
+        # Applications built by hand, each differing from the first in one
+        # field, including a Share whose matched dims are not its consumed
+        # ones, which enumeration never builds.
+        space = space_for("gpt2")
+        root = PGraph.root(space.spec.output_shape, space.spec.input_shape)
+        graph = Share().apply(root, root.frontier[-1:])
+        first, second = graph.frontier[:2]
+
+        def share(consumed=(first,), matched=(first,), produced=(), weight_index=0, **kind):
+            weight = Dim(size=second.size, role=DimRole.WEIGHT, identified_with=second)
+            return Application(
+                primitive=Share(**kind), consumed=consumed, produced=produced,
+                weight_dims=(weight,), matched=matched, weight_index=weight_index,
+            )
+
+        fresh = Dim(size=first.size, role=DimRole.INTERMEDIATE)
+        applications = [
+            share(),
+            share(new_weight=False),
+            share(consumed=(second,), matched=(first,)),
+            share(produced=(fresh,)),
+            share(matched=()),
+            share(weight_index=1),
+        ]
+        assert _assert_keys_match_signatures(graph, applications) == len(applications)
+        # Neither the shared dim (the weight's identity) nor a produced dim's
+        # uid reaches the signature.
+        same = [
+            share(),
+            share(produced=()),
+            dataclasses.replace(
+                share(),
+                weight_dims=(Dim(size=first.size, role=DimRole.WEIGHT, identified_with=first),),
+            ),
+        ]
+        assert _assert_keys_match_signatures(graph, same) == 1
+        other = Dim(size=first.size, role=DimRole.INTERMEDIATE)
+        twins = [share(produced=(fresh,)), share(produced=(other,))]
+        assert _assert_keys_match_signatures(graph, twins) == 1

@@ -453,6 +453,34 @@ class TestSynthesisStats:
         assert result.content_hash == self.RESNET_DEPTH3_HASH
         assert result.stats.to_dict() == self.RESNET_DEPTH3_STATS
 
+    #: The serial gpt2 build at depth 4: the space the search explores at full
+    #: budget, and the only pinned build where the prune runs at every steps
+    #: count from 0 to 3.
+    GPT2_DEPTH4_HASH = "fa411a1cd5e2c6fb13f0195fc325e66c5ec20a23ab69862329f91de81eb0489d"
+    GPT2_DEPTH4_STATS = {
+        "nodes_visited": 305,
+        "children_generated": 1_359,
+        "pruned_by_distance": 1_031,
+        "completed": 20,
+        "rejected_by_budget": 4,
+        "canonicalization_rejections": {
+            "canonical_commuting_order": 1_155,
+            "no_expand_of_reduction": 74,
+            "no_shift_chains": 81,
+        },
+        "dead_ends_by_distance": 224,
+    }
+
+    def test_gpt2_depth4_build_is_pinned(self, tmp_path):
+        space = _gpt2_space(max_depth=4)
+        result = build_library(
+            space.spec, space.options, name=space.name,
+            runtime=_runtime(tmp_path), shards=1,
+        )
+        assert (result.entries, result.complete) == (329, 20)
+        assert result.content_hash == self.GPT2_DEPTH4_HASH
+        assert result.stats.to_dict() == self.GPT2_DEPTH4_STATS
+
     def test_stats_merge_folds_rule_counts(self):
         left = SynthesisStats(nodes_visited=2)
         left.note_canonicalization_rejection("rule_a")

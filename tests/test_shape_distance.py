@@ -220,10 +220,11 @@ class TestWithinReach:
     def test_over_every_child_of_the_resnet_depth3_build(self, tmp_path, monkeypatch):
         generated: list[PGraph] = []
 
-        def recording(graph, options, stats=None):
-            children = enumerate_children(graph, options, stats=stats)
-            generated.extend(child for _, child in children)
-            return children
+        def recording(graph, options, stats=None, *, steps=None):
+            # The build prunes before it builds, so record every child it
+            # generates from an unpruned enumeration of the same graph.
+            generated.extend(child for _, child in enumerate_children(graph, options))
+            return enumerate_children(graph, options, stats=stats, steps=steps)
 
         monkeypatch.setattr(builder, "enumerate_children", recording)
         space = space_for("resnet", max_depth=3)
