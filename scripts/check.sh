@@ -68,6 +68,22 @@ if [ "$FINGERPRINT_MISMATCHES" -ne 0 ]; then
 fi
 echo "OK: every experiment's smoke fingerprint matches scripts/smoke_fingerprints.txt"
 
+echo "== uncached latency path: figure5 with the caches off keeps its pin =="
+# figure5 costs every candidate through the latency memos: operator
+# lowerings, the slots' standard-conv programs, compile results and the
+# programs' cached structural keys.  With REPRO_EVAL_CACHE=0 every lookup
+# computes afresh, so the run must print figure5's pinned fingerprint; a
+# memo that returns anything but what it replaces fails here.  It gets its
+# own results dir, like the legs before it.
+UNCACHED_PIN="$(sed -n 's/^figure5 //p' scripts/smoke_fingerprints.txt)"
+UNCACHED_GOT="$(REPRO_EVAL_CACHE=0 python -m repro.cli run figure5 --smoke --no-cache-persist \
+  --results-dir "$RESULTS_DIR/uncached" < /dev/null | sed -n 's/^fingerprint //p')"
+if [ "$UNCACHED_GOT" != "$UNCACHED_PIN" ]; then
+  echo "FAIL: figure5 with REPRO_EVAL_CACHE=0: pinned $UNCACHED_PIN, got $UNCACHED_GOT" >&2
+  exit 1
+fi
+echo "OK: figure5 with the caches off prints its pinned fingerprint $UNCACHED_PIN"
+
 echo "== examples: every example runs; the vision search serial and at 2 shards =="
 # The examples are the only callers of SearchSession.run() and the only MCTS
 # users outside the tests.  The vision search reads its shard count from

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.compiler.backends import loopnest_for_slot
+from repro.compiler.backends import cached_loopnest_for_slot
 from repro.compiler.costmodel import AnalyticalCostModel
 from repro.compiler.schedule import Schedule, schedule_space
 from repro.compiler.targets import HardwareTarget
@@ -60,7 +60,7 @@ def quantized_latency(
     )
     total = 0.0
     for slot in slots:
-        program = loopnest_for_slot(slot, batch=batch)
+        program = cached_loopnest_for_slot(slot, batch=batch)
         best = float("inf")
         for index, schedule in enumerate(schedule_space()):
             if index >= trials:

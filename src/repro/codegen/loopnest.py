@@ -197,23 +197,32 @@ class LoopNestProgram:
         Tuning outcomes depend only on the iteration spaces and data volumes,
         so structurally identical layers (e.g. the repeated blocks of a
         backbone profile) share one cache entry regardless of slot naming.
+        Every compile lookup asks for it, and programs come out of the
+        lowering memo, so it is built once and kept on the (immutable)
+        instance, like :meth:`PGraph.signature`; a pickled program carries
+        it along, and :func:`dataclasses.replace` builds a new instance that
+        computes its own.
         """
-        return (
-            tuple(
-                (
-                    stage.extents,
-                    stage.macs,
-                    stage.input_elements,
-                    stage.weight_elements,
-                    stage.output_elements,
-                )
-                for stage in self.stages
-            ),
-            self.naive_macs,
-            self.parameter_count,
-            self.input_elements,
-            self.output_elements,
-        )
+        key = self.__dict__.get("_structural_key")
+        if key is None:
+            key = (
+                tuple(
+                    (
+                        stage.extents,
+                        stage.macs,
+                        stage.input_elements,
+                        stage.weight_elements,
+                        stage.output_elements,
+                    )
+                    for stage in self.stages
+                ),
+                self.naive_macs,
+                self.parameter_count,
+                self.input_elements,
+                self.output_elements,
+            )
+            object.__setattr__(self, "_structural_key", key)
+        return key
 
     @property
     def macs(self) -> int:
@@ -410,8 +419,10 @@ def cached_loopnest(
     Lowering depends on neither the compiler backend nor the hardware target,
     so the latency evaluators, which re-lower every (operator, slot) pair for
     each of them, pay for it once.  The memo is the ambient context's
-    lowering cache.  A :class:`~repro.ir.size.SizeError` (the pairing has no
-    integral sizes) propagates and is not cached.
+    lowering cache, which also holds the slots' standard-convolution
+    programs (:func:`~repro.compiler.backends.cached_loopnest_for_slot`,
+    under three-part keys).  A :class:`~repro.ir.size.SizeError` (the
+    pairing has no integral sizes) propagates and is not cached.
 
     The key holds everything the lowering reads.  The canonical signature
     fixes the application structure and the weight signature the dim each

@@ -24,6 +24,7 @@ from repro.compiler.costmodel import AnalyticalCostModel
 from repro.compiler.schedule import Schedule, default_schedule, schedule_space
 from repro.compiler.targets import HardwareTarget
 from repro.nn.models.common import ConvSlot
+from repro.runtime import current
 
 
 @dataclass(frozen=True)
@@ -61,10 +62,6 @@ class CompilerBackend:
     def compile(self, program: LoopNestProgram, target: HardwareTarget) -> TuneResult:
         """Tune ``program`` for ``target``, memoized in the ambient context's
         compile cache."""
-        # Imported lazily: repro.search re-exports modules that import this
-        # one, so a module-level import would form a cycle.
-        from repro.runtime import current
-
         key = (self.config_key(), program.structural_key(), target)
         return current().cached_compile(
             key, lambda: self._compile_uncached(program, target)
@@ -218,6 +215,22 @@ def loopnest_for_slot(slot: ConvSlot, batch: int = 1) -> LoopNestProgram:
         parameter_count=slot.parameters(),
         input_elements=input_elements,
         output_elements=output_elements,
+    )
+
+
+def cached_loopnest_for_slot(slot: ConvSlot, batch: int = 1) -> LoopNestProgram:
+    """:func:`loopnest_for_slot` of ``(slot, batch)``, memoized per context.
+
+    Every evaluation of a model costs its slots' standard convolutions: all
+    of them for the baseline, and each slot a candidate cannot substitute.
+    The memo is the ambient context's lowering cache, beside the operator
+    lowerings of :func:`~repro.codegen.loopnest.cached_loopnest`.  Their keys
+    start with a signature string and have four parts, so the three-part
+    ``("standard-conv", slot, batch)`` cannot collide with them.  The key
+    holds the whole slot, so a program never carries another slot's name.
+    """
+    return current().cached_lowering(
+        ("standard-conv", slot, batch), lambda: loopnest_for_slot(slot, batch)
     )
 
 

@@ -156,9 +156,8 @@ def stride_paired_with_one_to_many(
     """``Stride`` discards elements, so it must be paired with a 1-to-many view."""
     if not isinstance(primitive, Stride):
         return True
-    one_to_many = graph.count_primitive(Unfold) + graph.count_primitive(Expand)
-    strides = graph.count_primitive(Stride)
-    return strides < one_to_many + 1  # allow one Stride "in flight"
+    state = graph.rule_state()
+    return state.strides < state.one_to_many + 1  # allow one Stride "in flight"
 
 
 @rejects(Share)

@@ -33,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _DIM_COUNTER = itertools.count()
 
 #: per-instance state a graph derives on demand and never pickles.
-_DERIVED = frozenset({"_rule_state", "_is_complete"})
+_DERIVED = frozenset({"_frontier_shape", "_rule_state", "_is_complete"})
 
 
 def reserve_dim_uids(highest: int) -> None:
@@ -260,7 +260,7 @@ class PGraph:
 
     @property
     def frontier_shape(self) -> ShapeSpec:
-        """The frontier's sizes, built once per (immutable) graph."""
+        """The frontier's sizes, built once per (immutable) graph and never pickled."""
         shape = self.__dict__.get("_frontier_shape")
         if shape is None:
             shape = ShapeSpec(tuple(dim.size for dim in self.frontier))
@@ -315,11 +315,8 @@ class PGraph:
         return state
 
     def count_primitive(self, primitive_type: type) -> int:
-        total = 0
-        for kind, count in self.rule_state().type_counts.items():
-            if issubclass(kind, primitive_type):
-                total += count
-        return total
+        """Applications of ``primitive_type``, its subclasses included."""
+        return _count_kind(self.rule_state().type_counts, primitive_type)
 
     def weight_index_of_last_share(self) -> int | None:
         """Index of the most recently extended weight tensor, if any."""
@@ -425,9 +422,17 @@ class RuleState:
     last_share_weight_index: int | None
     #: the number of weight dims over all weight tensors.
     weight_dims: int
+    #: ``count_primitive(Unfold) + count_primitive(Expand)``: the 1-to-many
+    #: views each ``Stride`` must be paired with.
+    one_to_many: int
+    #: ``count_primitive(Stride)``.
+    strides: int
 
     @staticmethod
     def of(graph: PGraph) -> "RuleState":
+        # Imported here: repro.core.primitives imports this module.
+        from repro.core.primitives import Expand, Stride, Unfold
+
         type_counts: dict[type, int] = {}
         producers: dict[Dim, Application] = {}
         last_share_weight_index = None
@@ -451,7 +456,18 @@ class RuleState:
             last_order_key=order_key,
             last_share_weight_index=last_share_weight_index,
             weight_dims=sum(len(weight.dims) for weight in graph.weights),
+            one_to_many=_count_kind(type_counts, Unfold) + _count_kind(type_counts, Expand),
+            strides=_count_kind(type_counts, Stride),
         )
+
+
+def _count_kind(type_counts: Mapping[type, int], primitive_type: type) -> int:
+    """The applications in ``type_counts`` of ``primitive_type`` or a subclass."""
+    total = 0
+    for kind, count in type_counts.items():
+        if issubclass(kind, primitive_type):
+            total += count
+    return total
 
 
 def _label(uids: list[int], dim: Dim) -> str:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from repro.baselines.quantization import quantize_model, quantized_latency
 from repro.baselines.stacked_conv import StackedConvolution, stacked_conv_program
-from repro.compiler.backends import TVMBackend
+from repro.compiler.backends import TVMBackend, cached_loopnest_for_slot
 from repro.compiler.targets import MOBILE_CPU, HardwareTarget
 from repro.core.library import GROUPS, K1, SHRINK, build_operator1
 from repro.nn.data import SyntheticImageDataset
@@ -80,9 +80,7 @@ def _stacked_latency(backend, target, batch: int = 1) -> float:
         if slot_is_substitutable(slot):
             program = stacked_conv_program(slot, batch=batch)
         else:
-            from repro.compiler.backends import loopnest_for_slot
-
-            program = loopnest_for_slot(slot, batch=batch)
+            program = cached_loopnest_for_slot(slot, batch=batch)
         total += backend.compile(program, target).latency_seconds
     return total
 

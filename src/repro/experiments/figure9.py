@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.codegen.loopnest import cached_loopnest
-from repro.compiler.backends import CompilerBackend, loopnest_for_slot
+from repro.compiler.backends import CompilerBackend, cached_loopnest_for_slot
 from repro.compiler.targets import HardwareTarget
 from repro.experiments.common import (
     ALL_TARGETS,
@@ -123,7 +123,7 @@ def run(
         slot: ConvSlot = RESNET34_FIGURE9_LAYERS[layer_name]
         for target in targets:
             for backend in backends:
-                baseline = backend.compile(loopnest_for_slot(slot, batch=1), target)
+                baseline = backend.compile(cached_loopnest_for_slot(slot, batch=1), target)
                 comparison = LayerComparison(
                     layer=layer_name,
                     target=target.name,

@@ -88,14 +88,19 @@ class KeyedCache:
         return key in self._data
 
     def lookup(self, key: Hashable) -> tuple[bool, object]:
-        """``(found, value)`` for ``key``, updating the hit/miss counters."""
+        """``(found, value)`` for ``key``, updating the hit/miss counters.
+
+        A hit pops the key and puts it back, so it moves to the most recent
+        end having been hashed twice; a miss pops nothing and reorders
+        nothing.
+        """
         with self._lock:
-            value = self._data.get(key, self._MISSING)
+            value = self._data.pop(key, self._MISSING)
             if value is self._MISSING:
                 self.stats.misses += 1
                 return False, None
             self.stats.hits += 1
-            self._data[key] = self._data.pop(key)  # mark most recently used
+            self._data[key] = value  # mark most recently used
             return True, value
 
     def put(self, key: Hashable, value: object) -> None:
@@ -255,8 +260,9 @@ class CacheSet:
     """The seven evaluation caches one runtime context owns.
 
     ``reward``/``compile_``/``baseline`` persist to disk.  ``plan`` (numpy
-    index arrays and contraction paths) and ``lowering`` (loop-nest programs)
-    are cheap to recompute, so they are memoized in memory only; both
+    index arrays and contraction paths) and ``lowering`` (loop-nest programs:
+    operator lowerings and the slots' standard convolutions) are cheap to
+    recompute, so they are memoized in memory only; both
     participate in shard-delta export/merge with the persisted three
     (shipping a compiled plan or a lowering saves the recompute on the next
     wave).  ``shape_distance`` (synthesis's pruning guide, keyed on two

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from repro.codegen.loopnest import cached_loopnest
-from repro.compiler.backends import CompilerBackend, loopnest_for_slot
+from repro.compiler.backends import CompilerBackend, cached_loopnest_for_slot
 from repro.compiler.targets import HardwareTarget
 from repro.core.operator import SynthesizedOperator
 from repro.ir.size import SizeError
@@ -207,7 +207,7 @@ class LatencyEvaluator:
     def _baseline_latency_uncached(self) -> float:
         total = 0.0
         for slot in self.slots:
-            program = loopnest_for_slot(slot, batch=self.batch)
+            program = cached_loopnest_for_slot(slot, batch=self.batch)
             total += self.backend.compile(program, self.target).latency_seconds
         return total
 
@@ -233,7 +233,7 @@ class LatencyEvaluator:
                     "operator not lowerable at slot %s (%s); keeping the "
                     "standard convolution", slot, exc,
                 )
-        return loopnest_for_slot(slot, batch=self.batch)
+        return cached_loopnest_for_slot(slot, batch=self.batch)
 
     def substituted_latency(self, operator: SynthesizedOperator) -> float:
         """Latency with ``operator`` substituted into every standard 3x3 slot."""

@@ -132,6 +132,11 @@ def _reference_rule_state(graph: PGraph) -> dict:
         ),
         "share_index": share_index,
         "weight_dims": sum(len(weight.dims) for weight in graph.weights),
+        "one_to_many": sum(
+            isinstance(app.primitive, Unfold) + isinstance(app.primitive, Expand)
+            for app in graph.applications
+        ),
+        "strides": sum(isinstance(app.primitive, Stride) for app in graph.applications),
     }
 
 
@@ -143,6 +148,8 @@ def _assert_rule_state_exact(graph: PGraph) -> None:
         "order_key": state.last_order_key,
         "share_index": graph.weight_index_of_last_share(),
         "weight_dims": state.weight_dims,
+        "one_to_many": state.one_to_many,
+        "strides": state.strides,
     }
     assert derived == _reference_rule_state(graph)
     dims = set(graph.frontier)
@@ -150,6 +157,14 @@ def _assert_rule_state_exact(graph: PGraph) -> None:
         dims.update(app.consumed + app.produced + app.weight_dims)
     for dim in dims:
         assert state.producers.get(dim) is _reference_producer(graph, dim)
+
+
+#: how a graph derives each name in ``pgraph._DERIVED``.
+DERIVE = {
+    "_frontier_shape": lambda graph: graph.frontier_shape,
+    "_rule_state": PGraph.rule_state,
+    "_is_complete": lambda graph: graph.is_complete,
+}
 
 
 class TestRuleState:
@@ -164,12 +179,15 @@ class TestRuleState:
             _assert_rule_state_exact(pickle.loads(pickle.dumps(graph)))
 
     def test_rule_state_is_never_pickled(self, build_graphs, bfs_graphs):
+        """Nor is any other derived state: deriving it leaves the pickle's bytes as they were."""
+        assert set(DERIVE) == pgraph_module._DERIVED
         for graph in build_graphs[::7] + bfs_graphs["gpt2"]:
-            fresh = pickle.loads(pickle.dumps(graph))
-            before = pickle.dumps(fresh)
-            fresh.rule_state()
-            assert "_rule_state" in vars(fresh)
-            assert pickle.dumps(fresh) == before
+            for name, derive in DERIVE.items():
+                fresh = pickle.loads(pickle.dumps(graph))
+                before = pickle.dumps(fresh)
+                derive(fresh)
+                assert name in vars(fresh)
+                assert pickle.dumps(fresh) == before
 
 
 # ---------------------------------------------------------------------------

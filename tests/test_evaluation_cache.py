@@ -3,8 +3,10 @@
 Covers the runtime context's caches (:class:`repro.runtime.CacheSet`), their
 wiring into MCTS, the compiler backends and the search session, and the
 budget plumbing bugfixes (``REPRO_TRAIN_STEPS``, ``rollout_depth=0``,
-narrowed reward-suppression and lowering-skip handlers), and the loop-nest
-lowering memo with the cached ``PGraph.signature()`` it keys on.
+narrowed reward-suppression and lowering-skip handlers), the loop-nest
+lowering memo with the cached ``PGraph.signature()`` it keys on, the slots'
+standard-conv programs it also holds, and the cached
+``LoopNestProgram.structural_key()`` the compile cache keys on.
 """
 
 from __future__ import annotations
@@ -106,6 +108,25 @@ class TestKeyedCache:
         cache.clear()
         assert len(cache) == 0
         assert cache.stats.lookups == 0
+
+    def test_a_hit_moves_its_key_to_the_most_recent_end(self):
+        cache = KeyedCache("t")
+        for key in "abc":
+            cache.put(key, key.upper())
+        assert cache.lookup("a") == (True, "A")
+        assert cache.export_entries(max_entries=1) == {"a": "A"}
+        assert list(cache.export_entries()) == ["b", "c", "a"]
+        assert (cache.stats.hits, cache.stats.misses) == (1, 0)
+
+    def test_a_miss_does_not_reorder(self):
+        cache = KeyedCache("t")
+        for key in "abc":
+            cache.put(key, key.upper())
+        assert cache.lookup("z") == (False, None)
+        assert "z" not in cache
+        assert cache.export_entries(max_entries=1) == {"c": "C"}
+        assert list(cache.export_entries()) == ["a", "b", "c"]
+        assert (cache.stats.hits, cache.stats.misses) == (0, 1)
 
 
 class TestSnapshotEviction:
@@ -387,7 +408,14 @@ class TestLatencyLoweringNarrowing:
             assert evaluator.substituted_latency(build_operator1()) == baseline
         assert "operator not lowerable at slot" in caplog.text
         assert evaluator.macs(build_operator1()) == standard_macs
-        assert len(isolated.caches.lowering) == 0  # failures are not memoized
+        # Failures are not memoized: the cache holds only the slots' standard
+        # programs, and no entry is keyed by the operator's signature.
+        signature = build_operator1().graph.signature()
+        entries = isolated.caches.lowering.export_entries()
+        assert not any(signature in key for key in entries)
+        assert sorted(entries.values(), key=lambda program: program.operator_name) == [
+            loopnest_for_slot(slot) for slot in self.SLOTS
+        ]
 
     def test_other_lowering_errors_propagate(self, isolated, monkeypatch):
         from repro.core.library import build_operator1
@@ -639,6 +667,98 @@ class TestLoweringMemo:
         assert sharded.key_snapshot() == serial.key_snapshot()
         for key in serial.key_snapshot():
             assert sharded.lookup(key) == serial.lookup(key)
+
+
+RESNET18 = MODEL_PROFILES["resnet18"]
+
+
+class TestStandardProgramMemo:
+    """Each slot's standard-conv program is built once per context and batch."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every (slot, batch) for which a standard program gets built."""
+        calls = []
+
+        def spy(slot, batch=1):
+            calls.append((slot, batch))
+            return loopnest_for_slot(slot, batch)
+
+        monkeypatch.setattr("repro.compiler.backends.loopnest_for_slot", spy)
+        return calls
+
+    @staticmethod
+    def _evaluate(context, batch=1):
+        return evaluate_model(
+            "resnet18", RESNET18, TVMBackend(trials=8), MOBILE_CPU, syno_candidates(),
+            batch=batch, runtime=context,
+        )
+
+    def test_a_second_evaluation_builds_no_standard_program(self, built):
+        context = RuntimeContext(RuntimeConfig())
+        first = self._evaluate(context)
+        assert sorted(built, key=str) == sorted(((slot, 1) for slot in RESNET18), key=str)
+        built.clear()
+        second = self._evaluate(context)
+        assert built == []
+        assert second == first
+        assert second == self._evaluate(RuntimeContext(RuntimeConfig(eval_cache=False)))
+
+    def test_a_batch2_evaluation_does_not_reuse_the_batch1_programs(self, built):
+        context = RuntimeContext(RuntimeConfig())
+        self._evaluate(context)
+        built.clear()
+        batched = self._evaluate(context, batch=2)
+        assert sorted(built, key=str) == sorted(((slot, 2) for slot in RESNET18), key=str)
+        assert batched == self._evaluate(RuntimeContext(RuntimeConfig(eval_cache=False)), batch=2)
+
+
+def _reference_structural_key(program) -> tuple:
+    stages = tuple(
+        (
+            stage.extents,
+            stage.macs,
+            stage.input_elements,
+            stage.weight_elements,
+            stage.output_elements,
+        )
+        for stage in program.stages
+    )
+    return (
+        stages,
+        program.naive_macs,
+        program.parameter_count,
+        program.input_elements,
+        program.output_elements,
+    )
+
+
+class TestCachedStructuralKey:
+    @staticmethod
+    def _program():
+        return lower_to_loopnest(build_operator1(), LOWERING_BINDING)
+
+    def test_cached_key_equals_a_fresh_computation(self):
+        program = self._program()
+        key = program.structural_key()
+        assert program.structural_key() is key
+        assert key == _reference_structural_key(program)
+        assert len(program.stages) > 1  # so the key must hold more than one stage
+
+    def test_key_survives_pickle(self):
+        program = self._program()
+        key = program.structural_key()
+        clone = pickle.loads(pickle.dumps(program))
+        assert clone == program
+        assert clone.structural_key() == key == _reference_structural_key(clone)
+
+    def test_replace_recomputes_the_key(self):
+        program = self._program()
+        key = program.structural_key()
+        trimmed = dataclasses.replace(program, stages=program.stages[:-1])
+        assert trimmed.structural_key() == _reference_structural_key(trimmed)
+        assert trimmed.structural_key() != key
+        assert dataclasses.replace(program).structural_key() == key
 
 
 class TestCachedSignature:
