@@ -317,27 +317,54 @@ shard_parity() {  # family, max depth, library dir; sets HASH_SERIAL
 }
 shard_parity resnet 3 "$LIB_DIR"
 RESNET_HASH="$HASH_SERIAL"
+RESNET_STATS="$STATS_SERIAL"
 shard_parity gpt2 4 "$RESULTS_DIR/library-gpt2-depth4"
 shard_parity gpt2 3 "$LIB_DIR"
+GPT2_HASH="$HASH_SERIAL"
 # The enumerate-conv benchmark builds four conv families at depth 3, and
-# perfbench/golden.json pins their content hashes.  The parity builds above
-# cover only resnet, so build the other three at 2 shards and compare all four
-# with the golden file (read here, never written).
+# perfbench/golden.json pins their content hashes.  They share one
+# enumeration space, so one process builds every family at depth 3 at 2
+# shards: densenet (first in name order) enumerates the conv space cold, and
+# efficientnet, resnet and resnext build against the legal-children memo the
+# shard workers merged back.  Each warm build must equal its cold build:
+# all four conv hashes equal the golden file (read here, never written),
+# resnet's equals the cold parity build's, gpt2's equals its depth-3 parity
+# hash, and every conv family prunes exactly as resnet's cold serial build.
 CONV_DIR="$RESULTS_DIR/library-conv"
-for SPACE in resnext densenet efficientnet; do
-  python -m repro.cli library build "$SPACE" --max-depth 3 --shards 2 \
-    --library-dir "$CONV_DIR" --results-dir "$RESULTS_DIR"
-done
-python - "$RESNET_HASH" \
+rm -rf "$CONV_DIR"
+python -m repro.cli library build all --max-depth 3 --shards 2 \
+  --library-dir "$CONV_DIR" --results-dir "$RESULTS_DIR"
+python - "$RESNET_HASH" "$GPT2_HASH" "$RESNET_STATS" \
+  "$(library_field resnet content_hash "$CONV_DIR")" \
   "$(library_field resnext content_hash "$CONV_DIR")" \
   "$(library_field densenet content_hash "$CONV_DIR")" \
-  "$(library_field efficientnet content_hash "$CONV_DIR")" <<'PY'
+  "$(library_field efficientnet content_hash "$CONV_DIR")" \
+  "$(library_field gpt2 content_hash "$CONV_DIR")" \
+  "$(library_field resnet stats "$CONV_DIR")" \
+  "$(library_field resnext stats "$CONV_DIR")" \
+  "$(library_field densenet stats "$CONV_DIR")" \
+  "$(library_field efficientnet stats "$CONV_DIR")" <<'PY'
 import json, sys
-built = dict(zip(("resnet", "resnext", "densenet", "efficientnet"), sys.argv[1:]))
+resnet_cold, gpt2_cold, stats_cold, *rest = sys.argv[1:]
+families = ("resnet", "resnext", "densenet", "efficientnet")
+built = dict(zip(families, rest[:4]))
+gpt2_built = rest[4]
+stats = dict(zip(families, rest[5:]))
 with open("perfbench/golden.json", encoding="utf-8") as handle:
     golden = json.load(handle)["enumerate-conv"]
 assert built == golden, f"depth-3 conv libraries diverge from perfbench/golden.json: {built} != {golden}"
-print("OK: depth-3 resnet, resnext, densenet and efficientnet libraries match perfbench/golden.json")
+assert built["resnet"] == resnet_cold, (
+    f"warm resnet build {built['resnet']} != cold parity build {resnet_cold}"
+)
+assert gpt2_built == gpt2_cold, f"gpt2 depth-3 build {gpt2_built} != its parity build {gpt2_cold}"
+for family, family_stats in stats.items():
+    assert family_stats == stats_cold, (
+        f"{family} prunes differently from resnet's cold serial build:\n"
+        f"  {family}: {family_stats}\n  resnet:  {stats_cold}"
+    )
+print("OK: one-process depth-3 build of every family: the four conv libraries match "
+      "perfbench/golden.json, resnet and gpt2 match their cold parity builds, "
+      "and every conv family prunes as resnet's cold serial build")
 PY
 REPRO_WARM_START=1 REPRO_LIBRARY_DIR="$LIB_DIR" \
   python -m repro.cli run search --smoke

@@ -10,8 +10,12 @@ user-provided budgets (FLOPs, parameters, primitive counts).
 before it builds a child: occurrence limits are decided once per graph,
 duplicate siblings are dropped on :func:`~repro.core.pgraph.sibling_key`, and
 given the steps left (``steps=``) the shape-distance prune runs on the
-application too.  The library builder and MCTS pass ``steps``, so of the
-children a build generates only the ~5% it keeps are ever built.
+application too.  The library builder and MCTS enumerate through
+:func:`legal_children`, which passes ``steps``, so of the children a build
+generates only the ~5% it keeps are ever built; it memoizes each graph's
+children per runtime context and search space (:func:`space_key`), so a
+space is enumerated once per context however many builds and searches
+cover it.
 ``synthesize`` and the shape-distance ablation instead build every child and
 test it with :func:`~repro.core.shape_distance.within_reach`: ``synthesize``
 shuffles the unpruned list before it prunes, so its random stream depends on
@@ -22,12 +26,12 @@ same unpruned list, scoring each kept child by its distance.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.core.canonicalize import CanonicalizationEngine
 from repro.core.operator import OperatorSpec, SynthesizedOperator
-from repro.core.pgraph import Dim, PGraph, sibling_key
+from repro.core.pgraph import Dim, PGraph, highest_uid, reserve_dim_uids, sibling_key
 from repro.core.primitives import (
     Expand,
     Merge,
@@ -43,6 +47,7 @@ from repro.core.primitives import (
 from repro.core.shape_distance import application_within_reach, within_reach
 from repro.ir.size import Size
 from repro.ir.variables import Variable
+from repro.runtime.context import current
 
 
 @dataclass(frozen=True)
@@ -377,6 +382,69 @@ class SynthesisStats:
             ),
             "dead_ends_by_distance": self.dead_ends_by_distance,
         }
+
+
+# ---------------------------------------------------------------------------
+# Legal children, memoized per runtime context
+# ---------------------------------------------------------------------------
+
+#: ``EnumerationOptions`` fields enumeration never reads: the budgets apply to
+#: complete graphs only, and each caller checks them on the children it gets.
+_BUDGET_FIELDS = frozenset({"max_macs", "max_params", "budget_binding"})
+
+
+def space_key(spec: OperatorSpec, options: EnumerationOptions) -> tuple:
+    """The search space a graph's legal children depend on, as a memo key.
+
+    The spec's shape key fixes the root (and so every dim's symbolic size).
+    Every ``EnumerationOptions`` field enumeration reads is rendered as text
+    in declaration order, list order included: child order decides what a
+    rollout picks.  The budgets are left out, so slots that differ only in
+    their concrete sizes (the four depth-3 conv families) share one space.
+    The canonicalizer contributes its rule objects.  Text, unlike tuples of
+    ``Size``, compares in one step on every hit.
+    """
+    rendered = ";".join(
+        f"{f.name}={getattr(options, f.name)!r}"
+        for f in fields(options)
+        if f.name != "canonicalizer" and f.name not in _BUDGET_FIELDS
+    )
+    canonicalizer = options.canonicalizer
+    rules = tuple(canonicalizer.rules) if canonicalizer is not None else None
+    return (spec.shape_key, rendered, rules)
+
+
+def legal_children(
+    graph: PGraph, options: EnumerationOptions, space: tuple
+) -> tuple[tuple[tuple[Action, PGraph], ...], SynthesisStats]:
+    """``graph``'s canonical children that can still complete, and their counts.
+
+    The children :func:`enumerate_children` yields with the steps left after
+    the child, so the shape-distance prune runs on each candidate's
+    application, plus the :class:`SynthesisStats` that call counted.
+    Memoized per runtime context (:meth:`RuntimeContext.cached_children`)
+    under the graph's signature, its weight signature and ``space``, a
+    :func:`space_key`.  The entry is shared by every library build and search
+    over the space, and shard workers' entries merge back into the parent,
+    so callers copy the children before reordering and never mutate the
+    stats.
+
+    On a miss the global dim uid counter is first moved past ``graph``'s
+    highest uid: a merged entry's graphs carry uids a worker minted, and a
+    child minted below them would compare out of order in
+    :meth:`~repro.core.primitives.Primitive.order_key`.
+    """
+
+    def compute() -> tuple[tuple[tuple[Action, PGraph], ...], SynthesisStats]:
+        reserve_dim_uids(highest_uid(graph))
+        stats = SynthesisStats()
+        children = enumerate_children(
+            graph, options, stats=stats, steps=options.max_depth - graph.depth - 1
+        )
+        return tuple(children), stats
+
+    key = (graph.signature(), graph.weight_signature(), space)
+    return current().cached_children(key, compute)
 
 
 def synthesize(

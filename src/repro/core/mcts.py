@@ -44,14 +44,17 @@ each other's proxy-training results, including results reloaded from a
 persisted cache snapshot.
 
 Every expansion and rollout step draws from the same list: a graph's
-canonical children (:func:`~repro.core.enumeration.enumerate_children`)
-that shape distance still lets complete within ``max_depth``.  The list is a
-pure function of the graph's signature, its weight signature and the
-search space (spec shapes, every ``EnumerationOptions`` field, the
-canonicalizer's rules), so it is memoized context-wide too, through
-:meth:`repro.runtime.RuntimeContext.cached_children`: warm searches sharing
-a context (a serve daemon's requests, a benchmark's sessions) enumerate
-each pGraph once.
+canonical children that shape distance still lets complete within
+``max_depth``, from :func:`~repro.core.enumeration.legal_children`.  The
+list is a pure function of the graph's signature, its weight signature and
+the search space (:func:`~repro.core.enumeration.space_key`: spec shapes,
+every ``EnumerationOptions`` field but the budgets, the canonicalizer's
+rules), so it is memoized context-wide, through
+:meth:`repro.runtime.RuntimeContext.cached_children`, in the memo library
+builds fill too: warm searches sharing a context (a serve daemon's
+requests, a benchmark's sessions) enumerate each pGraph once, and a search
+over a space a library build covered reuses the build's entries.  The
+budgets are checked on each terminal graph instead.
 """
 
 from __future__ import annotations
@@ -60,10 +63,10 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable, Hashable, Mapping, Sequence
 
-from repro.core.enumeration import Action, EnumerationOptions, enumerate_children
+from repro.core.enumeration import Action, EnumerationOptions, legal_children, space_key
 from repro.core.operator import OperatorSpec, SynthesizedOperator
 from repro.core.pgraph import PGraph
 from repro.runtime.context import current
@@ -154,25 +157,6 @@ def _reward_worker(
     return current().cached_reward(context, signature, lambda: float(reward_fn(operator)))
 
 
-def _space_key(spec: OperatorSpec, options: EnumerationOptions) -> tuple:
-    """The search space a graph's legal children depend on, as a memo key.
-
-    The spec's shape key fixes the root (and so every dim's symbolic size).
-    Every ``EnumerationOptions`` field is rendered as text in declaration
-    order, list order included: child order decides what a rollout picks.
-    The canonicalizer contributes its rule objects.  Text, unlike tuples of
-    ``Size``, compares in one step on every hit.
-    """
-    rendered = ";".join(
-        f"{f.name}={getattr(options, f.name)!r}"
-        for f in fields(options)
-        if f.name != "canonicalizer"
-    )
-    canonicalizer = options.canonicalizer
-    rules = tuple(canonicalizer.rules) if canonicalizer is not None else None
-    return (spec.shape_key, rendered, rules)
-
-
 @dataclass
 class MCTS:
     """UCT search for high-reward operators under a FLOPs budget."""
@@ -198,7 +182,7 @@ class MCTS:
             if self.config.cache_context is not None
             else ("mcts-instance", next(_INSTANCE_CONTEXTS))
         )
-        self._space = _space_key(self.spec, self.options)
+        self._space = space_key(self.spec, self.options)
         #: (signature, weight signature) of every terminal graph a rollout
         #: reached -> its operator, or None when it is over budget.
         self._terminals: dict[tuple[str, str], SynthesizedOperator | None] = {}
@@ -340,7 +324,9 @@ class MCTS:
         ):
             return node
         if node.untried is None:
-            children = list(self._legal_children(node.graph))
+            # The memo's entry is shared by every search and library build
+            # over the space: copy it before shuffling.
+            children = list(legal_children(node.graph, self.options, self._space)[0])
             self._rng.shuffle(children)
             if node.parent is None and self.config.root_priority:
                 node.untried = self._prioritized_root_children(children)
@@ -376,24 +362,6 @@ class MCTS:
         keep = max(self.config.max_children - len(preferred), 0)
         return rest[:keep] + [pair for _, pair in preferred]
 
-    def _legal_children(self, graph: PGraph) -> tuple[tuple[Action, PGraph], ...]:
-        """``graph``'s canonical children that can still complete in time.
-
-        :func:`enumerate_children` with the steps left after the child, so
-        the shape-distance prune runs on each candidate's application and no
-        pruned child is built.  Memoized per runtime context under the
-        graph's signature, its weight signature and this search's space key.
-        The entry is shared by every search in the context, so callers copy
-        it before reordering.
-        """
-
-        def compute() -> tuple[tuple[Action, PGraph], ...]:
-            steps = self.options.max_depth - graph.depth - 1
-            return tuple(enumerate_children(graph, self.options, steps=steps))
-
-        key = (graph.signature(), graph.weight_signature(), self._space)
-        return current().cached_children(key, compute)
-
     def _rollout_pending(self, node: _Node, iteration: int) -> PendingRollout:
         """Complete ``node``'s graph with guided random rollout, deferring the reward.
 
@@ -413,7 +381,7 @@ class MCTS:
         while not (graph.is_complete and graph.depth > 0):
             if graph.depth >= depth_limit:
                 return PendingRollout(iteration=iteration, node=node)
-            children = self._legal_children(graph)
+            children = legal_children(graph, self.options, self._space)[0]
             if not children:
                 return PendingRollout(iteration=iteration, node=node)
             _, graph = self._rng.choice(children)

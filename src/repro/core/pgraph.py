@@ -43,11 +43,26 @@ def reserve_dim_uids(highest: int) -> None:
     on uids being unique *within* a graph.  A graph pickled into a worker
     process carries uids from its producer's counter; before the worker
     extends it, the local counter must be moved past every uid the graph
-    already holds or freshly created dims could collide with them.  Used by
-    the shard-parallel library builder.
+    already holds or freshly created dims could collide with them.
+    :func:`repro.core.enumeration.legal_children` reserves past
+    :func:`highest_uid` before it enumerates a graph.
     """
     while next(_DIM_COUNTER) <= highest:
         pass
+
+
+def highest_uid(graph: PGraph) -> int:
+    """The largest dim uid ``graph`` holds anywhere (``-1`` for no dims)."""
+    highest = -1
+    for dim in graph.output_dims + graph.frontier:
+        highest = max(highest, dim.uid)
+    for app in graph.applications:
+        for dim in app.consumed + app.produced + app.weight_dims + app.matched:
+            highest = max(highest, dim.uid)
+    for weight in graph.weights:
+        for dim in weight.dims:
+            highest = max(highest, dim.uid)
+    return highest
 
 
 class DimRole(enum.Enum):

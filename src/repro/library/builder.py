@@ -5,6 +5,12 @@ The builder runs a breadth-first sweep of the canonical pGraph space for one
 
 * each BFS level fans its frontier out over the supervised shard executor
   (:func:`repro.search.parallel.sharded_map`), one worker call per graph;
+* a graph's children come from
+  :func:`~repro.core.enumeration.legal_children`, the runtime context's
+  legal-children memo that MCTS reads too.  Workers' new entries merge back
+  into the parent, so a context enumerates each space once: a later build
+  over the same space (the four conv families share one) only costs,
+  embeds and deduplicates the cached children;
 * children are merged back **in input order** and deduplicated globally by
   ``PGraph.signature()`` — the first (shallowest, then lexicographically
   first-parent) occurrence of a signature wins, so the surviving entry set is
@@ -17,8 +23,9 @@ The builder runs a breadth-first sweep of the canonical pGraph space for one
   embedding space before the artifact is sealed.
 
 Determinism contract: serial and shard-parallel builds — and any
-checkpoint-resumed combination of the two — produce byte-identical entry
-frames and therefore the same library content hash.
+checkpoint-resumed combination of the two, cold or against a warm memo —
+produce byte-identical entry frames and therefore the same library content
+hash.
 """
 
 from __future__ import annotations
@@ -32,9 +39,14 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from repro.core.enumeration import EnumerationOptions, SynthesisStats, enumerate_children
+from repro.core.enumeration import (
+    EnumerationOptions,
+    SynthesisStats,
+    legal_children,
+    space_key,
+)
 from repro.core.operator import OperatorSpec
-from repro.core.pgraph import PGraph, reserve_dim_uids
+from repro.core.pgraph import PGraph
 from repro.library.embeddings import (
     FEATURE_NAMES,
     feature_vector,
@@ -90,36 +102,24 @@ class _ChildRecord:
     graph: PGraph | None
 
 
-def _highest_uid(graph: PGraph) -> int:
-    highest = -1
-    for dim in graph.output_dims + graph.frontier:
-        highest = max(highest, dim.uid)
-    for app in graph.applications:
-        for dim in app.consumed + app.produced + app.weight_dims + app.matched:
-            highest = max(highest, dim.uid)
-    for weight in graph.weights:
-        for dim in weight.dims:
-            highest = max(highest, dim.uid)
-    return highest
-
-
 def _expand_graph(
-    options: EnumerationOptions, graph: PGraph
+    options: EnumerationOptions, space: tuple, graph: PGraph
 ) -> tuple[str, list[_ChildRecord], SynthesisStats]:
     """Expand one frontier graph: all surviving children + local statistics.
 
     Runs inside shard workers; everything returned is picklable and free of
     worker-local state (signatures and primitive descriptions are uid-free).
-    Each child's MACs and parameter count are computed once, for its record,
-    its budget check and its features.  Under a partial budget binding a
-    count that stays symbolic reads 0, so it passes the budget.
+    The children and their enumeration counts come from
+    :func:`~repro.core.enumeration.legal_children`, the context's memo for
+    ``space``; the counts are merged into a fresh per-graph
+    :class:`SynthesisStats`, never into the cached one.  Each child's MACs
+    and parameter count are computed once, for its record, its budget check
+    and its features.  Under a partial budget binding a count that stays
+    symbolic reads 0, so it passes the budget.
     """
-    reserve_dim_uids(_highest_uid(graph))
-    stats = SynthesisStats()
-    stats.nodes_visited += 1
-    children = enumerate_children(
-        graph, options, stats=stats, steps=options.max_depth - graph.depth - 1
-    )
+    children, enumerated = legal_children(graph, options, space)
+    stats = SynthesisStats(nodes_visited=1)
+    stats.merge(enumerated)
     binding = options.budget_binding or {}
     records: list[_ChildRecord] = []
     for action, child in children:
@@ -245,9 +245,9 @@ def build_library(
     """Enumerate ``spec``'s space under ``options`` into a library artifact.
 
     The build runs under ``runtime``, activated once here (``None``: the
-    ambient context), so its shape-distance memo, shard fan-out and library
-    root all come from that one context.  The artifact lands under its
-    ``library_path()`` as ``{name}-v{version}.rplb``.  If a matching artifact
+    ambient context), so its children and shape-distance memos, shard
+    fan-out and library root all come from that one context.  The artifact
+    lands under its ``library_path()`` as ``{name}-v{version}.rplb``.  If a matching artifact
     (same spec key and options fingerprint) already exists it is returned
     untouched unless ``force`` is set.  ``on_level`` is invoked after each
     level's checkpoint is on disk — the hook the crash-resume tests drive
@@ -309,7 +309,7 @@ def build_library(
                 )
 
         seen = {entry.signature for entry in entries}
-        expand = functools.partial(_expand_graph, options)
+        expand = functools.partial(_expand_graph, options, space_key(spec, options))
 
         while frontier and level < options.max_depth:
             # A signature appears at most once in the frontier, so sorting by it

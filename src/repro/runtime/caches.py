@@ -5,8 +5,18 @@ baseline, plan, lowering, shape_distance and children.  Each
 :class:`~repro.runtime.context.RuntimeContext` owns one, so two contexts in one
 process have fully isolated caches.  A cache set never crosses a process
 boundary whole: forked shard workers inherit their copy, and only the
-entries a worker adds come back (:meth:`CacheSet.export_delta` /
-:meth:`CacheSet.merge_delta`).
+entries a worker adds to the six mergeable caches come back
+(:meth:`CacheSet.export_delta` / :meth:`CacheSet.merge_delta`).  Each cache
+is read through :meth:`KeyedCache.get_or_compute` behind one
+``RuntimeContext.cached_*`` method, whose callers are: rewards (MCTS, the
+evaluators and the experiments' trainings), baselines (the evaluators and
+experiments), compile results (``CompilerBackend.compile``), plans
+(``codegen.plan.cached_plan``), lowerings (``cached_loopnest`` and
+``cached_loopnest_for_slot``), shape distances (the synthesis prune) and
+legal children (``core.enumeration.legal_children``, for the library
+builder and MCTS).  Only the reward cache is also reached directly: the
+serving coalescer probes it for hits, and the library warm start seeds it
+with :meth:`KeyedCache.merge_entries`.
 
 Snapshot persistence (:meth:`CacheSet.save_snapshot` /
 :meth:`CacheSet.load_snapshot`) returns a structured :class:`SnapshotStatus`
@@ -260,16 +270,17 @@ class CacheSet:
     """The seven evaluation caches one runtime context owns.
 
     ``reward``/``compile_``/``baseline`` persist to disk.  ``plan`` (numpy
-    index arrays and contraction paths) and ``lowering`` (loop-nest programs:
-    operator lowerings and the slots' standard convolutions) are cheap to
-    recompute, so they are memoized in memory only; both
-    participate in shard-delta export/merge with the persisted three
-    (shipping a compiled plan or a lowering saves the recompute on the next
-    wave).  ``shape_distance`` (synthesis's pruning guide, keyed on two
-    shapes' size tuples) and ``children`` (MCTS's legal children of one
-    pGraph in one search space) are memory-only *and* process-local: they
-    are never shard-merged, so the frontiers shard workers visit stay out of
-    the parent's memory.
+    index arrays and contraction paths), ``lowering`` (loop-nest programs:
+    operator lowerings and the slots' standard convolutions) and
+    ``children`` (the legal children of one pGraph in one search space and
+    their enumeration counts, :func:`repro.core.enumeration.legal_children`)
+    are memoized in memory only; all three participate in shard-delta
+    export/merge with the persisted three (shipping a compiled plan, a
+    lowering or a graph's children saves the recompute on the next wave,
+    level or build).  ``shape_distance``
+    (synthesis's pruning guide, keyed on two shapes' size tuples) is
+    memory-only *and* process-local: it is never shard-merged, so the shape
+    pairs shard workers visit stay out of the parent's memory.
     """
 
     def __init__(self) -> None:
@@ -294,6 +305,7 @@ class CacheSet:
             "compile": self.compile_,
             "plan": self.plan,
             "lowering": self.lowering,
+            "children": self.children,
         }
 
     def persisted(self) -> tuple[KeyedCache, ...]:

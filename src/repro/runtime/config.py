@@ -102,7 +102,7 @@ class RuntimeConfig:
     #: run lowered operators through compiled execution plans.
     compiled_forward: bool = _knob(True, "REPRO_COMPILED_FORWARD", _flag)
     #: whether the reward/baseline/compile/plan/lowering caches and the
-    #: shape-distance and MCTS children memos are active.
+    #: shape-distance and legal-children memos are active.
     eval_cache: bool = _knob(True, "REPRO_EVAL_CACHE", _flag)
     #: worker processes for candidate evaluation when ``shards`` is 1 (the
     #: same sharded executor; ``shards`` wins when both are above 1).

@@ -237,7 +237,13 @@ class RuntimeContext:
         )
 
     def cached_children(self, key: Hashable, compute: Callable[[], T]) -> T:
-        """MCTS's legal children for one (signature, weight signature, space) key."""
+        """A graph's legal children and their enumeration counts, computed once.
+
+        Keyed (signature, weight signature, space key) by
+        :func:`repro.core.enumeration.legal_children`, the one caller, which
+        library builds and MCTS share.  Shard workers' entries merge back into
+        this context, so one context enumerates each space once.
+        """
         return self.caches.children.get_or_compute(
             key, compute, enabled=self.config.eval_cache
         )

@@ -11,14 +11,16 @@ worker processes:
   ``i % shards``.  The partition depends on the shard count only, never on
   worker availability, machine load or cache warmth.
 * **Deterministic merge** — results are reassembled in input order, and each
-  worker's freshly computed entries in the five mergeable caches (reward /
-  baseline / compile / plan / lowering, ``CacheSet.mergeable()``) are merged
-  back into the parent context's caches in shard order.  The two memos, shape
-  distance and legal children, stay in the worker, so a sharded run leaves
-  the parent as warm as the serial run in those five caches only.  Because
-  every cached value is a pure function of its key, the merge order cannot
-  change any value — fixing it anyway makes the executor's behaviour
-  reproducible down to cache-iteration order.
+  worker's freshly computed entries in the six mergeable caches (reward /
+  baseline / compile / plan / lowering / children, ``CacheSet.mergeable()``)
+  are merged back into the parent context's caches in shard order.  Only
+  the shape-distance memo stays in the worker, so a sharded run leaves the
+  parent as warm as the serial run in those six caches: a library build's
+  workers hand their legal children back, and the next build over the same
+  space enumerates nothing.  Because every cached value is a pure function
+  of its key, the merge order cannot change any value — fixing it anyway
+  makes the executor's behaviour reproducible down to cache-iteration
+  order.
 * **Context bootstrap** — each worker runs under the caller's ambient
   :class:`~repro.runtime.RuntimeContext` (:func:`repro.runtime.current`):
   it activates a context with the caller's config and its fork-copied
@@ -535,10 +537,11 @@ def sharded_map(
     Runs under the ambient context (:func:`repro.runtime.current`);
     ``shards`` defaults to its ``RuntimeConfig.shards``.  Results come back
     in input order and each worker's new entries in the reward, baseline,
-    compile, plan and lowering caches are merged into the context's caches
-    (shard order), so the parent ends as warm in those as the serial run
-    would have left it.  The shape-distance and children memos are not
-    merged: what a worker adds to them is lost when it exits.
+    compile, plan, lowering and children caches are merged into the
+    context's caches (shard order), so the parent ends as warm in those as
+    the serial run would have left it.  The shape-distance memo is not
+    merged: what a worker adds to it is lost when it exits.  Each worker's
+    cache lookups are added to the context's hit and miss counters.
 
     ``max_workers`` bounds the live worker processes (default: the machine's
     core count, floored at 2 so a requested shard count still forks — and is

@@ -10,8 +10,11 @@ import pytest
 
 from repro.core.enumeration import (
     EnumerationOptions,
+    SynthesisStats,
     default_options_for,
     enumerate_children,
+    legal_children,
+    space_key,
     synthesize,
 )
 from repro.core.library import (
@@ -193,8 +196,44 @@ class TestExtendedSignatures:
             )
 
 
+class _Untouchable:
+    """A budget value that fails the test on any use: compared, read or rendered."""
+
+    def _used(self, *args, **kwargs):
+        raise AssertionError("enumeration read a budget field")
+
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = __hash__ = _used
+    __bool__ = __len__ = __iter__ = __contains__ = __getitem__ = _used
+    __int__ = __index__ = __float__ = __repr__ = __str__ = __format__ = _used
+
+
+class TestBudgetsStayOutOfEnumeration:
+    """The memo key drops the budgets because enumeration never reads them."""
+
+    def test_untouchable_budgets_enumerate_the_same_children(self):
+        nodes, options = _unpruned_bfs("resnet", depth=2)
+        untouchable = dataclasses.replace(
+            options,
+            max_macs=_Untouchable(),
+            max_params=_Untouchable(),
+            budget_binding=_Untouchable(),
+        )
+        spec = space_for("resnet", max_depth=3).spec
+        assert space_key(spec, untouchable) == space_key(spec, options)
+        for graph in nodes:
+            steps = options.max_depth - graph.depth - 1
+            counted, counted_untouchable = SynthesisStats(), SynthesisStats()
+            children = enumerate_children(graph, options, counted, steps=steps)
+            assert _identity(
+                child for _, child in enumerate_children(
+                    graph, untouchable, counted_untouchable, steps=steps
+                )
+            ) == _identity(child for _, child in children)
+            assert counted_untouchable == counted
+
+
 # ---------------------------------------------------------------------------
-# MCTS's legal-children memo
+# The legal-children memo (MCTS and the library builder)
 # ---------------------------------------------------------------------------
 
 
@@ -265,7 +304,7 @@ class TestChildrenMemo:
         assert len(entries) > 10
         space = gpt2_projection_space(max_depth=3)
         rebuilt = _rebuilt_graphs(space.spec, space.options)
-        for (signature, weight_signature, _), children in entries.items():
+        for (signature, weight_signature, _), (children, _stats) in entries.items():
             graph = rebuilt[(signature, weight_signature)]
             assert _identity(child for _, child in children) == _identity(
                 _uncached_legal_children(graph, space.options)
@@ -288,9 +327,15 @@ class TestChildrenMemo:
         assert after.hits > before.hits
         assert after.misses == before.misses
 
-    @pytest.mark.parametrize("variant", ["reduce-size-order", "max-depth", "output-sizes"])
+    @pytest.mark.parametrize(
+        "variant", ["reduce-size-order", "max-depth", "output-sizes", "budgets"]
+    )
     def test_searches_over_different_spaces_never_alias(self, variant):
-        """Two searches share a context; each one's memo lookups are its own."""
+        """Two searches share a context; each one's memo lookups are its own.
+
+        Searches that differ only in their budgets search one space, so they
+        share its entries.
+        """
         space = gpt2_projection_space(max_depth=3)
         spec, options = space.spec, dataclasses.replace(space.options)
         if variant == "reduce-size-order":
@@ -298,17 +343,23 @@ class TestChildrenMemo:
             assert options.reduce_sizes != space.options.reduce_sizes
         elif variant == "max-depth":
             options.max_depth = 4
-        else:
+        elif variant == "output-sizes":
             spec = dataclasses.replace(spec, output_shape=ShapeSpec.of([M, GROUPS]))
+        else:
+            options.max_macs, options.max_params = 1, 1
+            options.budget_binding = {M: 2, K: 3, OUT_FEATURES: 5, GROUPS: 2}
         context = current().isolated()
         searches = [_gpt2_search(4), _gpt2_search(4, spec, options)]
         with context.activate():
             for search in searches:
                 search.run()
             for search in searches:
+                key = space_key(search.spec, search.options)
                 for graph in _rebuilt_graphs(search.spec, search.options).values():
                     assert _identity(
-                        child for _, child in search._legal_children(graph)
+                        child for _, child in legal_children(graph, search.options, key)[0]
                     ) == _identity(_uncached_legal_children(graph, search.options))
         stats = context.caches.stats()["children"]
         assert stats.hits > 0
+        spaces = {key[2] for key in context.caches.children.export_entries()}
+        assert len(spaces) == (1 if variant == "budgets" else 2)

@@ -18,6 +18,7 @@ import pickle
 
 import pytest
 
+from repro.core import enumeration as enumeration_module
 from repro.core import pgraph as pgraph_module
 from repro.core.canonicalize import CanonicalizationEngine, rejects
 from repro.core.enumeration import (
@@ -83,7 +84,7 @@ def build_graphs(tmp_path_factory) -> list[PGraph]:
         RuntimeConfig(library_dir=str(tmp_path_factory.mktemp("library")))
     )
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(builder, "enumerate_children", recording)
+        patch.setattr(enumeration_module, "enumerate_children", recording)
         builder.build_library(
             space.spec, space.options, name="resnet", runtime=runtime, shards=1,
             checkpoint=False,

@@ -9,6 +9,7 @@ knobs, and the `repro library` / `repro list --json` CLI surface.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -18,10 +19,16 @@ import pytest
 
 from repro.cli.main import main
 from repro.core.canonicalize import canonical_commuting_order
-from repro.core.enumeration import SynthesisStats, enumerate_children
+from repro.core import pgraph as pgraph_module
+from repro.core.enumeration import (
+    SynthesisStats,
+    enumerate_children,
+    legal_children,
+    space_key,
+)
 from repro.core.library import K, M, OUT_FEATURES, matmul_spec
 from repro.core.mcts import MCTS, MCTSConfig
-from repro.core.pgraph import PGraph, reserve_dim_uids
+from repro.core.pgraph import PGraph, highest_uid, reserve_dim_uids
 from repro.core.primitives import Reduce, Shift
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.ir.shape import ShapeSpec
@@ -491,6 +498,101 @@ class TestSynthesisStats:
         assert left.nodes_visited == 5
         assert left.dead_ends_by_distance == 1
         assert left.canonicalization_rejections == {"rule_a": 2, "rule_b": 1}
+
+
+# ---------------------------------------------------------------------------
+# Builds expand through the context's legal-children memo
+# ---------------------------------------------------------------------------
+
+
+def _memo_key(graph: PGraph, space: tuple) -> tuple:
+    return (graph.signature(), graph.weight_signature(), space)
+
+
+def _read(path: str) -> bytes:
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+class TestSharedChildrenMemo:
+    #: content hashes of the four depth-3 conv families (perfbench's
+    #: enumerate-conv golden values); they share one enumeration space.
+    CONV_HASHES = {
+        "resnet": TestSynthesisStats.RESNET_DEPTH3_HASH,
+        "resnext": "24580aa0c826dc389ef39ad17b3aa5a07fac1f6b51e11e2a924c67f80c6c2e98",
+        "densenet": "cd1ca04ce5ea7bd7c06d2dbb198cf70e07d5c50e78df147af65fcfac62c6dc91",
+        "efficientnet": "5afe7851e2d1fe213b45f52dafda0a29730e92988bf9a1964280274c967ab8ec",
+    }
+
+    def test_warm_builds_equal_cold_builds(self, tmp_path):
+        spaces = {family: space_for(family, max_depth=3) for family in self.CONV_HASHES}
+
+        def build(runtime: RuntimeContext, family: str, shards: int):
+            space = spaces[family]
+            return build_library(
+                space.spec, space.options, name=family, runtime=runtime,
+                shards=shards, force=True,
+            )
+
+        serial = _runtime(tmp_path / "serial")
+        cold = {("resnet", 1): build(serial, "resnet", 1)}
+        warm = _runtime(tmp_path / "warm")
+        memo = warm.caches.children
+        builds = [
+            ("resnet", 2), ("resnext", 2), ("densenet", 2), ("efficientnet", 2), ("resnet", 1),
+        ]
+        for index, (family, shards) in enumerate(builds):
+            before = memo.stats.snapshot()
+            result = build(warm, family, shards)
+            after = memo.stats.snapshot()
+            assert result.content_hash == self.CONV_HASHES[family]
+            assert result.stats.to_dict() == TestSynthesisStats.RESNET_DEPTH3_STATS
+            if (family, shards) not in cold:
+                cold[family, shards] = build(_runtime(tmp_path / family), family, shards)
+            assert _read(result.path) == _read(cold[family, shards].path)
+            if index == 0:
+                assert after.misses - before.misses == len(memo) == 886
+                assert memo.key_snapshot() == serial.caches.children.key_snapshot()
+            else:
+                # Every expansion hits, the workers' lookups counted here.
+                assert after.misses == before.misses
+                assert after.hits - before.hits == 886
+        assert len(memo) == 886
+
+    def test_a_worker_built_graph_reenumerates_above_its_uids(self, tmp_path, monkeypatch):
+        runtime = _runtime(tmp_path)
+        space = _gpt2_space(max_depth=4)
+        build_library(space.spec, space.options, name=space.name, runtime=runtime, shards=2)
+        memo = runtime.caches.children
+        entries = memo.export_entries()
+        key = space_key(space.spec, space.options)
+        # The root level has one graph and runs in the parent; the depth-2
+        # graphs were built by shard workers expanding depth-1 graphs.  Pick
+        # one that has children of its own.
+        depth2 = [
+            child for children, _ in entries.values() for _, child in children if child.depth == 2
+        ]
+        graph = next(
+            child for child in depth2
+            if _memo_key(child, key) in entries and entries[_memo_key(child, key)][0]
+        )
+        evicted_children, evicted_stats = entries.pop(_memo_key(graph, key))
+        memo.clear()
+        memo.merge_entries(entries)
+        monkeypatch.setattr(pgraph_module, "_DIM_COUNTER", itertools.count())
+        with runtime.activate():
+            children, stats = legal_children(graph, space.options, key)
+        assert memo.stats.misses == 1
+        highest = highest_uid(graph)
+        for _, child in children:
+            application = child.applications[-1]
+            assert application.produced + application.weight_dims
+            for dim in application.produced + application.weight_dims:
+                assert dim.uid > highest
+        assert [child.signature() for _, child in children] == [
+            child.signature() for _, child in evicted_children
+        ]
+        assert stats == evicted_stats
 
 
 # ---------------------------------------------------------------------------

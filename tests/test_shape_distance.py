@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core import enumeration
 from repro.core.enumeration import enumerate_children
 from repro.core.pgraph import PGraph
 from repro.core.shape_distance import _uncached_distance, shape_distance, within_reach
@@ -157,22 +158,36 @@ class TestMemo:
         assert len(context.caches.shape_distance) == 0
         assert len(isolated.caches.shape_distance) == 1
 
-    def test_memo_is_process_local(self):
-        """So is MCTS's legal-children memo: neither is in a shard delta."""
+    def test_memo_is_process_local(self, tmp_path):
+        """Out of every shard delta and every snapshot.
+
+        The legal-children memo is never persisted either, but it is
+        mergeable: shard workers' expansions come back to the parent.
+        """
         context = RuntimeContext()
         caches = context.caches
-        for name, memo in (("shape_distance", caches.shape_distance), ("children", caches.children)):
-            assert name not in caches.mergeable()
+        assert "shape_distance" not in caches.mergeable()
+        assert caches.mergeable()["children"] is caches.children
+        for memo in (caches.shape_distance, caches.children):
             assert memo not in caches.persisted()
             assert memo in caches.all()
         with context.activate():
             shape_distance(ShapeSpec.of([Size.of(H) * W]), ShapeSpec.of([H, W]))
         context.cached_children(("signature", "", "space"), lambda: ())
         caches.plan.put("plan-key", "plan")
-        assert len(caches.children) == 1
+        caches.reward.put("reward-key", 0.5)
+        assert len(caches.shape_distance) == len(caches.children) == 1
         delta = caches.export_delta({})
-        assert "shape_distance" not in delta and "children" not in delta
+        assert "shape_distance" not in delta
+        assert delta["children"] == {("signature", "", "space"): ()}
         assert delta["plan"] == {"plan-key": "plan"}
+
+        path = str(tmp_path / "store.rpcs")
+        assert context.save_caches(path).ok
+        reloaded = RuntimeContext()
+        assert reloaded.load_caches(path).entries["reward"] == 1
+        assert reloaded.caches.sizes()["children"] == 0
+        assert reloaded.caches.sizes()["shape_distance"] == 0
 
     def test_two_shard_map_exports_no_shape_distance_delta(self):
         context = RuntimeContext()
@@ -226,7 +241,7 @@ class TestWithinReach:
             generated.extend(child for _, child in enumerate_children(graph, options))
             return enumerate_children(graph, options, stats=stats, steps=steps)
 
-        monkeypatch.setattr(builder, "enumerate_children", recording)
+        monkeypatch.setattr(enumeration, "enumerate_children", recording)
         space = space_for("resnet", max_depth=3)
         context = RuntimeContext(
             RuntimeConfig(results_dir=str(tmp_path / "r"), library_dir=str(tmp_path / "l"))
