@@ -366,6 +366,28 @@ print("OK: one-process depth-3 build of every family: the four conv libraries ma
       "perfbench/golden.json, resnet and gpt2 match their cold parity builds, "
       "and every conv family prunes as resnet's cold serial build")
 PY
+# With the caches off there is no legal-children memo, so every level of a
+# 2-shard build takes its children from what the shard workers returned:
+# the only leg where they, not the memo, feed the build.  It must reproduce
+# the golden resnet hash and resnet's cold serial statistics.
+NOCACHE_DIR="$RESULTS_DIR/library-nocache"
+rm -rf "$NOCACHE_DIR"
+REPRO_EVAL_CACHE=0 python -m repro.cli library build resnet --max-depth 3 --shards 2 \
+  --library-dir "$NOCACHE_DIR" --results-dir "$RESULTS_DIR"
+python - "$RESNET_STATS" \
+  "$(library_field resnet content_hash "$NOCACHE_DIR")" \
+  "$(library_field resnet stats "$NOCACHE_DIR")" <<'PY'
+import json, sys
+stats_cold, built, stats = sys.argv[1:]
+with open("perfbench/golden.json", encoding="utf-8") as handle:
+    golden = json.load(handle)["enumerate-conv"]["resnet"]
+assert built == golden, f"caches-off resnet build {built} != perfbench/golden.json {golden}"
+assert stats == stats_cold, (
+    f"caches-off resnet build prunes differently:\n  {stats}\n  cold serial: {stats_cold}"
+)
+print("OK: caches-off 2-shard resnet build matches perfbench/golden.json "
+      "and resnet's cold serial statistics")
+PY
 REPRO_WARM_START=1 REPRO_LIBRARY_DIR="$LIB_DIR" \
   python -m repro.cli run search --smoke
 echo "OK: warm-started search green"

@@ -1034,22 +1034,6 @@ def _library_spaces(max_depth: int | None):
     return design_spaces(max_depth=max_depth, gpt2_depth=max_depth)
 
 
-def _library_names_on_disk(root: str) -> list[str]:
-    """Artifact names present under ``root`` (current format version only)."""
-    from repro.library.store import library_filename
-
-    suffix = library_filename("")
-    try:
-        filenames = sorted(os.listdir(root))
-    except (FileNotFoundError, NotADirectoryError):
-        return []
-    return [
-        filename[: -len(suffix)]
-        for filename in filenames
-        if filename.endswith(suffix) and not filename.startswith("rewards-")
-    ]
-
-
 def _library_build(args: argparse.Namespace) -> int:
     from repro.library.builder import build_library
 
@@ -1151,11 +1135,11 @@ def _format_library_stats(item: dict) -> list[str]:
 
 
 def _library_stats(args: argparse.Namespace) -> int:
-    from repro.library.store import GraphLibrary, library_filename
+    from repro.library.store import GraphLibrary, library_filename, library_names
 
     runtime = _library_runtime(args)
     root = runtime.library_path()
-    names = [args.family] if args.family else _library_names_on_disk(root)
+    names = [args.family] if args.family else library_names(root)
     if not names:
         print(
             f"no library artifacts in {root} (run `repro library build` first)",

@@ -414,6 +414,15 @@ def space_key(spec: OperatorSpec, options: EnumerationOptions) -> tuple:
     return (spec.shape_key, rendered, rules)
 
 
+def children_key(graph: PGraph, space: tuple) -> tuple:
+    """The key :func:`legal_children` memoizes ``graph``'s children under.
+
+    The graph's signature, its weight signature and ``space``, a
+    :func:`space_key`: what a caller tests the children memo for.
+    """
+    return (graph.signature(), graph.weight_signature(), space)
+
+
 def legal_children(
     graph: PGraph, options: EnumerationOptions, space: tuple
 ) -> tuple[tuple[tuple[Action, PGraph], ...], SynthesisStats]:
@@ -423,11 +432,10 @@ def legal_children(
     the child, so the shape-distance prune runs on each candidate's
     application, plus the :class:`SynthesisStats` that call counted.
     Memoized per runtime context (:meth:`RuntimeContext.cached_children`)
-    under the graph's signature, its weight signature and ``space``, a
-    :func:`space_key`.  The entry is shared by every library build and search
-    over the space, and shard workers' entries merge back into the parent,
-    so callers copy the children before reordering and never mutate the
-    stats.
+    under :func:`children_key`.  The entry is shared by every library build
+    and search over the space, and shard workers' entries merge back into
+    the parent, so callers copy the children before reordering and never
+    mutate the stats.
 
     On a miss the global dim uid counter is first moved past ``graph``'s
     highest uid: a merged entry's graphs carry uids a worker minted, and a
@@ -443,8 +451,7 @@ def legal_children(
         )
         return tuple(children), stats
 
-    key = (graph.signature(), graph.weight_signature(), space)
-    return current().cached_children(key, compute)
+    return current().cached_children(children_key(graph, space), compute)
 
 
 def synthesize(

@@ -1,26 +1,29 @@
-"""Checkpointed, shard-parallel enumeration of a spec's design space.
+"""Checkpointed enumeration of a spec's design space into a graph library.
 
 The builder runs a breadth-first sweep of the canonical pGraph space for one
-:class:`OperatorSpec` under one set of :class:`EnumerationOptions`:
+:class:`OperatorSpec` under one set of :class:`EnumerationOptions`, in one
+loop in the calling process:
 
-* each BFS level fans its frontier out over the supervised shard executor
-  (:func:`repro.search.parallel.sharded_map`), one worker call per graph;
 * a graph's children come from
   :func:`~repro.core.enumeration.legal_children`, the runtime context's
-  legal-children memo that MCTS reads too.  Workers' new entries merge back
-  into the parent, so a context enumerates each space once: a later build
-  over the same space (the four conv families share one) only costs,
-  embeds and deduplicates the cached children;
-* children are merged back **in input order** and deduplicated globally by
-  ``PGraph.signature()`` — the first (shallowest, then lexicographically
-  first-parent) occurrence of a signature wins, so the surviving entry set is
-  a pure function of the space and never of the shard count;
+  legal-children memo that MCTS reads too.  Each level hands the supervised
+  shard executor (:func:`repro.search.parallel.sharded_map`) only the
+  frontier graphs the memo lacks (all of them with the caches off); the
+  workers return those graphs' children and merge them into the memo, so a
+  context enumerates each space once, and a build over a space it has
+  already expanded (the four conv families share one) forks nothing;
+* the builder costs each child, applies the budgets, embeds it and
+  deduplicates it globally by ``PGraph.signature()``, walking the frontier
+  in signature order: the first (shallowest, then lexicographically
+  first-parent) occurrence of a signature wins, so the surviving entry set
+  is a pure function of the space and never of the shard count or of what
+  the memo held;
 * after every level the full build state (entries, frontier, statistics) is
   written to a CRC-framed checkpoint via an atomic replace, so a SIGKILLed
   build resumes at the last completed level and converges to the same
   artifact;
-* a final sharded pass computes each complete graph's nearest neighbours in
-  embedding space before the artifact is sealed.
+* each complete entry's nearest neighbours are ranked in process before the
+  artifact is sealed.
 
 Determinism contract: serial and shard-parallel builds — and any
 checkpoint-resumed combination of the two, cold or against a warm memo —
@@ -37,11 +40,12 @@ import os
 import pickle
 import json
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from repro.core.enumeration import (
     EnumerationOptions,
     SynthesisStats,
+    children_key,
     legal_children,
     space_key,
 )
@@ -85,75 +89,6 @@ class BuildResult:
     #: the artifact already existed for this spec + options; nothing ran.
     reused: bool
     stats: SynthesisStats
-
-
-@dataclass
-class _ChildRecord:
-    """One deduplication candidate shipped back from a shard worker."""
-
-    signature: str
-    primitive: str
-    depth: int
-    complete: bool
-    macs: int
-    params: int
-    features: tuple[float, ...]
-    #: the graph itself, only when it must be expanded at the next level.
-    graph: PGraph | None
-
-
-def _expand_graph(
-    options: EnumerationOptions, space: tuple, graph: PGraph
-) -> tuple[str, list[_ChildRecord], SynthesisStats]:
-    """Expand one frontier graph: all surviving children + local statistics.
-
-    Runs inside shard workers; everything returned is picklable and free of
-    worker-local state (signatures and primitive descriptions are uid-free).
-    The children and their enumeration counts come from
-    :func:`~repro.core.enumeration.legal_children`, the context's memo for
-    ``space``; the counts are merged into a fresh per-graph
-    :class:`SynthesisStats`, never into the cached one.  Each child's MACs
-    and parameter count are computed once, for its record, its budget check
-    and its features.  Under a partial budget binding a count that stays
-    symbolic reads 0, so it passes the budget.
-    """
-    children, enumerated = legal_children(graph, options, space)
-    stats = SynthesisStats(nodes_visited=1)
-    stats.merge(enumerated)
-    binding = options.budget_binding or {}
-    records: list[_ChildRecord] = []
-    for action, child in children:
-        complete = child.is_complete and child.depth > 0
-        macs, params = graph_costs(child, binding)
-        within = options.within_budgets(child, costs=(macs, params)) if complete else True
-        if complete:
-            if within:
-                stats.completed += 1
-            else:
-                stats.rejected_by_budget += 1
-        expandable = not complete and child.depth < options.max_depth
-        records.append(
-            _ChildRecord(
-                signature=child.signature(),
-                primitive=action.primitive.describe(),
-                depth=child.depth,
-                complete=complete and within,
-                macs=macs,
-                params=params,
-                features=feature_vector(child, binding, costs=(macs, params)),
-                graph=child if expandable else None,
-            )
-        )
-    return graph.signature(), records, stats
-
-
-def _rank_neighbours(
-    pool: Sequence[tuple[str, tuple[float, ...]]],
-    k: int,
-    item: tuple[str, tuple[float, ...]],
-) -> tuple[str, ...]:
-    signature, features = item
-    return nearest_neighbours(signature, features, pool, k)
 
 
 # ---------------------------------------------------------------------------
@@ -246,15 +181,20 @@ def build_library(
 
     The build runs under ``runtime``, activated once here (``None``: the
     ambient context), so its children and shape-distance memos, shard
-    fan-out and library root all come from that one context.  The artifact
-    lands under its ``library_path()`` as ``{name}-v{version}.rplb``.  If a matching artifact
-    (same spec key and options fingerprint) already exists it is returned
+    fan-out and library root all come from that one context.  Each level
+    forks ``shards`` workers only for the frontier graphs whose children
+    the context's memo lacks; everything else, the ``neighbours``-nearest
+    lists of the complete entries included, runs in this process.  The
+    artifact lands under its ``library_path()`` as
+    ``{name}-v{version}.rplb``.  If a matching artifact (same spec key,
+    options fingerprint and neighbour count) already exists it is returned
     untouched unless ``force`` is set.  ``on_level`` is invoked after each
     level's checkpoint is on disk — the hook the crash-resume tests drive
     SIGKILL through.
     """
     with runtime.activate() if runtime is not None else contextlib.nullcontext():
-        root_dir = current().library_path()
+        context = current()
+        root_dir = context.library_path()
         artifact_path = os.path.join(root_dir, library_filename(name))
         checkpoint_path = os.path.join(root_dir, checkpoint_filename(name))
         key = spec_key(spec)
@@ -266,6 +206,7 @@ def build_library(
                 existing is not None
                 and existing.meta.get("spec_key") == key
                 and existing.meta.get("options_fingerprint") == fingerprint
+                and existing.meta.get("neighbour_count") == neighbours
             ):
                 return BuildResult(
                     library=existing,
@@ -309,34 +250,57 @@ def build_library(
                 )
 
         seen = {entry.signature for entry in entries}
-        expand = functools.partial(_expand_graph, options, space_key(spec, options))
+        space = space_key(spec, options)
+        expand = functools.partial(legal_children, options=options, space=space)
+        # With the caches off the memo is bypassed, so every graph is missing.
+        memo = context.caches.children if context.config.eval_cache else {}
 
         while frontier and level < options.max_depth:
             # A signature appears at most once in the frontier, so sorting by it
             # is a total order — level results never depend on arrival order.
             frontier.sort(key=lambda graph: graph.signature())
-            expansions = sharded_map(expand, frontier, shards=shards)
+            missing = [graph for graph in frontier if children_key(graph, space) not in memo]
+            results = sharded_map(expand, missing, shards=shards)
+            computed = {graph.signature(): result for graph, result in zip(missing, results)}
             next_frontier: list[PGraph] = []
-            for parent_signature, records, worker_stats in expansions:
-                stats.merge(worker_stats)
-                for record in records:
-                    if record.signature in seen:
+            for graph in frontier:
+                parent_signature = graph.signature()
+                children, enumerated = (
+                    computed[parent_signature]
+                    if parent_signature in computed
+                    else legal_children(graph, options, space)  # a memo hit
+                )
+                stats.nodes_visited += 1
+                stats.merge(enumerated)
+                for action, child in children:
+                    # A count that stays symbolic under a partial binding reads
+                    # 0, so it passes the budget.  Every complete child is
+                    # counted, a duplicate signature too.
+                    complete = child.is_complete and child.depth > 0
+                    costs = graph_costs(child, binding)
+                    kept = complete and options.within_budgets(child, costs=costs)
+                    if kept:
+                        stats.completed += 1
+                    elif complete:
+                        stats.rejected_by_budget += 1
+                    signature = child.signature()
+                    if signature in seen:
                         continue
-                    seen.add(record.signature)
+                    seen.add(signature)
                     entries.append(
                         LibraryEntry(
-                            signature=record.signature,
-                            depth=record.depth,
-                            complete=record.complete,
+                            signature=signature,
+                            depth=child.depth,
+                            complete=kept,
                             parent_signature=parent_signature,
-                            primitive=record.primitive,
-                            macs=record.macs,
-                            params=record.params,
-                            features=record.features,
+                            primitive=action.primitive.describe(),
+                            macs=costs[0],
+                            params=costs[1],
+                            features=feature_vector(child, binding, costs=costs),
                         )
                     )
-                    if record.graph is not None:
-                        next_frontier.append(record.graph)
+                    if not complete and child.depth < options.max_depth:
+                        next_frontier.append(child)
             frontier = next_frontier
             level += 1
             if checkpoint:
@@ -346,21 +310,15 @@ def build_library(
             if on_level is not None:
                 on_level(level)
 
-        # Nearest-neighbour lists for the complete entries, in a sharded pass.
-        complete_items = [(e.signature, e.features) for e in entries if e.complete]
-        if complete_items:
-            ranked = sharded_map(
-                functools.partial(_rank_neighbours, complete_items, neighbours),
-                complete_items,
-                shards=shards,
+        pool = [(entry.signature, entry.features) for entry in entries if entry.complete]
+        entries = [
+            entry.with_neighbours(
+                nearest_neighbours(entry.signature, entry.features, pool, neighbours)
             )
-            by_signature = dict(zip((s for s, _ in complete_items), ranked))
-            entries = [
-                entry.with_neighbours(by_signature[entry.signature])
-                if entry.signature in by_signature
-                else entry
-                for entry in entries
-            ]
+            if entry.complete
+            else entry
+            for entry in entries
+        ]
 
         meta_stats = stats.to_dict()
         meta_stats["feature_names"] = list(FEATURE_NAMES)
@@ -371,6 +329,7 @@ def build_library(
             entries=entries,
             stats=meta_stats,
             levels=level,
+            neighbour_count=neighbours,
         )
         library.save(artifact_path)
         if checkpoint:

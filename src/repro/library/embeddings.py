@@ -8,8 +8,9 @@ and comparable across builds — which is all warm-starting needs: ranking
 "graphs shaped like the ones that scored well before" ahead of the rest.
 
 Nearest neighbours are plain Euclidean over these vectors with a total
-tie-break on signature, so the k-NN lists embedded in the artifact are
-bit-identical regardless of shard count.
+tie-break on signature.  The builder ranks them in process over the complete
+entries, a set no shard count changes, so the k-NN lists embedded in the
+artifact are bit-identical regardless of shard count.
 """
 
 from __future__ import annotations

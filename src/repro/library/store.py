@@ -6,7 +6,7 @@ On disk it is a sequence of CRC-framed payloads (magic, length, CRC32,
 payload), so a torn tail is detected and everything before it still loads:
 
 * frame 0: JSON metadata (format version, spec key, options fingerprint,
-  entry counts, content hash, enumeration statistics);
+  neighbour count, entry counts, content hash, enumeration statistics);
 * frames 1..n: one canonical-JSON :class:`LibraryEntry` each, sorted by
   ``(depth, signature)``.
 
@@ -274,6 +274,20 @@ def library_filename(name: str) -> str:
     return f"{name}-v{LIBRARY_FORMAT_VERSION}.rplb"
 
 
+def library_names(root: str) -> list[str]:
+    """Names of the current-version artifacts under ``root``, sorted.
+
+    Reward sidecars and checkpoints never end in the artifact suffix, so they
+    are not listed; a missing root lists nothing.
+    """
+    suffix = library_filename("")
+    try:
+        filenames = sorted(os.listdir(root))
+    except (FileNotFoundError, NotADirectoryError):
+        return []
+    return [name[: -len(suffix)] for name in filenames if name.endswith(suffix)]
+
+
 def checkpoint_filename(name: str) -> str:
     return f"{name}-v{LIBRARY_FORMAT_VERSION}.ckpt"
 
@@ -301,6 +315,7 @@ class GraphLibrary:
         entries: Sequence[LibraryEntry],
         stats: Mapping | None = None,
         levels: int = 0,
+        neighbour_count: int = 0,
     ) -> "GraphLibrary":
         ordered = sorted(entries, key=lambda e: (e.depth, e.signature))
         meta = {
@@ -308,6 +323,7 @@ class GraphLibrary:
             "name": name,
             "spec_key": spec_key_,
             "options_fingerprint": options_fingerprint_,
+            "neighbour_count": neighbour_count,
             "entries": len(ordered),
             "complete": sum(1 for e in ordered if e.complete),
             "max_depth": max((e.depth for e in ordered), default=0),

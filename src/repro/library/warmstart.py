@@ -33,6 +33,7 @@ from repro.library.embeddings import distance, feature_vector
 from repro.library.store import (
     GraphLibrary,
     library_filename,
+    library_names,
     sidecar_filename,
     spec_key,
 )
@@ -69,17 +70,9 @@ def find_library_name(spec: OperatorSpec) -> str | None:
     result is deterministic when several match) and returns the first whose
     spec key matches.  ``None`` when nothing on disk covers the spec.
     """
-    root = current().library_path()
-    try:
-        filenames = sorted(os.listdir(root))
-    except (FileNotFoundError, NotADirectoryError):
-        return None
-    suffix = library_filename("")  # "-v{version}.rplb"
     key = spec_key(spec)
-    for filename in filenames:
-        if not filename.endswith(suffix) or filename.startswith("rewards-"):
-            continue
-        library = GraphLibrary.load(os.path.join(root, filename))
+    for name in library_names(current().library_path()):
+        library = GraphLibrary.load(library_artifact_path(name))
         if library is not None and library.meta.get("spec_key") == key:
             return library.meta.get("name")
     return None

@@ -11,10 +11,11 @@ Layout (rooted at ``REPRO_RESULTS_DIR``, default ``./results``)::
         evaluation-cache-v<N>.pkl   # persisted reward/compile/baseline caches
 
 Everything in the store is plain files: records are JSON, tables are text,
-and the cache snapshot is a framed, versioned log written by
-:meth:`repro.runtime.RuntimeContext.save_caches`.  The store never deletes or rewrites
-a run directory — each run gets a fresh id — so it doubles as an append-only
-experiment log that ``repro report`` renders into summary tables.
+and the cache snapshot is one pickled, versioned snapshot, replaced whole
+(tmp file and rename) by :meth:`repro.runtime.RuntimeContext.save_caches`.
+The store never deletes or rewrites a run directory — each run gets a fresh
+id — so it doubles as an append-only experiment log that ``repro report``
+renders into summary tables.
 """
 
 from __future__ import annotations

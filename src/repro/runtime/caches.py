@@ -14,9 +14,11 @@ experiments), compile results (``CompilerBackend.compile``), plans
 (``codegen.plan.cached_plan``), lowerings (``cached_loopnest`` and
 ``cached_loopnest_for_slot``), shape distances (the synthesis prune) and
 legal children (``core.enumeration.legal_children``, for the library
-builder and MCTS).  Only the reward cache is also reached directly: the
-serving coalescer probes it for hits, and the library warm start seeds it
-with :meth:`KeyedCache.merge_entries`.
+builder and MCTS).  Two caches are also reached directly: the serving
+coalescer probes the reward cache for hits and the library warm start seeds
+it with :meth:`KeyedCache.merge_entries`, and the library builder tests the
+children memo for keys (``core.enumeration.children_key``) so that it forks
+shard workers only for the graphs the memo lacks.
 
 Snapshot persistence (:meth:`CacheSet.save_snapshot` /
 :meth:`CacheSet.load_snapshot`) returns a structured :class:`SnapshotStatus`

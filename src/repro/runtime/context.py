@@ -276,9 +276,9 @@ class RuntimeContext:
     def library_path(self) -> str:
         """Root directory of the ahead-of-time graph library (may not exist).
 
-        Resolved from ``config.library_dir`` (``REPRO_LIBRARY_DIR``), falling
-        back to ``<results_dir>/library`` — the same derivation
-        :mod:`repro.library.store` uses to place build artifacts.
+        Resolved by :meth:`RuntimeConfig.library_root` from
+        ``config.library_dir`` (``REPRO_LIBRARY_DIR``), falling back to
+        ``<results_dir>/library``.
         """
         return self.config.library_root()
 

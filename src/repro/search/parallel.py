@@ -17,10 +17,10 @@ worker processes:
   the shape-distance memo stays in the worker, so a sharded run leaves the
   parent as warm as the serial run in those six caches: a library build's
   workers hand their legal children back, and the next build over the same
-  space enumerates nothing.  Because every cached value is a pure function
-  of its key, the merge order cannot change any value — fixing it anyway
-  makes the executor's behaviour reproducible down to cache-iteration
-  order.
+  space neither enumerates nor forks.  Because every cached value is a pure
+  function of its key, the merge order cannot change any value — fixing it
+  anyway makes the executor's behaviour reproducible down to
+  cache-iteration order.
 * **Context bootstrap** — each worker runs under the caller's ambient
   :class:`~repro.runtime.RuntimeContext` (:func:`repro.runtime.current`):
   it activates a context with the caller's config and its fork-copied

@@ -19,9 +19,11 @@ import pytest
 
 from repro.cli.main import main
 from repro.core.canonicalize import canonical_commuting_order
+from repro.core import enumeration as enumeration_module
 from repro.core import pgraph as pgraph_module
 from repro.core.enumeration import (
     SynthesisStats,
+    children_key,
     enumerate_children,
     legal_children,
     space_key,
@@ -34,6 +36,7 @@ from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.ir.shape import ShapeSpec
 from repro.ir.size import Size
 from repro.ir.variables import primary
+from repro.library import builder as builder_module
 from repro.library.builder import build_library
 from repro.library.embeddings import (
     FEATURE_NAMES,
@@ -58,6 +61,7 @@ from repro.library.warmstart import (
 )
 from repro.nn.models.resnet import resnet18
 from repro.runtime import RuntimeConfig, RuntimeContext, current
+from repro.search import parallel as parallel_module
 from repro.search.evaluator import EvaluationSettings
 from repro.search.session import SearchConfig, SearchSession
 
@@ -142,6 +146,18 @@ class TestBuildDeterminism:
         third = _build_gpt2(runtime, force=True)
         assert not third.reused
         assert third.content_hash == first.content_hash
+
+    def test_an_artifact_with_another_neighbour_count_is_rebuilt(self, tmp_path):
+        runtime = _runtime(tmp_path)
+        first = _build_gpt2(runtime)
+        assert max(len(entry.neighbours) for entry in first.library) == 8
+        fewer = _build_gpt2(runtime, neighbours=2)
+        assert not fewer.reused
+        assert all(len(entry.neighbours) <= 2 for entry in fewer.library)
+        assert GraphLibrary.load(fewer.path).meta["neighbour_count"] == 2
+        again = _build_gpt2(runtime, neighbours=2)
+        assert again.reused
+        assert again.content_hash == fewer.content_hash
 
     def test_sigkill_mid_build_resumes_to_the_same_hash(self, tmp_path):
         """A build SIGKILLed after its level-2 checkpoint converges on resume.
@@ -505,13 +521,22 @@ class TestSynthesisStats:
 # ---------------------------------------------------------------------------
 
 
-def _memo_key(graph: PGraph, space: tuple) -> tuple:
-    return (graph.signature(), graph.weight_signature(), space)
-
-
 def _read(path: str) -> bytes:
     with open(path, "rb") as handle:
         return handle.read()
+
+
+def _count_fanouts(monkeypatch) -> list[int]:
+    """Spy on the supervised shard executor: the items of each fan-out."""
+    fanouts: list[int] = []
+    supervise = parallel_module._supervise_shards
+
+    def spy(fn, partitions, runtime, workers):
+        fanouts.append(sum(map(len, partitions)))
+        return supervise(fn, partitions, runtime, workers)
+
+    monkeypatch.setattr(parallel_module, "_supervise_shards", spy)
+    return fanouts
 
 
 class TestSharedChildrenMemo:
@@ -524,18 +549,33 @@ class TestSharedChildrenMemo:
         "efficientnet": "5afe7851e2d1fe213b45f52dafda0a29730e92988bf9a1964280274c967ab8ec",
     }
 
+    #: the gpt2 depth-3 build, the space ``_toy_search`` explores.
+    GPT2_DEPTH3_HASH = "7d367d9724b689aa0daa5ef75f9625d74b8035b2979dfdf534822f6c258354e5"
+    GPT2_DEPTH3_STATS = {
+        "nodes_visited": 65,
+        "children_generated": 317,
+        "pruned_by_distance": 244,
+        "completed": 9,
+        "rejected_by_budget": 0,
+        "canonicalization_rejections": {
+            "canonical_commuting_order": 230,
+            "no_expand_of_reduction": 15,
+            "no_shift_chains": 16,
+        },
+        "dead_ends_by_distance": 46,
+    }
+
+    @staticmethod
+    def _build(runtime: RuntimeContext, family: str, shards: int):
+        space = space_for(family, max_depth=3)
+        return build_library(
+            space.spec, space.options, name=family, runtime=runtime,
+            shards=shards, force=True,
+        )
+
     def test_warm_builds_equal_cold_builds(self, tmp_path):
-        spaces = {family: space_for(family, max_depth=3) for family in self.CONV_HASHES}
-
-        def build(runtime: RuntimeContext, family: str, shards: int):
-            space = spaces[family]
-            return build_library(
-                space.spec, space.options, name=family, runtime=runtime,
-                shards=shards, force=True,
-            )
-
         serial = _runtime(tmp_path / "serial")
-        cold = {("resnet", 1): build(serial, "resnet", 1)}
+        cold = {("resnet", 1): self._build(serial, "resnet", 1)}
         warm = _runtime(tmp_path / "warm")
         memo = warm.caches.children
         builds = [
@@ -543,21 +583,84 @@ class TestSharedChildrenMemo:
         ]
         for index, (family, shards) in enumerate(builds):
             before = memo.stats.snapshot()
-            result = build(warm, family, shards)
+            result = self._build(warm, family, shards)
             after = memo.stats.snapshot()
             assert result.content_hash == self.CONV_HASHES[family]
             assert result.stats.to_dict() == TestSynthesisStats.RESNET_DEPTH3_STATS
             if (family, shards) not in cold:
-                cold[family, shards] = build(_runtime(tmp_path / family), family, shards)
+                cold[family, shards] = self._build(_runtime(tmp_path / family), family, shards)
             assert _read(result.path) == _read(cold[family, shards].path)
             if index == 0:
                 assert after.misses - before.misses == len(memo) == 886
                 assert memo.key_snapshot() == serial.caches.children.key_snapshot()
             else:
-                # Every expansion hits, the workers' lookups counted here.
+                # Every expansion hits, in this process: nothing is forked.
                 assert after.misses == before.misses
                 assert after.hits - before.hits == 886
         assert len(memo) == 886
+
+    def test_a_warm_build_forks_nothing(self, tmp_path, monkeypatch):
+        runtime = _runtime(tmp_path)
+        fanouts = _count_fanouts(monkeypatch)
+        self._build(runtime, "resnet", 2)
+        # The root level is one graph and runs in process; levels 1 and 2 fork.
+        assert fanouts == [56, 829]
+
+        def fork(*args, **kwargs):
+            raise AssertionError("a build over a warm memo forked shard workers")
+
+        monkeypatch.setattr(parallel_module, "_supervise_shards", fork)
+        for family in ("resnext", "efficientnet"):
+            result = self._build(runtime, family, 2)
+            assert result.content_hash == self.CONV_HASHES[family]
+            assert result.stats.to_dict() == TestSynthesisStats.RESNET_DEPTH3_STATS
+
+    def test_a_build_with_the_caches_off_uses_the_workers_children(
+        self, tmp_path, monkeypatch
+    ):
+        runtime = _runtime(tmp_path, eval_cache=False)
+        fanouts = _count_fanouts(monkeypatch)
+        enumerated: list[PGraph] = []  # forked workers append to their own copy
+        enumerate_ = enumeration_module.enumerate_children
+
+        def counting(graph, *args, **kwargs):
+            enumerated.append(graph)
+            return enumerate_(graph, *args, **kwargs)
+
+        monkeypatch.setattr(enumeration_module, "enumerate_children", counting)
+        result = self._build(runtime, "resnet", 2)
+        assert result.content_hash == self.CONV_HASHES["resnet"]
+        assert result.stats.to_dict() == TestSynthesisStats.RESNET_DEPTH3_STATS
+        assert fanouts == [56, 829]
+        # Only the root level ran here: the builder takes the other 885
+        # graphs' children from what the workers returned.
+        assert [graph.depth for graph in enumerated] == [0]
+        assert len(runtime.caches.children) == 0
+
+    def test_a_partly_warm_memo_fans_out_only_its_misses(self, tmp_path, monkeypatch):
+        runtime = _runtime(tmp_path)
+        with runtime.activate():
+            _toy_search(lambda op: 0.5).run()
+        memo = runtime.caches.children
+        assert len(memo) > 0
+        space = _gpt2_space()
+        key = space_key(space.spec, space.options)
+        handed: list[list[bool]] = []  # per level: is each handed graph cached?
+        sharded_map = builder_module.sharded_map
+
+        def spy(fn, items, shards=None, max_workers=None):
+            handed.append([children_key(graph, key) in memo for graph in items])
+            return sharded_map(fn, items, shards=shards, max_workers=max_workers)
+
+        monkeypatch.setattr(builder_module, "sharded_map", spy)
+        result = _build_gpt2(runtime, shards=2)
+        assert result.content_hash == self.GPT2_DEPTH3_HASH
+        assert result.stats.to_dict() == self.GPT2_DEPTH3_STATS
+        assert not any(itertools.chain.from_iterable(handed))
+        # The search expanded the root, so the root level hands over nothing,
+        # while graphs it never expanded still fan out.
+        assert handed[0] == []
+        assert 0 < sum(map(len, handed)) < result.stats.nodes_visited
 
     def test_a_worker_built_graph_reenumerates_above_its_uids(self, tmp_path, monkeypatch):
         runtime = _runtime(tmp_path)
@@ -574,9 +677,9 @@ class TestSharedChildrenMemo:
         ]
         graph = next(
             child for child in depth2
-            if _memo_key(child, key) in entries and entries[_memo_key(child, key)][0]
+            if children_key(child, key) in entries and entries[children_key(child, key)][0]
         )
-        evicted_children, evicted_stats = entries.pop(_memo_key(graph, key))
+        evicted_children, evicted_stats = entries.pop(children_key(graph, key))
         memo.clear()
         memo.merge_entries(entries)
         monkeypatch.setattr(pgraph_module, "_DIM_COUNTER", itertools.count())
