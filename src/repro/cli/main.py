@@ -1026,19 +1026,12 @@ def _library_runtime(args: argparse.Namespace) -> RuntimeContext:
     return runtime
 
 
-def _library_spaces(max_depth: int | None):
-    from repro.library.specs import design_spaces
-
-    if max_depth is None:
-        return design_spaces()
-    return design_spaces(max_depth=max_depth, gpt2_depth=max_depth)
-
-
 def _library_build(args: argparse.Namespace) -> int:
     from repro.library.builder import build_library
+    from repro.library.specs import design_spaces
 
     runtime = _library_runtime(args)
-    spaces = _library_spaces(args.max_depth)
+    spaces = design_spaces(args.max_depth)
     if args.family == "all":
         names = sorted(spaces)
     elif args.family in spaces:

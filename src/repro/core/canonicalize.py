@@ -245,16 +245,16 @@ class CanonicalizationEngine:
 
     def is_canonical(self, graph: PGraph, primitive: Primitive, operands: Sequence[Dim]) -> bool:
         """Whether applying ``primitive`` to ``operands`` keeps the graph canonical."""
-        return all(rule(graph, primitive, operands) for rule in self._rules_for(primitive))
+        return self.rejecting_rule(graph, primitive, operands) is None
 
     def rejecting_rule(
         self, graph: PGraph, primitive: Primitive, operands: Sequence[Dim]
     ) -> str | None:
         """The name of the first rule that rejects the application, or ``None``.
 
-        The observability counterpart of :meth:`is_canonical`: enumeration
-        statistics attribute each pruned application to the rule that pruned
-        it (``SynthesisStats.canonicalization_rejections``).
+        The one walk over the rules: :meth:`is_canonical` asks it too, and
+        enumeration statistics attribute each pruned application to the rule
+        that pruned it (``SynthesisStats.canonicalization_rejections``).
         """
         for rule in self._rules_for(primitive):
             if not rule(graph, primitive, operands):

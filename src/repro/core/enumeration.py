@@ -1,10 +1,11 @@
 """Guided bottom-up enumeration of operator candidates (Algorithm 1).
 
-``enumerate_children`` lists every canonical primitive application available
-from a partial pGraph; ``synthesize`` performs the depth-bounded guided DFS of
-Algorithm 1, backtracking whenever the shape distance exceeds the remaining
-primitive budget and collecting complete operators that satisfy the
-user-provided budgets (FLOPs, parameters, primitive counts).
+``enumerate_children`` lists a partial pGraph's children, one bare pGraph per
+canonical primitive application (``PGraph.last_application``); ``synthesize``
+performs the depth-bounded guided DFS of Algorithm 1, backtracking whenever
+the shape distance exceeds the remaining primitive budget and collecting
+complete operators that satisfy the user-provided budgets (FLOPs,
+parameters, primitive counts).
 
 ``enumerate_children`` settles each candidate on its :class:`Application`
 before it builds a child: occurrence limits are decided once per graph,
@@ -48,20 +49,6 @@ from repro.core.shape_distance import application_within_reach, within_reach
 from repro.ir.size import Size
 from repro.ir.variables import Variable
 from repro.runtime.context import current
-
-
-@dataclass(frozen=True)
-class Action:
-    """A candidate primitive application, identified structurally.
-
-    Actions are hashable so that MCTS can use them as tree-edge keys.
-    """
-
-    primitive: Primitive
-    operand_uids: tuple[int, ...]
-
-    def describe(self) -> str:
-        return f"{self.primitive.describe()}@{self.operand_uids}"
 
 
 @dataclass
@@ -136,13 +123,10 @@ class EnumerationOptions:
         """The canonicalization half of :meth:`allows`."""
         if self.canonicalizer is None:
             return True
-        if stats is None:
-            return self.canonicalizer.is_canonical(graph, primitive, operands)
         rule = self.canonicalizer.rejecting_rule(graph, primitive, operands)
-        if rule is None:
-            return True
-        stats.note_canonicalization_rejection(rule)
-        return False
+        if rule is not None and stats is not None:
+            stats.note_canonicalization_rejection(rule)
+        return rule is None
 
     def within_budgets(self, graph: PGraph, costs: tuple[int, int] | None = None) -> bool:
         """Whether a (complete) graph satisfies the MACs / parameter budgets.
@@ -279,13 +263,14 @@ def enumerate_children(
     stats: "SynthesisStats | None" = None,
     *,
     steps: int | None = None,
-) -> list[tuple[Action, PGraph]]:
+) -> list[PGraph]:
     """All canonical one-primitive extensions of a partial pGraph.
 
     Each candidate is settled on its :class:`Application` before any child
-    is built.  Siblings are deduplicated on :func:`sibling_key`, which is
-    equal exactly when the children's signatures are; the first application
-    to reach a signature wins.  ``stats`` (optional) accumulates per-rule
+    is built, and each child records its own (``last_application``).
+    Siblings are deduplicated on :func:`sibling_key`, which is equal exactly
+    when the children's signatures are; the first application to reach a
+    signature wins.  ``stats`` (optional) accumulates per-rule
     canonicalization rejections — see :meth:`EnumerationOptions.allows`.
 
     ``steps`` is the number of primitives left after the child.  When it is
@@ -296,7 +281,7 @@ def enumerate_children(
     by distance and a dead end (every child pruned) are counted too.
     """
     prune = steps is not None and options.use_shape_distance
-    children: list[tuple[Action, PGraph]] = []
+    children: list[PGraph] = []
     seen: set[tuple] = set()
     pruned = 0
     for primitive, operands in _candidate_applications(graph, options):
@@ -313,8 +298,7 @@ def enumerate_children(
         if prune and not application_within_reach(graph, application, steps):
             pruned += 1
             continue
-        action = Action(primitive=primitive, operand_uids=tuple(d.uid for d in operands))
-        children.append((action, graph.extend(application)))
+        children.append(graph.extend(application))
     if steps is not None and stats is not None:
         generated = len(children) + pruned
         stats.children_generated += generated
@@ -425,12 +409,13 @@ def children_key(graph: PGraph, space: tuple) -> tuple:
 
 def legal_children(
     graph: PGraph, options: EnumerationOptions, space: tuple
-) -> tuple[tuple[tuple[Action, PGraph], ...], SynthesisStats]:
+) -> tuple[tuple[PGraph, ...], SynthesisStats]:
     """``graph``'s canonical children that can still complete, and their counts.
 
-    The children :func:`enumerate_children` yields with the steps left after
-    the child, so the shape-distance prune runs on each candidate's
-    application, plus the :class:`SynthesisStats` that call counted.
+    The children (bare graphs) :func:`enumerate_children` yields with the
+    steps left after the child, so the shape-distance prune runs on each
+    candidate's application, plus the :class:`SynthesisStats` that call
+    counted.
     Memoized per runtime context (:meth:`RuntimeContext.cached_children`)
     under :func:`children_key`.  The entry is shared by every library build
     and search over the space, and shard workers' entries merge back into
@@ -443,7 +428,7 @@ def legal_children(
     :meth:`~repro.core.primitives.Primitive.order_key`.
     """
 
-    def compute() -> tuple[tuple[tuple[Action, PGraph], ...], SynthesisStats]:
+    def compute() -> tuple[tuple[PGraph, ...], SynthesisStats]:
         reserve_dim_uids(highest_uid(graph))
         stats = SynthesisStats()
         children = enumerate_children(
@@ -497,7 +482,7 @@ def synthesize(
             rng.shuffle(children)
         remaining = options.max_depth - graph.depth - 1
         pruned_here = 0
-        for _, child in children:
+        for child in children:
             if len(results) >= max_results or stats.nodes_visited >= max_nodes:
                 return
             if options.use_shape_distance and not within_reach(child, remaining):

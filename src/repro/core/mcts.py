@@ -1,8 +1,9 @@
 """Monte Carlo Tree Search over the primitive-application space (Section 7.2).
 
 The synthesis problem is formulated as a Markov decision process: states are
-partial pGraphs, actions are canonical primitive applications, terminal states
-are complete pGraphs within budget.  The reward of a terminal state is
+partial pGraphs, actions are canonical primitive applications (each child
+pGraph records the one that made it, ``PGraph.last_application``), terminal
+states are complete pGraphs within budget.  The reward of a terminal state is
 supplied by an evaluator (typically: proxy training accuracy of the backbone
 model with the candidate operator substituted in, see
 :mod:`repro.search.evaluator`); invalid rollouts receive zero reward.
@@ -66,7 +67,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Mapping, Sequence
 
-from repro.core.enumeration import Action, EnumerationOptions, legal_children, space_key
+from repro.core.enumeration import EnumerationOptions, legal_children, space_key
 from repro.core.operator import OperatorSpec, SynthesizedOperator
 from repro.core.pgraph import PGraph
 from repro.runtime.context import current
@@ -111,16 +112,15 @@ class MCTSConfig:
 
 
 class _Node:
-    """One node of the MCTS tree (a partial pGraph)."""
+    """One node of the MCTS tree: a partial pGraph and its untried child graphs."""
 
-    __slots__ = ("graph", "parent", "children", "untried", "visits", "total_reward", "action")
+    __slots__ = ("graph", "parent", "children", "untried", "visits", "total_reward")
 
-    def __init__(self, graph: PGraph, parent: "_Node | None", action: Action | None):
+    def __init__(self, graph: PGraph, parent: "_Node | None"):
         self.graph = graph
         self.parent = parent
-        self.action = action
         self.children: list[_Node] = []
-        self.untried: list[tuple[Action, PGraph]] | None = None
+        self.untried: list[PGraph] | None = None
         self.visits = 0
         self.total_reward = 0.0
 
@@ -169,7 +169,7 @@ class MCTS:
     def __post_init__(self) -> None:
         seed = self.config.seed if self.config.seed is not None else current().config.seed
         self._rng = random.Random(seed)
-        self._root = _Node(PGraph.root(self.spec.output_shape, self.spec.input_shape), None, None)
+        self._root = _Node(PGraph.root(self.spec.output_shape, self.spec.input_shape), None)
         self.samples: list[SampleRecord] = []
         self._iteration = 0
         #: rewards already recorded by THIS search: deduplicates samples and
@@ -334,14 +334,11 @@ class MCTS:
                 node.untried = children[: self.config.max_children]
         if not node.untried:
             return node
-        action, graph = node.untried.pop()
-        child = _Node(graph, node, action)
+        child = _Node(node.untried.pop(), node)
         node.children.append(child)
         return child
 
-    def _prioritized_root_children(
-        self, children: list[tuple[Action, PGraph]]
-    ) -> list[tuple[Action, PGraph]]:
+    def _prioritized_root_children(self, children: list[PGraph]) -> list[PGraph]:
         """The root's untried list with warm-start signatures expanded first.
 
         Expansion pops from the back, so the best-ranked preferred child goes
@@ -350,17 +347,17 @@ class MCTS:
         no randomness.
         """
         rank = {sig: index for index, sig in enumerate(self.config.root_priority)}
-        preferred: list[tuple[int, tuple[Action, PGraph]]] = []
-        rest: list[tuple[Action, PGraph]] = []
-        for action, graph in children:
+        preferred: list[tuple[int, PGraph]] = []
+        rest: list[PGraph] = []
+        for graph in children:
             position = rank.get(graph.signature())
             if position is None:
-                rest.append((action, graph))
+                rest.append(graph)
             else:
-                preferred.append((position, (action, graph)))
+                preferred.append((position, graph))
         preferred.sort(key=lambda pair: pair[0], reverse=True)
         keep = max(self.config.max_children - len(preferred), 0)
-        return rest[:keep] + [pair for _, pair in preferred]
+        return rest[:keep] + [graph for _, graph in preferred]
 
     def _rollout_pending(self, node: _Node, iteration: int) -> PendingRollout:
         """Complete ``node``'s graph with guided random rollout, deferring the reward.
@@ -384,7 +381,7 @@ class MCTS:
             children = legal_children(graph, self.options, self._space)[0]
             if not children:
                 return PendingRollout(iteration=iteration, node=node)
-            _, graph = self._rng.choice(children)
+            graph = self._rng.choice(children)
         key = (graph.signature(), graph.weight_signature())
         if key not in self._terminals:
             self._terminals[key] = (

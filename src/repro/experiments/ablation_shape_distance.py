@@ -69,8 +69,8 @@ def _rollout(options: EnumerationOptions, rng: random.Random, use_distance: bool
         if use_distance:
             remaining = options.max_depth - graph.depth - 1
             scored = [
-                (shape_distance(child.frontier_shape, child.input_shape), action, child)
-                for action, child in children
+                (shape_distance(child.frontier_shape, child.input_shape), child)
+                for child in children
                 if within_reach(child, remaining)
             ]
             if not scored:
@@ -80,11 +80,11 @@ def _rollout(options: EnumerationOptions, rng: random.Random, use_distance: bool
                 # The budget is (almost) down to the distance: every further
                 # step must move toward the target shape (the paper's guidance).
                 scored = [entry for entry in scored if entry[0] == minimum]
-            _, _, graph = rng.choice(scored)
+            _, graph = rng.choice(scored)
             continue
         if not children:
             return None
-        _, graph = rng.choice(children)
+        graph = rng.choice(children)
     return graph if graph.is_complete and graph.depth > 0 else None
 
 

@@ -82,7 +82,7 @@ def sample_random_graphs(
             children = enumerate_children(graph, options)
             if not children:
                 break
-            _, graph = rng.choice(children)
+            graph = rng.choice(children)
         if graph.depth >= 2:
             samples.append(graph)
     return samples

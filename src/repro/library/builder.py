@@ -272,7 +272,7 @@ def build_library(
                 )
                 stats.nodes_visited += 1
                 stats.merge(enumerated)
-                for action, child in children:
+                for child in children:
                     # A count that stays symbolic under a partial binding reads
                     # 0, so it passes the budget.  Every complete child is
                     # counted, a duplicate signature too.
@@ -293,7 +293,7 @@ def build_library(
                             depth=child.depth,
                             complete=kept,
                             parent_signature=parent_signature,
-                            primitive=action.primitive.describe(),
+                            primitive=child.last_application.primitive.describe(),
                             macs=costs[0],
                             params=costs[1],
                             features=feature_vector(child, binding, costs=costs),

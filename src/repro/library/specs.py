@@ -142,24 +142,26 @@ def _profiled_slot(model: str, slot_name: str) -> ConvSlot:
     raise KeyError(f"no slot named {slot_name!r} in the {model} profile")
 
 
-def design_spaces(max_depth: int = 3, gpt2_depth: int = 4) -> dict[str, SpaceSpec]:
+def design_spaces(max_depth: int | None = None) -> dict[str, SpaceSpec]:
     """Every slot-family space, keyed by family name (fresh on every call).
 
-    The representative conv slot per backbone is the first (earliest-stage)
-    full-resolution 3x3 convolution of its profile — the slot class the paper
-    substitutes most often.
+    ``max_depth`` bounds every family; ``None`` keeps each family's default
+    (conv: 3, gpt2: 4).  The representative conv slot per backbone is the
+    first (earliest-stage) full-resolution 3x3 convolution of its profile —
+    the slot class the paper substitutes most often.
     """
+    conv_depth = 3 if max_depth is None else max_depth
     spaces = [
-        gpt2_projection_space(max_depth=gpt2_depth),
-        conv_slot_space("resnet", "resnet18", _profiled_slot("resnet18", "layer1.conv"), max_depth),
+        gpt2_projection_space(max_depth=4 if max_depth is None else max_depth),
+        conv_slot_space("resnet", "resnet18", _profiled_slot("resnet18", "layer1.conv"), conv_depth),
         conv_slot_space(
-            "resnext", "resnext29_2x64d", _profiled_slot("resnext29_2x64d", "stage1.grouped"), max_depth
+            "resnext", "resnext29_2x64d", _profiled_slot("resnext29_2x64d", "stage1.grouped"), conv_depth
         ),
         conv_slot_space(
-            "densenet", "densenet121", _profiled_slot("densenet121", "dense1.conv"), max_depth
+            "densenet", "densenet121", _profiled_slot("densenet121", "dense1.conv"), conv_depth
         ),
         conv_slot_space(
-            "efficientnet", "efficientnet_v2_s", _profiled_slot("efficientnet_v2_s", "fused1.conv"), max_depth
+            "efficientnet", "efficientnet_v2_s", _profiled_slot("efficientnet_v2_s", "fused1.conv"), conv_depth
         ),
     ]
     return {space.name: space for space in spaces}
@@ -167,10 +169,7 @@ def design_spaces(max_depth: int = 3, gpt2_depth: int = 4) -> dict[str, SpaceSpe
 
 def space_for(name: str, max_depth: int | None = None) -> SpaceSpec:
     """The named family's space; depth defaults per family (gpt2: 4, conv: 3)."""
-    if max_depth is None:
-        spaces = design_spaces()
-    else:
-        spaces = design_spaces(max_depth=max_depth, gpt2_depth=max_depth)
+    spaces = design_spaces(max_depth)
     if name not in spaces:
         raise KeyError(
             f"unknown slot family {name!r}; available: {', '.join(sorted(spaces))}"

@@ -5,9 +5,10 @@ baseline, plan, lowering, shape_distance and children.  Each
 :class:`~repro.runtime.context.RuntimeContext` owns one, so two contexts in one
 process have fully isolated caches.  A cache set never crosses a process
 boundary whole: forked shard workers inherit their copy, and only the
-entries a worker adds to the six mergeable caches come back
-(:meth:`CacheSet.export_delta` / :meth:`CacheSet.merge_delta`).  Each cache
-is read through :meth:`KeyedCache.get_or_compute` behind one
+entries a worker adds to the six mergeable caches come back, pickled once
+with its results (:meth:`CacheSet.export_delta` /
+:meth:`CacheSet.merge_delta`).  Each cache is read through
+:meth:`KeyedCache.get_or_compute` behind one
 ``RuntimeContext.cached_*`` method, whose callers are: rewards (MCTS, the
 evaluators and the experiments' trainings), baselines (the evaluators and
 experiments), compile results (``CompilerBackend.compile``), plans
@@ -351,7 +352,7 @@ class CacheSet:
         return {name: cache.key_snapshot() for name, cache in self.mergeable().items()}
 
     def export_delta(self, before: Mapping[str, set]) -> dict[str, dict]:
-        """Entries added since ``before``, filtered to what can cross a pipe."""
+        """Entries added since ``before``, unprobed: an unpicklable outcome reruns in process."""
         delta: dict[str, dict] = {}
         for name, cache in self.mergeable().items():
             prior = before.get(name, set())
@@ -361,7 +362,7 @@ class CacheSet:
                 if key not in prior
             }
             if fresh:
-                delta[name] = _picklable_entries(name, fresh)
+                delta[name] = fresh
         return delta
 
     def merge_delta(self, entries: Mapping[str, Mapping]) -> dict[str, int]:
@@ -459,17 +460,14 @@ class CacheSet:
         return status
 
 
-def _picklable_entries(
-    cache_name: str, entries: Mapping[Hashable, object], warn: bool = False
-) -> dict:
-    """Drop entries that cannot cross a process or disk boundary (best-effort)."""
-    emit = log.warning if warn else log.debug
+def _picklable_entries(cache_name: str, entries: Mapping[Hashable, object]) -> dict:
+    """Drop entries a disk store cannot pickle (best-effort; a disk write has no fallback)."""
     picklable: dict[Hashable, object] = {}
     for key, value in entries.items():
         try:
             pickle.dumps((key, value))
         except Exception as exc:
-            emit("not persisting %s-cache entry %r: %s", cache_name, key, exc)
+            log.debug("not persisting %s-cache entry %r: %s", cache_name, key, exc)
         else:
             picklable[key] = value
     return picklable

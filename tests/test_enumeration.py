@@ -43,7 +43,7 @@ class TestEnumerateChildren:
         root = PGraph.root(spec.output_shape, spec.input_shape)
         children = enumerate_children(root, options)
         assert children
-        signatures = [child.signature() for _, child in children]
+        signatures = [child.signature() for child in children]
         assert len(signatures) == len(set(signatures))
 
     def test_children_respect_occurrence_limits(self):
@@ -52,7 +52,7 @@ class TestEnumerateChildren:
         options.max_reductions = 0
         root = PGraph.root(spec.output_shape, spec.input_shape)
         children = enumerate_children(root, options)
-        assert not any(isinstance(action.primitive, Reduce) for action, _ in children)
+        assert not any(isinstance(child.last_application.primitive, Reduce) for child in children)
 
     def test_disabling_canonicalization_yields_more_children(self):
         spec = conv2d_spec(bindings=({N: 1, C_IN: 4, C_OUT: 4, H: 4, W: 4, K1: 3},))
@@ -161,7 +161,7 @@ def _unpruned_bfs(family: str, depth: int) -> tuple[list[PGraph], EnumerationOpt
     level = [PGraph.root(space.spec.output_shape, space.spec.input_shape)]
     nodes = list(level)
     for _ in range(depth):
-        level = [child for graph in level for _, child in enumerate_children(graph, space.options)]
+        level = [child for graph in level for child in enumerate_children(graph, space.options)]
         nodes.extend(level)
     return nodes, space.options
 
@@ -192,7 +192,7 @@ class TestExtendedSignatures:
         for graph in nodes[::every]:
             loaded = pickle.loads(pickle.dumps(graph))
             _assert_signatures_match_a_recomputation(
-                [child for _, child in enumerate_children(loaded, options)]
+                enumerate_children(loaded, options)
             )
 
 
@@ -225,10 +225,8 @@ class TestBudgetsStayOutOfEnumeration:
             counted, counted_untouchable = SynthesisStats(), SynthesisStats()
             children = enumerate_children(graph, options, counted, steps=steps)
             assert _identity(
-                child for _, child in enumerate_children(
-                    graph, untouchable, counted_untouchable, steps=steps
-                )
-            ) == _identity(child for _, child in children)
+                enumerate_children(graph, untouchable, counted_untouchable, steps=steps)
+            ) == _identity(children)
             assert counted_untouchable == counted
 
 
@@ -242,7 +240,7 @@ def _uncached_legal_children(graph: PGraph, options: EnumerationOptions) -> list
     remaining = options.max_depth - graph.depth - 1
     return [
         child
-        for _, child in enumerate_children(graph, options)
+        for child in enumerate_children(graph, options)
         if not options.use_shape_distance
         or _uncached_distance(child.frontier_shape, child.input_shape) <= remaining
     ]
@@ -306,7 +304,7 @@ class TestChildrenMemo:
         rebuilt = _rebuilt_graphs(space.spec, space.options)
         for (signature, weight_signature, _), (children, _stats) in entries.items():
             graph = rebuilt[(signature, weight_signature)]
-            assert _identity(child for _, child in children) == _identity(
+            assert _identity(children) == _identity(
                 _uncached_legal_children(graph, space.options)
             ), signature
 
@@ -357,7 +355,7 @@ class TestChildrenMemo:
                 key = space_key(search.spec, search.options)
                 for graph in _rebuilt_graphs(search.spec, search.options).values():
                     assert _identity(
-                        child for _, child in legal_children(graph, search.options, key)[0]
+                        legal_children(graph, search.options, key)[0]
                     ) == _identity(_uncached_legal_children(graph, search.options))
         stats = context.caches.stats()["children"]
         assert stats.hits > 0

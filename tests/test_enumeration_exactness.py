@@ -22,7 +22,6 @@ from repro.core import enumeration as enumeration_module
 from repro.core import pgraph as pgraph_module
 from repro.core.canonicalize import CanonicalizationEngine, rejects
 from repro.core.enumeration import (
-    Action,
     SynthesisStats,
     _candidate_applications,
     enumerate_children,
@@ -60,7 +59,7 @@ def _bfs(family: str, depth: int = 2) -> list[PGraph]:
     level = [PGraph.root(space.spec.output_shape, space.spec.input_shape)]
     nodes = list(level)
     for _ in range(depth):
-        level = [child for graph in level for _, child in enumerate_children(graph, space.options)]
+        level = [child for graph in level for child in enumerate_children(graph, space.options)]
         nodes.extend(level)
     return nodes
 
@@ -309,26 +308,35 @@ def _reference_children(graph: PGraph, options, stats: SynthesisStats) -> list:
             child = primitive.apply(graph, operands)
         except PrimitiveError:
             continue
-        action = Action(primitive, tuple(dim.uid for dim in operands))
-        built.append((action, _rebuilt(graph, child.last_application)))
+        built.append(_rebuilt(graph, child.last_application))
     children, seen = [], set()
-    for action, child in built:
+    for child in built:
         if child.signature() not in seen:
             seen.add(child.signature())
-            children.append((action, child))
+            children.append(child)
     return children
 
 
+def _uids(dims) -> tuple[int, ...]:
+    return tuple(dim.uid for dim in dims)
+
+
 def _describe(children) -> list[tuple]:
+    """Each child's application (primitive, dim uids, weight index) and resulting graph."""
     return [
         (
-            action,
+            child.last_application.primitive,
+            _uids(child.last_application.consumed),
+            _uids(child.last_application.produced),
+            _uids(child.last_application.matched),
+            _uids(child.last_application.weight_dims),
+            child.last_application.weight_index,
             child.signature(),
             child.weight_signature(),
-            tuple(dim.uid for dim in child.frontier),
-            tuple(tuple(dim.uid for dim in weight.dims) for weight in child.weights),
+            _uids(child.frontier),
+            tuple(_uids(weight.dims) for weight in child.weights),
         )
-        for action, child in children
+        for child in children
     ]
 
 
@@ -378,7 +386,7 @@ def _assert_pruned_children_exact(graphs, options, monkeypatch) -> None:
         unpruned_stats = SynthesisStats()
         unpruned = enumerate_children(graph, options, stats=unpruned_stats)
         for steps in range(-1, 4):
-            kept = [(action, child) for action, child in unpruned if within_reach(child, steps)]
+            kept = [child for child in unpruned if within_reach(child, steps)]
             expected = SynthesisStats(
                 children_generated=len(unpruned),
                 pruned_by_distance=len(unpruned) - len(kept),

@@ -71,6 +71,12 @@ def _boom(x):
     raise ValueError(f"genuine failure on {x}")
 
 
+def _cache_unpicklable_plan(x):
+    """Puts a lambda, which no pickle can carry, into the plan cache."""
+    current().cached_plan(("unpicklable", x), lambda: lambda: x)
+    return x * 2
+
+
 def _block_first_attempt(scratch: str, x):
     """Item 3 blocks forever on its first attempt, after publishing its pid.
 
@@ -283,6 +289,20 @@ class TestSupervisedExecution:
         ctx = current().derive(shards=2)
         with ctx.activate(), pytest.raises(ValueError, match="genuine failure"):
             sharded_map(_boom, [1, 2, 3, 4], shards=2)
+
+    def test_an_unpicklable_cache_entry_reruns_its_partition_in_process(self):
+        items = [1, 2, 3, 4]
+        with current().isolated().activate():
+            expected = sharded_map(_cache_unpicklable_plan, items, shards=1)
+        ctx = current().isolated()
+        with ctx.activate():
+            assert sharded_map(_cache_unpicklable_plan, items, shards=2) == expected
+        failures = ctx.drain_shard_failures()
+        assert [f.kind for f in failures] == ["unpicklable-result"] * 2
+        assert sorted(f.shard for f in failures) == [0, 1]
+        # The fallback computed every entry in this process.
+        plans = ctx.caches.plan.export_entries()
+        assert sorted(key[1] for key in plans if key[0] == "unpicklable") == items
 
     def test_fault_free_runs_record_no_failures(self):
         ctx = current().derive(shards=2)

@@ -378,7 +378,7 @@ class TestSignatureInvariance:
         space = _gpt2_space()
         root = PGraph.root(space.spec.output_shape, space.spec.input_shape)
         children = enumerate_children(root, space.options)
-        signatures = [graph.signature() for _, graph in children]
+        signatures = [graph.signature() for graph in children]
         assert len(signatures) == len(set(signatures))
         assert len(signatures) > 1
 
@@ -401,7 +401,7 @@ class TestSynthesisStats:
         enumerate_children(root, space.options, stats=stats)
         assert sum(stats.canonicalization_rejections.values()) >= 0
         # Two levels in, the commuting-order rule must have fired.
-        for _, child in enumerate_children(root, space.options):
+        for child in enumerate_children(root, space.options):
             enumerate_children(child, space.options, stats=stats)
         assert "canonical_commuting_order" in stats.canonicalization_rejections
 
@@ -605,6 +605,8 @@ class TestSharedChildrenMemo:
         self._build(runtime, "resnet", 2)
         # The root level is one graph and runs in process; levels 1 and 2 fork.
         assert fanouts == [56, 829]
+        # Each worker's unprobed children delta crossed the pipe.
+        assert runtime.shard_failures == []
 
         def fork(*args, **kwargs):
             raise AssertionError("a build over a warm memo forked shard workers")
@@ -662,6 +664,34 @@ class TestSharedChildrenMemo:
         assert handed[0] == []
         assert 0 < sum(map(len, handed)) < result.stats.nodes_visited
 
+    def test_entries_hold_the_child_graphs_of_the_graph_they_are_keyed_under(self, tmp_path):
+        runtime = _runtime(tmp_path)
+        with runtime.activate():
+            _toy_search(lambda op: 0.5).run()
+        self._build(runtime, "resnet", 1)
+        entries = runtime.caches.children.export_entries()
+        for entry in entries.values():
+            assert type(entry) is tuple and len(entry) == 2
+            children, stats = entry
+            assert type(children) is tuple
+            assert all(type(child) is PGraph for child in children)
+            assert type(stats) is SynthesisStats
+        # Every graph a lookup can come from, by the key it looks up: the
+        # roots, and the children the memo handed out.
+        graphs: dict[tuple, list[PGraph]] = {}
+        for space in (_gpt2_space(), space_for("resnet", max_depth=3)):
+            root = PGraph.root(space.spec.output_shape, space.spec.input_shape)
+            graphs[children_key(root, space_key(space.spec, space.options))] = [root]
+        assert len({key[2] for key in entries}) == len(graphs) == 2
+        for (_, _, space), (children, _) in entries.items():
+            for child in children:
+                graphs.setdefault(children_key(child, space), []).append(child)
+        for key, (children, _) in entries.items():
+            assert any(
+                all(child.applications[:-1] == parent.applications for child in children)
+                for parent in graphs[key]
+            ), key[0]
+
     def test_a_worker_built_graph_reenumerates_above_its_uids(self, tmp_path, monkeypatch):
         runtime = _runtime(tmp_path)
         space = _gpt2_space(max_depth=4)
@@ -673,7 +703,7 @@ class TestSharedChildrenMemo:
         # graphs were built by shard workers expanding depth-1 graphs.  Pick
         # one that has children of its own.
         depth2 = [
-            child for children, _ in entries.values() for _, child in children if child.depth == 2
+            child for children, _ in entries.values() for child in children if child.depth == 2
         ]
         graph = next(
             child for child in depth2
@@ -687,13 +717,13 @@ class TestSharedChildrenMemo:
             children, stats = legal_children(graph, space.options, key)
         assert memo.stats.misses == 1
         highest = highest_uid(graph)
-        for _, child in children:
+        for child in children:
             application = child.applications[-1]
             assert application.produced + application.weight_dims
             for dim in application.produced + application.weight_dims:
                 assert dim.uid > highest
-        assert [child.signature() for _, child in children] == [
-            child.signature() for _, child in evicted_children
+        assert [child.signature() for child in children] == [
+            child.signature() for child in evicted_children
         ]
         assert stats == evicted_stats
 
@@ -767,7 +797,7 @@ class TestWarmStart:
         space = _gpt2_space()
         root = PGraph.root(space.spec.output_shape, space.spec.input_shape)
         children = enumerate_children(root, space.options)
-        preferred = sorted(graph.signature() for _, graph in children)[0]
+        preferred = sorted(graph.signature() for graph in children)[0]
 
         search = _toy_search(lambda op: 0.5, root_priority=(preferred,))
         search.run()
@@ -783,7 +813,7 @@ class TestWarmStart:
     def test_prioritized_search_is_deterministic(self):
         space = _gpt2_space()
         root = PGraph.root(space.spec.output_shape, space.spec.input_shape)
-        sig = enumerate_children(root, space.options)[0][1].signature()
+        sig = enumerate_children(root, space.options)[0].signature()
         one = _toy_search(lambda op: 0.5, root_priority=(sig,)).run()
         two = _toy_search(lambda op: 0.5, root_priority=(sig,)).run()
         assert _sample_keys(one) == _sample_keys(two)

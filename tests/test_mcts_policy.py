@@ -54,7 +54,7 @@ def _random_tree(rng: random.Random, depth: int) -> _Node:
     never expanded (``untried`` is None), a leaf with untried children left,
     or a fully expanded leaf with nothing legal.
     """
-    root = _Node(None, None, None)
+    root = _Node(None, None)
     root.visits = rng.randint(0, 24)
     level = [root]
     for height in range(depth):
@@ -63,11 +63,11 @@ def _random_tree(rng: random.Random, depth: int) -> _Node:
             kind = rng.randrange(4) if height else 0
             if kind == 1:
                 continue
-            node.untried = [("action", None)] if kind == 2 else []
+            node.untried = [None] if kind == 2 else []
             if kind != 0:
                 continue
             for _ in range(rng.randint(1, 6)):
-                child = _Node(None, node, None)
+                child = _Node(None, node)
                 child.visits, child.total_reward = rng.choice(_PAIRS)
                 node.children.append(child)
                 next_level.append(child)

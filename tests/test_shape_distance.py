@@ -89,11 +89,11 @@ def _depth_two_children(family: str) -> list[PGraph]:
     """Every child generated by a depth-2 enumeration of ``family``'s space."""
     space = space_for(family, max_depth=3)
     root = PGraph.root(space.spec.output_shape, space.spec.input_shape)
-    first = [child for _, child in enumerate_children(root, space.options)]
+    first = enumerate_children(root, space.options)
     second = [
         grandchild
         for child in first
-        for _, grandchild in enumerate_children(child, space.options)
+        for grandchild in enumerate_children(child, space.options)
     ]
     return first + second
 
@@ -238,7 +238,7 @@ class TestWithinReach:
         def recording(graph, options, stats=None, *, steps=None):
             # The build prunes before it builds, so record every child it
             # generates from an unpruned enumeration of the same graph.
-            generated.extend(child for _, child in enumerate_children(graph, options))
+            generated.extend(enumerate_children(graph, options))
             return enumerate_children(graph, options, stats=stats, steps=steps)
 
         monkeypatch.setattr(enumeration, "enumerate_children", recording)
