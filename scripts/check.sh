@@ -388,6 +388,17 @@ assert stats == stats_cold, (
 print("OK: caches-off 2-shard resnet build matches perfbench/golden.json "
       "and resnet's cold serial statistics")
 PY
+# A finished build, warm or cold, leaves neither a checkpoint nor a temp
+# file: the warm conv builds above wrote no checkpoint, and every cold or
+# caches-off build removed its own once its artifact was saved.
+LEFTOVERS="$(find "$LIB_DIR" "$RESULTS_DIR/library-gpt2-depth4" "$CONV_DIR" "$NOCACHE_DIR" \
+  \( -name '*.ckpt' -o -name '*.tmp.*' \) -print)"
+if [ -n "$LEFTOVERS" ]; then
+  echo "FAIL: finished library builds left checkpoints or temp files behind:" >&2
+  echo "$LEFTOVERS" >&2
+  exit 1
+fi
+echo "OK: no finished library build left a checkpoint or temp file"
 REPRO_WARM_START=1 REPRO_LIBRARY_DIR="$LIB_DIR" \
   python -m repro.cli run search --smoke
 echo "OK: warm-started search green"

@@ -18,10 +18,13 @@ loop in the calling process:
   first-parent) occurrence of a signature wins, so the surviving entry set
   is a pure function of the space and never of the shard count or of what
   the memo held;
-* after every level the full build state (entries, frontier, statistics) is
-  written to a CRC-framed checkpoint via an atomic replace, so a SIGKILLed
-  build resumes at the last completed level and converges to the same
-  artifact;
+* after every level that enumerated a graph the full build state (entries,
+  frontier, statistics) is written to a CRC-framed checkpoint via an atomic
+  replace, so a SIGKILLed build resumes at the last level that wrote one
+  and converges to the same artifact.  A level the memo served whole writes
+  none: the memo dies with the process, so a killed build over a warm memo
+  restarts from its last checkpoint (the root, if it wrote none) and
+  enumerates cold;
 * each complete entry's nearest neighbours are ranked in process before the
   artifact is sealed.
 
@@ -56,6 +59,7 @@ from repro.library.embeddings import (
     feature_vector,
     graph_costs,
     nearest_neighbours,
+    output_element_count,
 )
 from repro.library.store import (
     GraphLibrary,
@@ -189,8 +193,10 @@ def build_library(
     ``{name}-v{version}.rplb``.  If a matching artifact (same spec key,
     options fingerprint and neighbour count) already exists it is returned
     untouched unless ``force`` is set.  ``on_level`` is invoked after each
-    level's checkpoint is on disk — the hook the crash-resume tests drive
-    SIGKILL through.
+    level, once the level's checkpoint (if it wrote one) is on disk — the
+    hook the crash-resume tests drive SIGKILL through.  A level writes a
+    checkpoint only if it enumerated a graph, which with the caches off is
+    every level.
     """
     with runtime.activate() if runtime is not None else contextlib.nullcontext():
         context = current()
@@ -222,6 +228,7 @@ def build_library(
 
         root = PGraph.root(spec.output_shape, spec.input_shape)
         binding = options.budget_binding or {}
+        output_elements = output_element_count(root, binding)
         entries: list[LibraryEntry] = [
             LibraryEntry(
                 signature=root.signature(),
@@ -277,7 +284,7 @@ def build_library(
                     # 0, so it passes the budget.  Every complete child is
                     # counted, a duplicate signature too.
                     complete = child.is_complete and child.depth > 0
-                    costs = graph_costs(child, binding)
+                    costs = graph_costs(child, binding, output_elements)
                     kept = complete and options.within_budgets(child, costs=costs)
                     if kept:
                         stats.completed += 1
@@ -303,7 +310,9 @@ def build_library(
                         next_frontier.append(child)
             frontier = next_frontier
             level += 1
-            if checkpoint:
+            # A level the memo served whole enumerated nothing a checkpoint
+            # could spare a restart: the memo dies with the process anyway.
+            if checkpoint and missing:
                 _save_checkpoint(
                     checkpoint_path, name, key, fingerprint, level, entries, frontier, stats
                 )

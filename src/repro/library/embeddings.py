@@ -50,19 +50,42 @@ FEATURE_NAMES: tuple[str, ...] = (
 )
 
 
-def graph_costs(
+def output_element_count(
     graph: PGraph, binding: Mapping[Variable, int] | None = None
+) -> int:
+    """The element count of ``graph``'s output under ``binding``, 0 when symbolic.
+
+    Every graph of one spec shares it, so a caller that costs many of them
+    evaluates it once and hands it to :func:`graph_costs`.
+    """
+    try:
+        return graph.output_shape.numel(binding or {})
+    except SizeError:
+        return 0
+
+
+def graph_costs(
+    graph: PGraph,
+    binding: Mapping[Variable, int] | None = None,
+    output_elements: int | None = None,
 ) -> tuple[int, int]:
     """``graph``'s MACs and parameter count under ``binding``.
 
-    Either count reads 0 when a size it needs stays symbolic under a partial
-    binding.
+    ``output_elements`` is :func:`output_element_count` for ``graph`` and
+    ``binding``, for a caller that already has it; the MACs are it times
+    each reduction extent, as in :meth:`PGraph.macs`.  Either count reads 0
+    when a size it needs stays symbolic under a partial binding.
     """
     binding = binding or {}
-    try:
-        macs = graph.macs(binding)
-    except SizeError:
-        macs = 0
+    if output_elements is None:
+        output_elements = output_element_count(graph, binding)
+    macs = output_elements
+    if macs:
+        try:
+            for dim in graph.reduction_dims:
+                macs *= dim.size.evaluate(binding)
+        except SizeError:
+            macs = 0
     try:
         params = graph.parameter_count(binding)
     except SizeError:
@@ -79,23 +102,35 @@ def feature_vector(
 
     ``costs`` is :func:`graph_costs` for ``graph`` and ``binding``, for a
     caller that already has it.  A symbolic MACs or parameter count counts
-    as 0, as a symbolic reduction extent counts as 1.
+    as 0, as a symbolic reduction extent counts as 1.  One walk over the
+    applications counts each primitive type (its subclasses included, as
+    :meth:`PGraph.count_primitive` does) and the reductions with their
+    extent, so embedding a graph derives no
+    :class:`~repro.core.pgraph.RuleState` on it.
     """
     binding = binding or {}
     macs, params = costs if costs is not None else graph_costs(graph, binding)
-    reduction_dims = graph.reduction_dims
+    counts = [0] * len(_COUNTED_PRIMITIVES)
+    reductions = 0
     reduction_extent = 1
-    for dim in reduction_dims:
-        try:
-            reduction_extent *= max(dim.size.evaluate(binding), 1)
-        except SizeError:
-            pass  # symbolic extent under a partial binding: skip the factor
+    for app in graph.applications:
+        primitive = app.primitive
+        for index, kind in enumerate(_COUNTED_PRIMITIVES):
+            if isinstance(primitive, kind):
+                counts[index] += 1
+        for dim in app.produced:
+            if dim.is_reduction:
+                reductions += 1
+                try:
+                    reduction_extent *= dim.size.evaluate(binding)
+                except SizeError:
+                    pass  # symbolic extent under a partial binding: skip the factor
     return (
         float(graph.depth),
-        *(float(graph.count_primitive(primitive)) for primitive in _COUNTED_PRIMITIVES),
+        *map(float, counts),
         float(len(graph.weights)),
         float(sum(len(weight.dims) for weight in graph.weights)),
-        float(len(reduction_dims)),
+        float(reductions),
         math.log1p(float(reduction_extent)),
         float(len(graph.frontier)),
         math.log1p(float(macs)),

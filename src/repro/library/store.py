@@ -31,6 +31,7 @@ signature instead of dying with each process's cache snapshot.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
@@ -102,15 +103,24 @@ def read_frames(path: str) -> list[bytes]:
 
 
 def write_frames_atomic(path: str, payloads: Sequence[bytes]) -> None:
-    """Write ``payloads`` as one framed file, atomically (tmp + fsync + replace)."""
+    """Write ``payloads`` as one framed file, atomically (tmp + fsync + replace).
+
+    A write that raises (a full disk, say) removes its temp file and leaves
+    any earlier file at ``path`` as it was.
+    """
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp_path = f"{path}.tmp.{os.getpid()}"
-    with open(tmp_path, "wb") as handle:
-        for payload in payloads:
-            handle.write(pack_frame(payload))
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_path, path)
+    try:
+        with open(tmp_path, "wb") as handle:
+            for payload in payloads:
+                handle.write(pack_frame(payload))
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_path, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp_path)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ knobs, and the `repro library` / `repro list --json` CLI surface.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import errno
 import itertools
 import json
 import math
@@ -31,10 +33,10 @@ from repro.core.enumeration import (
 from repro.core.library import K, M, OUT_FEATURES, matmul_spec
 from repro.core.mcts import MCTS, MCTSConfig
 from repro.core.pgraph import PGraph, highest_uid, reserve_dim_uids
-from repro.core.primitives import Reduce, Shift
+from repro.core.primitives import Expand, Merge, Reduce, Share, Shift, Split, Stride, Unfold
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.ir.shape import ShapeSpec
-from repro.ir.size import Size
+from repro.ir.size import Size, SizeError
 from repro.ir.variables import primary
 from repro.library import builder as builder_module
 from repro.library.builder import build_library
@@ -42,7 +44,9 @@ from repro.library.embeddings import (
     FEATURE_NAMES,
     distance,
     feature_vector,
+    graph_costs,
     nearest_neighbours,
+    output_element_count,
 )
 from repro.library.specs import design_spaces, space_for
 from repro.library import store as store_module
@@ -302,10 +306,69 @@ class TestStoreFormat:
             }
         }
 
+    def test_a_failed_write_removes_its_temp_file(self, tmp_path, monkeypatch):
+        path = str(tmp_path / checkpoint_filename("x"))
+        store_module.write_frames_atomic(path, [b"before"])
+
+        def full_disk(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(store_module.os, "fsync", full_disk)
+            with pytest.raises(OSError) as raised:
+                store_module.write_frames_atomic(path, [b"after"])
+        assert raised.value.errno == errno.ENOSPC
+        assert not list(tmp_path.glob("*.tmp.*"))
+        assert store_module.read_frames(path) == [b"before"]
+        store_module.write_frames_atomic(path, [b"after"])
+        assert store_module.read_frames(path) == [b"after"]
+        assert os.listdir(tmp_path) == [checkpoint_filename("x")]
+
 
 # ---------------------------------------------------------------------------
 # Structural embeddings
 # ---------------------------------------------------------------------------
+
+
+#: the primitive types ``FEATURE_NAMES`` counts, in feature order.
+COUNTED_PRIMITIVES = (Reduce, Share, Merge, Split, Shift, Expand, Stride, Unfold)
+
+
+def _reference_embedding(graph: PGraph, binding, output_elements: int, notes) -> tuple:
+    """``(graph_costs, feature_vector)`` of ``graph`` from the graph's own formulas.
+
+    A symbolic MACs or parameter count reads 0 and a symbolic reduction
+    extent is skipped; ``notes`` counts each symbolic branch taken.
+    """
+    try:
+        macs = graph.macs(binding)
+    except SizeError:
+        macs = 0
+        if output_elements:
+            notes["symbolic reduction in the MACs"] += 1
+    try:
+        params = graph.parameter_count(binding)
+    except SizeError:
+        params = 0
+        notes["symbolic parameter count"] += 1
+    extent = 1
+    for dim in graph.reduction_dims:
+        try:
+            extent *= dim.size.evaluate(binding)
+        except SizeError:
+            notes["skipped reduction extent"] += 1
+    features = (
+        float(graph.depth),
+        *(float(graph.count_primitive(kind)) for kind in COUNTED_PRIMITIVES),
+        float(len(graph.weights)),
+        float(sum(len(weight.dims) for weight in graph.weights)),
+        float(len(graph.reduction_dims)),
+        math.log1p(float(extent)),
+        float(len(graph.frontier)),
+        math.log1p(float(macs)),
+        math.log1p(float(params)),
+    )
+    return (macs, params), features
 
 
 class TestEmbeddings:
@@ -324,6 +387,72 @@ class TestEmbeddings:
         assert costs["log_macs"] == costs["log_params"] == 0.0
         bound = dict(zip(FEATURE_NAMES, feature_vector(root, space.binding)))
         assert bound["log_macs"] > 0.0
+
+    @pytest.mark.parametrize(
+        "family, max_depth, children_built, unbound",
+        [("resnet", 3, 901, "C_in"), ("gpt2", 4, 328, "K")],
+    )
+    def test_one_walk_equals_the_graph_formulas(
+        self, tmp_path, family, max_depth, children_built, unbound
+    ):
+        """Each child a build leaves in the memo costs and embeds as its own formulas say.
+
+        Under the family's binding, under ``{}`` (a symbolic output count)
+        and under one that leaves a reduced size unbound (a concrete output
+        count and a symbolic reduction extent).
+        """
+        space = space_for(family, max_depth=max_depth)
+        runtime = _runtime(tmp_path)
+        build_library(space.spec, space.options, name=family, runtime=runtime, shards=1)
+        entries = runtime.caches.children.export_entries()
+        key = space_key(space.spec, space.options)
+        children = [child for built, _ in entries.values() for child in built]
+        assert len(children) == children_built
+        # Embedding derives no rule state: the children nothing enumerated
+        # have none.
+        leaves = [child for child in children if children_key(child, key) not in entries]
+        assert leaves and not any("_rule_state" in leaf.__dict__ for leaf in leaves)
+
+        assert FEATURE_NAMES[1:1 + len(COUNTED_PRIMITIVES)] == tuple(
+            f"count_{kind.__name__.lower()}" for kind in COUNTED_PRIMITIVES
+        )
+        partial = {var: value for var, value in space.binding.items() if var.name != unbound}
+        assert len(partial) == len(space.binding) - 1
+        root = PGraph.root(space.spec.output_shape, space.spec.input_shape)
+        notes: collections.Counter = collections.Counter()
+        for binding in (space.binding, {}, partial):
+            try:
+                output_elements = root.output_shape.numel(binding)
+            except SizeError:
+                output_elements = 0
+                notes["symbolic output count"] += 1
+            assert output_element_count(root, binding) == output_elements
+            for child in children:
+                costs, features = _reference_embedding(child, binding, output_elements, notes)
+                assert graph_costs(child, binding, output_elements) == costs
+                assert feature_vector(child, binding) == features
+        assert notes["symbolic output count"] == 1
+        assert notes["symbolic reduction in the MACs"] > 0
+        assert notes["skipped reduction extent"] > 0
+        assert notes["symbolic parameter count"] > 0
+
+    def test_primitive_counts_include_subclasses(self):
+        @dataclasses.dataclass(frozen=True)
+        class Sum(Reduce):
+            pass
+
+        space = _gpt2_space()
+        root = PGraph.root(space.spec.output_shape, space.spec.input_shape)
+        child = next(
+            child for child in enumerate_children(root, space.options)
+            if type(child.last_application.primitive) is Reduce
+        )
+        last = child.last_application
+        renamed = dataclasses.replace(last, primitive=Sum(size=last.primitive.size))
+        graph = dataclasses.replace(child, applications=child.applications[:-1] + (renamed,))
+        features = dict(zip(FEATURE_NAMES, feature_vector(graph, space.binding)))
+        assert features["count_reduce"] == graph.count_primitive(Reduce) == 1
+        assert features["reduction_dims"] == 1.0
 
     def test_distance_is_a_metric_on_identical_vectors(self):
         assert distance((1.0, 2.0), (1.0, 2.0)) == 0.0
@@ -539,6 +668,19 @@ def _count_fanouts(monkeypatch) -> list[int]:
     return fanouts
 
 
+def _count_checkpoints(monkeypatch) -> list[int]:
+    """Spy on the builder's checkpoint writes: the level of each."""
+    levels: list[int] = []
+    save = builder_module._save_checkpoint
+
+    def spy(path, name, key, fingerprint, level, *state):
+        levels.append(level)
+        return save(path, name, key, fingerprint, level, *state)
+
+    monkeypatch.setattr(builder_module, "_save_checkpoint", spy)
+    return levels
+
+
 class TestSharedChildrenMemo:
     #: content hashes of the four depth-3 conv families (perfbench's
     #: enumerate-conv golden values); they share one enumeration space.
@@ -616,6 +758,78 @@ class TestSharedChildrenMemo:
             result = self._build(runtime, family, 2)
             assert result.content_hash == self.CONV_HASHES[family]
             assert result.stats.to_dict() == TestSynthesisStats.RESNET_DEPTH3_STATS
+
+    def test_only_a_level_that_enumerates_writes_a_checkpoint(self, tmp_path, monkeypatch):
+        runtime = _runtime(tmp_path)
+        checkpoints = _count_checkpoints(monkeypatch)
+        self._build(runtime, "resnet", 2)
+        assert checkpoints == [1, 2, 3]
+        for family in ("resnext", "efficientnet"):
+            checkpoints.clear()
+            result = self._build(runtime, family, 2)
+            assert checkpoints == []
+            assert result.content_hash == self.CONV_HASHES[family]
+            assert result.stats.to_dict() == TestSynthesisStats.RESNET_DEPTH3_STATS
+        assert not [
+            name for name in os.listdir(runtime.library_path()) if name.endswith(".ckpt")
+        ]
+
+    @staticmethod
+    def _seeded_gpt2_build(runtime: RuntimeContext, **kwargs):
+        """The gpt2 depth-3 build, after its root's children went into the memo."""
+        space = _gpt2_space()
+        root = PGraph.root(space.spec.output_shape, space.spec.input_shape)
+        with runtime.activate():
+            legal_children(root, space.options, space_key(space.spec, space.options))
+        return _build_gpt2(runtime, **kwargs)
+
+    def test_a_level_the_memo_serves_writes_no_checkpoint(self, tmp_path, monkeypatch):
+        checkpoints = _count_checkpoints(monkeypatch)
+        result = self._seeded_gpt2_build(_runtime(tmp_path), shards=2)
+        assert checkpoints == [2, 3]
+        assert result.content_hash == self.GPT2_DEPTH3_HASH
+        assert result.stats.to_dict() == self.GPT2_DEPTH3_STATS
+
+    @pytest.mark.parametrize("killed_at, resumed_from", [(1, 0), (2, 2)])
+    def test_a_killed_build_resumes_from_its_last_checkpoint(
+        self, tmp_path, killed_at, resumed_from
+    ):
+        """A killed warm level leaves nothing to resume; a killed cold one does.
+
+        SIGKILLed after level 1, which the memo served, the seeded build
+        leaves no checkpoint and restarts from the root; after level 2,
+        which enumerated, it resumes there.  Either way the memo died with
+        it, so the fresh context enumerates what is left cold.
+        """
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - child process
+            os.close(read_fd)
+
+            def kill(level: int) -> None:
+                if level == killed_at:
+                    os.write(write_fd, b"k")
+                    os.kill(os.getpid(), signal.SIGKILL)
+
+            try:
+                self._seeded_gpt2_build(_runtime(tmp_path), shards=1, on_level=kill)
+            finally:
+                os._exit(1)  # unreachable when the kill fires
+
+        os.close(write_fd)
+        assert os.read(read_fd, 1) == b"k"
+        os.close(read_fd)
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+
+        runtime = _runtime(tmp_path)
+        checkpoint = os.path.join(runtime.library_path(), checkpoint_filename("gpt2"))
+        assert os.path.exists(checkpoint) == (resumed_from > 0)
+        resumed = _build_gpt2(runtime, shards=2)
+        assert resumed.resumed_from_level == resumed_from
+        assert resumed.content_hash == self.GPT2_DEPTH3_HASH
+        assert resumed.stats.to_dict() == self.GPT2_DEPTH3_STATS
+        assert not os.path.exists(checkpoint)
 
     def test_a_build_with_the_caches_off_uses_the_workers_children(
         self, tmp_path, monkeypatch
