@@ -292,16 +292,50 @@ library_field() {  # family, field[, library dir]
     --library-dir "${3:-$LIB_DIR}" --results-dir "$RESULTS_DIR" \
     | python -c "import json,sys; v = json.load(sys.stdin)['libraries'][0]['$2']; print(v if isinstance(v, str) else json.dumps(v, sort_keys=True))"
 }
+# The entry byte contract, checked on every artifact the leg builds without
+# the encoder that wrote it: each entry frame must be exactly what the
+# reference json.dumps writes for the entry it decodes to, and the SHA-256
+# over the frames sorted by (depth, signature) must be the meta frame's
+# content hash.
+entry_bytes() {  # library dir...
+  python - "$@" <<'PY'
+import glob, hashlib, json, os, sys
+from repro.library.store import read_frames
+
+for root in sys.argv[1:]:
+    paths = sorted(glob.glob(os.path.join(root, "*.rplb")))
+    assert paths, f"no library artifact under {root}"
+    for path in paths:
+        meta, *frames = read_frames(path)
+        meta = json.loads(meta)
+        assert len(frames) == meta["entries"], f"{path}: {len(frames)} frames, meta says {meta['entries']}"
+        keyed = []
+        for frame in frames:
+            entry = json.loads(frame)
+            reference = json.dumps(entry, sort_keys=True, separators=(",", ":")).encode("utf-8")
+            assert frame == reference, f"{path}: entry frame is not the reference JSON:\n  {frame!r}\n  {reference!r}"
+            keyed.append(((entry["depth"], entry["signature"]), frame))
+        digest = hashlib.sha256()
+        for _, frame in sorted(keyed, key=lambda item: item[0]):
+            digest.update(frame + b"\n")
+        assert digest.hexdigest() == meta["content_hash"], (
+            f"{path}: SHA-256 over the entry frames {digest.hexdigest()} != content hash {meta['content_hash']}"
+        )
+        print(f"OK: {path}: {len(frames)} entry frames are the reference JSON and hash to its content hash")
+PY
+}
 shard_parity() {  # family, max depth, library dir; sets HASH_SERIAL
   rm -rf "$3"
   python -m repro.cli library build "$1" --max-depth "$2" --shards 1 \
     --library-dir "$3" --results-dir "$RESULTS_DIR"
   HASH_SERIAL="$(library_field "$1" content_hash "$3")"
   STATS_SERIAL="$(library_field "$1" stats "$3")"
+  entry_bytes "$3"
   rm -rf "$3"
   python -m repro.cli library build "$1" --max-depth "$2" --shards 2 \
     --library-dir "$3" --results-dir "$RESULTS_DIR"
   HASH_SHARDED="$(library_field "$1" content_hash "$3")"
+  entry_bytes "$3"
   STATS_SHARDED="$(library_field "$1" stats "$3")"
   if [ "$HASH_SERIAL" != "$HASH_SHARDED" ]; then
     echo "FAIL: serial ($HASH_SERIAL) and 2-shard ($HASH_SHARDED) depth-$2 $1 library builds diverge" >&2
@@ -388,6 +422,7 @@ assert stats == stats_cold, (
 print("OK: caches-off 2-shard resnet build matches perfbench/golden.json "
       "and resnet's cold serial statistics")
 PY
+entry_bytes "$CONV_DIR" "$NOCACHE_DIR"
 # A finished build, warm or cold, leaves neither a checkpoint nor a temp
 # file: the warm conv builds above wrote no checkpoint, and every cold or
 # caches-off build removed its own once its artifact was saved.

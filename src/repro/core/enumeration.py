@@ -425,7 +425,11 @@ def legal_children(
     On a miss the global dim uid counter is first moved past ``graph``'s
     highest uid: a merged entry's graphs carry uids a worker minted, and a
     child minted below them would compare out of order in
-    :meth:`~repro.core.primitives.Primitive.order_key`.
+    :meth:`~repro.core.primitives.Primitive.order_key`.  Once enumerated,
+    ``graph`` drops the :class:`~repro.core.pgraph.RuleState` enumeration
+    derived on it: only enumeration reads it, a graph whose children are
+    memoized is not enumerated again, and :meth:`PGraph.rule_state` derives
+    it afresh if it is, so the memo holds none.
     """
 
     def compute() -> tuple[tuple[PGraph, ...], SynthesisStats]:
@@ -434,6 +438,7 @@ def legal_children(
         children = enumerate_children(
             graph, options, stats=stats, steps=options.max_depth - graph.depth - 1
         )
+        graph.__dict__.pop("_rule_state", None)
         return tuple(children), stats
 
     return current().cached_children(children_key(graph, space), compute)

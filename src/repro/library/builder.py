@@ -56,6 +56,7 @@ from repro.core.operator import OperatorSpec
 from repro.core.pgraph import PGraph
 from repro.library.embeddings import (
     FEATURE_NAMES,
+    SizeTable,
     feature_vector,
     graph_costs,
     nearest_neighbours,
@@ -135,7 +136,12 @@ def _save_checkpoint(
 def _load_checkpoint(
     path: str, key: str, fingerprint: str
 ) -> tuple[int, list[LibraryEntry], list[PGraph], SynthesisStats] | None:
-    """Restore build state, or ``None`` when absent, foreign, or corrupt."""
+    """Restore build state, or ``None`` when absent, foreign, or corrupt.
+
+    A checkpoint whose pickle names a class or module this code lacks (one
+    that older code left behind) is foreign too: it is ignored with a
+    warning, and the build starts from the root.
+    """
     frames = read_frames(path)
     if len(frames) < 2:
         return None
@@ -156,7 +162,10 @@ def _load_checkpoint(
         entries = [LibraryEntry.from_payload(p) for p in state["entry_payloads"]]
         frontier = list(state["frontier"])
         stats = state["stats"]
-    except (pickle.UnpicklingError, KeyError, ValueError, TypeError, EOFError) as exc:
+    except (
+        pickle.UnpicklingError, KeyError, ValueError, TypeError, EOFError,
+        AttributeError, ImportError,
+    ) as exc:
         log.warning("ignoring undecodable checkpoint %s: %s", path, exc)
         return None
     if not isinstance(stats, SynthesisStats):
@@ -228,6 +237,7 @@ def build_library(
 
         root = PGraph.root(spec.output_shape, spec.input_shape)
         binding = options.budget_binding or {}
+        sizes = SizeTable(binding)
         output_elements = output_element_count(root, binding)
         entries: list[LibraryEntry] = [
             LibraryEntry(
@@ -238,7 +248,7 @@ def build_library(
                 primitive=None,
                 macs=0,
                 params=0,
-                features=feature_vector(root, binding),
+                features=feature_vector(root, sizes=sizes),
             )
         ]
         frontier: list[PGraph] = [root]
@@ -284,7 +294,7 @@ def build_library(
                     # 0, so it passes the budget.  Every complete child is
                     # counted, a duplicate signature too.
                     complete = child.is_complete and child.depth > 0
-                    costs = graph_costs(child, binding, output_elements)
+                    costs = graph_costs(child, output_elements=output_elements, sizes=sizes)
                     kept = complete and options.within_budgets(child, costs=costs)
                     if kept:
                         stats.completed += 1
@@ -303,7 +313,7 @@ def build_library(
                             primitive=child.last_application.primitive.describe(),
                             macs=costs[0],
                             params=costs[1],
-                            features=feature_vector(child, binding, costs=costs),
+                            features=feature_vector(child, costs=costs, sizes=sizes),
                         )
                     )
                     if not complete and child.depth < options.max_depth:

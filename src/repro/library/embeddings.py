@@ -11,15 +11,21 @@ Nearest neighbours are plain Euclidean over these vectors with a total
 tie-break on signature.  The builder ranks them in process over the complete
 entries, a set no shard count changes, so the k-NN lists embedded in the
 artifact are bit-identical regardless of shard count.
+
+A build costs and embeds hundreds of graphs whose dims share a few dozen size
+objects, so it makes one :class:`SizeTable` for its binding and hands it to
+:func:`graph_costs` and :func:`feature_vector`, which then evaluate each size
+object once per build instead of once per dim they walk.
 """
 
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from repro.core.pgraph import PGraph
-from repro.ir.size import SizeError
+from repro.core.pgraph import DimRole, PGraph
+from repro.ir.size import Size, SizeError
 from repro.core.primitives import (
     Expand,
     Merge,
@@ -35,6 +41,13 @@ from repro.ir.variables import Variable
 #: Primitive types counted in the embedding, in feature order.
 _COUNTED_PRIMITIVES = (Reduce, Share, Merge, Split, Shift, Expand, Stride, Unfold)
 
+#: counted primitive type -> its index in :data:`_COUNTED_PRIMITIVES`.
+_COUNT_INDEX = MappingProxyType(
+    {kind: index for index, kind in enumerate(_COUNTED_PRIMITIVES)}
+)
+
+_REDUCTION = DimRole.REDUCTION
+
 #: Names of the feature-vector components, in order.  Stored in library
 #: metadata so the vectors stay interpretable after the build.
 FEATURE_NAMES: tuple[str, ...] = (
@@ -48,6 +61,59 @@ FEATURE_NAMES: tuple[str, ...] = (
     "log_macs",
     "log_params",
 )
+
+
+class SizeTable:
+    """The values of sizes under one binding, each distinct size evaluated once.
+
+    A size that stays symbolic under the binding reads ``None``.  Lookups go
+    by the size object's ``id`` (the table holds each object it has seen, so
+    its id is not reused while the table lives), so they never compare
+    equal but distinct sizes through their ``Fraction`` factors.  An
+    object's first lookup finds its value by the size's value, so the copies
+    of one size that a cold build's shard workers send back are evaluated
+    once between them.  The table holds its binding, and
+    :func:`graph_costs` and :func:`feature_vector` refuse it under another
+    one.
+    """
+
+    __slots__ = ("binding", "_by_id", "_by_value")
+
+    def __init__(self, binding: Mapping[Variable, int] | None = None) -> None:
+        self.binding: Mapping[Variable, int] = binding or {}
+        self._by_id: dict[int, tuple[Size, int | None]] = {}
+        self._by_value: dict[tuple, int | None] = {}
+
+    def value(self, size: Size) -> int | None:
+        """``size.evaluate(binding)``, or ``None`` when it stays symbolic."""
+        known = self._by_id.get(id(size))
+        if known is None:
+            # Variables compare by name and kind only, and an unbound one
+            # evaluates to its default, so the defaults are part of the value.
+            key = (size, tuple(var.default for var, _ in size.powers))
+            if key in self._by_value:
+                value = self._by_value[key]
+            else:
+                try:
+                    value = size.evaluate(self.binding)
+                except SizeError:
+                    value = None
+                self._by_value[key] = value
+            known = self._by_id[id(size)] = (size, value)
+        return known[1]
+
+
+def _size_table(
+    binding: Mapping[Variable, int] | None, sizes: SizeTable | None
+) -> SizeTable:
+    """``sizes``, checked against ``binding`` when both are given, else a fresh table."""
+    if sizes is None:
+        return SizeTable(binding)
+    if binding is not None and binding is not sizes.binding and (
+        dict(binding) != dict(sizes.binding)
+    ):
+        raise ValueError("a SizeTable is bound to another binding than the one given")
+    return sizes
 
 
 def output_element_count(
@@ -68,28 +134,42 @@ def graph_costs(
     graph: PGraph,
     binding: Mapping[Variable, int] | None = None,
     output_elements: int | None = None,
+    sizes: SizeTable | None = None,
 ) -> tuple[int, int]:
     """``graph``'s MACs and parameter count under ``binding``.
 
     ``output_elements`` is :func:`output_element_count` for ``graph`` and
     ``binding``, for a caller that already has it; the MACs are it times
-    each reduction extent, as in :meth:`PGraph.macs`.  Either count reads 0
-    when a size it needs stays symbolic under a partial binding.
+    each reduction extent, as in :meth:`PGraph.macs`, and the parameter
+    count is :meth:`PGraph.parameter_count`'s.  Either count reads 0 when a
+    size it needs stays symbolic under a partial binding.  Sizes are read
+    from ``sizes``, a :class:`SizeTable` bound to ``binding`` (which may
+    then be left out), or from a fresh table when it is ``None``.
     """
-    binding = binding or {}
+    sizes = _size_table(binding, sizes)
     if output_elements is None:
-        output_elements = output_element_count(graph, binding)
+        output_elements = output_element_count(graph, sizes.binding)
+    value = sizes.value
     macs = output_elements
-    if macs:
-        try:
-            for dim in graph.reduction_dims:
-                macs *= dim.size.evaluate(binding)
-        except SizeError:
-            macs = 0
-    try:
-        params = graph.parameter_count(binding)
-    except SizeError:
-        params = 0
+    for app in graph.applications:
+        if not macs:
+            break
+        for dim in app.produced:
+            if dim.role is _REDUCTION:
+                extent = value(dim.size)
+                if extent is None:
+                    macs = 0
+                    break
+                macs *= extent
+    params = 0
+    for weight in graph.weights:
+        count = 1
+        for dim in weight.dims:
+            extent = value(dim.size)
+            if extent is None:
+                return macs, 0
+            count *= extent
+        params += count
     return macs, params
 
 
@@ -97,39 +177,49 @@ def feature_vector(
     graph: PGraph,
     binding: Mapping[Variable, int] | None = None,
     costs: tuple[int, int] | None = None,
+    sizes: SizeTable | None = None,
 ) -> tuple[float, ...]:
     """The structural embedding of one pGraph (see :data:`FEATURE_NAMES`).
 
     ``costs`` is :func:`graph_costs` for ``graph`` and ``binding``, for a
-    caller that already has it.  A symbolic MACs or parameter count counts
-    as 0, as a symbolic reduction extent counts as 1.  One walk over the
-    applications counts each primitive type (its subclasses included, as
-    :meth:`PGraph.count_primitive` does) and the reductions with their
+    caller that already has it, and ``sizes`` a :class:`SizeTable` for
+    ``binding``, as :func:`graph_costs` takes it.  A symbolic MACs or
+    parameter count counts as 0, as a symbolic reduction extent counts as 1.
+    One walk over the applications counts each primitive type, by a type
+    table lookup (a subclass of a counted type counts under it, as
+    :meth:`PGraph.count_primitive` counts it), and the reductions with their
     extent, so embedding a graph derives no
     :class:`~repro.core.pgraph.RuleState` on it.
     """
-    binding = binding or {}
-    macs, params = costs if costs is not None else graph_costs(graph, binding)
+    sizes = _size_table(binding, sizes)
+    macs, params = costs if costs is not None else graph_costs(graph, sizes=sizes)
+    value = sizes.value
     counts = [0] * len(_COUNTED_PRIMITIVES)
     reductions = 0
     reduction_extent = 1
     for app in graph.applications:
         primitive = app.primitive
-        for index, kind in enumerate(_COUNTED_PRIMITIVES):
-            if isinstance(primitive, kind):
-                counts[index] += 1
+        index = _COUNT_INDEX.get(type(primitive))
+        if index is not None:
+            counts[index] += 1
+        else:  # no counted type itself: counted under each one it subclasses
+            for index, kind in enumerate(_COUNTED_PRIMITIVES):
+                if isinstance(primitive, kind):
+                    counts[index] += 1
         for dim in app.produced:
-            if dim.is_reduction:
+            if dim.role is _REDUCTION:
                 reductions += 1
-                try:
-                    reduction_extent *= dim.size.evaluate(binding)
-                except SizeError:
-                    pass  # symbolic extent under a partial binding: skip the factor
+                extent = value(dim.size)
+                if extent is not None:  # a symbolic extent skips its factor
+                    reduction_extent *= extent
+    weight_dims = 0
+    for weight in graph.weights:
+        weight_dims += len(weight.dims)
     return (
         float(graph.depth),
         *map(float, counts),
         float(len(graph.weights)),
-        float(sum(len(weight.dims) for weight in graph.weights)),
+        float(weight_dims),
         float(reductions),
         math.log1p(float(reduction_extent)),
         float(len(graph.frontier)),

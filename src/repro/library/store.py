@@ -10,6 +10,16 @@ payload), so a torn tail is detected and everything before it still loads:
 * frames 1..n: one canonical-JSON :class:`LibraryEntry` each, sorted by
   ``(depth, signature)``.
 
+An entry frame's bytes are exactly ``json.dumps(payload, sort_keys=True,
+separators=(",", ":")).encode("utf-8")`` of the entry's nine fields, with
+its features and neighbours as lists.  :meth:`LibraryEntry.to_payload` writes
+that fixed layout itself rather than through ``json.dumps``, since a build
+encodes every entry and the encoder's generic dispatch cost more than the
+value reprs; any value it does not write itself (a NaN or infinite float, a
+type other than ``str``, ``int``, ``float``, ``bool`` or ``None``) goes
+through ``json.dumps``, so the bytes are the reference encoder's for every
+entry.
+
 Build checkpoints use the same framing.
 
 The **content hash** is a SHA-256 over the sorted entry payload bytes.  It is
@@ -35,11 +45,13 @@ import contextlib
 import hashlib
 import json
 import logging
+import math
 import mmap
 import os
 import struct
 import zlib
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 from typing import Iterator, Mapping, Sequence
 
 log = logging.getLogger(__name__)
@@ -225,24 +237,15 @@ class LibraryEntry:
     neighbours: tuple[str, ...] = ()
 
     def to_payload(self) -> bytes:
-        """Canonical JSON bytes (the unit the content hash is computed over)."""
+        """Canonical JSON bytes (the unit the content hash is computed over).
+
+        The bytes of ``json.dumps`` over the fields with ``sort_keys=True`` and
+        ``separators=(",", ":")``, written by :func:`_encode_entry` (see the
+        module docstring), encoded once and kept on the instance.
+        """
         payload = self.__dict__.get("_payload")
         if payload is None:
-            payload = json.dumps(
-                {
-                    "signature": self.signature,
-                    "depth": self.depth,
-                    "complete": self.complete,
-                    "parent_signature": self.parent_signature,
-                    "primitive": self.primitive,
-                    "macs": self.macs,
-                    "params": self.params,
-                    "features": list(self.features),
-                    "neighbours": list(self.neighbours),
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            ).encode("utf-8")
+            payload = _encode_entry(self)
             object.__setattr__(self, "_payload", payload)
         return payload
 
@@ -263,6 +266,67 @@ class LibraryEntry:
 
     def with_neighbours(self, neighbours: Sequence[str]) -> "LibraryEntry":
         return replace(self, neighbours=tuple(neighbours))
+
+
+def _encode_entry(entry: LibraryEntry) -> bytes:
+    """``entry``'s payload: its fields as ``json.dumps`` writes them, keys sorted."""
+    return (
+        f'{{"complete":{_json_value(entry.complete)}'
+        f',"depth":{_json_value(entry.depth)}'
+        f',"features":{_json_floats(entry.features)}'
+        f',"macs":{_json_value(entry.macs)}'
+        f',"neighbours":{_json_strings(entry.neighbours)}'
+        f',"params":{_json_value(entry.params)}'
+        f',"parent_signature":{_json_value(entry.parent_signature)}'
+        f',"primitive":{_json_value(entry.primitive)}'
+        f',"signature":{_json_value(entry.signature)}}}'
+    ).encode("utf-8")
+
+
+def _json_value(value) -> str:
+    """``value`` as ``json.dumps`` writes it.
+
+    A string, an int, a finite float, a bool or ``None`` is written here as
+    the reference encoder writes it; anything else, NaN and the infinities
+    included, goes through ``json.dumps``.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _json_list(values) -> str:
+    return "[" + ",".join(map(_json_value, values)) + "]"
+
+
+def _json_floats(values) -> str:
+    """``list(values)`` as ``json.dumps`` writes it, for a list expected to hold floats."""
+    try:
+        text = ",".join(map(float.__repr__, values))
+    except TypeError:  # an item that is no float
+        return _json_list(values)
+    if "n" in text:  # a repr of nan or inf, which JSON spells NaN and Infinity
+        return _json_list(values)
+    return "[" + text + "]"
+
+
+def _json_strings(values) -> str:
+    """``list(values)`` as ``json.dumps`` writes it, for a list expected to hold strings."""
+    try:
+        return "[" + ",".join(map(encode_basestring_ascii, values)) + "]"
+    except TypeError:  # an item that is no string
+        return _json_list(values)
 
 
 def content_hash(entries: Sequence[LibraryEntry]) -> str:

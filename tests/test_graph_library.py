@@ -15,7 +15,11 @@ import itertools
 import json
 import math
 import os
+import pickle
+import random
 import signal
+import sys
+import types
 
 import pytest
 
@@ -42,6 +46,7 @@ from repro.library import builder as builder_module
 from repro.library.builder import build_library
 from repro.library.embeddings import (
     FEATURE_NAMES,
+    SizeTable,
     distance,
     feature_vector,
     graph_costs,
@@ -52,6 +57,7 @@ from repro.library.specs import design_spaces, space_for
 from repro.library import store as store_module
 from repro.library.store import (
     GraphLibrary,
+    LibraryEntry,
     checkpoint_filename,
     library_filename,
     options_fingerprint,
@@ -128,14 +134,13 @@ class TestBuildDeterminism:
 
     def test_each_entry_is_encoded_once_per_build(self, tmp_path, monkeypatch):
         encoded: list[str] = []
-        dumps = json.dumps
+        encode = store_module._encode_entry
 
-        def counting_dumps(obj, *args, **kwargs):
-            if isinstance(obj, dict) and "neighbours" in obj:
-                encoded.append(obj["signature"])
-            return dumps(obj, *args, **kwargs)
+        def counting_encode(entry):
+            encoded.append(entry.signature)
+            return encode(entry)
 
-        monkeypatch.setattr(store_module.json, "dumps", counting_dumps)
+        monkeypatch.setattr(store_module, "_encode_entry", counting_encode)
         result = _build_gpt2(_runtime(tmp_path), shards=1)
         # Complete entries are encoded again once they carry neighbours.
         assert len(encoded) == result.entries + result.complete
@@ -233,10 +238,65 @@ class TestBuildDeterminism:
         assert result.resumed_from_level == 0
         assert result.entries > 0
 
+    @pytest.mark.parametrize("missing", ["attribute", "module"])
+    def test_a_checkpoint_naming_missing_code_is_ignored(
+        self, tmp_path, monkeypatch, caplog, missing
+    ):
+        """A CRC-intact checkpoint whose pickle names code this build lacks.
+
+        Older code leaves such checkpoints behind (one pickling a class that
+        was deleted since, say): unpickling raises ``AttributeError`` or
+        ``ModuleNotFoundError``, and the build ignores the checkpoint with a
+        warning and starts from the root.
+        """
+        runtime = _runtime(tmp_path)
+        space = _gpt2_space()
+        gone = type("Action", (), {})
+        if missing == "attribute":
+            gone.__module__ = enumeration_module.__name__
+            monkeypatch.setattr(enumeration_module, "Action", gone, raising=False)
+        else:
+            module = types.ModuleType("repro.core.no_such_module")
+            gone.__module__ = module.__name__
+            module.Action = gone
+            monkeypatch.setitem(sys.modules, module.__name__, module)
+        checkpoint = os.path.join(runtime.library_path(), checkpoint_filename("gpt2"))
+        builder_module._save_checkpoint(
+            checkpoint, "gpt2", spec_key(space.spec), options_fingerprint(space.options),
+            2, [], [gone()], SynthesisStats(),
+        )
+        monkeypatch.undo()
+        with caplog.at_level("WARNING", logger=builder_module.__name__):
+            result = _build_gpt2(runtime)
+        assert "ignoring undecodable checkpoint" in caplog.text
+        assert result.resumed_from_level == 0
+        assert result.content_hash == TestSharedChildrenMemo.GPT2_DEPTH3_HASH
+        assert result.stats.to_dict() == TestSharedChildrenMemo.GPT2_DEPTH3_STATS
+        assert not os.path.exists(checkpoint)
+
 
 # ---------------------------------------------------------------------------
 # Artifact and sidecar format
 # ---------------------------------------------------------------------------
+
+
+def _reference_payload(entry: LibraryEntry) -> bytes:
+    """An entry's payload as the reference encoder writes it (the format's definition)."""
+    return json.dumps(
+        {
+            "signature": entry.signature,
+            "depth": entry.depth,
+            "complete": entry.complete,
+            "parent_signature": entry.parent_signature,
+            "primitive": entry.primitive,
+            "macs": entry.macs,
+            "params": entry.params,
+            "features": list(entry.features),
+            "neighbours": list(entry.neighbours),
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    ).encode("utf-8")
 
 
 class TestStoreFormat:
@@ -273,6 +333,74 @@ class TestStoreFormat:
             assert entry.neighbours, "every complete entry gets a kNN list"
             assert entry.signature not in entry.neighbours
             assert set(entry.neighbours) <= signatures
+
+    @pytest.mark.parametrize("family, max_depth", [("resnet", 3), ("gpt2", 4)])
+    def test_entry_frames_are_the_reference_json(self, tmp_path, family, max_depth):
+        """Every entry frame of a built artifact is ``json.dumps`` of its fields."""
+        space = space_for(family, max_depth=max_depth)
+        built = build_library(
+            space.spec, space.options, name=family, runtime=_runtime(tmp_path), shards=1
+        )
+        entries = built.library.entries()
+        assert len(entries) == built.entries > 300
+        assert any(entry.neighbours for entry in entries)
+        for entry in entries:
+            assert entry.to_payload() == _reference_payload(entry)
+            assert LibraryEntry.from_payload(entry.to_payload()) == entry
+        frames = store_module.read_frames(built.path)[1:]
+        assert frames == [entry.to_payload() for entry in entries]
+
+    def test_adversarial_entries_encode_as_the_reference(self):
+        """The fixed-layout encoder writes what ``json.dumps`` writes, whatever the values.
+
+        Each field is drawn from values that take every path of the encoder:
+        signed zeros, NaN and the infinities, subnormals, ints and bools
+        among the features, strings with quotes, backslashes, control and
+        non-ASCII characters, ``None`` edges and 0 to 8 neighbours.
+        """
+        rng = random.Random(20261020)
+        floats = [
+            0.0, -0.0, 1.0, -2.5, 0.1, 1e-320, 5e-324, 1e16, 1.7976931348623157e308,
+            math.pi, float("nan"), float("inf"), float("-inf"),
+        ]
+        features = floats + [0, 7, -3, 10**20, True, False]
+        characters = 'ab;:,{}[]e0 "\\/\x00\x01\x1f\x7f\u00e9\u2028\u4e2d\U0001f600\ud800\t\n'
+
+        def text():
+            return "".join(rng.choice(characters) for _ in range(rng.randrange(0, 12)))
+
+        def maybe_text():
+            return None if rng.random() < 0.25 else text()
+
+        fixed = [
+            LibraryEntry("", 0, False, None, None, 0, 0, ()),
+            LibraryEntry("e0", 3, True, "p", "Share(+)", 2**70, 1, (-0.0,) * 17, ("x",) * 8),
+            LibraryEntry('"\\\x00\u00e9', 1, True, "\u2028", "\n", 1, 2, (float("nan"), 1e-320)),
+        ]
+        drawn = [
+            LibraryEntry(
+                signature=text(),
+                depth=rng.randrange(0, 9),
+                complete=rng.random() < 0.5,
+                parent_signature=maybe_text(),
+                primitive=maybe_text(),
+                macs=rng.randrange(0, 2**64),
+                params=rng.randrange(0, 2**40),
+                features=tuple(rng.choice(features) for _ in range(rng.randrange(0, 18))),
+                neighbours=tuple(text() for _ in range(rng.randrange(0, 9))),
+            )
+            for _ in range(2000)
+        ]
+        for entry in fixed + drawn:
+            payload = entry.to_payload()
+            assert payload == _reference_payload(entry), entry
+            decoded = LibraryEntry.from_payload(payload)
+            if all(type(value) is float for value in entry.features):
+                # Features decode as floats, and NaN is unequal to itself.
+                assert decoded.to_payload() == payload
+                if not any(math.isnan(value) for value in entry.features):
+                    assert decoded == entry
+        assert {len(entry.neighbours) for entry in drawn} == set(range(9))
 
     def test_spec_key_and_options_fingerprint_sensitivity(self):
         deep = _gpt2_space(max_depth=3)
@@ -435,6 +563,83 @@ class TestEmbeddings:
         assert notes["symbolic reduction in the MACs"] > 0
         assert notes["skipped reduction extent"] > 0
         assert notes["symbolic parameter count"] > 0
+
+    @pytest.mark.parametrize("family, max_depth, unbound", [("resnet", 3, "C_in"), ("gpt2", 4, "K")])
+    def test_a_shared_size_table_equals_the_graph_formulas(
+        self, tmp_path, monkeypatch, family, max_depth, unbound
+    ):
+        """One table per binding, shared by every child, gives the graphs' own values.
+
+        It evaluates each size object once, and refuses a call under another
+        binding.
+        """
+        space = space_for(family, max_depth=max_depth)
+        runtime = _runtime(tmp_path)
+        build_library(space.spec, space.options, name=family, runtime=runtime, shards=1)
+        children = [
+            child
+            for built, _ in runtime.caches.children.export_entries().values()
+            for child in built
+        ]
+        root = PGraph.root(space.spec.output_shape, space.spec.input_shape)
+        partial = {var: value for var, value in space.binding.items() if var.name != unbound}
+        evaluated: list[Size] = []
+        evaluate = Size.evaluate
+
+        def counting(size, bindings=None):
+            evaluated.append(size)
+            return evaluate(size, bindings)
+
+        notes: collections.Counter = collections.Counter()
+        for binding in (space.binding, {}, partial):
+            output_elements = output_element_count(root, binding)
+            expected = [
+                _reference_embedding(child, binding, output_elements, notes)
+                for child in children
+            ]
+            sizes = SizeTable(binding)
+            evaluated.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(Size, "evaluate", counting)
+                for child, (costs, features) in zip(children, expected):
+                    assert graph_costs(child, binding, output_elements, sizes) == costs
+                    assert feature_vector(child, costs=costs, sizes=sizes) == features
+            assert evaluated and len(evaluated) == len(set(evaluated))
+            for child, (_, features) in zip(children, expected):
+                assert feature_vector(child, sizes=sizes) == features
+            assert feature_vector(root, dict(binding), sizes=sizes) == feature_vector(root, binding)
+            other = {} if binding else space.binding
+            with pytest.raises(ValueError, match="another binding"):
+                graph_costs(children[0], other, output_elements, sizes)
+            with pytest.raises(ValueError, match="another binding"):
+                feature_vector(children[0], other, sizes=sizes)
+        assert notes["skipped reduction extent"] > 0
+        assert notes["symbolic parameter count"] > 0
+
+    def test_a_size_table_evaluates_each_size_value_once(self, monkeypatch):
+        evaluated: list[Size] = []
+        evaluate = Size.evaluate
+
+        def counting(size, bindings=None):
+            evaluated.append(size)
+            return evaluate(size, bindings)
+
+        monkeypatch.setattr(Size, "evaluate", counting)
+        size = Size.of(A) * Size.of(2)
+        # An equal, distinct copy, as a shard worker's children carry.
+        copy = pickle.loads(pickle.dumps(size))
+        # Equal too (variables compare by name and kind), but unbound it
+        # evaluates to another default.
+        other_default = Size.of(primary("A", default=3)) * Size.of(2)
+        assert copy == size and copy is not size and other_default == size
+        sizes = SizeTable()
+        assert [sizes.value(size), sizes.value(copy), sizes.value(size)] == [16, 16, 16]
+        assert evaluated == [size]
+        assert sizes.value(other_default) == 6
+        assert sizes.value(Size.of(primary("Z"))) is None
+        assert len(evaluated) == 3
+        bound = SizeTable({A: 5})
+        assert bound.value(copy) == bound.value(other_default) == 10
 
     def test_primitive_counts_include_subclasses(self):
         @dataclasses.dataclass(frozen=True)
@@ -905,6 +1110,25 @@ class TestSharedChildrenMemo:
                 all(child.applications[:-1] == parent.applications for child in children)
                 for parent in graphs[key]
             ), key[0]
+
+    def test_memoized_graphs_hold_no_rule_state(self, tmp_path):
+        """A graph drops the rule state enumeration derived once its children are memoized."""
+        runtime = _runtime(tmp_path)
+        result = self._build(runtime, "resnet", 1)
+        with runtime.activate():
+            _toy_search(lambda op: 0.5).run()
+        assert result.content_hash == self.CONV_HASHES["resnet"]
+        assert result.stats.to_dict() == TestSynthesisStats.RESNET_DEPTH3_STATS
+        entries = runtime.caches.children.export_entries()
+        expanded = [
+            child
+            for (_, _, space), (children, _) in entries.items()
+            for child in children
+            if children_key(child, space) in entries
+        ]
+        assert len({space for _, _, space in entries}) == 2
+        assert len(expanded) > 885  # the build's depth-1 and depth-2 graphs, and the search's
+        assert not [graph for graph in expanded if "_rule_state" in graph.__dict__]
 
     def test_a_worker_built_graph_reenumerates_above_its_uids(self, tmp_path, monkeypatch):
         runtime = _runtime(tmp_path)
